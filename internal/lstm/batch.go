@@ -353,13 +353,8 @@ const predictBatchWidth = 32
 // trained network (each call owns its buffers).
 func (n *Network) PredictProbsBatch(inputs [][][]float64) ([][][]float64, error) {
 	for _, seq := range inputs {
-		if len(seq) == 0 {
-			return nil, errEmptySequence
-		}
-		for t, x := range seq {
-			if len(x) != n.cfg.InputDim {
-				return nil, fmtInputDimError(t, len(x), n.cfg.InputDim)
-			}
+		if err := n.checkInputs(seq); err != nil {
+			return nil, err
 		}
 	}
 	if len(inputs) == 0 {

@@ -306,16 +306,12 @@ func (n *Network) forward(inputs [][]float64, s *scratch) []*stepCache {
 }
 
 // PredictProbs returns per-timestep class probabilities for the sequence.
-// Scratch buffers are pooled across calls, so steady-state prediction does
-// not allocate per timestep; concurrent calls each draw their own scratch.
+// Scratch buffers are pooled across calls and concurrent calls each draw
+// their own scratch, but every timestep's probabilities are copied out of
+// the scratch into the returned slices. Predict skips that copy.
 func (n *Network) PredictProbs(inputs [][]float64) ([][]float64, error) {
-	if len(inputs) == 0 {
-		return nil, errEmptySequence
-	}
-	for t, x := range inputs {
-		if len(x) != n.cfg.InputDim {
-			return nil, fmtInputDimError(t, len(x), n.cfg.InputDim)
-		}
+	if err := n.checkInputs(inputs); err != nil {
+		return nil, err
 	}
 	s := n.getScratch()
 	caches := n.forward(inputs, s)
@@ -327,17 +323,35 @@ func (n *Network) PredictProbs(inputs [][]float64) ([][]float64, error) {
 	return out, nil
 }
 
-// Predict returns per-timestep argmax class predictions.
+// Predict returns per-timestep argmax class predictions, taken straight
+// from the pooled scratch's step caches: the result is the only allocation
+// of a steady-state call, and each label is bit-identical to the argmax of
+// the matching PredictProbs row.
 func (n *Network) Predict(inputs [][]float64) ([]int, error) {
-	probs, err := n.PredictProbs(inputs)
-	if err != nil {
+	if err := n.checkInputs(inputs); err != nil {
 		return nil, err
 	}
-	out := make([]int, len(probs))
-	for t, p := range probs {
-		out[t] = mat.ArgMax(p)
+	s := n.getScratch()
+	caches := n.forward(inputs, s)
+	out := make([]int, len(caches))
+	for t, sc := range caches {
+		out[t] = mat.ArgMax(sc.probs)
 	}
+	n.putScratch(s)
 	return out, nil
+}
+
+// checkInputs rejects an empty sequence or a timestep of the wrong width.
+func (n *Network) checkInputs(inputs [][]float64) error {
+	if len(inputs) == 0 {
+		return errEmptySequence
+	}
+	for t, x := range inputs {
+		if len(x) != n.cfg.InputDim {
+			return fmtInputDimError(t, len(x), n.cfg.InputDim)
+		}
+	}
+	return nil
 }
 
 // grads mirrors the parameter set.

@@ -44,9 +44,10 @@ func (tl *Timeline) Events() []TimelineEvent { return tl.events }
 
 // TimelineFromEvents rebuilds a timeline from previously recorded events, in
 // the order given — the constructor a deserialized trace uses to restore its
-// ground truth without replaying the co-run.
+// ground truth without replaying the co-run. The timeline takes ownership of
+// events; the caller must not modify the slice afterwards.
 func TimelineFromEvents(events []TimelineEvent) *Timeline {
-	return &Timeline{events: append([]TimelineEvent(nil), events...)}
+	return &Timeline{events: events}
 }
 
 // Iterations returns the number of distinct iterations observed.

@@ -8,6 +8,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
+	"sync"
 
 	"leakydnn/internal/cupti"
 	"leakydnn/internal/dnn"
@@ -202,6 +204,7 @@ type Reader struct {
 	br       *bufio.Reader
 	off      int64
 	maxChunk uint64
+	rd       bytes.Reader // gob's source for each staged chunk
 }
 
 // NewReader wraps r for incremental trace decoding with the default chunk
@@ -252,11 +255,76 @@ func (d *Reader) readUvarint() (uint64, error) {
 	return 0, errors.New("length prefix overflows uint64")
 }
 
-// readChunk decodes the next length-prefixed gob chunk. The payload is read
-// incrementally (io.CopyN into a growing buffer), so a hostile length prefix
-// costs at most the bytes actually present in the stream, never an up-front
-// allocation of the claimed size.
-func (d *Reader) readChunk() (chunk, error) {
+// minStage is the first step a chunk's staging buffer grows by, and
+// maxPooledStage the largest buffer stagePool keeps. The writer's chunks stay
+// well under maxPooledStage; a larger one is a trusted file or hostile input
+// and is left to the garbage collector instead of pinning its memory.
+const (
+	minStage       = 4 << 10
+	maxPooledStage = 1 << 20
+)
+
+// stagePool recycles chunk staging buffers across Readers: mosconsd decodes
+// every upload with a fresh Reader, so a buffer one Reader owned would be
+// regrown from nothing for every trace.
+var stagePool = sync.Pool{New: func() any { return new([]byte) }}
+
+// stage reads the next n payload bytes into *buf, growing it in doubling
+// steps only as bytes actually arrive, so its size tracks the bytes present
+// in the stream rather than the claimed n. On error it returns the bytes
+// read so far.
+func (d *Reader) stage(buf *[]byte, n uint64) ([]byte, error) {
+	b := (*buf)[:0]
+	defer func() { *buf = b[:0] }()
+	for uint64(len(b)) < n {
+		step := int(min(n-uint64(len(b)), uint64(max(len(b), minStage))))
+		b = slices.Grow(b, step)
+		m, err := io.ReadFull(d.br, b[len(b):len(b)+step])
+		b = b[:len(b)+m]
+		d.off += int64(m)
+		if err != nil {
+			return b, err
+		}
+	}
+	return b, nil
+}
+
+// checkGobLengths walks the gob messages in a staged chunk payload and
+// refuses any whose length claims more bytes than the payload has left:
+// encoding/gob allocates a message's claimed length before reading it. gob
+// encodes a length as one byte below 0x80, or as a byte holding the negated
+// width followed by that many big-endian bytes; a length it cannot parse is
+// left for gob to reject. base is the stream offset of payload[0].
+func checkGobLengths(payload []byte, base int64) error {
+	for pos := 0; pos < len(payload); {
+		width, count := 1, uint64(payload[pos])
+		if count > 0x7f {
+			width = 1 - int(int8(payload[pos]))
+			if width > 1+8 || width > len(payload)-pos {
+				return nil
+			}
+			count = 0
+			for _, c := range payload[pos+1 : pos+width] {
+				count = count<<8 | uint64(c)
+			}
+		}
+		if rest := len(payload) - pos - width; count > uint64(rest) {
+			return fmt.Errorf("gob message at byte offset %d claims %d bytes, only %d remain in the chunk",
+				base+int64(pos), count, rest)
+		}
+		pos += width + int(count)
+	}
+	return nil
+}
+
+// readChunk decodes the next length-prefixed gob chunk into c. The payload
+// is staged in a pooled buffer that grows only as bytes arrive, so a hostile
+// length prefix costs at most the bytes actually present in the stream,
+// never an up-front allocation of the claimed size; every gob message length
+// inside it is then checked against the staged bytes before gob sees it.
+// gob reuses any slice capacity it finds in c, so a sample chunk can land
+// directly in the trace's presized sample slice.
+func (d *Reader) readChunk(c *chunk) error {
 	start := d.off
 	n, err := d.readUvarint()
 	if err != nil {
@@ -264,28 +332,35 @@ func (d *Reader) readChunk() (chunk, error) {
 			err = io.ErrUnexpectedEOF
 		}
 		if errors.Is(err, io.EOF) {
-			return chunk{}, err
+			return err
 		}
-		return chunk{}, fmt.Errorf("trace: chunk length prefix at byte offset %d: %w", start, err)
+		return fmt.Errorf("trace: chunk length prefix at byte offset %d: %w", start, err)
 	}
 	if n > d.maxChunk {
-		return chunk{}, fmt.Errorf("trace: chunk at byte offset %d: length %d exceeds limit %d", start, n, d.maxChunk)
+		return fmt.Errorf("trace: chunk at byte offset %d: length %d exceeds limit %d", start, n, d.maxChunk)
 	}
-	var bb bytes.Buffer
-	copied, err := io.CopyN(&bb, d.br, int64(n))
-	d.off += copied
+	buf := stagePool.Get().(*[]byte)
+	defer func() {
+		if cap(*buf) <= maxPooledStage {
+			stagePool.Put(buf)
+		}
+	}()
+	payload, err := d.stage(buf, n)
 	if err != nil {
 		if errors.Is(err, io.EOF) {
 			err = io.ErrUnexpectedEOF
 		}
-		return chunk{}, fmt.Errorf("trace: chunk at byte offset %d truncated: read %d of %d payload bytes: %w",
-			start, copied, n, err)
+		return fmt.Errorf("trace: chunk at byte offset %d truncated: read %d of %d payload bytes: %w",
+			start, len(payload), n, err)
 	}
-	var c chunk
-	if err := gob.NewDecoder(&bb).Decode(&c); err != nil {
-		return chunk{}, fmt.Errorf("trace: decode chunk at byte offset %d: %w", start, err)
+	if err := checkGobLengths(payload, d.off-int64(n)); err != nil {
+		return fmt.Errorf("trace: chunk at byte offset %d: %w", start, err)
 	}
-	return c, nil
+	d.rd.Reset(payload)
+	if err := gob.NewDecoder(&d.rd).Decode(c); err != nil {
+		return fmt.Errorf("trace: decode chunk at byte offset %d: %w", start, err)
+	}
+	return nil
 }
 
 // Read decodes the next trace from the stream. It returns io.EOF exactly when
@@ -308,8 +383,8 @@ func (d *Reader) Read() (*Trace, error) {
 		return nil, fmt.Errorf("trace: bad magic %q at byte offset %d (not a serialized trace, trailing garbage, or unsupported version)",
 			magic, start)
 	}
-	first, err := d.readChunk()
-	if err != nil {
+	var first chunk
+	if err := d.readChunk(&first); err != nil {
 		if errors.Is(err, io.EOF) {
 			return nil, fmt.Errorf("trace: stream ends after magic at byte offset %d: %w", d.off, io.ErrUnexpectedEOF)
 		}
@@ -337,13 +412,21 @@ func (d *Reader) Read() (*Trace, error) {
 	events := make([]tfsim.TimelineEvent, 0, min(hdr.EventCount, maxPrealloc))
 	for {
 		chunkStart := d.off
-		c, err := d.readChunk()
-		if err != nil {
+		// Offer gob the spare capacity of the presized sample slice: a
+		// sample chunk that fits decodes in place, with no fresh slice and
+		// no append copy. gob omits zero-valued fields and leaves their
+		// destination untouched, so that capacity must stay zero memory.
+		filled := len(t.Samples)
+		c := chunk{Samples: t.Samples[filled:filled]}
+		if err := d.readChunk(&c); err != nil {
 			if errors.Is(err, io.EOF) {
 				return nil, fmt.Errorf("trace: truncated stream: trace starting at byte offset %d ends mid-trace at byte offset %d: %w",
 					start, d.off, io.ErrUnexpectedEOF)
 			}
 			return nil, err
+		}
+		if c.Kind != chunkSamples {
+			clear(c.Samples) // whatever gob put there belongs to no sample
 		}
 		switch c.Kind {
 		case chunkSamples:
@@ -351,7 +434,11 @@ func (d *Reader) Read() (*Trace, error) {
 				return nil, fmt.Errorf("trace: sample chunk at byte offset %d overflows the header's promise of %d samples",
 					chunkStart, hdr.SampleCount)
 			}
-			t.Samples = append(t.Samples, c.Samples...)
+			if k := len(c.Samples); k > 0 && k <= cap(t.Samples)-filled && &c.Samples[0] == &t.Samples[:filled+1][filled] {
+				t.Samples = t.Samples[:filled+k] // decoded in place
+			} else {
+				t.Samples = append(t.Samples, c.Samples...)
+			}
 		case chunkEvents:
 			if len(events)+len(c.Events) > hdr.EventCount {
 				return nil, fmt.Errorf("trace: event chunk at byte offset %d overflows the header's promise of %d events",

@@ -2,11 +2,15 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
+	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"leakydnn/internal/cupti"
 	"leakydnn/internal/zoo"
@@ -152,6 +156,58 @@ func TestReadTraceHostileHeader(t *testing.T) {
 	}
 }
 
+// hostileInnerLength is an upload of the magic and one chunk whose length
+// prefix says chunkLen and whose first gob message length claims claim bytes,
+// followed by only present bytes of payload. The 21-byte case (a 12-byte
+// chunk claiming 9 MiB) passes any chunk guard, and encoding/gob allocates any
+// message claim under 10 MB before reading it.
+func hostileInnerLength(chunkLen, claim uint64, present int) []byte {
+	b := binary.AppendUvarint([]byte(traceMagic), chunkLen)
+	width := (bits.Len64(claim) + 7) / 8
+	b = append(b, byte(-width)) // gob uint: negated width, then big-endian bytes
+	for i := width - 1; i >= 0; i-- {
+		b = append(b, byte(claim>>(8*i)))
+	}
+	return append(b, make([]byte, present)...)
+}
+
+// The gob message length inside a chunk is as hostile as the chunk's own
+// prefix: a few bytes of input must never buy megabytes of allocation,
+// whether the claim overruns the chunk or the chunk prefix backs the claim
+// and the stream is simply cut short.
+func TestReadTraceHostileInnerLength(t *testing.T) {
+	if n := len(hostileInnerLength(12, 9<<20, 8)); n != 21 {
+		t.Fatalf("hostile body is %d bytes, want 21", n)
+	}
+	for _, tc := range []struct {
+		name     string
+		body     []byte
+		maxChunk int64
+		want     string
+	}{
+		{"claim overruns chunk", hostileInnerLength(12, 9<<20, 8), 1 << 20,
+			"chunk at byte offset 8: gob message at byte offset 9 claims 9437184 bytes, only 8 remain in the chunk"},
+		{"truncated, default guard", hostileInnerLength(9<<20+4, 9<<20, 8), 0,
+			"chunk at byte offset 8 truncated: read 12 of 9437188 payload bytes"},
+		{"truncated, 1 MiB guard", hostileInnerLength(1<<20, 1<<20-4, 8), 1 << 20,
+			"chunk at byte offset 8 truncated: read 12 of 1048576 payload bytes"},
+	} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		d := NewReader(bytes.NewReader(tc.body))
+		d.SetMaxChunkBytes(tc.maxChunk)
+		_, err := d.Read()
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 64<<10 {
+			t.Fatalf("%s: rejecting a %d-byte upload allocated %d bytes, want < 64 KiB", tc.name, len(tc.body), alloc)
+		}
+	}
+}
+
 // A real collected trace must still round-trip through the hardened reader
 // with a tightened (but sufficient) chunk guard — the server-side ingestion
 // configuration.
@@ -167,7 +223,34 @@ func TestReaderTightGuardAcceptsRealTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Samples) != len(tr.Samples) {
-		t.Fatalf("round trip changed sample count: %d vs %d", len(got.Samples), len(tr.Samples))
+	if err := tracesEqual(got, tr); err != nil {
+		t.Fatalf("round trip changed the trace: %v", err)
+	}
+}
+
+// How the underlying reader splits its data must not matter: one byte at a
+// time, half of each request, or the final bytes arriving together with
+// io.EOF all decode the same traces.
+func TestReadTraceUnderlyingReaderShapes(t *testing.T) {
+	tr, err := Collect(zoo.TinyTestedModels()[0], fastRun(72, 3, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := append(traceBytes(t, tr), traceBytes(t, smallTrace(5))...)
+	for name, wrap := range map[string]func(io.Reader) io.Reader{
+		"one-byte": iotest.OneByteReader,
+		"half":     iotest.HalfReader,
+		"data-eof": iotest.DataErrReader,
+	} {
+		got, err := ReadTraces(wrap(bytes.NewReader(raw)))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(got) != 2 {
+			t.Fatalf("%s: read %d traces, want 2", name, len(got))
+		}
+		if err := tracesEqual(got[0], tr); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 	}
 }

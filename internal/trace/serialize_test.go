@@ -2,10 +2,16 @@ package trace
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"reflect"
 	"testing"
 
 	"leakydnn/internal/chaos"
+	"leakydnn/internal/cupti"
+	"leakydnn/internal/dnn"
+	"leakydnn/internal/gpu"
+	"leakydnn/internal/tfsim"
 	"leakydnn/internal/zoo"
 )
 
@@ -139,5 +145,130 @@ func TestSerializationRejectsDamage(t *testing.T) {
 	}
 	if _, err := ReadTrace(bytes.NewReader(nil)); err == nil {
 		t.Fatal("empty stream accepted as a single trace")
+	}
+}
+
+// wireGoldenTrace is a fixed small trace touching every part of the wire
+// format: model and op table, samples with zero and non-zero counters, a
+// timeline whose events do and do not point into the op table, re-anchor
+// markers and a Health report. Its map holds one entry so gob's map order
+// cannot vary the bytes.
+func wireGoldenTrace() *Trace {
+	tr := &Trace{
+		Model: dnn.Model{
+			Name:      "wire-golden",
+			Input:     dnn.Shape{H: 8, W: 8, C: 1},
+			Batch:     4,
+			Layers:    []dnn.Layer{{Kind: dnn.LayerFC, Neurons: 16}},
+			Optimizer: dnn.OptimizerGD,
+		},
+		Ops: []dnn.Op{
+			{Kind: dnn.OpMatMul, Seq: 0, Layer: 0, In: dnn.Shape{H: 1, W: 64, C: 1}, Out: dnn.Shape{H: 1, W: 16, C: 1},
+				Batch: 4, Params: 1024, Neurons: 16, FLOPs: 8192, ReadBytes: 4352, WriteBytes: 256},
+			{Kind: dnn.OpApplyGD, Seq: 1, Layer: -1, Batch: 4, Params: 1024, FLOPs: 2048, ReadBytes: 8192, WriteBytes: 4096},
+		},
+		VictimWall:          12_345,
+		SpyProbeLaunches:    7,
+		SpyChannelsRejected: 1,
+		SchedSlices:         42,
+		Reanchors:           []gpu.Nanos{6_000},
+		Health: &Health{
+			SamplesEmitted:        4,
+			SamplesDelivered:      3,
+			Reanchors:             1,
+			SpyChannelsRejected:   1,
+			IterationsTotal:       2,
+			IterationsProcessed:   1,
+			IterationsQuarantined: 1,
+			QuarantineCauses:      map[string]int{"undersampled": 1},
+		},
+	}
+	for i := 0; i < 3; i++ {
+		s := cupti.Sample{Start: gpu.Nanos(1_000 * i), End: gpu.Nanos(1_000*i + 900)}
+		for e := range s.Values {
+			if (i+e)%3 != 0 {
+				s.Values[e] = float64(i*10+e) + 0.25
+			}
+		}
+		tr.Samples = append(tr.Samples, s)
+	}
+	tr.Timeline = tfsim.TimelineFromEvents([]tfsim.TimelineEvent{
+		{Name: "MatMul", Start: 100, End: 2_100, Iteration: 0, Op: &tr.Ops[0]},
+		{Name: "ApplyGD", Start: 2_200, End: 2_900, Iteration: 0, Op: &tr.Ops[1]},
+		{Name: "marker", Start: 6_000, End: 6_000, Iteration: 1},
+	})
+	return tr
+}
+
+// wireGoldenSHA256 pins the bytes WriteTo emits for wireGoldenTrace. Trace
+// files written by mosconsim and the serve journal's upload-hash keys both
+// depend on these bytes staying put, so a change here is a wire-format
+// change: bump traceMagic's version byte and keep old files decodable rather
+// than re-baselining.
+const wireGoldenSHA256 = "c8420d8760c6e741595560c9287c507e6401613bda7e57e24a680494191f9448"
+
+func TestWireFormatGolden(t *testing.T) {
+	want := wireGoldenTrace()
+	raw := traceBytes(t, want)
+	sum := sha256.Sum256(raw)
+	if got := hex.EncodeToString(sum[:]); got != wireGoldenSHA256 {
+		t.Fatalf("WriteTo bytes changed: sha256 %s, golden %s", got, wireGoldenSHA256)
+	}
+	got, err := ReadTrace(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tracesEqual(got, want); err != nil {
+		t.Fatalf("golden bytes decode to a different trace: %v", err)
+	}
+}
+
+// gob leaves the destination of a zero-valued field untouched, and the
+// reader decodes sample chunks straight into the trace's spare capacity. A
+// later chunk's zeros must therefore still read back as zeros: after an
+// earlier chunk of non-zero samples, and after a hostile non-sample chunk
+// that smuggled samples into that spare capacity.
+func TestReadTraceZeroFieldsAcrossChunks(t *testing.T) {
+	tr := &Trace{Samples: make([]cupti.Sample, samplesPerChunk+3)}
+	for i := 0; i < samplesPerChunk; i++ {
+		s := &tr.Samples[i]
+		s.Start, s.End = gpu.Nanos(i+1), gpu.Nanos(i+2)
+		for e := range s.Values {
+			s.Values[e] = float64(i + e + 1)
+		}
+	}
+	events := make([]tfsim.TimelineEvent, eventsPerChunk+2)
+	for i := 0; i < eventsPerChunk; i++ {
+		events[i] = tfsim.TimelineEvent{Name: "op", Start: gpu.Nanos(i + 1), End: gpu.Nanos(i + 2), Iteration: i + 1}
+	}
+	tr.Timeline = tfsim.TimelineFromEvents(events)
+	got, err := ReadTrace(bytes.NewReader(traceBytes(t, tr)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tracesEqual(got, tr); err != nil {
+		t.Fatalf("zeroed second chunks: %v", err)
+	}
+
+	var buf bytes.Buffer
+	buf.WriteString(traceMagic)
+	smuggled := cupti.Sample{Start: 5, End: 6}
+	smuggled.Values[0] = 7
+	for _, c := range []chunk{
+		{Kind: chunkHeader, Header: &traceHeader{SampleCount: 1, EventCount: 1}},
+		{Kind: chunkEvents, Events: []eventRecord{{Name: "op", Op: -1}}, Samples: []cupti.Sample{smuggled}},
+		{Kind: chunkSamples, Samples: []cupti.Sample{{}}},
+		{Kind: chunkEnd},
+	} {
+		if err := writeChunk(&buf, c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err = ReadTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Samples[0] != (cupti.Sample{}) {
+		t.Fatalf("a smuggled sample leaked into the decoded trace: %+v", got.Samples[0])
 	}
 }

@@ -1,12 +1,16 @@
-// Performance regression gates: allocation ceilings on the collection hot
-// paths and a wall-clock scaling gate on the parallel fan-out. These pin the
-// wins DESIGN.md §11 describes — the per-worker collection arenas and the
-// IterOp tag slab — so a future change that silently reintroduces per-kernel
-// boxing or per-run engine churn fails CI instead of fading into GC noise.
+// Performance regression gates: allocation ceilings on the collection and
+// serve hot paths and a wall-clock scaling gate on the parallel fan-out. These
+// pin the wins DESIGN.md §11 describes — the per-worker collection arenas and
+// the IterOp tag slab — and the in-place upload decode and copy-free
+// prediction on the extraction path, so a future change that silently
+// reintroduces per-kernel boxing, per-run engine churn or per-chunk staging
+// fails CI instead of fading into GC noise.
 package leakydnn
 
 import (
+	"bytes"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -26,6 +30,122 @@ const maxCollectAllocs = 500
 // is 10k, and the ceiling sits well under it with headroom over the
 // measurement.
 const maxFleetAllocs = 5000
+
+// maxReadTraceAllocs and maxReadTraceBytes bound decoding one tiny tested
+// trace from its wire bytes, the first thing mosconsd does with an upload.
+// Measured ~3,900 objects and ~333 KB per trace once chunks stage in a pooled
+// buffer and decode in place (a fresh io.CopyN staging buffer per chunk cost
+// ~700 KB, one buffer per Reader ~480 KB). Nearly every object is gob
+// compiling its decoder for each self-contained chunk, so the count sits
+// close to the floor: the slack covers toolchain drift but not one extra
+// object per sample (~685 per trace). The byte ceiling is what catches an
+// unpooled staging buffer or a second copy of the samples coming back.
+const (
+	maxReadTraceAllocs = 4500
+	maxReadTraceBytes  = 448 << 10
+)
+
+// maxExtractAllocs bounds one ExtractTrace over a tiny tested trace with the
+// trained tiny model set. Measured ~225 once Predict took its argmax from the
+// pooled step caches (the per-timestep probability clones cost ~1,460); the
+// ceiling leaves the usual slack while still catching any per-timestep
+// allocation sneaking back in.
+const maxExtractAllocs = 600
+
+var (
+	tinyBenchOnce sync.Once
+	tinyBench     *eval.Workbench
+	tinyBenchErr  error
+)
+
+// tinyWorkbench trains the tiny MoSConS model set once for the serve-path
+// allocation gates.
+func tinyWorkbench(t *testing.T) *eval.Workbench {
+	t.Helper()
+	tinyBenchOnce.Do(func() { tinyBench, tinyBenchErr = eval.NewWorkbench(eval.Tiny()) })
+	if tinyBenchErr != nil {
+		t.Fatal(tinyBenchErr)
+	}
+	return tinyBench
+}
+
+// perTrace runs fn once per tested trace under AllocsPerRun and reports the
+// steady-state mean allocation count and bytes for a single trace. The byte
+// count is taken the way AllocsPerRun takes the object count: warmed, on one
+// P, averaged over the runs.
+func perTrace(n int, fn func(i int)) (allocs, allocBytes float64) {
+	const runs = 3
+	all := func() {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+	}
+	allocs = testing.AllocsPerRun(runs, all) / float64(n)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for r := 0; r < runs; r++ {
+		all()
+	}
+	runtime.ReadMemStats(&after)
+	return allocs, float64(after.TotalAlloc-before.TotalAlloc) / float64(runs*n)
+}
+
+// TestReadTraceAllocsRegression pins the allocation count of decoding an
+// upload: chunks stage in pooled buffers and decode in place into the
+// presized sample slice, so a return to per-chunk or per-Reader staging
+// buffers or slice copies shows up here.
+func TestReadTraceAllocsRegression(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector inflates allocation counts")
+	}
+	wb := tinyWorkbench(t)
+	bodies := make([][]byte, len(wb.Tested))
+	for i, tr := range wb.Tested {
+		var buf bytes.Buffer
+		if _, err := tr.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		bodies[i] = buf.Bytes()
+	}
+	allocs, b := perTrace(len(bodies), func(i int) {
+		tr, err := trace.ReadTrace(bytes.NewReader(bodies[i]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tr.Samples) != len(wb.Tested[i].Samples) {
+			t.Fatalf("decoded %d samples, want %d", len(tr.Samples), len(wb.Tested[i].Samples))
+		}
+	})
+	t.Logf("ReadTrace: %.0f allocs, %.1f KB per trace", allocs, b/1024)
+	if allocs > maxReadTraceAllocs {
+		t.Errorf("ReadTrace allocates %.0f objects/trace, ceiling %d — the upload decode regressed",
+			allocs, maxReadTraceAllocs)
+	}
+	if b > maxReadTraceBytes {
+		t.Errorf("ReadTrace allocates %.0f bytes/trace, ceiling %d — the upload decode regressed",
+			b, maxReadTraceBytes)
+	}
+}
+
+// TestExtractAllocsRegression pins the allocation count of one extraction,
+// the per-upload model work mosconsd runs after decoding.
+func TestExtractAllocsRegression(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector inflates allocation counts")
+	}
+	wb := tinyWorkbench(t)
+	allocs, b := perTrace(len(wb.Tested), func(i int) {
+		if _, err := wb.Models.ExtractTrace(wb.Tested[i]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("ExtractTrace: %.0f allocs, %.1f KB per trace", allocs, b/1024)
+	if allocs > maxExtractAllocs {
+		t.Errorf("ExtractTrace allocates %.0f objects/trace, ceiling %d — the extraction hot path regressed",
+			allocs, maxExtractAllocs)
+	}
+}
 
 // TestCollectAllocsRegression pins the steady-state allocation count of one
 // arena-backed trace collection.
