@@ -377,8 +377,8 @@ func (m *Models) trainVoting(ctx context.Context, lts []*labelledTrace) error {
 	var longSeqs, opSeqs []lstm.Sequence
 	var valLong, valOp []lstm.Sequence
 	for _, lt := range lts {
-		// One batched forward per head over all iterations of the trace;
-		// bit-identical to per-iteration Predict calls, far fewer gemv stalls.
+		// One batched forward per head over all iterations of the trace:
+		// bit-identical to per-iteration Predict calls, on wider GEMMs.
 		iterInputs := make([][][]float64, len(lt.iters))
 		for i, it := range lt.iters {
 			iterInputs[i] = lt.features[it.Start:it.End]

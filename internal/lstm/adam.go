@@ -1,10 +1,6 @@
 package lstm
 
-import (
-	"math"
-
-	"leakydnn/internal/mat"
-)
+import "math"
 
 // Adam hyper-parameters (standard values).
 const (
@@ -15,36 +11,23 @@ const (
 
 // adamState holds first/second-moment estimates for every parameter tensor.
 type adamState struct {
-	mWx, vWx *mat.Matrix
-	mWh, vWh *mat.Matrix
-	mWy, vWy *mat.Matrix
-	mB, vB   []float64
-	mBy, vBy []float64
-	t        int
+	m, v params[float64]
+	t    int
 }
 
-func newAdamState(n *Network) *adamState {
-	return &adamState{
-		mWx: mat.New(n.wx.Rows, n.wx.Cols), vWx: mat.New(n.wx.Rows, n.wx.Cols),
-		mWh: mat.New(n.wh.Rows, n.wh.Cols), vWh: mat.New(n.wh.Rows, n.wh.Cols),
-		mWy: mat.New(n.wy.Rows, n.wy.Cols), vWy: mat.New(n.wy.Rows, n.wy.Cols),
-		mB: make([]float64, len(n.b)), vB: make([]float64, len(n.b)),
-		mBy: make([]float64, len(n.by)), vBy: make([]float64, len(n.by)),
-	}
+func newAdamState(cfg Config) *adamState {
+	return &adamState{m: newParams[float64](cfg), v: newParams[float64](cfg)}
 }
 
-// step applies one Adam update of the network's parameters from g.
-func (a *adamState) step(n *Network, g *grads) {
+// step applies one Adam update of the parameters p from the gradient g.
+func (a *adamState) step(p, g params[float64], lr float64) {
 	a.t++
-	lr := n.cfg.LearningRate
 	c1 := 1 - math.Pow(adamBeta1, float64(a.t))
 	c2 := 1 - math.Pow(adamBeta2, float64(a.t))
-
-	adamSlice(n.wx.Data, g.wx.Data, a.mWx.Data, a.vWx.Data, lr, c1, c2)
-	adamSlice(n.wh.Data, g.wh.Data, a.mWh.Data, a.vWh.Data, lr, c1, c2)
-	adamSlice(n.wy.Data, g.wy.Data, a.mWy.Data, a.vWy.Data, lr, c1, c2)
-	adamSlice(n.b, g.b, a.mB, a.vB, lr, c1, c2)
-	adamSlice(n.by, g.by, a.mBy, a.vBy, lr, c1, c2)
+	ps, gs, ms, vs := p.tensors(), g.tensors(), a.m.tensors(), a.v.tensors()
+	for i := range ps {
+		adamSlice(ps[i], gs[i], ms[i], vs[i], lr, c1, c2)
+	}
 }
 
 func adamSlice(param, grad, m, v []float64, lr, c1, c2 float64) {

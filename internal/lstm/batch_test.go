@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
+
+	"leakydnn/internal/mat"
 )
 
 // randBatchSeqs builds a deterministic masked dataset with varied lengths so
@@ -37,10 +40,10 @@ func randBatchSeqs(seed int64, count, inputDim, classes int, masked bool) []Sequ
 	return seqs
 }
 
-// The batched trainer at Batch=1 must reproduce Network.backward bit for bit:
-// same loss, same stats, same gradient bits. This is the property that lets
-// Train route everything through the GEMM path without moving the FP64
-// golden hashes.
+// The engine's backward at Batch=1 must reproduce the per-sequence oracle
+// bit for bit: same loss, same stats, same gradient bits. This is the
+// property that keeps the FP64 Batch=1 golden hashes where the textbook
+// derivation put them.
 func TestBatchedRunMatchesBackwardAtBatch1(t *testing.T) {
 	n, err := New(Config{
 		InputDim: 3, Hidden: 5, Classes: 4, Seed: 77,
@@ -51,81 +54,106 @@ func TestBatchedRunMatchesBackwardAtBatch1(t *testing.T) {
 	}
 	seqs := randBatchSeqs(31, 8, 3, 4, true)
 
-	bt := n.newBatchTrainer(1)
-	g, s := n.newGrads(), n.newScratch()
+	tr := newTrainer(n, &kernels64, n.w, 1)
 	for i := range seqs {
-		loss, counted, correct := bt.run(seqs, []int{i})
-		g.zero()
-		wantLoss, wantCounted, wantCorrect := n.backward(seqs[i], g, s)
+		loss, counted, correct := tr.run(seqs, []int{i})
+		g := newParams[float64](n.cfg)
+		wantLoss, wantCounted, wantCorrect := oracleBackward(n, seqs[i], g)
 		if loss != wantLoss || counted != wantCounted || correct != wantCorrect {
-			t.Fatalf("seq %d: batched stats (%v,%d,%d) != sequential (%v,%d,%d)",
+			t.Fatalf("seq %d: engine stats (%v,%d,%d) != oracle (%v,%d,%d)",
 				i, loss, counted, correct, wantLoss, wantCounted, wantCorrect)
 		}
-		cmp := func(name string, got, want []float64) {
+		want := g.tensors()
+		for k, got := range tr.g.tensors() {
 			for j := range got {
-				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-					t.Fatalf("seq %d: %s[%d] = %b, sequential %b", i, name, j, got[j], want[j])
+				if math.Float64bits(got[j]) != math.Float64bits(want[k][j]) {
+					t.Fatalf("seq %d: %s[%d] = %b, oracle %b", i, tensorNames[k], j, got[j], want[k][j])
 				}
 			}
 		}
-		cmp("wx", bt.g.wx.Data, g.wx.Data)
-		cmp("wh", bt.g.wh.Data, g.wh.Data)
-		cmp("wy", bt.g.wy.Data, g.wy.Data)
-		cmp("b", bt.g.b, g.b)
-		cmp("by", bt.g.by, g.by)
 	}
 }
 
-// The batched backward at Batch>1 must compute the gradient of the summed
-// batch loss — checked against central differences. (The cross-sequence
-// reduction order differs from reduceGrads, so this is a fresh correctness
-// check, not a bit-identity one.)
-func TestBatchedGradientMatchesNumeric(t *testing.T) {
-	n, err := New(Config{InputDim: 2, Hidden: 3, Classes: 3, Seed: 13})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqs := randBatchSeqs(47, 3, 2, 3, false)
-	idx := []int{0, 1, 2}
-	bt := n.newBatchTrainer(len(idx))
+// tensorNames labels params.tensors() entries in failure messages.
+var tensorNames = [5]string{"wx", "wh", "wy", "b", "by"}
 
-	// The probes below poke the master weights directly, so re-derive the
-	// trainer's transposed copies first — exactly what Train does after
-	// every optimizer step.
-	batchLoss := func() float64 {
-		bt.refreshWeights()
-		loss, _, _ := bt.run(seqs, idx)
-		return loss
-	}
-	bt.run(seqs, idx)
-	// Copy the analytic gradient out before the probe runs overwrite bt.g.
-	analytic := n.newGrads()
-	analytic.add(bt.g)
+// trainerGrad runs the production trainer at the network's FP64 precision
+// over the minibatch seqs[idx] and returns the batch loss and the summed
+// gradient. Probes poke the master weights directly, so the engine's
+// transposed view is re-derived first, exactly as Train does after every
+// optimizer step.
+func trainerGrad(n *Network, seqs []Sequence, idx []int) (float64, params[float64]) {
+	n.w.refresh(n)
+	tr := newTrainer(n, &kernels64, n.w, len(idx))
+	loss, _, _ := tr.run(seqs, idx)
+	return loss, tr.g
+}
 
+// checkNumericGrad compares the trainer's gradient of the summed loss of
+// the minibatch seqs[idx] with central differences at the first, middle
+// and last entry of every parameter tensor.
+func checkNumericGrad(t *testing.T, n *Network, seqs []Sequence, idx []int) {
+	t.Helper()
+	_, analytic := trainerGrad(n, seqs, idx)
+	grads := analytic.tensors()
 	const eps = 1e-5
-	check := func(name string, param, grad []float64) {
+	for k, param := range n.p.tensors() {
 		for _, j := range []int{0, len(param) / 2, len(param) - 1} {
 			orig := param[j]
 			param[j] = orig + eps
-			up := batchLoss()
+			up, _ := trainerGrad(n, seqs, idx)
 			param[j] = orig - eps
-			down := batchLoss()
+			down, _ := trainerGrad(n, seqs, idx)
 			param[j] = orig
 			numeric := (up - down) / (2 * eps)
-			if diff := math.Abs(numeric - grad[j]); diff > 1e-4*(1+math.Abs(numeric)) {
-				t.Errorf("%s[%d]: batched %v vs numeric %v", name, j, grad[j], numeric)
+			if diff := math.Abs(numeric - grads[k][j]); diff > 1e-4*(1+math.Abs(numeric)) {
+				t.Errorf("%s[%d]: analytic %v vs numeric %v", tensorNames[k], j, grads[k][j], numeric)
 			}
 		}
 	}
-	check("wx", n.wx.Data, analytic.wx.Data)
-	check("wh", n.wh.Data, analytic.wh.Data)
-	check("wy", n.wy.Data, analytic.wy.Data)
-	check("b", n.b, analytic.b)
-	check("by", n.by, analytic.by)
+	n.w.refresh(n)
 }
 
-// The batched forward pass has no cross-sequence reductions, so batched
-// inference must be bit-identical to per-sequence PredictProbs at every
+// The engine's backward at Batch>1 must compute the gradient of the summed
+// batch loss, on masked, class-weighted sequences of ragged length (so the
+// live-prefix bookkeeping is exercised too).
+func TestBatchedGradientMatchesNumeric(t *testing.T) {
+	n, err := New(Config{InputDim: 2, Hidden: 3, Classes: 3, Seed: 13, ClassWeights: []float64{1, 2.5, 0.5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqs := randBatchSeqs(47, 4, 2, 3, true)
+	checkNumericGrad(t, n, seqs, []int{0, 1, 2, 3})
+}
+
+// The FP32 instantiation runs the same backward in float32 and stages its
+// gradient to float64; it must track the FP64 gradient to float32 accuracy.
+func TestFP32GradientTracksFP64(t *testing.T) {
+	cfg := Config{InputDim: 3, Hidden: 6, Classes: 4, Seed: 21, ClassWeights: []float64{1, 2, 1.5, 1}}
+	n, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqs := randBatchSeqs(59, 5, 3, 4, true)
+	idx := []int{0, 1, 2, 3, 4}
+	loss64, g64 := trainerGrad(n, seqs, idx)
+	tr := newTrainer(n, &kernels32, newWeights[float32](n), len(idx))
+	loss32, _, _ := tr.run(seqs, idx)
+	if math.Abs(loss32-loss64) > 1e-4*(1+math.Abs(loss64)) {
+		t.Fatalf("FP32 loss %v, FP64 %v", loss32, loss64)
+	}
+	want := g64.tensors()
+	for k, got := range tr.g.tensors() {
+		for j := range got {
+			if math.Abs(got[j]-want[k][j]) > 1e-4*(1+math.Abs(want[k][j])) {
+				t.Fatalf("%s[%d]: FP32 %v, FP64 %v", tensorNames[k], j, got[j], want[k][j])
+			}
+		}
+	}
+}
+
+// The forward pass has no cross-sequence reductions, so every prediction
+// entry point must be bit-identical to the per-sequence oracle at every
 // batch width — including widths above predictBatchWidth, exercising the
 // chunking.
 func TestPredictProbsBatchBitIdentical(t *testing.T) {
@@ -144,20 +172,33 @@ func TestPredictProbsBatchBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	labels, err := n.PredictBatch(inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, seq := range inputs {
-		want, err := n.PredictProbs(seq)
+		want := oraclePredictProbs(n, seq)
+		single, err := n.PredictProbs(seq)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(batched[i]) != len(want) {
-			t.Fatalf("seq %d: %d timesteps batched, %d sequential", i, len(batched[i]), len(want))
+		pred, err := n.Predict(seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(batched[i]) != len(want) || len(single) != len(want) {
+			t.Fatalf("seq %d: %d timesteps batched, %d single, %d oracle", i, len(batched[i]), len(single), len(want))
 		}
 		for ts := range want {
 			for j := range want[ts] {
-				if math.Float64bits(batched[i][ts][j]) != math.Float64bits(want[ts][j]) {
-					t.Fatalf("seq %d t=%d class %d: batched %b != sequential %b",
-						i, ts, j, batched[i][ts][j], want[ts][j])
+				if math.Float64bits(batched[i][ts][j]) != math.Float64bits(want[ts][j]) ||
+					math.Float64bits(single[ts][j]) != math.Float64bits(want[ts][j]) {
+					t.Fatalf("seq %d t=%d class %d: batched %b, single %b, oracle %b",
+						i, ts, j, batched[i][ts][j], single[ts][j], want[ts][j])
 				}
+			}
+			if l := mat.ArgMax(want[ts]); pred[ts] != l || labels[i][ts] != l {
+				t.Fatalf("seq %d t=%d: Predict %d, PredictBatch %d, oracle argmax %d", i, ts, pred[ts], labels[i][ts], l)
 			}
 		}
 	}
@@ -170,7 +211,7 @@ func TestPredictProbsBatchBitIdentical(t *testing.T) {
 	}
 }
 
-// PredictProbs draws scratches from a pool; concurrent callers must get
+// Prediction draws engines from a pool; concurrent callers must get
 // distinct buffers and identical results. Run under -race this pins the
 // goroutine-safety the pooling must preserve.
 func TestPredictProbsConcurrentPooled(t *testing.T) {
@@ -181,12 +222,18 @@ func TestPredictProbsConcurrentPooled(t *testing.T) {
 	seqs := randBatchSeqs(71, 6, 3, 4, false)
 
 	want := make([][][]float64, len(seqs))
+	inputs := make([][][]float64, len(seqs))
 	for i, s := range seqs {
 		p, err := n.PredictProbs(s.Inputs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = p
+		inputs[i] = s.Inputs
+	}
+	wantLabels, err := n.PredictBatch(inputs)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	var wg sync.WaitGroup
@@ -210,6 +257,16 @@ func TestPredictProbsConcurrentPooled(t *testing.T) {
 							}
 						}
 					}
+				}
+				// Batched prediction draws from the same engine pool.
+				labels, err := n.PredictBatch(inputs)
+				if err != nil {
+					errs <- err.Error()
+					return
+				}
+				if !reflect.DeepEqual(labels, wantLabels) {
+					errs <- "concurrent PredictBatch diverged from serial result"
+					return
 				}
 			}
 		}()

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"leakydnn/internal/mat"
@@ -37,10 +38,9 @@ type Config struct {
 	Seed int64
 
 	// Batch is the minibatch size: the gradients of up to Batch sequences
-	// are accumulated into a single Adam step. Partial gradients are reduced
-	// in fixed index order, so the trained network never depends on Workers.
-	// 0 defaults to 1, which reproduces the historical per-sequence update
-	// schedule bit for bit.
+	// are accumulated into a single Adam step by rank-B GEMM updates whose
+	// per-cell order never depends on Workers. 0 defaults to 1, the
+	// per-sequence update schedule every FP64 Batch=1 golden hash pins.
 	Batch int
 	// Workers bounds the worker pool the batched GEMM kernels partition
 	// their output cells across. Any value trains a byte-identical network;
@@ -48,11 +48,10 @@ type Config struct {
 	Workers int
 
 	// Precision selects the training arithmetic. The default, PrecisionFP64,
-	// is bit-identical to the historical trainer at Batch=1 and is what every
-	// FP64 golden hash pins. PrecisionFP32 runs forward/backward in float32
-	// (float64 Adam masters) — roughly twice the GEMM throughput for a
-	// deliberately different, separately-pinned trajectory. Inference always
-	// runs float64 regardless of this setting.
+	// is what every FP64 golden hash pins. PrecisionFP32 runs
+	// forward/backward in float32 (float64 Adam masters) — roughly twice the
+	// GEMM throughput for a deliberately different, separately-pinned
+	// trajectory. Inference always runs float64 regardless of this setting.
 	Precision Precision
 }
 
@@ -81,6 +80,12 @@ func (c *Config) defaults() error {
 	if c.InputDim <= 0 || c.Hidden <= 0 || c.Classes <= 1 {
 		return fmt.Errorf("lstm: invalid dims input=%d hidden=%d classes=%d", c.InputDim, c.Hidden, c.Classes)
 	}
+	// Every parameter tensor is sized by a product of the dims. A product
+	// that wraps int would slip past Load's size check and panic in the
+	// allocator, so such dims are an error, never a crash.
+	if !fitsInt(4, c.Hidden, c.InputDim) || !fitsInt(4, c.Hidden, c.Hidden) || !fitsInt(c.Classes, c.Hidden) {
+		return fmt.Errorf("lstm: dims input=%d hidden=%d classes=%d overflow the parameter count", c.InputDim, c.Hidden, c.Classes)
+	}
 	if c.LearningRate == 0 {
 		c.LearningRate = 1e-2
 	}
@@ -105,6 +110,18 @@ func (c *Config) defaults() error {
 	return nil
 }
 
+// fitsInt reports whether the product of the positive factors fits in an int.
+func fitsInt(factors ...int) bool {
+	p := 1
+	for _, f := range factors {
+		if p > math.MaxInt/f {
+			return false
+		}
+		p *= f
+	}
+	return true
+}
+
 // Sequence is one training sequence: per-timestep feature vectors, integer
 // labels, and an optional mask selecting the timesteps whose loss counts
 // (Mop and Mhp ignore the loss of irrelevant samples; the LSTM still
@@ -115,8 +132,8 @@ type Sequence struct {
 	Mask   []bool // nil = all timesteps count
 }
 
-// errEmptySequence and fmtInputDimError are shared by the per-sequence and
-// batched entry points so both report identical diagnostics.
+// errEmptySequence and fmtInputDimError are shared by training validation
+// and every prediction entry point so all report identical diagnostics.
 var errEmptySequence = errors.New("lstm: empty sequence")
 
 func fmtInputDimError(t, got, want int) error {
@@ -146,22 +163,23 @@ func (s Sequence) validate(inputDim, classes int) error {
 	return nil
 }
 
-// Network is a trained (or trainable) LSTM classifier. Predict and
-// PredictProbs are safe for concurrent use on a trained network; Train is
-// not (it parallelizes internally instead, see Config.Workers).
+// Network is a trained (or trainable) LSTM classifier. Predict and its
+// variants are safe for concurrent use on a trained network; Train is not
+// (it parallelizes internally instead, see Config.Workers).
 type Network struct {
 	cfg Config
 	rng *rand.Rand
 
-	// Gate parameters, stacked [input; forget; cell; output] along rows.
-	wx *mat.Matrix // (4H, In)
-	wh *mat.Matrix // (4H, H)
-	b  []float64   // 4H
+	// p holds the float64 master parameters, the source of truth every
+	// precision trains and serializes.
+	p params[float64]
+	// w is the read-only view the FP64 engine reads: the masters plus their
+	// transposed copies. New and Load build it, FP64 training refreshes it
+	// after every optimizer step and FP32 training once at its end.
+	w *weights[float64]
 
-	// Readout.
-	wy *mat.Matrix // (C, H)
-	by []float64   // C
-
+	// adam is allocated by the first Train call, so a network that is only
+	// ever loaded and queried never carries optimizer state.
 	adam *adamState
 
 	// trainedEpochs counts completed Train epochs; serialization records it
@@ -169,10 +187,10 @@ type Network struct {
 	// already consumed instead of replaying epoch 0's permutations.
 	trainedEpochs int64
 
-	// scratchPool recycles inference scratches across PredictProbs calls.
-	// Each Get hands out a distinct scratch, so concurrent prediction on a
+	// pool recycles FP64 inference engines across prediction calls. Each
+	// Get hands out a distinct engine, so concurrent prediction on a
 	// trained network stays safe while steady-state calls stop allocating.
-	scratchPool sync.Pool
+	pool sync.Pool
 }
 
 // New builds a network with Xavier-style initialization.
@@ -182,162 +200,134 @@ func New(cfg Config) (*Network, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	h, in, c := cfg.Hidden, cfg.InputDim, cfg.Classes
-	n := &Network{
-		cfg: cfg,
-		rng: rng,
-		wx:  mat.Randn(4*h, in, 1/math.Sqrt(float64(in)), rng),
-		wh:  mat.Randn(4*h, h, 1/math.Sqrt(float64(h)), rng),
-		b:   make([]float64, 4*h),
-		wy:  mat.Randn(c, h, 1/math.Sqrt(float64(h)), rng),
-		by:  make([]float64, c),
+	p := params[float64]{
+		wx: mat.Randn(4*h, in, 1/math.Sqrt(float64(in)), rng).Data,
+		wh: mat.Randn(4*h, h, 1/math.Sqrt(float64(h)), rng).Data,
+		b:  make([]float64, 4*h),
+		wy: mat.Randn(c, h, 1/math.Sqrt(float64(h)), rng).Data,
+		by: make([]float64, c),
 	}
 	// Positive forget-gate bias: the standard trick for remembering long
 	// spans (the voting models rely on it).
 	for j := h; j < 2*h; j++ {
-		n.b[j] = 1
+		p.b[j] = 1
 	}
-	n.adam = newAdamState(n)
-	return n, nil
+	return newNetwork(cfg, rng, p, 0), nil
+}
+
+func newNetwork(cfg Config, rng *rand.Rand, p params[float64], epochs int64) *Network {
+	n := &Network{cfg: cfg, rng: rng, p: p, trainedEpochs: epochs}
+	n.w = newWeights[float64](n)
+	return n
 }
 
 // Config returns the network's configuration.
 func (n *Network) Config() Config { return n.cfg }
 
-// stepCache holds one timestep's forward intermediates for BPTT. Its gate
-// and state vectors are views into one contiguous per-step buffer owned by a
-// scratch, so a whole timestep costs one allocation — amortized to zero once
-// the scratch has grown to the longest sequence it has seen.
-type stepCache struct {
-	x            []float64
-	i, f, g, o   []float64
-	c, h, tanhC  []float64
-	probs        []float64
-	hPrev, cPrev []float64
-}
+// predictBatchWidth bounds how many sequences one batched forward pass
+// carries; it caps an inference engine's memory at roughly 32 × (maxLen × C
+// + 14H) floats while keeping the GEMMs wide.
+const predictBatchWidth = 32
 
-// scratch holds the reusable forward/backward buffers for one goroutine.
-// Reusing a scratch across calls eliminates the per-timestep allocation
-// churn of training; concurrent callers must use distinct scratches (each
-// minibatch slot owns one).
-type scratch struct {
-	hidden, classes int
-	steps           []*stepCache
-	zero            []float64 // read-only all-zero h/c state for t=0
-	z               []float64 // 4H gate pre-activations
-	logits          []float64 // C readout logits
-	dh, dc, hTmp    []float64 // H-sized backward temporaries
-	dhNext, dcNext  []float64
-	dz              []float64 // 4H stacked gate deltas
-	dLogits         []float64 // C softmax/cross-entropy delta
-}
-
-func (n *Network) newScratch() *scratch {
-	h, c := n.cfg.Hidden, n.cfg.Classes
-	return &scratch{
-		hidden: h, classes: c,
-		zero:    make([]float64, h),
-		z:       make([]float64, 4*h),
-		logits:  make([]float64, c),
-		dh:      make([]float64, h),
-		dc:      make([]float64, h),
-		hTmp:    make([]float64, h),
-		dhNext:  make([]float64, h),
-		dcNext:  make([]float64, h),
-		dz:      make([]float64, 4*h),
-		dLogits: make([]float64, c),
+// engine draws a pooled FP64 engine at least width slots wide. A pooled
+// engine that is too narrow is dropped for a wider one; step buffers grow
+// with the longest sequence an engine has seen.
+func (n *Network) engine(width int) *engine[float64] {
+	if e, ok := n.pool.Get().(*engine[float64]); ok && e.bcap >= width {
+		return e
 	}
+	return newEngine(n, &kernels64, n.w, width)
 }
 
-// getScratch returns a pooled scratch (allocating on a cold pool); callers
-// return it with putScratch once every value they need has been copied out.
-func (n *Network) getScratch() *scratch {
-	if s, ok := n.scratchPool.Get().(*scratch); ok {
-		return s
-	}
-	return n.newScratch()
-}
-
-func (n *Network) putScratch(s *scratch) { n.scratchPool.Put(s) }
-
-// step returns the t-th reusable step cache, growing the pool on demand.
-func (s *scratch) step(t int) *stepCache {
-	for len(s.steps) <= t {
-		h := s.hidden
-		buf := make([]float64, 7*h)
-		s.steps = append(s.steps, &stepCache{
-			i: buf[0:h], f: buf[h : 2*h], g: buf[2*h : 3*h], o: buf[3*h : 4*h],
-			c: buf[4*h : 5*h], h: buf[5*h : 6*h], tanhC: buf[6*h : 7*h],
-			probs: make([]float64, s.classes),
-		})
-	}
-	return s.steps[t]
-}
-
-// forward runs the network over the sequence into s, returning per-step
-// caches valid until the scratch's next use.
-func (n *Network) forward(inputs [][]float64, s *scratch) []*stepCache {
-	h := n.cfg.Hidden
-	hPrev, cPrev := s.zero, s.zero
-
-	for t, x := range inputs {
-		sc := s.step(t)
-		sc.x, sc.hPrev, sc.cPrev = x, hPrev, cPrev
-		z := s.z
-		mat.MulVecInto(z, n.wx, x)
-		mat.MulVecAccum(z, n.wh, hPrev)
-		mat.AddVec(z, n.b)
-
-		for j := 0; j < h; j++ {
-			sc.i[j] = mat.Sigmoid(z[j])
-			sc.f[j] = mat.Sigmoid(z[h+j])
-			sc.g[j] = math.Tanh(z[2*h+j])
-			sc.o[j] = mat.Sigmoid(z[3*h+j])
-			sc.c[j] = sc.f[j]*cPrev[j] + sc.i[j]*sc.g[j]
-			sc.tanhC[j] = math.Tanh(sc.c[j])
-			sc.h[j] = sc.o[j] * sc.tanhC[j]
-		}
-		mat.MulVecInto(s.logits, n.wy, sc.h)
-		mat.AddVec(s.logits, n.by)
-		mat.SoftmaxInto(sc.probs, s.logits)
-
-		hPrev, cPrev = sc.h, sc.c
-	}
-	return s.steps[:len(inputs)]
-}
-
-// PredictProbs returns per-timestep class probabilities for the sequence.
-// Scratch buffers are pooled across calls and concurrent calls each draw
-// their own scratch, but every timestep's probabilities are copied out of
-// the scratch into the returned slices. Predict skips that copy.
+// PredictProbs returns per-timestep class probabilities for the sequence,
+// copied out of the pooled engine; Predict skips that copy.
 func (n *Network) PredictProbs(inputs [][]float64) ([][]float64, error) {
-	if err := n.checkInputs(inputs); err != nil {
+	var out [][]float64
+	if err := n.forwardBatch([][][]float64{inputs}, func(_ int, e *engine[float64], s int) {
+		out = e.probs(s, len(inputs))
+	}); err != nil {
 		return nil, err
 	}
-	s := n.getScratch()
-	caches := n.forward(inputs, s)
-	out := make([][]float64, len(caches))
-	for t, sc := range caches {
-		out[t] = mat.CloneVec(sc.probs)
-	}
-	n.putScratch(s)
 	return out, nil
 }
 
 // Predict returns per-timestep argmax class predictions, taken straight
-// from the pooled scratch's step caches: the result is the only allocation
-// of a steady-state call, and each label is bit-identical to the argmax of
-// the matching PredictProbs row.
+// from the pooled engine: the result is the only allocation of a
+// steady-state call, and each label is the argmax of the matching
+// PredictProbs row.
 func (n *Network) Predict(inputs [][]float64) ([]int, error) {
-	if err := n.checkInputs(inputs); err != nil {
+	var out []int
+	if err := n.forwardBatch([][][]float64{inputs}, func(_ int, e *engine[float64], s int) {
+		out = make([]int, len(inputs))
+		e.labels(out, s)
+	}); err != nil {
 		return nil, err
 	}
-	s := n.getScratch()
-	caches := n.forward(inputs, s)
-	out := make([]int, len(caches))
-	for t, sc := range caches {
-		out[t] = mat.ArgMax(sc.probs)
+	return out, nil
+}
+
+// forwardBatch runs every input sequence through pooled engines, longest
+// first and up to predictBatchWidth at a time, and calls emit(i, e, s) once
+// slot s of e holds input i's outputs.
+func (n *Network) forwardBatch(inputs [][][]float64, emit func(i int, e *engine[float64], s int)) error {
+	for _, seq := range inputs {
+		if err := n.checkInputs(seq); err != nil {
+			return err
+		}
 	}
-	n.putScratch(s)
+	if len(inputs) == 0 {
+		return nil
+	}
+	width := min(predictBatchWidth, len(inputs))
+	e := n.engine(width)
+	if cap(e.order) < len(inputs) {
+		e.order = make([]int, len(inputs))
+	}
+	order := e.order[:len(inputs)]
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return len(inputs[b]) - len(inputs[a]) })
+	for start := 0; start < len(order); start += width {
+		chunk := order[start:min(start+width, len(order))]
+		for s, i := range chunk {
+			e.batch[s] = inputs[i]
+		}
+		e.forward(e.batch[:len(chunk)])
+		for s, i := range chunk {
+			emit(i, e, s)
+		}
+	}
+	clear(e.batch)
+	n.pool.Put(e)
+	return nil
+}
+
+// PredictProbsBatch returns PredictProbs for every input sequence, running
+// the forward pass across up to 32 of them at a time. The forward pass has
+// no cross-sequence reductions, so the result is bit-identical to
+// per-sequence PredictProbs calls: this is a pure throughput API, safe for
+// concurrent use like PredictProbs.
+func (n *Network) PredictProbsBatch(inputs [][][]float64) ([][][]float64, error) {
+	out := make([][][]float64, len(inputs))
+	if err := n.forwardBatch(inputs, func(i int, e *engine[float64], s int) {
+		out[i] = e.probs(s, len(inputs[i]))
+	}); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// PredictBatch is PredictProbsBatch reduced to per-timestep argmax labels,
+// bit-identical to per-sequence Predict calls.
+func (n *Network) PredictBatch(inputs [][][]float64) ([][]int, error) {
+	out := make([][]int, len(inputs))
+	if err := n.forwardBatch(inputs, func(i int, e *engine[float64], s int) {
+		out[i] = make([]int, len(inputs[i]))
+		e.labels(out[i], s)
+	}); err != nil {
+		return nil, err
+	}
 	return out, nil
 }
 
@@ -354,123 +344,6 @@ func (n *Network) checkInputs(inputs [][]float64) error {
 	return nil
 }
 
-// grads mirrors the parameter set.
-type grads struct {
-	wx, wh, wy *mat.Matrix
-	b, by      []float64
-}
-
-func (n *Network) newGrads() *grads {
-	return &grads{
-		wx: mat.New(n.wx.Rows, n.wx.Cols),
-		wh: mat.New(n.wh.Rows, n.wh.Cols),
-		wy: mat.New(n.wy.Rows, n.wy.Cols),
-		b:  make([]float64, len(n.b)),
-		by: make([]float64, len(n.by)),
-	}
-}
-
-// zero resets every gradient buffer in place.
-func (g *grads) zero() {
-	g.wx.Zero()
-	g.wh.Zero()
-	g.wy.Zero()
-	zeroVec(g.b)
-	zeroVec(g.by)
-}
-
-// add accumulates o into g.
-func (g *grads) add(o *grads) {
-	g.wx.Add(o.wx)
-	g.wh.Add(o.wh)
-	g.wy.Add(o.wy)
-	mat.AddVec(g.b, o.b)
-	mat.AddVec(g.by, o.by)
-}
-
-// reduceGrads sums the partial gradients into dst in slice order. The
-// summation order is fixed — index 0 first, then 1, and so on — so the
-// reduced gradient is independent of which worker produced which partial;
-// this is the property the cross-worker determinism guarantee rests on,
-// since floating-point addition is not associative.
-func reduceGrads(dst *grads, partials []*grads) {
-	dst.zero()
-	for _, p := range partials {
-		dst.add(p)
-	}
-}
-
-// backward accumulates gradients for one sequence into g, using s for every
-// intermediate buffer. It returns the sequence's summed weighted
-// cross-entropy loss, the number of counted timesteps, and how many of them
-// the forward pass already classified correctly — the epoch's monitoring
-// stats, at no extra forward cost.
-func (n *Network) backward(seq Sequence, g *grads, s *scratch) (loss float64, counted, correct int) {
-	caches := n.forward(seq.Inputs, s)
-	h := n.cfg.Hidden
-
-	dhNext, dcNext := s.dhNext, s.dcNext
-	zeroVec(dhNext)
-	zeroVec(dcNext)
-
-	for t := len(caches) - 1; t >= 0; t-- {
-		sc := caches[t]
-		dh := s.dh
-		copy(dh, dhNext)
-
-		if seq.Mask == nil || seq.Mask[t] {
-			label := seq.Labels[t]
-			w := 1.0
-			if n.cfg.ClassWeights != nil {
-				w = n.cfg.ClassWeights[label]
-			}
-			p := sc.probs[label]
-			if p < 1e-12 {
-				p = 1e-12
-			}
-			loss += -w * math.Log(p)
-			counted++
-			if mat.ArgMax(sc.probs) == label {
-				correct++
-			}
-
-			dLogits := s.dLogits
-			copy(dLogits, sc.probs)
-			dLogits[label] -= 1
-			mat.ScaleVec(dLogits, w)
-
-			g.wy.AddOuter(dLogits, sc.h)
-			mat.AddVec(g.by, dLogits)
-			mat.MulVecTInto(s.hTmp, n.wy, dLogits)
-			mat.AddVec(dh, s.hTmp)
-		}
-
-		// Through h = o * tanh(c); the output-gate delta lands directly in
-		// its dz quarter.
-		dz := s.dz
-		dc := s.dc
-		copy(dc, dcNext)
-		for j := 0; j < h; j++ {
-			dz[3*h+j] = dh[j] * sc.tanhC[j] * sc.o[j] * (1 - sc.o[j])
-			dc[j] += dh[j] * sc.o[j] * (1 - sc.tanhC[j]*sc.tanhC[j])
-		}
-
-		// Through c = f*cPrev + i*g, filling the input/forget/cell quarters.
-		for j := 0; j < h; j++ {
-			dz[j] = dc[j] * sc.g[j] * sc.i[j] * (1 - sc.i[j])
-			dz[h+j] = dc[j] * sc.cPrev[j] * sc.f[j] * (1 - sc.f[j])
-			dz[2*h+j] = dc[j] * sc.i[j] * (1 - sc.g[j]*sc.g[j])
-			dcNext[j] = dc[j] * sc.f[j]
-		}
-
-		g.wx.AddOuter(dz, sc.x)
-		g.wh.AddOuter(dz, sc.hPrev)
-		mat.AddVec(g.b, dz)
-		mat.MulVecTInto(dhNext, n.wh, dz)
-	}
-	return loss, counted, correct
-}
-
 // TrainResult reports one epoch of training.
 type TrainResult struct {
 	Epoch    int
@@ -480,16 +353,12 @@ type TrainResult struct {
 
 // Train runs the given number of epochs of minibatch Adam updates over the
 // training set (shuffled each epoch) and returns per-epoch stats. Every
-// minibatch runs through the batched GEMM trainer (batch.go). At the default
-// Batch of 1 with PrecisionFP64 this reproduces the historical per-sequence
-// update schedule bit for bit: the batched kernels accumulate every output
-// cell in exactly the order the per-sequence kernels did. Larger batches
+// minibatch runs through the batch-major engine (engine.go). Larger batches
 // accumulate the members' gradients in one rank-B GEMM update before a
-// shared Adam step — a different (cross-sequence) reduction order than the
-// historical reduceGrads schedule, so Batch>1 runs are deterministic and
-// worker-independent but not bit-comparable to pre-GEMM builds.
-// Config.Workers only partitions GEMM output cells, never a reduction, so
-// any worker count trains a byte-identical network.
+// shared Adam step, a cross-sequence reduction order that Batch=1 never
+// has, so Batch>1 runs are deterministic and worker-independent but follow
+// their own trajectory. Config.Workers only partitions GEMM output cells,
+// never a reduction, so any worker count trains a byte-identical network.
 //
 // The reported stats are the masked accuracy and loss of the forward passes
 // the backward pass performs anyway — predictions under the weights in
@@ -507,37 +376,26 @@ func (n *Network) Train(seqs []Sequence, epochs int) ([]TrainResult, error) {
 			return nil, fmt.Errorf("sequence %d: %w", i, err)
 		}
 	}
-
-	batch := n.cfg.Batch
-	if batch > len(seqs) {
-		batch = len(seqs)
+	if n.adam == nil {
+		n.adam = newAdamState(n.cfg)
 	}
-
-	// The precision paths share everything but the minibatch-gradient
-	// producer: runBatch leaves the summed gradient in g, and postStep (FP32
-	// only) refreshes the float32 shadow weights after each Adam update.
-	var (
-		runBatch func(idx []int) (loss float64, counted, correct int)
-		g        *grads
-		postStep func()
-	)
+	batch := min(n.cfg.Batch, len(seqs))
 	if n.cfg.Precision == PrecisionFP32 {
-		bt := n.newBatchTrainer32(batch)
-		runBatch = func(idx []int) (float64, int, int) { return bt.run(seqs, idx) }
-		g = bt.g
-		postStep = func() { bt.w.refresh(n) }
-	} else {
-		bt := n.newBatchTrainer(batch)
-		runBatch = func(idx []int) (float64, int, int) { return bt.run(seqs, idx) }
-		g = bt.g
-		postStep = func() { bt.refreshWeights() }
+		res := train(n, newTrainer(n, &kernels32, newWeights[float32](n), batch), seqs, epochs)
+		n.w.refresh(n)
+		return res, nil
 	}
+	return train(n, newTrainer(n, &kernels64, n.w, batch), seqs, epochs), nil
+}
 
+// train is Train's epoch loop over one precision's trainer; after every
+// optimizer step it refreshes the trainer's weight view from the masters.
+func train[F mat.Float](n *Network, t *trainer[F], seqs []Sequence, epochs int) []TrainResult {
 	order := make([]int, len(seqs))
 	for i := range order {
 		order[i] = i
 	}
-
+	batch := t.bcap
 	results := make([]TrainResult, 0, epochs)
 	for epoch := 0; epoch < epochs; epoch++ {
 		n.rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
@@ -545,21 +403,15 @@ func (n *Network) Train(seqs []Sequence, epochs int) ([]TrainResult, error) {
 		var totalLoss float64
 		var totalCounted, totalCorrect int
 		for start := 0; start < len(order); start += batch {
-			end := start + batch
-			if end > len(order) {
-				end = len(order)
-			}
-			loss, counted, correct := runBatch(order[start:end])
+			loss, counted, correct := t.run(seqs, order[start:min(start+batch, len(order))])
 			totalLoss += loss
 			totalCounted += counted
 			totalCorrect += correct
 			if counted == 0 {
 				continue
 			}
-			n.applyGrads(g, counted)
-			if postStep != nil {
-				postStep()
-			}
+			n.applyGrads(t.g, counted)
+			t.w.refresh(n)
 		}
 
 		res := TrainResult{Epoch: epoch}
@@ -570,43 +422,25 @@ func (n *Network) Train(seqs []Sequence, epochs int) ([]TrainResult, error) {
 		results = append(results, res)
 		n.trainedEpochs++
 	}
-	return results, nil
+	return results
 }
 
 // applyGrads performs the shared post-minibatch update: average the summed
-// gradient over the counted timesteps, clip, and take one Adam step.
-func (n *Network) applyGrads(g *grads, batchCounted int) {
+// gradient over the counted timesteps, clip every entry to ±ClipAbs, and
+// take one Adam step.
+func (n *Network) applyGrads(g params[float64], batchCounted int) {
 	scale := 1 / float64(batchCounted)
-	g.wx.Scale(scale)
-	g.wh.Scale(scale)
-	g.wy.Scale(scale)
-	mat.ScaleVec(g.b, scale)
-	mat.ScaleVec(g.by, scale)
-	n.clip(g)
-	n.adam.step(n, g)
-}
-
-func (n *Network) clip(g *grads) {
 	lim := n.cfg.ClipAbs
-	g.wx.ClipInPlace(lim)
-	g.wh.ClipInPlace(lim)
-	g.wy.ClipInPlace(lim)
-	clipVec(g.b, lim)
-	clipVec(g.by, lim)
-}
-
-func clipVec(v []float64, lim float64) {
-	for i, x := range v {
-		if x > lim {
-			v[i] = lim
-		} else if x < -lim {
-			v[i] = -lim
+	for _, s := range g.tensors() {
+		for i, v := range s {
+			v *= scale
+			if v > lim {
+				v = lim
+			} else if v < -lim {
+				v = -lim
+			}
+			s[i] = v
 		}
 	}
-}
-
-func zeroVec(v []float64) {
-	for i := range v {
-		v[i] = 0
-	}
+	n.adam.step(n.p, g, n.cfg.LearningRate)
 }

@@ -2,6 +2,7 @@ package lstm
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"math/rand"
 	"testing"
@@ -57,9 +58,9 @@ func TestPredictShapes(t *testing.T) {
 	}
 }
 
-// Numerical gradient check: perturb each parameter, compare the analytic
-// BPTT gradient with the central finite difference. This pins the entire
-// backward derivation.
+// Numerical gradient check: perturb each parameter, compare the trainer's
+// analytic BPTT gradient at Batch=1 with the central finite difference. This
+// pins the entire backward derivation.
 func TestGradientCheck(t *testing.T) {
 	n, err := New(Config{InputDim: 2, Hidden: 3, Classes: 3, Seed: 7})
 	if err != nil {
@@ -76,52 +77,31 @@ func TestGradientCheck(t *testing.T) {
 		Labels: []int{0, 2, 1, 2},
 		Mask:   []bool{true, false, true, true}, // exercise the masked path
 	}
-
-	lossOf := func() float64 {
-		g := n.newGrads()
-		loss, _, _ := n.backward(seq, g, n.newScratch())
-		return loss
-	}
-	analytic := n.newGrads()
-	n.backward(seq, analytic, n.newScratch())
-
-	const eps = 1e-5
-	check := func(name string, param []float64, grad []float64) {
-		for _, idx := range []int{0, len(param) / 2, len(param) - 1} {
-			orig := param[idx]
-			param[idx] = orig + eps
-			up := lossOf()
-			param[idx] = orig - eps
-			down := lossOf()
-			param[idx] = orig
-			numeric := (up - down) / (2 * eps)
-			if diff := math.Abs(numeric - grad[idx]); diff > 1e-4*(1+math.Abs(numeric)) {
-				t.Errorf("%s[%d]: analytic %v vs numeric %v", name, idx, grad[idx], numeric)
-			}
-		}
-	}
-	check("wx", n.wx.Data, analytic.wx.Data)
-	check("wh", n.wh.Data, analytic.wh.Data)
-	check("wy", n.wy.Data, analytic.wy.Data)
-	check("b", n.b, analytic.b)
-	check("by", n.by, analytic.by)
+	checkNumericGrad(t, n, []Sequence{seq}, []int{0})
 }
 
-// Class weights must scale the gradient of the weighted class.
+// Class weights must scale the loss and the whole gradient of a timestep of
+// the weighted class.
 func TestClassWeightsScaleLoss(t *testing.T) {
-	mk := func(weights []float64) float64 {
+	mk := func(weights []float64) (float64, params[float64]) {
 		n, err := New(Config{InputDim: 1, Hidden: 2, Classes: 2, Seed: 3, ClassWeights: weights})
 		if err != nil {
 			t.Fatal(err)
 		}
-		g := n.newGrads()
-		loss, _, _ := n.backward(Sequence{Inputs: [][]float64{{1}}, Labels: []int{1}}, g, n.newScratch())
-		return loss
+		return trainerGrad(n, []Sequence{{Inputs: [][]float64{{1}}, Labels: []int{1}}}, []int{0})
 	}
-	plain := mk(nil)
-	weighted := mk([]float64{1, 3})
+	plain, gPlain := mk(nil)
+	weighted, gWeighted := mk([]float64{1, 3})
 	if math.Abs(weighted-3*plain) > 1e-9 {
 		t.Fatalf("weighted loss = %v, want 3x plain %v", weighted, plain)
+	}
+	want := gPlain.tensors()
+	for k, got := range gWeighted.tensors() {
+		for j := range got {
+			if math.Abs(got[j]-3*want[k][j]) > 1e-12*(1+math.Abs(got[j])) {
+				t.Fatalf("%s[%d]: weighted gradient %v, want 3x plain %v", tensorNames[k], j, got[j], want[k][j])
+			}
+		}
 	}
 }
 
@@ -254,6 +234,31 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 				t.Fatalf("probs[%d][%d] differ after round trip: %v vs %v",
 					t2, c, want[t2][c], got[t2][c])
 			}
+		}
+	}
+}
+
+// Dims whose parameter counts overflow int must be an error from New and
+// from Load, never a panic: a crafted snapshot with Hidden = 1<<62 used to
+// wrap Load's size check (4*h*in = 0) and crash in the allocator.
+func TestOverflowingDimsRejected(t *testing.T) {
+	cfg := Config{InputDim: 1, Hidden: 1 << 62, Classes: 4}
+	if _, err := New(cfg); err == nil {
+		t.Fatal("New accepted dims that overflow int")
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(snapshot{Cfg: cfg, By: make([]float64, 4)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(&buf); err == nil {
+		t.Fatal("Load accepted dims that overflow int")
+	}
+	for _, cfg := range []Config{
+		{InputDim: 1 << 40, Hidden: 1 << 30, Classes: 2},
+		{InputDim: 1, Hidden: 3, Classes: math.MaxInt / 2},
+	} {
+		if err := cfg.defaults(); err == nil {
+			t.Fatalf("%+v: overflowing dims accepted", cfg)
 		}
 	}
 }

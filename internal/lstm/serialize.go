@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-
-	"leakydnn/internal/mat"
 )
 
 // snapshot is the gob-serializable form of a trained network. Optimizer
@@ -29,11 +27,11 @@ type snapshot struct {
 func (n *Network) Save(w io.Writer) error {
 	snap := snapshot{
 		Cfg:           n.cfg,
-		Wx:            n.wx.Data,
-		Wh:            n.wh.Data,
-		Wy:            n.wy.Data,
-		B:             n.b,
-		By:            n.by,
+		Wx:            n.p.wx,
+		Wh:            n.p.wh,
+		Wy:            n.p.wy,
+		B:             n.p.b,
+		By:            n.p.by,
 		TrainedEpochs: n.trainedEpochs,
 	}
 	// Workers is an execution knob, not a model property: dropping it keeps
@@ -48,7 +46,7 @@ func (n *Network) Save(w io.Writer) error {
 // Load reads a network previously written by Save. The network is built
 // directly from the snapshot — no Xavier initialization is drawn only to be
 // overwritten, so loading burns no RNG state and allocates no throwaway
-// weight matrices.
+// weight matrices, and no optimizer state until the network first trains.
 func Load(r io.Reader) (*Network, error) {
 	var snap snapshot
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
@@ -73,18 +71,8 @@ func Load(r io.Reader) (*Network, error) {
 	if snap.TrainedEpochs > 0 {
 		seed = resumeSeed(cfg.Seed, snap.TrainedEpochs)
 	}
-	n := &Network{
-		cfg:           cfg,
-		rng:           rand.New(rand.NewSource(seed)),
-		wx:            mat.FromSlice(4*h, in, snap.Wx),
-		wh:            mat.FromSlice(4*h, h, snap.Wh),
-		wy:            mat.FromSlice(c, h, snap.Wy),
-		b:             snap.B,
-		by:            snap.By,
-		trainedEpochs: snap.TrainedEpochs,
-	}
-	n.adam = newAdamState(n)
-	return n, nil
+	p := params[float64]{wx: snap.Wx, wh: snap.Wh, b: snap.B, wy: snap.Wy, by: snap.By}
+	return newNetwork(cfg, rand.New(rand.NewSource(seed)), p, snap.TrainedEpochs), nil
 }
 
 // resumeSeed mixes the config seed with the epoch count through a

@@ -10,62 +10,9 @@ import (
 	"leakydnn/internal/mat"
 )
 
-// gradsWithScalar builds a minimal gradient set whose b[0] carries v, for
-// exercising the reduction arithmetic in isolation.
-func gradsWithScalar(n *Network, v float64) *grads {
-	g := n.newGrads()
-	g.b[0] = v
-	return g
-}
-
-// reduceGrads must fold the partials in index order, 0 first. The values are
-// chosen so the order is observable: 1 is absorbed when it is added before
-// 1e16 but survives when added after the large terms cancel.
-func TestReduceGradsFixedOrder(t *testing.T) {
-	n, err := New(Config{InputDim: 1, Hidden: 2, Classes: 2, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tests := []struct {
-		name   string
-		values []float64
-	}{
-		{"absorbed", []float64{1, 1e16, -1e16}}, // ((0+1)+1e16)-1e16 = 0
-		{"survives", []float64{1e16, -1e16, 1}}, // ((0+1e16)-1e16)+1 = 1
-		{"empty", nil},
-		{"single", []float64{3.5}},
-	}
-	results := make(map[string]float64)
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			partials := make([]*grads, len(tt.values))
-			for i, v := range tt.values {
-				partials[i] = gradsWithScalar(n, v)
-			}
-			dst := gradsWithScalar(n, 999) // stale content must be cleared
-			reduceGrads(dst, partials)
-
-			var want float64
-			for _, v := range tt.values {
-				want += v
-			}
-			if dst.b[0] != want {
-				t.Fatalf("reduced b[0] = %v, want index-order fold %v", dst.b[0], want)
-			}
-			results[tt.name] = dst.b[0]
-		})
-	}
-	// The two permutations of the same multiset must disagree — that is the
-	// whole reason the reduction order is pinned.
-	if results["absorbed"] == results["survives"] {
-		t.Fatalf("permuted partials reduced identically (%v); order-sensitivity fixture is broken",
-			results["absorbed"])
-	}
-}
-
-// The reduced minibatch gradient must match the numeric gradient of the
-// summed loss — i.e. accumulating per-sequence backward passes really
-// computes the gradient of the batch objective.
+// The minibatch gradient must match the numeric gradient of the summed
+// loss, i.e. the engine's rank-B accumulation across ragged sequences
+// really computes the gradient of the batch objective.
 func TestMinibatchGradientMatchesNumeric(t *testing.T) {
 	n, err := New(Config{InputDim: 2, Hidden: 3, Classes: 3, Seed: 13})
 	if err != nil {
@@ -81,48 +28,7 @@ func TestMinibatchGradientMatchesNumeric(t *testing.T) {
 		}
 		return Sequence{Inputs: in, Labels: labels}
 	}
-	batch := []Sequence{mkSeq(3), mkSeq(5), mkSeq(4)}
-
-	batchLoss := func() float64 {
-		var sum float64
-		g, s := n.newGrads(), n.newScratch()
-		for _, seq := range batch {
-			g.zero()
-			loss, _, _ := n.backward(seq, g, s)
-			sum += loss
-		}
-		return sum
-	}
-
-	partials := make([]*grads, len(batch))
-	s := n.newScratch()
-	for i, seq := range batch {
-		partials[i] = n.newGrads()
-		n.backward(seq, partials[i], s)
-	}
-	total := n.newGrads()
-	reduceGrads(total, partials)
-
-	const eps = 1e-5
-	check := func(name string, param, grad []float64) {
-		for _, idx := range []int{0, len(param) / 2, len(param) - 1} {
-			orig := param[idx]
-			param[idx] = orig + eps
-			up := batchLoss()
-			param[idx] = orig - eps
-			down := batchLoss()
-			param[idx] = orig
-			numeric := (up - down) / (2 * eps)
-			if diff := math.Abs(numeric - grad[idx]); diff > 1e-4*(1+math.Abs(numeric)) {
-				t.Errorf("%s[%d]: reduced %v vs numeric %v", name, idx, grad[idx], numeric)
-			}
-		}
-	}
-	check("wx", n.wx.Data, total.wx.Data)
-	check("wh", n.wh.Data, total.wh.Data)
-	check("wy", n.wy.Data, total.wy.Data)
-	check("b", n.b, total.b)
-	check("by", n.by, total.by)
+	checkNumericGrad(t, n, []Sequence{mkSeq(3), mkSeq(5), mkSeq(4)}, []int{0, 1, 2})
 }
 
 // The load-bearing guarantee of the worker pool: any Workers value trains a
@@ -207,7 +113,8 @@ func TestEpochStatsMatchPreUpdatePredictions(t *testing.T) {
 
 	// Twin replay: same seed, so the shuffle stream is identical. Before each
 	// (Batch=1) update, predict with the current weights and tally the same
-	// masked stats by hand, then apply the exact update Train performs.
+	// masked stats by hand, then apply the oracle's gradient through the
+	// update Train performs.
 	b, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +123,8 @@ func TestEpochStatsMatchPreUpdatePredictions(t *testing.T) {
 	for i := range order {
 		order[i] = i
 	}
-	g, s := b.newGrads(), b.newScratch()
+	b.adam = newAdamState(b.cfg)
+	g := newParams[float64](b.cfg)
 	for epoch := 0; epoch < epochs; epoch++ {
 		b.rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		var wantLoss float64
@@ -243,19 +151,15 @@ func TestEpochStatsMatchPreUpdatePredictions(t *testing.T) {
 				wantLoss += -math.Log(p)
 			}
 
-			g.zero()
-			_, counted, _ := b.backward(seq, g, s)
+			for _, s := range g.tensors() {
+				clear(s)
+			}
+			_, counted, _ := oracleBackward(b, seq, g)
 			if counted == 0 {
 				continue
 			}
-			scale := 1 / float64(counted)
-			g.wx.Scale(scale)
-			g.wh.Scale(scale)
-			g.wy.Scale(scale)
-			mat.ScaleVec(g.b, scale)
-			mat.ScaleVec(g.by, scale)
-			b.clip(g)
-			b.adam.step(b, g)
+			b.applyGrads(g, counted)
+			b.w.refresh(b)
 		}
 		res := results[epoch]
 		if wantAcc := float64(wantCorrect) / float64(wantCounted); res.Accuracy != wantAcc {
@@ -289,8 +193,13 @@ func paramsEqual(a, b *Network) bool {
 		}
 		return true
 	}
-	return eq(a.wx.Data, b.wx.Data) && eq(a.wh.Data, b.wh.Data) &&
-		eq(a.wy.Data, b.wy.Data) && eq(a.b, b.b) && eq(a.by, b.by)
+	at, bt := a.p.tensors(), b.p.tensors()
+	for k := range at {
+		if !eq(at[k], bt[k]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Minibatch training (averaged gradients, fewer optimizer steps) must still
