@@ -15,7 +15,7 @@ func TestWindowSamplerConservesCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 25; trial++ {
 		period := gpu.Nanos(rng.Intn(900) + 100)
-		w, err := NewWindowSampler(1, period)
+		w, err := NewWindowSampler(1, period, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +55,7 @@ func TestWindowSamplerConservesCounters(t *testing.T) {
 // Property: window boundaries tile time exactly — consecutive samples abut
 // with no gaps or overlaps, each exactly one period long.
 func TestWindowSamplerTiling(t *testing.T) {
-	w, err := NewWindowSampler(1, 250)
+	w, err := NewWindowSampler(1, 250, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestWindowSamplerTiling(t *testing.T) {
 
 // Property: the kernel sampler conserves counters across probe completions.
 func TestKernelSamplerConservesCounters(t *testing.T) {
-	k := NewKernelSampler(1, "probe")
+	k := NewKernelSampler(1, "probe", nil)
 	rng := rand.New(rand.NewSource(23))
 	var total float64
 	var now gpu.Nanos

@@ -68,7 +68,7 @@ func sliceRec(ctx gpu.ContextID, start, end gpu.Nanos, fbRead float64) gpu.Slice
 }
 
 func TestWindowSamplerSplitsSlicesAcrossWindows(t *testing.T) {
-	w, err := NewWindowSampler(1, 100)
+	w, err := NewWindowSampler(1, 100, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestWindowSamplerSplitsSlicesAcrossWindows(t *testing.T) {
 }
 
 func TestWindowSamplerIgnoresOtherContexts(t *testing.T) {
-	w, err := NewWindowSampler(1, 100)
+	w, err := NewWindowSampler(1, 100, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestWindowSamplerIgnoresOtherContexts(t *testing.T) {
 }
 
 func TestWindowSamplerEmitsEmptyStarvedWindows(t *testing.T) {
-	w, err := NewWindowSampler(1, 100)
+	w, err := NewWindowSampler(1, 100, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestWindowSamplerEmitsEmptyStarvedWindows(t *testing.T) {
 }
 
 func TestWindowSamplerRejectsBadPeriod(t *testing.T) {
-	if _, err := NewWindowSampler(1, 0); err == nil {
+	if _, err := NewWindowSampler(1, 0, nil); err == nil {
 		t.Fatal("period 0 accepted")
 	}
 }
@@ -150,7 +150,7 @@ func TestSampleVectorOrder(t *testing.T) {
 }
 
 func TestKernelSamplerEmitsPerProbeCompletion(t *testing.T) {
-	k := NewKernelSampler(1, "spy.Conv200")
+	k := NewKernelSampler(1, "spy.Conv200", nil)
 	k.Observe(sliceRec(1, 0, 100, 50))
 	k.Observe(sliceRec(1, 100, 200, 70))
 	k.ObserveKernelEnd(gpu.KernelSpan{Ctx: 1, Kernel: gpu.KernelProfile{Name: "spy.Conv200"}, Start: 0, End: 200})
@@ -174,7 +174,7 @@ func TestKernelSamplerEmitsPerProbeCompletion(t *testing.T) {
 }
 
 func TestKernelSamplerIgnoresOtherContexts(t *testing.T) {
-	k := NewKernelSampler(1, "probe")
+	k := NewKernelSampler(1, "probe", nil)
 	k.Observe(sliceRec(2, 0, 100, 50))
 	k.ObserveKernelEnd(gpu.KernelSpan{Ctx: 2, Kernel: gpu.KernelProfile{Name: "probe"}, Start: 0, End: 100})
 	if len(k.Samples()) != 0 {

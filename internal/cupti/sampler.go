@@ -48,12 +48,15 @@ type WindowSampler struct {
 	samples []Sample
 }
 
-// NewWindowSampler profiles ctx with the given sampling period.
-func NewWindowSampler(ctx gpu.ContextID, period gpu.Nanos) (*WindowSampler, error) {
+// NewWindowSampler profiles ctx with the given sampling period. Samples are
+// appended to buf from its start (its length is ignored), so a caller that
+// recycles output buffers hands the old one back here; nil allocates as the
+// run grows.
+func NewWindowSampler(ctx gpu.ContextID, period gpu.Nanos, buf []Sample) (*WindowSampler, error) {
 	if period <= 0 {
 		return nil, fmt.Errorf("cupti: sampling period must be positive, got %d", period)
 	}
-	return &WindowSampler{ctx: ctx, period: period}, nil
+	return &WindowSampler{ctx: ctx, period: period, samples: buf[:0]}, nil
 }
 
 // Observe consumes one scheduler slice record. Records must arrive in
@@ -105,16 +108,6 @@ func (w *WindowSampler) Finish(at gpu.Nanos) []Sample {
 // Samples returns the windows emitted so far.
 func (w *WindowSampler) Samples() []Sample { return w.samples }
 
-// Presize reserves capacity for n samples up front. A capacity hint only:
-// emitted samples are unaffected.
-func (w *WindowSampler) Presize(n int) {
-	if n > cap(w.samples)-len(w.samples) {
-		grown := make([]Sample, len(w.samples), len(w.samples)+n)
-		copy(grown, w.samples)
-		w.samples = grown
-	}
-}
-
 func (w *WindowSampler) flushWindow() {
 	w.samples = append(w.samples, w.current)
 	w.start += w.period
@@ -136,9 +129,10 @@ type KernelSampler struct {
 }
 
 // NewKernelSampler profiles ctx, reading counters at each completion of the
-// kernel with the given name.
-func NewKernelSampler(ctx gpu.ContextID, kernelName string) *KernelSampler {
-	return &KernelSampler{ctx: ctx, kernel: kernelName}
+// kernel with the given name. Samples are appended to buf from its start, as
+// in NewWindowSampler.
+func NewKernelSampler(ctx gpu.ContextID, kernelName string, buf []Sample) *KernelSampler {
+	return &KernelSampler{ctx: ctx, kernel: kernelName, samples: buf[:0]}
 }
 
 // Observe consumes one scheduler slice record.

@@ -57,7 +57,7 @@ func TestWindowSamplerWindowing(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			w, err := NewWindowSampler(1, period)
+			w, err := NewWindowSampler(1, period, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

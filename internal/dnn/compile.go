@@ -12,7 +12,11 @@ func Compile(m Model) ([]Op, error) {
 		return nil, err
 	}
 
-	var ops []Op
+	bound := 0
+	for _, l := range m.Layers {
+		bound += l.opBound()
+	}
+	ops := make([]Op, 0, bound)
 	emit := func(o Op) {
 		o.Seq = len(ops)
 		o.Batch = m.Batch
@@ -133,6 +137,19 @@ func OpSignature(ops []Op) string {
 		out[i] = o.Kind.Letter()
 	}
 	return string(out)
+}
+
+// opBound is an upper bound on the ops Compile emits for layer l, so the op
+// slice is allocated once. Per step an RNN cell emits two forward and at most
+// three backward ops; any other layer at most three forward (op, bias,
+// activation) and four backward (activation, bias, weight and input
+// gradients). Every layer adds at most a residual add, its gradient and two
+// optimizer applies.
+func (l Layer) opBound() int {
+	if l.Kind == LayerRNN {
+		return 5*l.Steps + 4
+	}
+	return 11
 }
 
 func flat(s Shape) Shape {

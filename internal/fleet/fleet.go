@@ -478,6 +478,10 @@ func runDevice(spec DeviceSpec, pool *par.Pool, collectOnly bool, arenas *trace.
 		return DeviceResult{}, fmt.Errorf("fleet: %s: %w", spec.Name, err)
 	}
 	tr := victims[0]
+	// The trace dies with this call: nothing in the DeviceResult points into
+	// it (the recovery below is built from copies of its samples), so its
+	// buffers go back to the arenas for the next device's collection.
+	defer arenas.Recycle(tr)
 	res := DeviceResult{
 		Spec:        spec,
 		Health:      tr.Health,

@@ -172,11 +172,12 @@ type Config struct {
 	// accumulated backoff delays the channel's first launch, so arming
 	// trouble is visible in the data as missing early windows.
 	Faults *chaos.Injector
-	// SampleCapHint pre-sizes the sampler's output buffer (e.g. to the
-	// previous collection's sample count, as the trace arena does), turning
-	// the append-doubling growth of a long run into one allocation. Purely a
-	// capacity hint: it never changes the samples produced.
-	SampleCapHint int
+	// SampleBuf is the sampler's output buffer: samples are appended from
+	// its start and its length is ignored. The trace arena passes a recycled
+	// or high-water-sized buffer here, so a long run's append-doubling
+	// growth does not recur every collection. Nil allocates as the run
+	// grows; either way the samples produced are the same.
+	SampleBuf []cupti.Sample
 }
 
 // Program is a deployed spy: its kernels attached to an engine plus the
@@ -214,15 +215,12 @@ func NewProgram(cfg Config) (*Program, error) {
 	probe.FixedDuration = gpu.Nanos(float64(probe.FixedDuration) * cupti.ProfilingOverhead(cfg.Events))
 	p := &Program{cfg: cfg, probe: probe}
 	if cfg.SamplePeriod > 0 {
-		p.windowSampler, err = cupti.NewWindowSampler(cfg.Ctx, cfg.SamplePeriod)
+		p.windowSampler, err = cupti.NewWindowSampler(cfg.Ctx, cfg.SamplePeriod, cfg.SampleBuf)
 		if err != nil {
 			return nil, err
 		}
-		if cfg.SampleCapHint > 0 {
-			p.windowSampler.Presize(cfg.SampleCapHint)
-		}
 	} else {
-		p.kernelSampler = cupti.NewKernelSampler(cfg.Ctx, probe.Name)
+		p.kernelSampler = cupti.NewKernelSampler(cfg.Ctx, probe.Name, cfg.SampleBuf)
 	}
 	return p, nil
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"encoding/binary"
+	"reflect"
 	"testing"
 
 	"leakydnn/internal/cupti"
@@ -91,9 +92,11 @@ func fuzzTrace(data []byte) *Trace {
 // FuzzAlignment drives the sample/timeline alignment (Labels and everything
 // stacked on it: SamplesPerIteration and the Health iteration accounting)
 // over arbitrary trace geometry, plus SegmentBounds over arbitrary re-anchor
-// markers. The properties: no panic, one label per sample, the quarantine
-// identity holds for any iteration count, and segment cuts are always a
-// strictly increasing partition of the sample stream's interior.
+// markers. The properties: no panic, one label per sample, the label-free
+// SamplesPerIteration count equals the per-iteration count of non-NOP
+// labels, the quarantine identity holds for any iteration count, and segment
+// cuts are always a strictly increasing partition of the sample stream's
+// interior.
 func FuzzAlignment(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{4, 0, 2, 0, 1, 0, 5, 0, 7, 0, 0, 0, 3, 0, 9, 0, 1, 0, 2, 0})
@@ -130,6 +133,7 @@ func FuzzAlignment(f *testing.F) {
 		if len(labels) != len(tr.Samples) {
 			t.Fatalf("alignment produced %d labels for %d samples", len(labels), len(tr.Samples))
 		}
+		fromLabels := map[int]int{}
 		for i, l := range labels {
 			if l.IsNOP && (l.Op != nil || l.Iteration != -1) {
 				t.Fatalf("label %d: NOP with op ground truth attached: %+v", i, l)
@@ -137,6 +141,12 @@ func FuzzAlignment(f *testing.F) {
 			if !l.IsNOP && l.Op == nil {
 				t.Fatalf("label %d: busy label without an op", i)
 			}
+			if !l.IsNOP {
+				fromLabels[l.Iteration]++
+			}
+		}
+		if counts := tr.SamplesPerIteration(); !reflect.DeepEqual(counts, fromLabels) {
+			t.Fatalf("SamplesPerIteration %v, non-NOP labels count %v", counts, fromLabels)
 		}
 		for _, total := range []int{0, 1, tr.Timeline.Iterations(), 64} {
 			h := &Health{}

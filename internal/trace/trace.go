@@ -16,8 +16,6 @@ import (
 	"leakydnn/internal/gpu"
 	"leakydnn/internal/spy"
 	"leakydnn/internal/tfsim"
-
-	"math/rand"
 )
 
 // Context ids used by every co-run.
@@ -52,7 +50,8 @@ type RunConfig struct {
 	// streams, never the engine's.
 	Chaos chaos.Plan
 	// Arenas, when non-nil, supplies per-worker reusable scratch memory for
-	// the collection (engine internals, kernel-tag slabs, sampler capacity):
+	// the collection (engine internals, kernel-tag slabs, the engine RNG,
+	// recycled sample and timeline buffers):
 	// repeated collections sharing a pool reuse memory instead of
 	// re-allocating it. Purely an allocator knob — a pooled run's trace is
 	// byte-identical to an unpooled one.
@@ -129,21 +128,21 @@ func Collect(m dnn.Model, cfg RunConfig) (*Trace, error) {
 	}
 	// Borrow this worker's scratch arena for the whole collection. The
 	// engine's internals are reclaimed into it on the way out (nothing in the
-	// returned Trace aliases them), the tag slab is recycled eagerly (its
-	// previous owner's engine is gone by definition), and the previous
-	// collection's sample count pre-sizes this one's output buffer.
+	// returned Trace aliases them), and the tag slab is recycled eagerly (its
+	// previous owner's engine is gone by definition). The sampler and the
+	// timeline append into the arena's buffers, which leave it with the
+	// returned Trace.
 	arena := cfg.Arenas.acquire()
 	if arena != nil {
 		defer cfg.Arenas.release(arena)
 		arena.tags.Reset()
-		cfg.Spy.SampleCapHint = arena.sampleHint
 	}
+	cfg.Spy.SampleBuf = arena.sampleBuffer()
 	prog, err := spy.NewProgram(cfg.Spy)
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	eng, err := gpu.NewEngineWith(cfg.Device, rng, arena.engineScratch())
+	eng, err := gpu.NewEngineWith(cfg.Device, arena.rand(cfg.Seed), arena.engineScratch())
 	if err != nil {
 		return nil, err
 	}
@@ -158,7 +157,7 @@ func Collect(m dnn.Model, cfg RunConfig) (*Trace, error) {
 		eng.IsolateContextStreams(cfg.Seed)
 	}
 
-	tl := &tfsim.Timeline{}
+	tl := tfsim.TimelineFromEvents(arena.eventBuffer())
 	totalOps := sess.OpsPerIteration() * cfg.Session.Iterations
 	victimDone := 0
 	schedSlices := 0
@@ -432,9 +431,7 @@ func Collect(m dnn.Model, cfg RunConfig) (*Trace, error) {
 	}
 
 	samples := prog.Samples(eng.Now())
-	if arena != nil {
-		arena.sampleHint = len(samples)
-	}
+	arena.noteSamples(len(samples))
 	health := &Health{
 		SamplesEmitted:      len(samples),
 		SpyChannelsRejected: prog.RejectedChannels(),
@@ -623,16 +620,48 @@ type Label struct {
 }
 
 // Labels aligns every sample with the timeline using the largest-overlap
-// rule and returns per-sample ground truth. Samples and timeline events both
-// arrive in time order, so the alignment is a linear two-pointer sweep. A
-// trace without a timeline (deserialized or hand-built) labels every sample
-// NOP rather than panicking.
+// rule and returns per-sample ground truth. A trace without a timeline
+// (deserialized or hand-built) labels every sample NOP rather than panicking.
 func (t *Trace) Labels() []Label {
+	out := make([]Label, len(t.Samples))
+	t.align(func(i int, e *tfsim.TimelineEvent) {
+		if e == nil {
+			out[i] = Label{IsNOP: true, Long: dnn.LongNOP, Letter: 'N', Iteration: -1}
+			return
+		}
+		out[i] = Label{
+			Kind:      e.Op.Kind,
+			Long:      e.Op.Kind.LongClass(),
+			Letter:    e.Op.Kind.Letter(),
+			Iteration: e.Iteration,
+			Op:        e.Op,
+		}
+	})
+	return out
+}
+
+// SamplesPerIteration returns, for each observed iteration, how many samples
+// were dominated by that iteration's ops. It counts during the alignment
+// walk instead of building Labels.
+func (t *Trace) SamplesPerIteration() map[int]int {
+	counts := make(map[int]int)
+	t.align(func(_ int, e *tfsim.TimelineEvent) {
+		if e != nil {
+			counts[e.Iteration]++
+		}
+	})
+	return counts
+}
+
+// align calls fn for every sample in order with the timeline event that
+// overlaps it most, or nil when none does (a NOP sample). Samples and
+// timeline events both arrive in time order, so the alignment is a linear
+// two-pointer sweep.
+func (t *Trace) align(fn func(i int, e *tfsim.TimelineEvent)) {
 	var events []tfsim.TimelineEvent
 	if t.Timeline != nil {
 		events = t.Timeline.Events()
 	}
-	out := make([]Label, len(t.Samples))
 	idx := 0
 	for i, s := range t.Samples {
 		// Skip events that end before this sample starts.
@@ -640,9 +669,8 @@ func (t *Trace) Labels() []Label {
 			idx++
 		}
 		var (
-			best    tfsim.TimelineEvent
+			best    *tfsim.TimelineEvent
 			bestLen gpu.Nanos
-			found   bool
 		)
 		for j := idx; j < len(events) && events[j].Start < s.End; j++ {
 			lo, hi := events[j].Start, events[j].End
@@ -653,32 +681,9 @@ func (t *Trace) Labels() []Label {
 				hi = s.End
 			}
 			if overlap := hi - lo; overlap > bestLen {
-				best, bestLen, found = events[j], overlap, true
+				best, bestLen = &events[j], overlap
 			}
 		}
-		if !found {
-			out[i] = Label{IsNOP: true, Long: dnn.LongNOP, Letter: 'N', Iteration: -1}
-			continue
-		}
-		out[i] = Label{
-			Kind:      best.Op.Kind,
-			Long:      best.Op.Kind.LongClass(),
-			Letter:    best.Op.Kind.Letter(),
-			Iteration: best.Iteration,
-			Op:        best.Op,
-		}
+		fn(i, best)
 	}
-	return out
-}
-
-// SamplesPerIteration returns, for each observed iteration, how many samples
-// were dominated by that iteration's ops.
-func (t *Trace) SamplesPerIteration() map[int]int {
-	counts := make(map[int]int)
-	for _, l := range t.Labels() {
-		if !l.IsNOP {
-			counts[l.Iteration]++
-		}
-	}
-	return counts
 }

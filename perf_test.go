@@ -31,6 +31,18 @@ const maxCollectAllocs = 500
 // measurement.
 const maxFleetAllocs = 5000
 
+// maxCollectBytes and maxFleetBytes bound the same two runs by bytes, which
+// the object counts cannot see: a sampler buffer regrowing by doubling, or a
+// dead trace's buffers not going back to the arena, is a handful of objects
+// but most of the bytes. Measured ~191 KB per collection and ~1,483 KB per
+// fleet run once fleet devices recycle their traces and the sampler buffer is
+// sized to the arena's high-water mark (280 KB and 3,367 KB before); the
+// ceilings sit about 25% over the measurements.
+const (
+	maxCollectBytes = 240 << 10
+	maxFleetBytes   = 1856 << 10
+)
+
 // maxReadTraceAllocs and maxReadTraceBytes bound decoding one tiny tested
 // trace from its wire bytes, the first thing mosconsd does with an upload.
 // Measured ~3,900 objects and ~333 KB per trace once chunks stage in a pooled
@@ -81,14 +93,21 @@ func perTrace(n int, fn func(i int)) (allocs, allocBytes float64) {
 		}
 	}
 	allocs = testing.AllocsPerRun(runs, all) / float64(n)
+	return allocs, bytesPerRun(runs, all) / float64(n)
+}
+
+// bytesPerRun reports the mean bytes allocated by one call of fn, from the
+// runtime.MemStats.TotalAlloc delta over runs calls on one P. Call it after a
+// warm-up run, as AllocsPerRun does.
+func bytesPerRun(runs int, fn func()) float64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for r := 0; r < runs; r++ {
-		all()
+		fn()
 	}
 	runtime.ReadMemStats(&after)
-	return allocs, float64(after.TotalAlloc-before.TotalAlloc) / float64(runs*n)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
 // TestReadTraceAllocsRegression pins the allocation count of decoding an
@@ -169,9 +188,15 @@ func TestCollectAllocsRegression(t *testing.T) {
 	}
 	collect(0) // warm the arena pool: the first run funds the scratch buffers
 	avg := testing.AllocsPerRun(5, func() { collect(1) })
+	b := bytesPerRun(5, func() { collect(1) })
+	t.Logf("trace.Collect: %.0f allocs, %.1f KB per run", avg, b/1024)
 	if avg > maxCollectAllocs {
 		t.Errorf("trace.Collect allocates %.0f objects/run, ceiling %d — a hot-path allocation regressed",
 			avg, maxCollectAllocs)
+	}
+	if b > maxCollectBytes {
+		t.Errorf("trace.Collect allocates %.0f bytes/run, ceiling %d — a hot-path allocation regressed",
+			b, maxCollectBytes)
 	}
 }
 
@@ -193,9 +218,15 @@ func TestFleetCollectAllocsRegression(t *testing.T) {
 	}
 	run()
 	avg := testing.AllocsPerRun(3, run)
+	b := bytesPerRun(3, run)
+	t.Logf("fleet.Run: %.0f allocs, %.1f KB per run", avg, b/1024)
 	if avg > maxFleetAllocs {
 		t.Errorf("fleet.Run allocates %.0f objects/run, ceiling %d — a hot-path allocation regressed",
 			avg, maxFleetAllocs)
+	}
+	if b > maxFleetBytes {
+		t.Errorf("fleet.Run allocates %.0f bytes/run, ceiling %d — a hot-path allocation regressed",
+			b, maxFleetBytes)
 	}
 }
 
