@@ -13,13 +13,13 @@ import (
 	"leakydnn/internal/tfsim"
 )
 
-// FuzzReadTrace throws arbitrary bytes at the length-prefixed wire format:
-// hostile length prefixes, truncated chunks, bit-flipped gob payloads and
-// trailing garbage must all come back as errors — never a panic, an unbounded
+// FuzzReadTrace throws arbitrary bytes at both wire format versions: hostile
+// length prefixes, truncated chunks and frames, bit-flipped gob payloads,
+// malformed binary frames and trailing garbage must all come back as errors — never a panic, an unbounded
 // allocation, or a silently partial read. Every trace that does decode must
 // equal, value for value, both the trace its own bytes decode to alone and
-// the trace its re-serialization decodes to. gob omits zero-valued fields and
-// leaves their destination untouched, so a decoder that reused memory without
+// the trace its re-serialization decodes to. Version 1's gob omits zero-valued
+// fields and leaves their destination untouched, so a decoder that reused memory without
 // zeroing it would leak an earlier trace's values into a later one; only a
 // value-level comparison like this one notices.
 func FuzzReadTrace(f *testing.F) {
@@ -32,18 +32,25 @@ func FuzzReadTrace(f *testing.F) {
 	}
 	one := encode(smallTrace(3))
 	f.Add(one)
-	f.Add(one[:len(one)/2])                                                                       // truncated mid-trace
-	f.Add(append(append([]byte{}, one...), 0xde, 0xad))                                           // trailing garbage
-	f.Add(append(append([]byte{}, one...), encode(smallTrace(400))...))                           // multi-trace
-	f.Add([]byte(traceMagic))                                                                     // magic only
-	f.Add(append([]byte(traceMagic), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01)) // overflowing length
-	f.Add(append([]byte(traceMagic), 0xff, 0xff, 0xff, 0x7f))                                     // huge length, no payload
-	f.Add(hostileInnerLength(12, 9<<20, 8))                                                       // gob length beyond the chunk
-	f.Add(encode(wireGoldenTrace(), zeroedLike(wireGoldenTrace())))                               // stale-value bait
+	f.Add(one[:len(one)/2])                                                                         // truncated mid-trace
+	f.Add(append(append([]byte{}, one...), 0xde, 0xad))                                             // trailing garbage
+	f.Add(append(append([]byte{}, one...), encode(smallTrace(400))...))                             // multi-trace
+	f.Add([]byte(traceMagicV1))                                                                     // magic only
+	f.Add(append([]byte(traceMagicV1), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01)) // overflowing length
+	f.Add(append([]byte(traceMagicV1), 0xff, 0xff, 0xff, 0x7f))                                     // huge length, no payload
+	f.Add(hostileInnerLength(traceMagicV1, 12, 9<<20, 8))                                           // gob length beyond the chunk
+	f.Add(encode(wireGoldenTrace(), zeroedLike(wireGoldenTrace())))                                 // stale-value bait
 	{
 		flip := append([]byte{}, one...)
 		flip[len(flip)/2] ^= 0x40
 		f.Add(flip)
+	}
+	f.Add(writeV1(f, wireGoldenTrace()))                                 // version 1
+	f.Add(append(writeV1(f, smallTrace(3)), one...))                     // versions mixed
+	f.Add(hostileInnerLength(traceMagicV2+"\x01", 12, 9<<20, 8))         // gob length beyond the frame
+	f.Add(append(v2Header(f, &traceHeader{SampleCount: 1}), 0x02, 0xff)) // sample frame cut in its length
+	for _, tc := range hostileFrames(f) {
+		f.Add(tc.body)
 	}
 
 	f.Fuzz(checkReadTrace)

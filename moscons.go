@@ -153,9 +153,10 @@ var (
 var CollectTrace = trace.Collect
 
 // Streaming trace serialization: WriteTraces streams a collection as
-// length-prefixed gob chunks (traces written back to back form one file),
-// ReadTraces restores it; ReadTrace decodes a single trace. Trace.WriteTo
-// serializes one trace and implements io.WriterTo.
+// length-prefixed frames (traces written back to back form one file),
+// ReadTraces restores it, whichever wire format version each trace was
+// written in; ReadTrace decodes a single trace. Trace.WriteTo serializes one
+// trace and implements io.WriterTo.
 var (
 	WriteTraces = trace.WriteTraces
 	ReadTraces  = trace.ReadTraces

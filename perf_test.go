@@ -1,14 +1,16 @@
 // Performance regression gates: allocation ceilings on the collection and
 // serve hot paths and a wall-clock scaling gate on the parallel fan-out. These
 // pin the wins DESIGN.md §11 describes — the per-worker collection arenas and
-// the IterOp tag slab — and the in-place upload decode and copy-free
-// prediction on the extraction path, so a future change that silently
-// reintroduces per-kernel boxing, per-run engine churn or per-chunk staging
-// fails CI instead of fading into GC noise.
+// the IterOp tag slab — the binary trace wire format on both ends of an
+// upload, and the in-place upload decode and copy-free prediction on the
+// extraction path, so a future change that silently reintroduces per-kernel
+// boxing, per-run engine churn or per-chunk staging fails CI instead of
+// fading into GC noise.
 package leakydnn
 
 import (
 	"bytes"
+	"io"
 	"runtime"
 	"sync"
 	"testing"
@@ -45,16 +47,27 @@ const (
 
 // maxReadTraceAllocs and maxReadTraceBytes bound decoding one tiny tested
 // trace from its wire bytes, the first thing mosconsd does with an upload.
-// Measured ~3,900 objects and ~333 KB per trace once chunks stage in a pooled
-// buffer and decode in place (a fresh io.CopyN staging buffer per chunk cost
-// ~700 KB, one buffer per Reader ~480 KB). Nearly every object is gob
-// compiling its decoder for each self-contained chunk, so the count sits
-// close to the floor: the slack covers toolchain drift but not one extra
-// object per sample (~685 per trace). The byte ceiling is what catches an
-// unpooled staging buffer or a second copy of the samples coming back.
+// Measured ~660 objects and ~123 KB per trace with wire format version 2,
+// whose samples and events are binary frames and whose header is one gob
+// message (version 1, a self-contained gob stream per chunk, cost ~3,900
+// objects and ~333 KB). Nearly every object is gob compiling the header's
+// decoder, so the count sits close to the floor: the slack (~15%, as before)
+// covers toolchain drift but not one extra object per sample (~685 per
+// trace). The byte ceiling (~35% over) is what catches an unpooled staging
+// buffer or a second copy of the samples coming back.
 const (
-	maxReadTraceAllocs = 4500
-	maxReadTraceBytes  = 448 << 10
+	maxReadTraceAllocs = 760
+	maxReadTraceBytes  = 168 << 10
+)
+
+// maxWriteTraceAllocs and maxWriteTraceBytes bound encoding one tiny tested
+// trace. Measured ~38 objects and ~7 KB per trace once frames are assembled
+// in a pooled buffer (version 1's per-chunk gob encoders and bufio.Writer
+// cost ~917 objects and ~572 KB); the byte ceiling leaves less room than one
+// fresh write buffer.
+const (
+	maxWriteTraceAllocs = 48
+	maxWriteTraceBytes  = 10 << 10
 )
 
 // maxExtractAllocs bounds one ExtractTrace over a tiny tested trace with the
@@ -111,9 +124,9 @@ func bytesPerRun(runs int, fn func()) float64 {
 }
 
 // TestReadTraceAllocsRegression pins the allocation count of decoding an
-// upload: chunks stage in pooled buffers and decode in place into the
-// presized sample slice, so a return to per-chunk or per-Reader staging
-// buffers or slice copies shows up here.
+// upload: frames stage in pooled buffers and samples decode in place into
+// the presized sample slice, so a return to per-frame gob decoders, per-frame
+// or per-Reader staging buffers or slice copies shows up here.
 func TestReadTraceAllocsRegression(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector inflates allocation counts")
@@ -144,6 +157,31 @@ func TestReadTraceAllocsRegression(t *testing.T) {
 	if b > maxReadTraceBytes {
 		t.Errorf("ReadTrace allocates %.0f bytes/trace, ceiling %d — the upload decode regressed",
 			b, maxReadTraceBytes)
+	}
+}
+
+// TestWriteTraceAllocsRegression pins the cost of encoding one trace, which
+// every client pays per upload and mosconsim per saved trace: frames are
+// assembled in a pooled buffer, so a per-frame gob encoder or a per-write
+// buffer coming back shows up here.
+func TestWriteTraceAllocsRegression(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector inflates allocation counts")
+	}
+	wb := tinyWorkbench(t)
+	allocs, b := perTrace(len(wb.Tested), func(i int) {
+		if _, err := wb.Tested[i].WriteTo(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("WriteTo: %.0f allocs, %.1f KB per trace", allocs, b/1024)
+	if allocs > maxWriteTraceAllocs {
+		t.Errorf("WriteTo allocates %.0f objects/trace, ceiling %d — the trace encoder regressed",
+			allocs, maxWriteTraceAllocs)
+	}
+	if b > maxWriteTraceBytes {
+		t.Errorf("WriteTo allocates %.0f bytes/trace, ceiling %d — the trace encoder regressed",
+			b, maxWriteTraceBytes)
 	}
 }
 
