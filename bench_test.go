@@ -337,7 +337,7 @@ func BenchmarkEngineThroughput(b *testing.B) {
 			b.Fatal(err)
 		}
 		slices := 0
-		eng.OnSlice = func(gpu.SliceRecord) { slices++ }
+		eng.OnSlice = func(*gpu.SliceRecord) { slices++ }
 		victim := gpu.KernelProfile{Name: "v", Blocks: 64, ThreadsPerBlock: 256,
 			FLOPs: 5e9, ReadBytes: 1 << 24, WriteBytes: 1 << 24, WorkingSetBytes: 1 << 20}
 		eng.AddChannel(1, &gpu.RepeatSource{Kernel: victim})

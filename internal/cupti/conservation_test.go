@@ -37,7 +37,7 @@ func TestWindowSamplerConservesCounters(t *testing.T) {
 				},
 			}
 			inputTotal += amount + amount/3 + amount/7
-			w.Observe(rec)
+			w.Observe(&rec)
 			now += length
 		}
 		samples := w.Finish(now + 4*period)
@@ -63,7 +63,7 @@ func TestWindowSamplerTiling(t *testing.T) {
 	var now gpu.Nanos = 37
 	for i := 0; i < 40; i++ {
 		length := gpu.Nanos(rng.Intn(600) + 1)
-		w.Observe(gpu.SliceRecord{Ctx: 1, Start: now, End: now + length})
+		w.Observe(&gpu.SliceRecord{Ctx: 1, Start: now, End: now + length})
 		now += length + gpu.Nanos(rng.Intn(100))
 	}
 	samples := w.Finish(now)
@@ -89,7 +89,7 @@ func TestKernelSamplerConservesCounters(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		amount := rng.Float64() * 100
 		total += amount
-		k.Observe(gpu.SliceRecord{
+		k.Observe(&gpu.SliceRecord{
 			Ctx: 1, Start: now, End: now + 10,
 			Counters: gpu.CounterDelta{L2WriteMisses: [2]float64{amount, 0}},
 		})

@@ -56,8 +56,8 @@ func TestProfilingOverheadGrowsWithGroups(t *testing.T) {
 	}
 }
 
-func sliceRec(ctx gpu.ContextID, start, end gpu.Nanos, fbRead float64) gpu.SliceRecord {
-	return gpu.SliceRecord{
+func sliceRec(ctx gpu.ContextID, start, end gpu.Nanos, fbRead float64) *gpu.SliceRecord {
+	return &gpu.SliceRecord{
 		Ctx:   ctx,
 		Start: start,
 		End:   end,

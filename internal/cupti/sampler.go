@@ -60,8 +60,9 @@ func NewWindowSampler(ctx gpu.ContextID, period gpu.Nanos, buf []Sample) (*Windo
 }
 
 // Observe consumes one scheduler slice record. Records must arrive in
-// non-decreasing start order (as the engine emits them).
-func (w *WindowSampler) Observe(rec gpu.SliceRecord) {
+// non-decreasing start order (as the engine emits them). rec is only read
+// during the call; the sampler never retains it.
+func (w *WindowSampler) Observe(rec *gpu.SliceRecord) {
 	if rec.Ctx != w.ctx {
 		return
 	}
@@ -135,8 +136,8 @@ func NewKernelSampler(ctx gpu.ContextID, kernelName string, buf []Sample) *Kerne
 	return &KernelSampler{ctx: ctx, kernel: kernelName, samples: buf[:0]}
 }
 
-// Observe consumes one scheduler slice record.
-func (k *KernelSampler) Observe(rec gpu.SliceRecord) {
+// Observe consumes one scheduler slice record, which it does not retain.
+func (k *KernelSampler) Observe(rec *gpu.SliceRecord) {
 	if rec.Ctx != k.ctx {
 		return
 	}

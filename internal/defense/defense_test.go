@@ -123,7 +123,7 @@ func TestProtectedBoostCoarsensPreemption(t *testing.T) {
 			t.Fatal(err)
 		}
 		victimSlices := 0
-		eng.OnSlice = func(r gpu.SliceRecord) {
+		eng.OnSlice = func(r *gpu.SliceRecord) {
 			if r.Ctx == 1 {
 				victimSlices++
 			}

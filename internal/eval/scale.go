@@ -173,11 +173,8 @@ func (sc Scale) CollectTraces(models []dnn.Model, stream SeedStream) ([]*trace.T
 // ctx stops scheduling further co-runs and returns ctx.Err() instead of a
 // partial trace set. An uncancelled ctx is byte-identical to CollectTraces.
 func (sc Scale) CollectTracesCtx(ctx context.Context, models []dnn.Model, stream SeedStream) ([]*trace.Trace, error) {
-	arenas := trace.NewArenaPool()
 	return par.MapCtx(ctx, sc.Workers, len(models), func(i int) (*trace.Trace, error) {
-		rcfg := sc.RunConfig(sc.StreamSeed(stream, i), true)
-		rcfg.Arenas = arenas
-		tr, err := trace.Collect(models[i], rcfg)
+		tr, err := trace.Collect(models[i], sc.RunConfig(sc.StreamSeed(stream, i), true))
 		if err != nil {
 			return nil, fmt.Errorf("eval: collect %s: %w", models[i].Name, err)
 		}
@@ -228,12 +225,9 @@ func NewWorkbench(sc Scale) (*Workbench, error) {
 func NewWorkbenchCtx(ctx context.Context, sc Scale) (*Workbench, error) {
 	start := time.Now()
 	pool := par.NewPool(sc.Workers)
-	arenas := trace.NewArenaPool()
 	collect := func(models []dnn.Model, stream SeedStream) ([]*trace.Trace, error) {
 		return par.MapOnCtx(ctx, pool, len(models), func(i int) (*trace.Trace, error) {
-			rcfg := sc.RunConfig(sc.StreamSeed(stream, i), true)
-			rcfg.Arenas = arenas
-			tr, err := trace.Collect(models[i], rcfg)
+			tr, err := trace.Collect(models[i], sc.RunConfig(sc.StreamSeed(stream, i), true))
 			if err != nil {
 				return nil, fmt.Errorf("eval: collect %s: %w", models[i].Name, err)
 			}

@@ -309,15 +309,12 @@ func RunSpecs(cfg Config, specs []DeviceSpec) (*Result, error) {
 	if cfg.Retries < 0 {
 		return nil, fmt.Errorf("fleet: Retries must be >= 0, got %d", cfg.Retries)
 	}
-	// The training-dedup layer and the per-worker collection arenas are both
-	// campaign-scoped: groups are keyed off the planned specs (before any
-	// per-attempt fault splicing), and every collection in the campaign
-	// borrows scratch from one shared arena pool.
+	// The training-dedup layer is campaign-scoped: groups are keyed off the
+	// planned specs (before any per-attempt fault splicing).
 	var share *modelShare
 	if !cfg.CollectOnly && !cfg.PerDeviceModels {
 		share = newModelShare(specs)
 	}
-	arenas := trace.NewArenaPool()
 	var replayed map[int]DeviceResult
 	if cfg.Journal != nil {
 		var err error
@@ -331,7 +328,7 @@ func RunSpecs(cfg Config, specs []DeviceSpec) (*Result, error) {
 		if r, ok := replayed[i]; ok {
 			return r, nil
 		}
-		r := superviseDevice(cfg, specs[i], pool, arenas, share)
+		r := superviseDevice(cfg, specs[i], pool, share)
 		if cfg.Journal != nil {
 			if err := appendDeviceRecord(cfg.Journal, deviceKey(cfg, specs[i], share), r); err != nil {
 				return DeviceResult{}, err
@@ -382,7 +379,7 @@ var errWatchdog = errors.New("fleet: device attempt exceeded watchdog deadline")
 // FleetPlan per (device, attempt), so the same attempt always faults — or
 // doesn't — identically. A device that exhausts every attempt is returned
 // quarantined with its last cause; it is a result, not an error.
-func superviseDevice(cfg Config, spec DeviceSpec, pool *par.Pool, arenas *trace.ArenaPool, share *modelShare) DeviceResult {
+func superviseDevice(cfg Config, spec DeviceSpec, pool *par.Pool, share *modelShare) DeviceResult {
 	maxAttempts := cfg.Retries + 1
 	var lastCause, lastErr string
 	for attempt := 0; attempt < maxAttempts; attempt++ {
@@ -399,7 +396,7 @@ func superviseDevice(cfg Config, spec DeviceSpec, pool *par.Pool, arenas *trace.
 		}
 		aspec.Scale.Chaos.Device = cfg.FleetChaos.FaultsFor(spec.Index, attempt)
 
-		res, err := runAttempt(cfg, aspec, pool, arenas, share)
+		res, err := runAttempt(cfg, aspec, pool, share)
 		if err == nil {
 			// The result carries the attempt's spec (retry seed and injected
 			// faults included) so a consumer can see what actually ran, but
@@ -432,19 +429,21 @@ func superviseDevice(cfg Config, spec DeviceSpec, pool *par.Pool, arenas *trace.
 // abandoned attempt keeps running on the pool until its horizon — its result
 // is discarded — which mirrors a real watchdog: the stuck process is given up
 // on, not surgically cancelled.
-func runAttempt(cfg Config, spec DeviceSpec, pool *par.Pool, arenas *trace.ArenaPool, share *modelShare) (DeviceResult, error) {
+func runAttempt(cfg Config, spec DeviceSpec, pool *par.Pool, share *modelShare) (DeviceResult, error) {
 	if cfg.Watchdog <= 0 {
-		return runDevice(spec, pool, cfg.CollectOnly, arenas, share)
+		return runDevice(spec, pool, cfg.CollectOnly, share)
 	}
 	type outcome struct {
 		res DeviceResult
 		err error
 	}
 	ch := make(chan outcome, 1)
-	go func() {
-		r, e := runDevice(spec, pool, cfg.CollectOnly, arenas, share)
+	// spec and the flag go in as arguments, not captures, so the caller's
+	// large Config and DeviceSpec stay on its stack on the watchdog-free path.
+	go func(spec DeviceSpec, collectOnly bool) {
+		r, e := runDevice(spec, pool, collectOnly, share)
 		ch <- outcome{r, e}
-	}()
+	}(spec, cfg.CollectOnly)
 	timer := time.NewTimer(cfg.Watchdog)
 	defer timer.Stop()
 	select {
@@ -459,10 +458,9 @@ func runAttempt(cfg Config, spec DeviceSpec, pool *par.Pool, arenas *trace.Arena
 // class, mix and spy allocation, then (unless collectOnly) extraction with a
 // model set trained on traces profiled on the same device class — the
 // device's own set in per-device mode, its group's shared set otherwise.
-func runDevice(spec DeviceSpec, pool *par.Pool, collectOnly bool, arenas *trace.ArenaPool, share *modelShare) (DeviceResult, error) {
+func runDevice(spec DeviceSpec, pool *par.Pool, collectOnly bool, share *modelShare) (DeviceResult, error) {
 	sc := spec.Scale
 	rcfg := sc.RunConfig(sc.StreamSeed(eval.StreamTested, 0), spec.Slowdown != 0)
-	rcfg.Arenas = arenas
 	if spec.Slowdown > 0 {
 		rcfg.Spy.SlowdownChannels = spec.Slowdown
 	}
@@ -471,8 +469,9 @@ func runDevice(spec DeviceSpec, pool *par.Pool, collectOnly bool, arenas *trace.
 	}
 	// The co-run executes as a pool task: the caller's goroutine is just a
 	// coordinator, so a 1-worker pool really does serialize the whole fleet.
+	victim := spec.Victim // a capture of spec would move all of it to the heap
 	victims, err := par.MapOn(pool, 1, func(int) (*trace.Trace, error) {
-		return trace.Collect(spec.Victim, rcfg)
+		return trace.Collect(victim, rcfg)
 	})
 	if err != nil {
 		return DeviceResult{}, fmt.Errorf("fleet: %s: %w", spec.Name, err)
@@ -481,7 +480,7 @@ func runDevice(spec DeviceSpec, pool *par.Pool, collectOnly bool, arenas *trace.
 	// The trace dies with this call: nothing in the DeviceResult points into
 	// it (the recovery below is built from copies of its samples), so its
 	// buffers go back to the arenas for the next device's collection.
-	defer arenas.Recycle(tr)
+	defer trace.Recycle(tr)
 	res := DeviceResult{
 		Spec:        spec,
 		Health:      tr.Health,
@@ -498,12 +497,12 @@ func runDevice(spec DeviceSpec, pool *par.Pool, collectOnly bool, arenas *trace.
 
 	var models *attack.Models
 	if share != nil {
-		models, res.ModelRep, err = share.modelsFor(spec, pool, arenas)
+		models, res.ModelRep, err = share.modelsFor(spec, pool)
 		if err != nil {
 			return DeviceResult{}, err
 		}
 	} else {
-		if models, err = trainModelSet(spec, pool, arenas); err != nil {
+		if models, err = trainModelSet(spec, pool); err != nil {
 			return DeviceResult{}, err
 		}
 		res.ModelRep = spec.Index

@@ -90,7 +90,7 @@ func (s *modelShare) entryFor(spec DeviceSpec) *modelEntry {
 // first use (all work on the shared pool). The second return is the
 // representative's device index — the model set's provenance, reported in
 // DeviceResult.ModelRep and journaled in the device key.
-func (s *modelShare) modelsFor(spec DeviceSpec, pool *par.Pool, arenas *trace.ArenaPool) (*attack.Models, int, error) {
+func (s *modelShare) modelsFor(spec DeviceSpec, pool *par.Pool) (*attack.Models, int, error) {
 	e := s.entryFor(spec)
 	if e == nil {
 		// Only reachable if a caller runs a spec that was not in the planned
@@ -98,7 +98,7 @@ func (s *modelShare) modelsFor(spec DeviceSpec, pool *par.Pool, arenas *trace.Ar
 		return nil, -1, fmt.Errorf("fleet: %s: no model group planned for this spec", spec.Name)
 	}
 	e.once.Do(func() {
-		e.models, e.err = trainModelSet(e.rep, pool, arenas)
+		e.models, e.err = trainModelSet(e.rep, pool)
 	})
 	if e.err != nil {
 		return nil, e.rep.Index, fmt.Errorf("fleet: %s: shared model set (trained from dev%03d): %w",
@@ -111,12 +111,10 @@ func (s *modelShare) modelsFor(spec DeviceSpec, pool *par.Pool, arenas *trace.Ar
 // for one spec — the unit both sharing modes are built from: per-device mode
 // calls it with the device's own (attempt) spec, shared mode with the group
 // representative's planned spec.
-func trainModelSet(spec DeviceSpec, pool *par.Pool, arenas *trace.ArenaPool) (*attack.Models, error) {
+func trainModelSet(spec DeviceSpec, pool *par.Pool) (*attack.Models, error) {
 	sc := spec.Scale
 	profiled, err := par.MapOn(pool, len(sc.Profiled), func(i int) (*trace.Trace, error) {
-		rcfg := sc.RunConfig(sc.StreamSeed(eval.StreamProfiled, i), true)
-		rcfg.Arenas = arenas
-		ptr, perr := trace.Collect(sc.Profiled[i], rcfg)
+		ptr, perr := trace.Collect(sc.Profiled[i], sc.RunConfig(sc.StreamSeed(eval.StreamProfiled, i), true))
 		if perr != nil {
 			return nil, fmt.Errorf("fleet: %s: profile %s: %w", spec.Name, sc.Profiled[i].Name, perr)
 		}

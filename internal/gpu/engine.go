@@ -108,12 +108,20 @@ type Engine struct {
 	// from on AddChannel (see EngineScratch); empty on fresh engines.
 	free []*channel
 
-	// OnSlice, if set, observes every scheduler grant.
-	OnSlice func(SliceRecord)
+	// OnSlice, if set, observes every scheduler grant. The record belongs to
+	// the engine, which overwrites it on the next slice: a consumer reads it
+	// during the call and copies out whatever it keeps, never the pointer.
+	OnSlice func(*SliceRecord)
 	// OnKernelEnd, if set, observes every kernel completion.
 	OnKernelEnd func(KernelSpan)
 
 	busy map[ContextID]Nanos // accumulated execution time per context
+
+	// rec is the record OnSlice observes. Passing a pointer to engine-owned
+	// storage keeps the 200-odd-byte record from being copied at every hop
+	// of the hook chain, and a field (unlike a local whose address is taken)
+	// never escapes to the heap.
+	rec SliceRecord
 }
 
 // resStep is one entry of the L2 lazy-decay log: the slice's survival factor
@@ -571,14 +579,14 @@ func (e *Engine) grantSlice(ch *channel, until Nanos) {
 	texRefetch := e.touchTex(ch, run)
 	stall := Nanos((refetch + texRefetch) / e.cfg.DRAMBytesPerNs)
 
-	rec := SliceRecord{
-		Ctx:             ch.ctx,
-		Kernel:          ch.current,
-		Start:           e.now,
-		End:             e.now + run + stall,
-		RefetchBytes:    refetch,
-		TexRefetchBytes: texRefetch,
-	}
+	rec := &e.rec
+	rec.Ctx = ch.ctx
+	rec.Kernel = ch.current
+	rec.Start = e.now
+	rec.End = e.now + run + stall
+	rec.RefetchBytes = refetch
+	rec.TexRefetchBytes = texRefetch
+	rec.Completed = false
 	rec.Counters = e.sliceCounters(ch, run, refetch, texRefetch, e.rngFor(ch.ctx))
 
 	e.now = rec.End

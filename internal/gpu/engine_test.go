@@ -209,7 +209,7 @@ func TestContextSwitchRefetchPenalty(t *testing.T) {
 		t.Fatal(err)
 	}
 	var spyRefetch []float64
-	eng.OnSlice = func(r SliceRecord) {
+	eng.OnSlice = func(r *SliceRecord) {
 		if r.Ctx == 2 {
 			spyRefetch = append(spyRefetch, r.RefetchBytes)
 		}
@@ -258,7 +258,7 @@ func TestNoRefetchWhenAlone(t *testing.T) {
 		t.Fatal(err)
 	}
 	var refetches []float64
-	eng.OnSlice = func(r SliceRecord) { refetches = append(refetches, r.RefetchBytes) }
+	eng.OnSlice = func(r *SliceRecord) { refetches = append(refetches, r.RefetchBytes) }
 	eng.AddChannel(1, &RepeatSource{Kernel: fullKernel("solo", 2*Millisecond, cfg), Limit: 20})
 	eng.Run(Second)
 
@@ -295,7 +295,7 @@ func TestRunHorizonOvershootBounded(t *testing.T) {
 	eng.AddChannel(2, &RepeatSource{Kernel: k})
 
 	var horizon Nanos
-	eng.OnSlice = func(rec SliceRecord) {
+	eng.OnSlice = func(rec *SliceRecord) {
 		if rec.Start >= horizon {
 			t.Fatalf("grant started at %v, at/after horizon %v", rec.Start, horizon)
 		}
@@ -320,7 +320,7 @@ func TestCountersScaleWithTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	var total CounterDelta
-	eng.OnSlice = func(r SliceRecord) { total.Add(r.Counters) }
+	eng.OnSlice = func(r *SliceRecord) { total.Add(r.Counters) }
 
 	k := fullKernel("traffic", 2*Millisecond, cfg)
 	k.ReadBytes = 64 << 20

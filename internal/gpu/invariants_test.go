@@ -18,7 +18,7 @@ func TestSliceRecordInvariants(t *testing.T) {
 	var prevEnd Nanos
 	var prevStart Nanos = -1
 	violations := 0
-	eng.OnSlice = func(r SliceRecord) {
+	eng.OnSlice = func(r *SliceRecord) {
 		if r.Start < prevStart {
 			violations++
 		}
@@ -63,7 +63,7 @@ func TestKernelSpanCoversSlices(t *testing.T) {
 		t.Fatal(err)
 	}
 	sliceTime := make(map[ContextID]Nanos)
-	eng.OnSlice = func(r SliceRecord) { sliceTime[r.Ctx] += r.End - r.Start }
+	eng.OnSlice = func(r *SliceRecord) { sliceTime[r.Ctx] += r.End - r.Start }
 	spanTime := make(map[ContextID]Nanos)
 	eng.OnKernelEnd = func(s KernelSpan) {
 		if s.End <= s.Start {
@@ -94,7 +94,7 @@ func TestEngineDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		var recs []SliceRecord
-		eng.OnSlice = func(r SliceRecord) { recs = append(recs, r) }
+		eng.OnSlice = func(r *SliceRecord) { recs = append(recs, *r) }
 		k := KernelProfile{Name: "k", Blocks: cfg.NumSMs, ThreadsPerBlock: 256,
 			FLOPs: float64(200*Microsecond) * cfg.FLOPsPerNs, ReadBytes: 1 << 18}
 		eng.AddChannel(1, &RepeatSource{Kernel: k})

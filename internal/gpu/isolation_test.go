@@ -21,7 +21,7 @@ func victimSlices(t *testing.T, isolate, tenant bool) ([]Nanos, []CounterDelta) 
 	}
 	var durs []Nanos
 	var counters []CounterDelta
-	eng.OnSlice = func(rec SliceRecord) {
+	eng.OnSlice = func(rec *SliceRecord) {
 		if rec.Ctx == 1 {
 			durs = append(durs, rec.End-rec.Start)
 			counters = append(counters, rec.Counters)

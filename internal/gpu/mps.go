@@ -20,9 +20,12 @@ type MPSEngine struct {
 	secondary []*channel
 	now       Nanos
 
-	// OnSlice and OnKernelEnd mirror the Engine hooks.
-	OnSlice     func(SliceRecord)
+	// OnSlice and OnKernelEnd mirror the Engine hooks, including the rule
+	// that the record is engine-owned and valid only during the call.
+	OnSlice     func(*SliceRecord)
 	OnKernelEnd func(KernelSpan)
+
+	rec SliceRecord
 }
 
 // NewMPSEngine builds an MPS-mode simulator. primaryCtx/primary is the
@@ -82,13 +85,12 @@ func (m *MPSEngine) Run(until Nanos) {
 		}
 		m.advanceSecondary(m.now, end, leftover)
 
-		rec := SliceRecord{
-			Ctx:       PrimaryCtx,
-			Kernel:    k,
-			Start:     m.now,
-			End:       end,
-			Completed: end == m.now+d,
-		}
+		rec := &m.rec
+		rec.Ctx = PrimaryCtx
+		rec.Kernel = k
+		rec.Start = m.now
+		rec.End = end
+		rec.Completed = end == m.now+d
 		rec.Counters = m.kernelCounters(k, end-m.now)
 		if m.OnSlice != nil {
 			m.OnSlice(rec)
@@ -148,12 +150,12 @@ func (m *MPSEngine) advanceChannel(ch *channel, from, to Nanos, rate float64) {
 			span = Nanos(float64(run) / rate)
 		}
 		k := ch.current
-		rec := SliceRecord{
-			Ctx:    ch.ctx,
-			Kernel: k,
-			Start:  now,
-			End:    now + span,
-		}
+		rec := &m.rec
+		rec.Ctx = ch.ctx
+		rec.Kernel = k
+		rec.Start = now
+		rec.End = now + span
+		rec.Completed = false
 		rec.Counters = m.kernelCounters(k, run)
 		ch.remaining -= run
 		now += span

@@ -33,7 +33,7 @@ func residencyChurnRun(t *testing.T, exact, isolate bool, workingSet float64, ho
 		eng.IsolateContextStreams(11)
 	}
 	var recs []SliceRecord
-	eng.OnSlice = func(r SliceRecord) { recs = append(recs, r) }
+	eng.OnSlice = func(r *SliceRecord) { recs = append(recs, *r) }
 
 	eng.AddChannel(1, &RepeatSource{Kernel: residencyKernel("a", workingSet, cfg)})
 	eng.AddChannel(2, &RepeatSource{Kernel: residencyKernel("b", workingSet, cfg)})

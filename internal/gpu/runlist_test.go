@@ -39,7 +39,7 @@ func buildRunlistWorkload(t *testing.T) *Engine {
 func grantSequence(t *testing.T, eng *Engine) string {
 	t.Helper()
 	var seq []string
-	eng.OnSlice = func(rec SliceRecord) {
+	eng.OnSlice = func(rec *SliceRecord) {
 		seq = append(seq, fmt.Sprint(int(rec.Ctx)))
 	}
 	horizon := 40 * eng.cfg.SliceQuantum

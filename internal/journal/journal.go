@@ -99,8 +99,22 @@ func (j *Journal) replay() error {
 		return fmt.Errorf("journal: stat %s: %w", j.path, err)
 	}
 	size := info.Size()
-	if size == 0 {
-		// Fresh file: stamp the magic durably before any record.
+	var magic [len(Magic)]byte
+	head := magic[:min(size, int64(len(Magic)))]
+	if _, err := io.ReadFull(io.NewSectionReader(j.f, 0, int64(len(head))), head); err != nil {
+		return fmt.Errorf("journal: read magic: %w", err)
+	}
+	if string(head) != Magic[:len(head)] {
+		return fmt.Errorf("journal: %s: bad magic %q", j.path, head)
+	}
+	if size < int64(len(Magic)) {
+		// Fresh file, or one torn inside the magic by a kill during its
+		// first write (no record can precede the magic): stamp the magic
+		// durably before any record.
+		if err := j.f.Truncate(0); err != nil {
+			return fmt.Errorf("journal: truncate torn magic: %w", err)
+		}
+		j.stats.TornBytes, j.stats.Truncated = size, size > 0
 		if _, err := j.f.Write([]byte(Magic)); err != nil {
 			return fmt.Errorf("journal: write magic: %w", err)
 		}
@@ -108,16 +122,6 @@ func (j *Journal) replay() error {
 			return fmt.Errorf("journal: sync magic: %w", err)
 		}
 		return nil
-	}
-	if size < int64(len(Magic)) {
-		return fmt.Errorf("journal: %s: file shorter than magic (%d bytes)", j.path, size)
-	}
-	var magic [len(Magic)]byte
-	if _, err := io.ReadFull(io.NewSectionReader(j.f, 0, int64(len(Magic))), magic[:]); err != nil {
-		return fmt.Errorf("journal: read magic: %w", err)
-	}
-	if string(magic[:]) != Magic {
-		return fmt.Errorf("journal: %s: bad magic %q", j.path, magic)
 	}
 
 	// Walk frames until the first torn or corrupt one; that offset becomes
@@ -179,9 +183,10 @@ func readFrame(r io.Reader, remaining int64) (rec Record, n int64, ok bool) {
 	return dec, int64(len(hdr)) + int64(bodyLen), true
 }
 
-// encodeBody serializes a record body. Kind and Key are length-prefixed with
-// one byte each (255-byte cap keeps keys honest hashes, not blobs).
-func encodeBody(rec Record) ([]byte, error) {
+// encodeFrame serializes a record's whole frame, header and body, in one
+// buffer. Kind and Key are length-prefixed with one byte each (255-byte cap
+// keeps keys honest hashes, not blobs).
+func encodeFrame(rec Record) ([]byte, error) {
 	if len(rec.Kind) == 0 || len(rec.Kind) > 255 {
 		return nil, fmt.Errorf("journal: kind length %d outside [1, 255]", len(rec.Kind))
 	}
@@ -191,14 +196,17 @@ func encodeBody(rec Record) ([]byte, error) {
 	if len(rec.Payload) > maxBodyBytes-512 {
 		return nil, fmt.Errorf("journal: payload %d bytes exceeds cap", len(rec.Payload))
 	}
-	body := make([]byte, 0, 2+len(rec.Kind)+len(rec.Key)+4+len(rec.Payload))
-	body = append(body, byte(len(rec.Kind)))
-	body = append(body, rec.Kind...)
-	body = append(body, byte(len(rec.Key)))
-	body = append(body, rec.Key...)
-	body = binary.LittleEndian.AppendUint32(body, uint32(len(rec.Payload)))
-	body = append(body, rec.Payload...)
-	return body, nil
+	bodyLen := 2 + len(rec.Kind) + len(rec.Key) + 4 + len(rec.Payload)
+	frame := make([]byte, 8, 8+bodyLen)
+	frame = append(frame, byte(len(rec.Kind)))
+	frame = append(frame, rec.Kind...)
+	frame = append(frame, byte(len(rec.Key)))
+	frame = append(frame, rec.Key...)
+	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(rec.Payload)))
+	frame = append(frame, rec.Payload...)
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(bodyLen))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(frame[8:], castagnoli))
+	return frame, nil
 }
 
 func decodeBody(body []byte) (Record, error) {
@@ -231,9 +239,9 @@ func decodeBody(body []byte) (Record, error) {
 	if int(payLen) != len(body) {
 		return Record{}, bad
 	}
-	payload := make([]byte, payLen)
-	copy(payload, body)
-	return Record{Kind: kind, Key: key, Payload: payload}, nil
+	// The payload aliases the body, which readFrame allocated for this
+	// record alone.
+	return Record{Kind: kind, Key: key, Payload: body[:payLen:payLen]}, nil
 }
 
 // Append frames rec, writes it, and fsyncs before returning: once Append
@@ -242,14 +250,10 @@ func decodeBody(body []byte) (Record, error) {
 // unit of work is simply re-executed — appends are atomic at the record
 // level without any write-ahead machinery.
 func (j *Journal) Append(rec Record) error {
-	body, err := encodeBody(rec)
+	frame, err := encodeFrame(rec)
 	if err != nil {
 		return err
 	}
-	frame := make([]byte, 0, 8+len(body))
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(body)))
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(body, castagnoli))
-	frame = append(frame, body...)
 
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -227,3 +227,124 @@ func fileSize(t *testing.T, path string) int64 {
 	}
 	return info.Size()
 }
+
+// TestJournalTornMagic reopens files cut short inside the magic, as a kill
+// during the very first write leaves them: each is a fresh journal, stamped
+// and usable, and its torn bytes are reported.
+func TestJournalTornMagic(t *testing.T) {
+	for n := 1; n < len(Magic); n++ {
+		p := filepath.Join(t.TempDir(), fmt.Sprintf("torn%d.journal", n))
+		if err := os.WriteFile(p, []byte(Magic[:n]), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j := mustOpen(t, p)
+		if st := j.Stats(); st.Records != 0 || !st.Truncated || st.TornBytes != int64(n) {
+			t.Fatalf("%d-byte magic prefix: stats = %+v, want 0 records and %d torn bytes", n, st, n)
+		}
+		if got := fileSize(t, p); got != int64(len(Magic)) {
+			t.Fatalf("%d-byte magic prefix: file is %d bytes after open, want the %d-byte magic", n, got, len(Magic))
+		}
+		if err := j.Append(Record{Kind: "k", Key: "dev0", Payload: []byte("x")}); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		j2 := mustOpen(t, p)
+		if st := j2.Stats(); st.Records != 1 || st.Truncated {
+			t.Fatalf("%d-byte magic prefix: reopen stats = %+v, want 1 clean record", n, st)
+		}
+		j2.Close()
+	}
+}
+
+// TestJournalShortNotMagic: a file shorter than the magic that is not a
+// prefix of it is someone else's file, refused and left as it was.
+func TestJournalShortNotMagic(t *testing.T) {
+	for _, content := range []string{"X", "MOSX", "MOSJRNL"[:6] + "2"} {
+		p := filepath.Join(t.TempDir(), "short.journal")
+		if err := os.WriteFile(p, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(p); err == nil {
+			t.Fatalf("Open accepted %q, which is not a prefix of the magic", content)
+		}
+		got, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != content {
+			t.Fatalf("a refused open rewrote %q to %q", content, got)
+		}
+	}
+}
+
+// FuzzJournalOpen opens the magic followed by arbitrary bytes. Open either
+// fails or truncates the file to the end of its intact record prefix, and a
+// second Open replays the same records and truncates nothing.
+func FuzzJournalOpen(f *testing.F) {
+	var valid bytes.Buffer
+	valid.WriteString(Magic)
+	for i, r := range []Record{
+		{Kind: "fleet-device", Key: "dev0", Payload: []byte("alpha")},
+		{Kind: "serve-extract", Key: "up-1", Payload: nil},
+	} {
+		frame, err := encodeFrame(r)
+		if err != nil {
+			f.Fatal(err)
+		}
+		valid.Write(frame)
+		if i == 0 {
+			f.Add(valid.Bytes()[len(Magic):])
+		}
+	}
+	tail := valid.Bytes()[len(Magic):]
+	f.Add(tail)
+	f.Add(tail[:len(tail)-3])
+	f.Add([]byte{})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p := filepath.Join(t.TempDir(), "fuzz.journal")
+		if err := os.WriteFile(p, append([]byte(Magic), data...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, err := Open(p)
+		if err != nil {
+			return
+		}
+		first := j.Records()
+		st := j.Stats()
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		size := fileSize(t, p)
+		want := int64(len(Magic))
+		for _, r := range first {
+			frame, err := encodeFrame(r)
+			if err != nil {
+				t.Fatalf("replayed a record that does not re-encode: %v", err)
+			}
+			want += int64(len(frame))
+		}
+		if size != want {
+			t.Fatalf("file is %d bytes after open, want the magic plus %d intact frames = %d", size, len(first), want)
+		}
+		if st.TornBytes != int64(len(Magic)+len(data))-size || st.Truncated != (st.TornBytes > 0) {
+			t.Fatalf("stats %+v do not match a cut from %d to %d bytes", st, len(Magic)+len(data), size)
+		}
+		j2, err := Open(p)
+		if err != nil {
+			t.Fatalf("reopening a truncated journal: %v", err)
+		}
+		defer j2.Close()
+		if st2 := j2.Stats(); st2.Truncated || st2.TornBytes != 0 || st2.Records != len(first) {
+			t.Fatalf("second open stats = %+v, want %d records and no truncation", st2, len(first))
+		}
+		second := j2.Records()
+		for i := range first {
+			if first[i].Kind != second[i].Kind || first[i].Key != second[i].Key || !bytes.Equal(first[i].Payload, second[i].Payload) {
+				t.Fatalf("record %d differs between opens: %+v vs %+v", i, first[i], second[i])
+			}
+		}
+	})
+}

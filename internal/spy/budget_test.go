@@ -21,7 +21,7 @@ func attachAndName(t *testing.T, dev gpu.DeviceConfig, cfg Config) (*Program, ma
 		t.Fatal(err)
 	}
 	names := make(map[string]bool)
-	eng.OnSlice = func(rec gpu.SliceRecord) {
+	eng.OnSlice = func(rec *gpu.SliceRecord) {
 		if rec.Ctx == cfg.Ctx {
 			names[rec.Kernel.Name] = true
 		}

@@ -456,8 +456,8 @@ func (p *Program) AttachMPS(eng *gpu.MPSEngine) {
 }
 
 // ObserveSlice routes a scheduler slice to the spy's sampler; wire it into
-// the engine's OnSlice hook.
-func (p *Program) ObserveSlice(rec gpu.SliceRecord) {
+// the engine's OnSlice hook. Like the hook, it reads rec only during the call.
+func (p *Program) ObserveSlice(rec *gpu.SliceRecord) {
 	if p.windowSampler != nil {
 		p.windowSampler.Observe(rec)
 	} else {

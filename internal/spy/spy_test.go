@@ -173,7 +173,7 @@ func TestProgramSlowdownAddsChannels(t *testing.T) {
 			t.Fatal(err)
 		}
 		names := make(map[string]bool)
-		eng.OnSlice = func(r gpu.SliceRecord) { names[r.Kernel.Name] = true }
+		eng.OnSlice = func(r *gpu.SliceRecord) { names[r.Kernel.Name] = true }
 		if err := prog.AttachTimeSliced(eng); err != nil {
 			t.Fatal(err)
 		}

@@ -9,6 +9,8 @@ package tfsim
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"leakydnn/internal/dnn"
 	"leakydnn/internal/gpu"
@@ -53,7 +55,7 @@ func NewSession(m dnn.Model, cfg Config, dev gpu.DeviceConfig) (*Session, error)
 	if cfg.IterGap < 0 {
 		return nil, fmt.Errorf("tfsim: negative iteration gap %d", cfg.IterGap)
 	}
-	ops, err := dnn.Compile(m)
+	ops, err := compileCached(m)
 	if err != nil {
 		return nil, err
 	}
@@ -63,8 +65,66 @@ func NewSession(m dnn.Model, cfg Config, dev gpu.DeviceConfig) (*Session, error)
 // Model returns the session's model definition.
 func (s *Session) Model() dnn.Model { return s.model }
 
-// Ops returns the compiled per-iteration op sequence.
+// Ops returns the compiled per-iteration op sequence. Every session of an
+// equal model shares one slice, so it is read-only: callers must not write
+// its elements (appending is safe, as the slice is capped at its length).
 func (s *Session) Ops() []dnn.Op { return s.ops }
+
+// maxCompiled bounds the compile cache. A process sees a handful of zoo
+// models and per-scale profiled sets; one that cycles through more distinct
+// models just starts the cache over.
+const maxCompiled = 256
+
+// compileKey holds the scalar fields of a dnn.Model; entries under one key
+// are told apart by comparing their layers.
+type compileKey struct {
+	name      string
+	input     dnn.Shape
+	batch     int
+	optimizer dnn.OptimizerKind
+}
+
+type compiledModel struct {
+	layers []dnn.Layer
+	ops    []dnn.Op
+}
+
+var compiled struct {
+	mu sync.Mutex
+	m  map[compileKey][]compiledModel
+	n  int
+}
+
+// compileCached returns dnn.Compile(m), compiling each distinct model once
+// per process. The model is matched field by field, so two models share ops
+// exactly when Compile could not tell them apart; the cache keeps its own
+// copy of the layers, so a caller reusing its Layers slice cannot alias an
+// entry. Errors are not cached.
+func compileCached(m dnn.Model) ([]dnn.Op, error) {
+	key := compileKey{name: m.Name, input: m.Input, batch: m.Batch, optimizer: m.Optimizer}
+	compiled.mu.Lock()
+	for _, e := range compiled.m[key] {
+		if slices.Equal(e.layers, m.Layers) {
+			compiled.mu.Unlock()
+			return e.ops, nil
+		}
+	}
+	compiled.mu.Unlock()
+	ops, err := dnn.Compile(m)
+	if err != nil {
+		return nil, err
+	}
+	ops = ops[:len(ops):len(ops)]
+	compiled.mu.Lock()
+	defer compiled.mu.Unlock()
+	if compiled.m == nil || compiled.n >= maxCompiled {
+		compiled.m = make(map[compileKey][]compiledModel)
+		compiled.n = 0
+	}
+	compiled.m[key] = append(compiled.m[key], compiledModel{layers: slices.Clone(m.Layers), ops: ops})
+	compiled.n++
+	return ops, nil
+}
 
 // OpsPerIteration returns the length of one iteration's op sequence.
 func (s *Session) OpsPerIteration() int { return len(s.ops) }
@@ -90,43 +150,74 @@ func (s *Session) SourceWith(tags *TagSlab) gpu.Source {
 }
 
 // TagSlab amortizes the per-iteration IterOp slabs of one collection's
-// sessions into large blocks, and lets a worker recycle those blocks across
-// collections. Tag pointers cut from a slab stay valid until Reset — the
-// slab only ever appends within a block and abandons (never overwrites) a
-// full one — so Reset must only be called once the engine that consumed the
-// tags is gone. The zero value is ready to use. Not safe for concurrent use.
+// sessions into large blocks, and keeps those blocks across collections.
+// Tag pointers cut from a slab stay valid until Reset — between Resets the
+// slab only ever appends within a block and moves on to the next block when
+// one is full, never overwriting a cut tag — so Reset must only be called
+// once the engine that consumed the tags is gone. The zero value is ready to
+// use. Not safe for concurrent use.
 type TagSlab struct {
-	buf []IterOp
-	off int
+	blocks [][]IterOp
+	// next is the index of the block the slab moves to when the current one,
+	// blocks[next-1], is full; off is the cut offset in the current block.
+	next int
+	off  int
 }
 
-// Reset makes the slab's memory reusable. Outstanding tag pointers from
-// before the Reset become invalid.
+// tagBlockLen is the size of a slab block, and maxTagBlocks bounds how many
+// blocks Reset keeps for the next collection.
+const (
+	tagBlockLen  = 4096
+	maxTagBlocks = 16
+)
+
+// Reset rewinds the slab to its first block. Outstanding tag pointers from
+// before the Reset become invalid; the blocks they point into are cleared
+// before take hands any of them out again.
 func (ts *TagSlab) Reset() {
-	if ts != nil {
-		ts.off = 0
+	if ts == nil {
+		return
 	}
+	if len(ts.blocks) > maxTagBlocks {
+		clear(ts.blocks[maxTagBlocks:])
+		ts.blocks = ts.blocks[:maxTagBlocks]
+	}
+	ts.next, ts.off = 0, 0
 }
 
-// take cuts n IterOps from the slab, growing it block-wise; a nil slab
-// degrades to plain allocation.
+// take cuts n IterOps from the slab, moving to the next retained block (or
+// a new one) when the current one is full; a nil slab degrades to plain
+// allocation.
 func (ts *TagSlab) take(n int) []IterOp {
 	if ts == nil {
 		return make([]IterOp, n)
 	}
-	if ts.off+n > len(ts.buf) {
-		size := 4096
-		if n > size {
-			size = n
-		}
-		// The old block stays referenced by outstanding tags; only the slab's
-		// view moves on.
-		ts.buf = make([]IterOp, size)
-		ts.off = 0
+	if ts.next == 0 || ts.off+n > len(ts.blocks[ts.next-1]) {
+		ts.nextBlock(n)
 	}
-	out := ts.buf[ts.off : ts.off+n : ts.off+n]
+	b := ts.blocks[ts.next-1]
+	out := b[ts.off : ts.off+n : ts.off+n]
 	ts.off += n
 	return out
+}
+
+// nextBlock moves the slab to its next block, of at least n tags: a retained
+// block is cleared (its tags belong to a dead collection), and one too small
+// for n is replaced.
+func (ts *TagSlab) nextBlock(n int) {
+	i := ts.next
+	ts.next++
+	ts.off = 0
+	if i < len(ts.blocks) && len(ts.blocks[i]) >= n {
+		clear(ts.blocks[i])
+		return
+	}
+	b := make([]IterOp, max(n, tagBlockLen))
+	if i < len(ts.blocks) {
+		ts.blocks[i] = b
+	} else {
+		ts.blocks = append(ts.blocks, b)
+	}
 }
 
 // Rewindable is implemented by victim kernel sources that can recover from a

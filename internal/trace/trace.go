@@ -49,19 +49,15 @@ type RunConfig struct {
 	// fault-free collection; both injectors draw from their own seeded RNG
 	// streams, never the engine's.
 	Chaos chaos.Plan
-	// Arenas, when non-nil, supplies per-worker reusable scratch memory for
-	// the collection (engine internals, kernel-tag slabs, the engine RNG,
-	// recycled sample and timeline buffers):
-	// repeated collections sharing a pool reuse memory instead of
-	// re-allocating it. Purely an allocator knob — a pooled run's trace is
-	// byte-identical to an unpooled one.
-	Arenas *ArenaPool
 }
 
 // Trace is the outcome of one co-run: the spy-side samples and the
 // victim-side ground truth.
 type Trace struct {
-	Model    dnn.Model
+	Model dnn.Model
+	// Ops is the victim's compiled per-iteration op sequence. A collected
+	// trace shares it with every other session of an equal model (see
+	// tfsim.Session.Ops), so it is read-only: never write its elements.
 	Ops      []dnn.Op
 	Samples  []cupti.Sample
 	Timeline *tfsim.Timeline
@@ -92,8 +88,15 @@ type Trace struct {
 
 // Collect runs the victim and spy together under the time-sliced scheduler
 // and returns the aligned trace. Set cfg.Spy.Ctx before calling or leave it
-// zero to use the conventional SpyCtx.
+// zero to use the conventional SpyCtx. The collection borrows its scratch
+// memory from the process-wide arenas (see Recycle); the trace is
+// byte-identical to one collected on fresh memory.
 func Collect(m dnn.Model, cfg RunConfig) (*Trace, error) {
+	return arenas.collect(m, cfg)
+}
+
+// collectOn is Collect on the given arena.
+func collectOn(m dnn.Model, cfg RunConfig, arena *Arena) (*Trace, error) {
 	if cfg.Spy.Ctx == 0 {
 		cfg.Spy.Ctx = SpyCtx
 	}
@@ -126,29 +129,23 @@ func Collect(m dnn.Model, cfg RunConfig) (*Trace, error) {
 			return nil, fmt.Errorf("trace: %w", err)
 		}
 	}
-	// Borrow this worker's scratch arena for the whole collection. The
-	// engine's internals are reclaimed into it on the way out (nothing in the
+	// The arena is this collection's for the whole call. The engine's
+	// internals are reclaimed into it on the way out (nothing in the
 	// returned Trace aliases them), and the tag slab is recycled eagerly (its
 	// previous owner's engine is gone by definition). The sampler and the
 	// timeline append into the arena's buffers, which leave it with the
 	// returned Trace.
-	arena := cfg.Arenas.acquire()
-	if arena != nil {
-		defer cfg.Arenas.release(arena)
-		arena.tags.Reset()
-	}
+	arena.tags.Reset()
 	cfg.Spy.SampleBuf = arena.sampleBuffer()
 	prog, err := spy.NewProgram(cfg.Spy)
 	if err != nil {
 		return nil, err
 	}
-	eng, err := gpu.NewEngineWith(cfg.Device, arena.rand(cfg.Seed), arena.engineScratch())
+	eng, err := gpu.NewEngineWith(cfg.Device, arena.rand(cfg.Seed), &arena.engine)
 	if err != nil {
 		return nil, err
 	}
-	if arena != nil {
-		defer arena.engine.Release(eng)
-	}
+	defer arena.engine.Release(eng)
 	if sched != nil {
 		// Tenant churn adds and removes channels mid-run; with the shared
 		// RNG stream that would perturb every other context's noise draws.
@@ -170,7 +167,7 @@ func Collect(m dnn.Model, cfg RunConfig) (*Trace, error) {
 		tenantOps = make(map[gpu.ContextID]int)
 		tenantTotal = make(map[gpu.ContextID]int)
 	}
-	eng.OnSlice = func(r gpu.SliceRecord) {
+	eng.OnSlice = func(r *gpu.SliceRecord) {
 		schedSlices++
 		prog.ObserveSlice(r)
 	}
@@ -189,7 +186,7 @@ func Collect(m dnn.Model, cfg RunConfig) (*Trace, error) {
 	// Ground-truth channels must never be dropped: a hardened scheduler
 	// rejecting the victim or a tenant would silently produce a trace of a
 	// different co-location than the one requested.
-	sessSrc := sess.SourceWith(arena.tagSlab())
+	sessSrc := sess.SourceWith(&arena.tags)
 	rewinder, _ := sessSrc.(tfsim.Rewindable)
 	victimSrc := gpu.Source(sessSrc)
 	if sched != nil {
@@ -226,7 +223,7 @@ func Collect(m dnn.Model, cfg RunConfig) (*Trace, error) {
 			return nil, fmt.Errorf("trace: tenant %s: %w", tenant.Name, err)
 		}
 		ctx := SpyCtx + 1 + gpu.ContextID(i)
-		if !eng.AddChannel(ctx, tsess.SourceWith(arena.tagSlab())) {
+		if !eng.AddChannel(ctx, tsess.SourceWith(&arena.tags)) {
 			return nil, fmt.Errorf("trace: scheduler rejected tenant %s channel (ctx %d, MaxChannelsPerCtx=%d)",
 				tenant.Name, ctx, cfg.Device.MaxChannelsPerCtx)
 		}
@@ -378,7 +375,7 @@ func Collect(m dnn.Model, cfg RunConfig) (*Trace, error) {
 			if terr != nil {
 				return fmt.Errorf("trace: churn tenant %s: %w", tmpl.Name, terr)
 			}
-			if eng.AddChannel(joinCtx, tsess.SourceWith(arena.tagSlab())) {
+			if eng.AddChannel(joinCtx, tsess.SourceWith(&arena.tags)) {
 				if tenantTotal != nil {
 					tenantTotal[joinCtx] = tenantIters * tsess.OpsPerIteration()
 				}
