@@ -421,20 +421,16 @@ func benchFleetCollect(b *testing.B, workers int) {
 func BenchmarkFleetCollectWorkers1(b *testing.B) { benchFleetCollect(b, 1) }
 func BenchmarkFleetCollectWorkers4(b *testing.B) { benchFleetCollect(b, 4) }
 
-// benchFleetFull runs the full extraction fleet — collection, training and
-// extraction for eight devices spanning two classes and one mix, so the fleet
-// holds exactly two (class, mix) model groups. The PerDevice/Shared pair
-// measures the class-sharing dedup: per-device mode trains eight model sets,
-// shared mode trains two and references the rest, and with training the
-// dominant cost the wall-clock gap approaches devices/groups regardless of
-// core count (the win is eliminated work, not parallelism).
-func benchFleetFull(b *testing.B, perDevice bool) {
+// BenchmarkFleetFullShared runs the full extraction fleet — collection,
+// training and extraction for eight devices spanning two classes and one mix,
+// so the fleet holds exactly two (class, mix) model groups: it trains two
+// model sets and references them from the other six devices.
+func BenchmarkFleetFullShared(b *testing.B) {
 	cfg := fleet.Config{
-		Base:            benchScale(),
-		Devices:         8,
-		Classes:         fleet.DefaultClasses()[:2],
-		Mixes:           []fleet.TenancyMix{{Name: "solo", Tenants: 0}},
-		PerDeviceModels: perDevice,
+		Base:    benchScale(),
+		Devices: 8,
+		Classes: fleet.DefaultClasses()[:2],
+		Mixes:   []fleet.TenancyMix{{Name: "solo", Tenants: 0}},
 	}
 	var trained, referenced int
 	for i := 0; i < b.N; i++ {
@@ -452,9 +448,6 @@ func benchFleetFull(b *testing.B, perDevice bool) {
 	b.ReportMetric(float64(trained), "modelsets-trained")
 	b.ReportMetric(float64(referenced), "modelsets-shared")
 }
-
-func BenchmarkFleetFullPerDevice(b *testing.B) { benchFleetFull(b, true) }
-func BenchmarkFleetFullShared(b *testing.B)    { benchFleetFull(b, false) }
 
 // benchWorkbench builds the full pipelined Workbench — profiled and tested
 // collection on one shared pool, training overlapped with the tested set —

@@ -63,7 +63,7 @@ func run() error {
 		loadTraces = flag.String("load-traces", "", "load victim traces from this file instead of re-collecting (chaos/sched flags are ignored)")
 
 		fleetN = flag.Int("fleet", 0,
-			"run a fleet of N independently seeded devices (heterogeneous classes and tenancy mixes; each device's victim is attacked with its class group's shared model set — see -fleet-per-device-models) instead of the single-device pipeline")
+			"run a fleet of N independently seeded devices (heterogeneous classes and tenancy mixes; each device's victim is attacked with its class group's shared model set) instead of the single-device pipeline")
 		fleetBudget = flag.Int("fleet-budget", 0,
 			"with -fleet: total slow-down channels shared across all devices (0 = unlimited)")
 		fleetChaos = flag.Float64("fleet-chaos", 0,
@@ -76,8 +76,6 @@ func run() error {
 			"with -fleet: journal each device's result to this file (crash-safe, fsync'd); requires -resume if the file already holds records")
 		resume = flag.Bool("resume", false,
 			"with -fleet: replay completed devices from -journal instead of re-running them")
-		perDeviceModels = flag.Bool("fleet-per-device-models", false,
-			"with -fleet: train a separate model set per device instead of sharing one per (class, tenancy-mix) group")
 
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -157,13 +155,12 @@ func run() error {
 	if *fleetN > 0 {
 		fmt.Printf("== MoSConS fleet: %d devices (%s scale) ==\n", *fleetN, sc.Name)
 		cfg := fleet.Config{
-			Base:            sc,
-			Devices:         *fleetN,
-			SpyBudget:       *fleetBudget,
-			FleetChaos:      chaos.FleetAt(*fleetChaos),
-			Retries:         *fleetRetries,
-			Watchdog:        *fleetWatchdog,
-			PerDeviceModels: *perDeviceModels,
+			Base:       sc,
+			Devices:    *fleetN,
+			SpyBudget:  *fleetBudget,
+			FleetChaos: chaos.FleetAt(*fleetChaos),
+			Retries:    *fleetRetries,
+			Watchdog:   *fleetWatchdog,
 		}
 		if *journalPath != "" {
 			j, err := journal.Open(*journalPath)

@@ -109,16 +109,6 @@ type Config struct {
 	// victim co-run. This is the benchmark mode — the engine's aggregate
 	// slice throughput without the attack pipeline on top.
 	CollectOnly bool
-	// PerDeviceModels restores the pre-sharing behaviour: every device
-	// collects its own profiled traces and trains its own model set from its
-	// own seed stream, making each device's extraction a pure function of its
-	// spec alone (the old goldens). The default (false) dedups training by
-	// device group — each (class, tenancy-mix, scale) group trains once, from
-	// its lowest-index member's spec, and the other members reference the
-	// shared set; with training the dominant cost this is a near-N× fleet
-	// wall-clock win at the price of the widened dependency recorded in
-	// DeviceResult.ModelRep.
-	PerDeviceModels bool
 
 	// FleetChaos assigns device-level faults (whole-device crash, spy kill,
 	// arming-session loss, finite co-tenant schedules) across the campaign;
@@ -246,10 +236,10 @@ type DeviceResult struct {
 	// is a result, not a fleet abort).
 	ExtractErr string
 	// ModelRep is the provenance of the model set this device's extraction
-	// used: the index of the device whose spec the set was trained from. A
-	// device that trained its own set (per-device mode, or the group
-	// representative under class sharing) reports its own index; -1 means no
-	// model set was involved (collect-only, or quarantined before training).
+	// used: the index of the device whose spec the set was trained from. The
+	// group representative, which trained the set, reports its own index; -1
+	// means no model set was involved (collect-only, or quarantined before
+	// training).
 	ModelRep int
 	// Attempts is how many attempts this device ran (1 = clean first try).
 	Attempts int
@@ -275,8 +265,8 @@ type Result struct {
 	Replayed         int
 	// ModelSetsTrained counts devices that trained their own model set;
 	// ModelSetsReferenced counts devices that reused another device's shared
-	// set. Their ratio is the class-sharing dedup factor (referenced is zero
-	// in per-device mode and collect-only runs).
+	// set. Their ratio is the class-sharing dedup factor (both are zero in
+	// collect-only runs).
 	ModelSetsTrained    int
 	ModelSetsReferenced int
 }
@@ -312,25 +302,27 @@ func RunSpecs(cfg Config, specs []DeviceSpec) (*Result, error) {
 	// The training-dedup layer is campaign-scoped: groups are keyed off the
 	// planned specs (before any per-attempt fault splicing).
 	var share *modelShare
-	if !cfg.CollectOnly && !cfg.PerDeviceModels {
+	if !cfg.CollectOnly {
 		share = newModelShare(specs)
 	}
-	var replayed map[int]DeviceResult
+	var keys []string
+	var replayed []deviceRecord
+	var found []bool
 	if cfg.Journal != nil {
+		keys = deviceKeys(cfg, specs, share)
 		var err error
-		replayed, err = replayJournal(cfg, specs, share)
-		if err != nil {
+		if replayed, found, err = replayJournal(cfg.Journal, specs, keys); err != nil {
 			return nil, err
 		}
 	}
 	pool := par.NewPool(cfg.Base.Workers)
 	devices, err := par.Map(0, len(specs), func(i int) (DeviceResult, error) {
-		if r, ok := replayed[i]; ok {
-			return r, nil
+		if found != nil && found[i] {
+			return replayed[i].result(specs[i], cfg.CollectOnly), nil
 		}
 		r := superviseDevice(cfg, specs[i], pool, share)
 		if cfg.Journal != nil {
-			if err := appendDeviceRecord(cfg.Journal, deviceKey(cfg, specs[i], share), r); err != nil {
+			if err := appendDeviceRecord(cfg.Journal, keys[i], &r); err != nil {
 				return DeviceResult{}, err
 			}
 		}
@@ -455,9 +447,9 @@ func runAttempt(cfg Config, spec DeviceSpec, pool *par.Pool, share *modelShare) 
 }
 
 // runDevice executes one device end to end: victim co-run under the device's
-// class, mix and spy allocation, then (unless collectOnly) extraction with a
-// model set trained on traces profiled on the same device class — the
-// device's own set in per-device mode, its group's shared set otherwise.
+// class, mix and spy allocation, then (unless collectOnly) extraction with
+// its group's shared model set, trained on traces profiled on the same
+// device class.
 func runDevice(spec DeviceSpec, pool *par.Pool, collectOnly bool, share *modelShare) (DeviceResult, error) {
 	sc := spec.Scale
 	rcfg := sc.RunConfig(sc.StreamSeed(eval.StreamTested, 0), spec.Slowdown != 0)
@@ -495,18 +487,11 @@ func runDevice(spec DeviceSpec, pool *par.Pool, collectOnly bool, share *modelSh
 		return res, nil
 	}
 
-	var models *attack.Models
-	if share != nil {
-		models, res.ModelRep, err = share.modelsFor(spec, pool)
-		if err != nil {
-			return DeviceResult{}, err
-		}
-	} else {
-		if models, err = trainModelSet(spec, pool); err != nil {
-			return DeviceResult{}, err
-		}
-		res.ModelRep = spec.Index
+	models, rep, err := share.modelsFor(spec, pool)
+	if err != nil {
+		return DeviceResult{}, err
 	}
+	res.ModelRep = rep
 	rec, err := models.ExtractTrace(tr)
 	if err != nil {
 		res.ExtractErr = err.Error()

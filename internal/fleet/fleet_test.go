@@ -7,6 +7,8 @@ import (
 	"leakydnn/internal/chaos"
 	"leakydnn/internal/eval"
 	"leakydnn/internal/gpu"
+	"leakydnn/internal/par"
+	"leakydnn/internal/trace"
 )
 
 // goldenDev0TraceSHA256 pins device 0's collect-only trace at tiny scale
@@ -254,42 +256,40 @@ func TestFleetSharedModelDedup(t *testing.T) {
 	}
 }
 
-// A group representative's extraction is a pure function of its own spec, so
-// it must be byte-identical between sharing modes; per-device mode must train
-// every device's own set and never cross-reference.
+// A group representative's extraction is a pure function of its own spec:
+// collecting its trace and training a set from its spec directly, outside the
+// fleet, must reproduce the shared run's bytes.
 func TestFleetSharedMatchesPerDeviceOnRepresentative(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains model sets")
 	}
-	shared, err := Run(oneGroupFleet(2, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := oneGroupFleet(2, 1)
-	cfg.PerDeviceModels = true
-	perDev, err := Run(cfg)
+	shared, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if perDev.ModelSetsTrained != 2 || perDev.ModelSetsReferenced != 0 {
-		t.Errorf("per-device mode trained/referenced = %d/%d, want 2/0",
-			perDev.ModelSetsTrained, perDev.ModelSetsReferenced)
+	specs, err := Plan(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, d := range perDev.Devices {
-		if d.ModelRep != d.Spec.Index {
-			t.Errorf("per-device mode: device %d ModelRep = %d, want own index", i, d.ModelRep)
-		}
+	models, err := trainModelSet(specs[0], par.NewPool(1))
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Device 0 is its own representative in both modes: identical bytes.
-	s0, p0 := shared.Devices[0], perDev.Devices[0]
-	if s0.TraceHash != p0.TraceHash || s0.ExtractHash != p0.ExtractHash || s0.Fingerprint != p0.Fingerprint {
-		t.Errorf("representative device diverged between sharing modes:\n shared    %s %s\n perdevice %s %s",
-			s0.ExtractHash, s0.Fingerprint, p0.ExtractHash, p0.Fingerprint)
+	rep := specs[0]
+	sc := rep.Scale
+	tr, err := trace.Collect(rep.Victim, sc.RunConfig(sc.StreamSeed(eval.StreamTested, 0), rep.Slowdown != 0))
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Device 1 extracted with a different model set; its trace (collection)
-	// must still agree even though its extraction may not.
-	if shared.Devices[1].TraceHash != perDev.Devices[1].TraceHash {
-		t.Error("device 1 collection perturbed by the sharing mode")
+	rec, err := models.ExtractTrace(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s0 := shared.Devices[0]
+	if s0.TraceHash != hashTrace(tr) || s0.ExtractHash != hashRecovery(rec) || s0.Fingerprint != rec.Fingerprint() {
+		t.Errorf("representative device diverged from a set trained on its own spec:\n shared %s %s\n direct %s %s",
+			s0.ExtractHash, s0.Fingerprint, hashRecovery(rec), rec.Fingerprint())
 	}
 }
 
@@ -317,23 +317,25 @@ func TestFleetSharedWorkerAndSizeInvariance(t *testing.T) {
 	}
 }
 
-// The journal key must record the model source for extraction campaigns (so
-// per-device and shared records never replay into each other) and must stay
-// byte-stable for collect-only campaigns, which train nothing.
+// The journal key must record the model source for extraction campaigns, so
+// a record made under one group representative never replays into a
+// campaign whose group elected another.
 func TestDeviceKeyModelSource(t *testing.T) {
-	cfg := oneGroupFleet(2, 1)
+	cfg := oneGroupFleet(3, 1)
 	specs, err := Plan(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	share := newModelShare(specs)
-	if k1, k2 := deviceKey(cfg, specs[1], nil), deviceKey(cfg, specs[1], share); k1 == k2 {
-		t.Error("per-device and shared extraction keys collide")
+	// Without device 0 the group elects device 1 as its representative.
+	moved := newModelShare(specs[1:])
+	if deviceKeys(cfg, specs[2:], share)[0] == deviceKeys(cfg, specs[2:], moved)[0] {
+		t.Error("extraction key ignores which representative trained the model set")
 	}
 	collectCfg := cfg
 	collectCfg.CollectOnly = true
-	if k1, k2 := deviceKey(collectCfg, specs[1], nil), deviceKey(collectCfg, specs[1], share); k1 != k2 {
-		t.Error("collect-only keys depend on the model-sharing mode")
+	if deviceKeys(collectCfg, specs, nil)[1] == deviceKeys(cfg, specs, share)[1] {
+		t.Error("collect-only and extraction keys collide")
 	}
 	// Per-attempt fault splicing must not move a spec out of its model group:
 	// a crashing attempt still resolves to the planned group's shared cell.

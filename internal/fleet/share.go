@@ -29,9 +29,7 @@ import (
 // from the representative's spec, not its own. The cost is a widened
 // dependency: a non-representative device's extraction is now a function of
 // (its spec, its representative's spec) instead of its spec alone, which is
-// why the journal's deviceKey records the model source and why
-// Config.PerDeviceModels restores the old per-device contract (and its
-// goldens) wholesale.
+// why the journal's device keys record the model source.
 //
 // Device-level fault injection never reaches shared training: groups are
 // keyed and trained on the planned specs, before the supervisor splices
@@ -108,9 +106,7 @@ func (s *modelShare) modelsFor(spec DeviceSpec, pool *par.Pool) (*attack.Models,
 }
 
 // trainModelSet collects the profiled traces and trains the MoSConS model set
-// for one spec — the unit both sharing modes are built from: per-device mode
-// calls it with the device's own (attempt) spec, shared mode with the group
-// representative's planned spec.
+// for one spec, the group representative's planned spec.
 func trainModelSet(spec DeviceSpec, pool *par.Pool) (*attack.Models, error) {
 	sc := spec.Scale
 	profiled, err := par.MapOn(pool, len(sc.Profiled), func(i int) (*trace.Trace, error) {

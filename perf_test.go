@@ -1,16 +1,18 @@
 // Performance regression gates: allocation ceilings on the collection and
 // serve hot paths and a wall-clock scaling gate on the parallel fan-out. These
 // pin the wins DESIGN.md §11 describes — the process-wide collection arenas,
-// the compiled-op cache and the IterOp tag slab — the binary trace wire format on both ends of an
-// upload, and the in-place upload decode and copy-free prediction on the
-// extraction path, so a future change that silently reintroduces per-kernel
-// boxing, per-run engine churn or per-chunk staging fails CI instead of
-// fading into GC noise.
+// the compiled-op cache and the IterOp tag slab — the binary trace wire format
+// on both ends of an upload, the binary fleet journal records, and the
+// in-place upload decode and copy-free prediction on the extraction path, so a
+// future change that silently reintroduces per-kernel boxing, per-run engine
+// churn or per-chunk staging fails CI instead of fading into GC noise.
 package leakydnn
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -18,6 +20,7 @@ import (
 
 	"leakydnn/internal/eval"
 	"leakydnn/internal/fleet"
+	"leakydnn/internal/journal"
 	"leakydnn/internal/trace"
 )
 
@@ -48,10 +51,16 @@ const maxFleetAllocs = 5000
 // maxCampaignBytes bounds a warm 96-device collect-only campaign, the second
 // in the process. It measured ~975 KB (~4,730 KB while every campaign
 // started on cold, campaign-scoped arenas); the ceiling sits about 25% over.
+//
+// maxJournaledCampaignBytes bounds the same campaign journaled, plus its
+// resume from the journal. It measured ~1,358 KB once device records became
+// binary (~4,446 KB while each record built its own gob encoder and
+// decoder); the ceiling sits about 25% over.
 const (
-	maxCollectBytes  = 240 << 10
-	maxFleetBytes    = 102 << 10
-	maxCampaignBytes = 1216 << 10
+	maxCollectBytes           = 240 << 10
+	maxFleetBytes             = 102 << 10
+	maxCampaignBytes          = 1216 << 10
+	maxJournaledCampaignBytes = 1700 << 10
 )
 
 // maxReadTraceAllocs and maxReadTraceBytes bound decoding one tiny tested
@@ -298,6 +307,46 @@ func TestFleetCampaignSteadyStateBytes(t *testing.T) {
 	if b > maxCampaignBytes {
 		t.Errorf("a warm 96-device campaign allocates %.0f bytes, ceiling %d — campaigns no longer reuse the process's arenas",
 			b, maxCampaignBytes)
+	}
+}
+
+// TestFleetJournaledCampaignBytes pins what the journal adds to a campaign:
+// a warm 96-device collect-only campaign journaled to a fresh file, then
+// resumed from it with every device replayed. Per-record gob encoders and
+// decoders, a replay map of whole results, or a key computed twice per
+// device blow the ceiling.
+func TestFleetJournaledCampaignBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector inflates allocation counts")
+	}
+	dir := t.TempDir()
+	campaigns := 0
+	run := func() {
+		campaigns++
+		path := filepath.Join(dir, fmt.Sprintf("campaign-%d.journal", campaigns))
+		for pass, wantReplayed := range []int{0, 96} {
+			j, err := journal.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := fleet.Run(fleet.Config{Base: eval.Tiny(), Devices: 96, CollectOnly: true, Journal: j})
+			if cerr := j.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Quarantined != 0 || res.Replayed != wantReplayed {
+				t.Fatalf("pass %d: quarantined %d, replayed %d of 96, want %d", pass, res.Quarantined, res.Replayed, wantReplayed)
+			}
+		}
+	}
+	run()
+	b := bytesPerRun(1, run)
+	t.Logf("journaled 96-device campaign plus its resume: %.1f KB", b/1024)
+	if b > maxJournaledCampaignBytes {
+		t.Errorf("a journaled campaign and its resume allocate %.0f bytes, ceiling %d — journal records or replay regressed",
+			b, maxJournaledCampaignBytes)
 	}
 }
 
