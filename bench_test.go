@@ -71,8 +71,15 @@ func BenchmarkTable2VictimOps(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		nop, _ := res.Row("NOP")
-		matmul, _ := res.Row("MatMul")
+		var nop, matmul eval.Table2Row
+		for _, row := range res.Rows {
+			switch row.Victim {
+			case "NOP":
+				nop = row
+			case "MatMul":
+				matmul = row
+			}
+		}
 		if matmul.Event2.Mean > 0 {
 			nopOverBusy = nop.Event2.Mean / matmul.Event2.Mean
 		}

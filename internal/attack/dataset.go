@@ -154,16 +154,6 @@ type labelledTrace struct {
 	iters    []Range
 }
 
-// Featurize converts one CUPTI sample into the attack's feature vector:
-// log-compressed counters (their magnitudes span decades between starved and
-// idle windows) plus the traffic-mix ratios that expose the context-switch
-// refetch fraction — the component of the spy's traffic that fingerprints
-// the concurrently running victim op.
-func Featurize(s cupti.Sample) []float64 {
-	v := make([]float64, 0, FeatureDim)
-	return featurizeAppend(v, s)
-}
-
 // featurizeAppend appends the feature vector to v, so bulk callers can pack
 // rows into one backing array.
 func featurizeAppend(v []float64, s cupti.Sample) []float64 {

@@ -192,3 +192,13 @@ func TestExtractFromTruncatedTrace(t *testing.T) {
 		t.Fatal("truncated-trace recovery produced no layers at all")
 	}
 }
+
+// Featurize converts one CUPTI sample into the attack's feature vector:
+// log-compressed counters (their magnitudes span decades between starved and
+// idle windows) plus the traffic-mix ratios that expose the context-switch
+// refetch fraction — the component of the spy's traffic that fingerprints
+// the concurrently running victim op.
+func Featurize(s cupti.Sample) []float64 {
+	v := make([]float64, 0, FeatureDim)
+	return featurizeAppend(v, s)
+}

@@ -80,7 +80,7 @@ type Recovery struct {
 // vote across iterations, infer hyper-parameters, collapse, derive layers
 // and apply syntax corrections.
 func (m *Models) Extract(samples []cupti.Sample) (*Recovery, error) {
-	return m.ExtractSegmented(samples, nil)
+	return m.ExtractSegmentedCtx(context.Background(), samples, nil)
 }
 
 // ExtractTrace extracts from a collected trace, honoring its re-anchor
@@ -88,7 +88,7 @@ func (m *Models) Extract(samples []cupti.Sample) (*Recovery, error) {
 // independent segments instead of one contiguous stream. For traces without
 // markers it is identical to Extract(tr.Samples).
 func (m *Models) ExtractTrace(tr *trace.Trace) (*Recovery, error) {
-	return m.ExtractSegmented(tr.Samples, tr.Reanchors)
+	return m.ExtractSegmentedCtx(context.Background(), tr.Samples, tr.Reanchors)
 }
 
 // ExtractTraceCtx is ExtractTrace with cooperative cancellation, the entry a
@@ -99,17 +99,13 @@ func (m *Models) ExtractTraceCtx(ctx context.Context, tr *trace.Trace) (*Recover
 	return m.ExtractSegmentedCtx(ctx, tr.Samples, tr.Reanchors)
 }
 
-// ExtractSegmented is Extract with explicit re-anchor markers (simulated
-// times at which the spy re-established its context after losing it).
-func (m *Models) ExtractSegmented(samples []cupti.Sample, reanchors []gpu.Nanos) (*Recovery, error) {
-	return m.ExtractSegmentedCtx(context.Background(), samples, reanchors)
-}
-
-// ExtractSegmentedCtx is ExtractSegmented with cooperative cancellation:
-// ctx is checked between pipeline stages and between per-iteration model
-// passes (the units of meaningful work), so cancellation latency is one model
-// pass, not one extraction. An uncancelled ctx is byte-identical to
-// ExtractSegmented; a cancelled one returns ctx.Err().
+// ExtractSegmentedCtx is Extract with explicit re-anchor markers (simulated
+// times at which the spy re-established its context after losing it) and
+// cooperative cancellation: ctx is checked between pipeline stages and
+// between per-iteration model passes (the units of meaningful work), so
+// cancellation latency is one model pass, not one extraction. An uncancelled
+// ctx gives the same recovery as context.Background(); a cancelled one
+// returns ctx.Err().
 func (m *Models) ExtractSegmentedCtx(ctx context.Context, samples []cupti.Sample, reanchors []gpu.Nanos) (*Recovery, error) {
 	if len(samples) == 0 {
 		return nil, errors.New("attack: no samples to extract from")
@@ -294,16 +290,8 @@ func (m *Models) arbitrate(net *lstm.Network, forceMajority bool, votes [][]floa
 // ablation studies.
 func CollapseLetters(letters []byte) []CollapsedOp { return collapseOps(letters) }
 
-// Smooth exposes the single-sample-run absorption stage for ablations.
-func Smooth(ops []CollapsedOp) []CollapsedOp { return smoothOps(ops) }
-
 // DeriveLayers exposes the forward-structure parser for ablations.
 func DeriveLayers(ops []CollapsedOp) []RecoveredLayer { return deriveLayers(ops) }
-
-// ApplySyntaxCorrections exposes the §IV-D correction stage for ablations.
-func ApplySyntaxCorrections(layers []RecoveredLayer) []RecoveredLayer {
-	return applySyntaxCorrections(layers)
-}
 
 // EvaluateHP scores the Mhp head of the given kind against a labelled
 // trace's ground truth: at every position carrying the kind's label, does

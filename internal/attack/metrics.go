@@ -5,37 +5,6 @@ import (
 	"leakydnn/internal/trace"
 )
 
-// ClassAccuracy reports per-class and overall accuracy of per-sample integer
-// predictions against ground-truth labels drawn from a trace. The mask, when
-// non-nil, selects the positions that count.
-func ClassAccuracy(pred []int, truth []int, mask []bool) (perClass map[int]float64, overall float64) {
-	perClass = make(map[int]float64)
-	correct := make(map[int]int)
-	total := make(map[int]int)
-	var allCorrect, allTotal int
-	for i := range pred {
-		if i >= len(truth) {
-			break
-		}
-		if mask != nil && !mask[i] {
-			continue
-		}
-		total[truth[i]]++
-		allTotal++
-		if pred[i] == truth[i] {
-			correct[truth[i]]++
-			allCorrect++
-		}
-	}
-	for cls, n := range total {
-		perClass[cls] = float64(correct[cls]) / float64(n)
-	}
-	if allTotal > 0 {
-		overall = float64(allCorrect) / float64(allTotal)
-	}
-	return perClass, overall
-}
-
 // LetterTruth extracts the per-sample ground-truth letters ('N' for NOP) of
 // the labels in [r.Start, r.End).
 func LetterTruth(labels []trace.Label, r Range) []byte {
@@ -158,14 +127,4 @@ func GapAccuracy(isNOP []bool, labels []trace.Label) (nopAcc, busyAcc float64, n
 		busyAcc = float64(busyCorrect) / float64(busyN)
 	}
 	return nopAcc, busyAcc, nopN, busyN
-}
-
-// TruthLongClasses extracts per-sample Mlong ground-truth classes for the
-// range.
-func TruthLongClasses(labels []trace.Label, r Range) []int {
-	out := make([]int, 0, r.End-r.Start)
-	for i := r.Start; i < r.End && i < len(labels); i++ {
-		out = append(out, int(labels[i].Long))
-	}
-	return out
 }

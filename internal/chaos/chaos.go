@@ -202,9 +202,6 @@ func NewInjector(plan Plan, fallbackSeed int64) (*Injector, error) {
 // Stats returns the accounting so far.
 func (in *Injector) Stats() Stats { return in.stats }
 
-// Plan returns the validated, default-filled plan.
-func (in *Injector) Plan() Plan { return in.plan }
-
 // ArmChannel simulates arming one spy channel. It draws one attempt, then up
 // to maxRetries retries, and reports how many retries were consumed and
 // whether the channel finally armed. mandatory channels retry harder (the spy

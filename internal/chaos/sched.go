@@ -231,9 +231,6 @@ func NewSchedInjector(plan SchedPlan, fallbackSeed int64) (*SchedInjector, error
 	return &SchedInjector{plan: plan, rng: rand.New(rand.NewSource(seed))}, nil
 }
 
-// Plan returns the validated plan.
-func (si *SchedInjector) Plan() SchedPlan { return si.plan }
-
 // Stats returns the accounting so far.
 func (si *SchedInjector) Stats() SchedStats { return si.stats }
 

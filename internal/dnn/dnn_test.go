@@ -342,3 +342,14 @@ func TestOpKindStringsAndPredicates(t *testing.T) {
 		t.Fatal("Letter mapping wrong for grads")
 	}
 }
+
+// IsBackward reports whether the op belongs to the back-propagation pass.
+func (k OpKind) IsBackward() bool {
+	switch k {
+	case OpConv2DBackpropFilter, OpConv2DBackpropInput, OpMatMulGradWeights,
+		OpMatMulGradInput, OpBiasAddGrad, OpReLUGrad, OpTanhGrad,
+		OpSigmoidGrad, OpMaxPoolGrad, OpResidualAddGrad:
+		return true
+	}
+	return false
+}

@@ -147,17 +147,6 @@ func (k OpKind) Letter() byte {
 	return '?'
 }
 
-// IsBackward reports whether the op belongs to the back-propagation pass.
-func (k OpKind) IsBackward() bool {
-	switch k {
-	case OpConv2DBackpropFilter, OpConv2DBackpropInput, OpMatMulGradWeights,
-		OpMatMulGradInput, OpBiasAddGrad, OpReLUGrad, OpTanhGrad,
-		OpSigmoidGrad, OpMaxPoolGrad, OpResidualAddGrad:
-		return true
-	}
-	return false
-}
-
 // IsOptimizer reports whether the op is a weight-update op.
 func (k OpKind) IsOptimizer() bool {
 	switch k {

@@ -454,3 +454,13 @@ func TestStudyRNN(t *testing.T) {
 		t.Errorf("expected the unrolled cell to masquerade as multiple FC layers, got %d", res.RecoveredFC)
 	}
 }
+
+// Row returns the named row, if present.
+func (r *Table2Result) Row(name string) (Table2Row, bool) {
+	for _, row := range r.Rows {
+		if row.Victim == name {
+			return row, true
+		}
+	}
+	return Table2Row{}, false
+}

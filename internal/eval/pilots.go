@@ -220,16 +220,6 @@ func Table2(sc Scale, samplesPerCell int) (*Table2Result, error) {
 	return &Table2Result{Rows: rows}, nil
 }
 
-// Row returns the named row, if present.
-func (r *Table2Result) Row(name string) (Table2Row, bool) {
-	for _, row := range r.Rows {
-		if row.Victim == name {
-			return row, true
-		}
-	}
-	return Table2Row{}, false
-}
-
 // Render prints the table in the paper's layout.
 func (r *Table2Result) Render() string {
 	var b strings.Builder

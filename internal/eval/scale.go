@@ -166,14 +166,7 @@ func (sc Scale) AttackConfig() attack.Config {
 // model order. Each co-run owns an independent engine seeded from
 // (Seed, stream, i), so the fan-out is deterministic for any worker count.
 func (sc Scale) CollectTraces(models []dnn.Model, stream SeedStream) ([]*trace.Trace, error) {
-	return sc.CollectTracesCtx(context.Background(), models, stream)
-}
-
-// CollectTracesCtx is CollectTraces with cooperative cancellation: a cancelled
-// ctx stops scheduling further co-runs and returns ctx.Err() instead of a
-// partial trace set. An uncancelled ctx is byte-identical to CollectTraces.
-func (sc Scale) CollectTracesCtx(ctx context.Context, models []dnn.Model, stream SeedStream) ([]*trace.Trace, error) {
-	return par.MapCtx(ctx, sc.Workers, len(models), func(i int) (*trace.Trace, error) {
+	return par.Map(sc.Workers, len(models), func(i int) (*trace.Trace, error) {
 		tr, err := trace.Collect(models[i], sc.RunConfig(sc.StreamSeed(stream, i), true))
 		if err != nil {
 			return nil, fmt.Errorf("eval: collect %s: %w", models[i].Name, err)

@@ -122,9 +122,6 @@ type Config struct {
 	// A device that exhausts every retry is quarantined with its cause, and
 	// the fleet delivers the survivors (partial results, never an abort).
 	Retries int
-	// RetryBackoff is the base host-side delay before a retry, doubling per
-	// attempt and capped at 8x. Zero retries immediately (tests).
-	RetryBackoff time.Duration
 	// Watchdog is the wall-clock deadline per device attempt: an attempt
 	// that exceeds it is abandoned and counted as "watchdog-timeout",
 	// triggering the retry path. Zero disables the watchdog.
@@ -366,22 +363,15 @@ var errWatchdog = errors.New("fleet: device attempt exceeded watchdog deadline")
 
 // superviseDevice runs one device under the supervisor policy: attempt 0 on
 // the device's own seed, each retry k on the fresh DeriveSeed(seed,
-// StreamFleetRetry, k) stream after a capped-exponential backoff, every
-// attempt bounded by the watchdog. Fault injection comes from the campaign's
-// FleetPlan per (device, attempt), so the same attempt always faults — or
-// doesn't — identically. A device that exhausts every attempt is returned
+// StreamFleetRetry, k) stream with no backoff, every attempt bounded by the
+// watchdog. Fault injection comes from the campaign's FleetPlan per
+// (device, attempt), so the same attempt always faults — or doesn't —
+// identically. A device that exhausts every attempt is returned
 // quarantined with its last cause; it is a result, not an error.
 func superviseDevice(cfg Config, spec DeviceSpec, pool *par.Pool, share *modelShare) DeviceResult {
 	maxAttempts := cfg.Retries + 1
 	var lastCause, lastErr string
 	for attempt := 0; attempt < maxAttempts; attempt++ {
-		if attempt > 0 && cfg.RetryBackoff > 0 {
-			delay := cfg.RetryBackoff << (attempt - 1)
-			if max := 8 * cfg.RetryBackoff; delay > max {
-				delay = max
-			}
-			time.Sleep(delay)
-		}
 		aspec := spec
 		if attempt > 0 {
 			aspec.Scale.Seed = eval.DeriveSeed(spec.Scale.Seed, eval.StreamFleetRetry, int64(attempt))

@@ -238,3 +238,19 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		t.Fatal("garbage accepted")
 	}
 }
+
+// Transform returns the scaled copy of x.
+func (s *MinMaxScaler) Transform(x []float64) []float64 {
+	out := append([]float64(nil), x...)
+	s.TransformInPlace(out)
+	return out
+}
+
+// TransformAll maps Transform over every row.
+func (s *MinMaxScaler) TransformAll(x [][]float64) [][]float64 {
+	out := make([][]float64, len(x))
+	for i, row := range x {
+		out[i] = s.Transform(row)
+	}
+	return out
+}

@@ -41,30 +41,9 @@ func FitScaler(x [][]float64) (*MinMaxScaler, error) {
 	return s, nil
 }
 
-// Transform returns the scaled copy of x; values beyond the fitted range are
-// clamped to [0, 1].
-func (s *MinMaxScaler) Transform(x []float64) []float64 {
-	out := make([]float64, len(x))
-	for j, v := range x {
-		span := s.Max[j] - s.Min[j]
-		if span <= 0 {
-			continue
-		}
-		u := (v - s.Min[j]) / span
-		switch {
-		case math.IsNaN(u), u < 0:
-			u = 0
-		case u > 1:
-			u = 1
-		}
-		out[j] = u
-	}
-	return out
-}
-
-// TransformInPlace scales x like Transform but writes the result back into
-// x, for callers that build feature rows in bulk and don't need the raw
-// vector afterwards.
+// TransformInPlace scales x in place by the fitted range; values beyond it
+// are clamped to [0, 1]. Callers build feature rows in bulk and don't need
+// the raw vector afterwards.
 func (s *MinMaxScaler) TransformInPlace(x []float64) {
 	for j, v := range x {
 		span := s.Max[j] - s.Min[j]
@@ -81,13 +60,4 @@ func (s *MinMaxScaler) TransformInPlace(x []float64) {
 		}
 		x[j] = u
 	}
-}
-
-// TransformAll maps Transform over every row.
-func (s *MinMaxScaler) TransformAll(x [][]float64) [][]float64 {
-	out := make([][]float64, len(x))
-	for i, row := range x {
-		out[i] = s.Transform(row)
-	}
-	return out
 }

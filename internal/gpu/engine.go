@@ -362,10 +362,6 @@ func (e *Engine) rngFor(ctx ContextID) *rand.Rand {
 // Now returns the current simulated time.
 func (e *Engine) Now() Nanos { return e.now }
 
-// BusyTime returns the accumulated execution (not wall-clock) time granted
-// to ctx so far.
-func (e *Engine) BusyTime(ctx ContextID) Nanos { return e.busy[ctx] }
-
 // Run advances the simulation until the given time, or until every channel
 // retires, whichever comes first.
 func (e *Engine) Run(until Nanos) {

@@ -483,3 +483,7 @@ func TestEngineStopsAtHorizon(t *testing.T) {
 		t.Fatalf("Now = %v, want ~25ms", eng.Now())
 	}
 }
+
+// BusyTime returns the accumulated execution (not wall-clock) time granted
+// to ctx so far.
+func (e *Engine) BusyTime(ctx ContextID) Nanos { return e.busy[ctx] }

@@ -277,9 +277,6 @@ func (j *Journal) Records() []Record { return j.loaded }
 // Stats returns what Open found.
 func (j *Journal) Stats() Stats { return j.stats }
 
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
-
 // Close syncs and closes the file. Further Appends fail.
 func (j *Journal) Close() error {
 	j.mu.Lock()

@@ -410,3 +410,18 @@ func TestFP32TrainDeterministicAndLearns(t *testing.T) {
 		t.Fatalf("FP32 training failed to learn the temporal task: accuracy %v", acc)
 	}
 }
+
+// PredictProbsBatch returns PredictProbs for every input sequence, running
+// the forward pass across up to 32 of them at a time. The forward pass has
+// no cross-sequence reductions, so the result is bit-identical to
+// per-sequence PredictProbs calls: this is a pure throughput API, safe for
+// concurrent use like PredictProbs.
+func (n *Network) PredictProbsBatch(inputs [][][]float64) ([][][]float64, error) {
+	out := make([][][]float64, len(inputs))
+	if err := n.forwardBatch(inputs, func(i int, e *engine[float64], s int) {
+		out[i] = e.probs(s, len(inputs[i]))
+	}); err != nil {
+		return nil, err
+	}
+	return out, nil
+}

@@ -91,8 +91,8 @@ func (p params[F]) tensors() [5][]F {
 // weights is the parameter view an engine reads. The forward GEMMs read the
 // transposed copies wxT (In×4H), whT (H×4H) and wyT (H×C): x·Wᵀ over the
 // master layout is GemmInto over the transpose, the same per-cell product
-// sequence as GemmTB, but on the kernel that streams the weight matrix once
-// and vectorizes over output columns. wh, wy, b and by keep the master
+// sequence as a row-by-row dot product, but on the kernel that streams the
+// weight matrix once and vectorizes over output columns. wh, wy, b and by keep the master
 // layout for the backward GEMMs and the bias adds. At float64 they are the
 // masters themselves; at float32 they are converted shadows.
 type weights[F mat.Float] struct {
@@ -279,20 +279,6 @@ func (e *engine[F]) labels(out []int, s int) {
 	for t := range out {
 		out[t] = e.k.argmax(e.steps[t].probs[s*c : (s+1)*c])
 	}
-}
-
-// probs copies slot s's first T timesteps of probabilities into fresh rows
-// that share one backing array.
-func (e *engine[F]) probs(s, T int) [][]F {
-	c := e.classes
-	out := make([][]F, T)
-	backing := make([]F, T*c)
-	for t := range out {
-		row := backing[t*c : (t+1)*c : (t+1)*c]
-		copy(row, e.steps[t].probs[s*c:(s+1)*c])
-		out[t] = row
-	}
-	return out
 }
 
 // trainer adds the backward pass to an engine for one Train call.

@@ -201,10 +201,10 @@ func New(cfg Config) (*Network, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	h, in, c := cfg.Hidden, cfg.InputDim, cfg.Classes
 	p := params[float64]{
-		wx: mat.Randn(4*h, in, 1/math.Sqrt(float64(in)), rng).Data,
-		wh: mat.Randn(4*h, h, 1/math.Sqrt(float64(h)), rng).Data,
+		wx: mat.Randn(4*h, in, 1/math.Sqrt(float64(in)), rng),
+		wh: mat.Randn(4*h, h, 1/math.Sqrt(float64(h)), rng),
 		b:  make([]float64, 4*h),
-		wy: mat.Randn(c, h, 1/math.Sqrt(float64(h)), rng).Data,
+		wy: mat.Randn(c, h, 1/math.Sqrt(float64(h)), rng),
 		by: make([]float64, c),
 	}
 	// Positive forget-gate bias: the standard trick for remembering long
@@ -221,9 +221,6 @@ func newNetwork(cfg Config, rng *rand.Rand, p params[float64], epochs int64) *Ne
 	return n
 }
 
-// Config returns the network's configuration.
-func (n *Network) Config() Config { return n.cfg }
-
 // predictBatchWidth bounds how many sequences one batched forward pass
 // carries; it caps an inference engine's memory at roughly 32 × (maxLen × C
 // + 14H) floats while keeping the GEMMs wide.
@@ -239,22 +236,10 @@ func (n *Network) engine(width int) *engine[float64] {
 	return newEngine(n, &kernels64, n.w, width)
 }
 
-// PredictProbs returns per-timestep class probabilities for the sequence,
-// copied out of the pooled engine; Predict skips that copy.
-func (n *Network) PredictProbs(inputs [][]float64) ([][]float64, error) {
-	var out [][]float64
-	if err := n.forwardBatch([][][]float64{inputs}, func(_ int, e *engine[float64], s int) {
-		out = e.probs(s, len(inputs))
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // Predict returns per-timestep argmax class predictions, taken straight
 // from the pooled engine: the result is the only allocation of a
-// steady-state call, and each label is the argmax of the matching
-// PredictProbs row.
+// steady-state call, and each label is the argmax of that timestep's class
+// probabilities.
 func (n *Network) Predict(inputs [][]float64) ([]int, error) {
 	var out []int
 	if err := n.forwardBatch([][][]float64{inputs}, func(_ int, e *engine[float64], s int) {
@@ -303,23 +288,10 @@ func (n *Network) forwardBatch(inputs [][][]float64, emit func(i int, e *engine[
 	return nil
 }
 
-// PredictProbsBatch returns PredictProbs for every input sequence, running
-// the forward pass across up to 32 of them at a time. The forward pass has
-// no cross-sequence reductions, so the result is bit-identical to
-// per-sequence PredictProbs calls: this is a pure throughput API, safe for
-// concurrent use like PredictProbs.
-func (n *Network) PredictProbsBatch(inputs [][][]float64) ([][][]float64, error) {
-	out := make([][][]float64, len(inputs))
-	if err := n.forwardBatch(inputs, func(i int, e *engine[float64], s int) {
-		out[i] = e.probs(s, len(inputs[i]))
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// PredictBatch is PredictProbsBatch reduced to per-timestep argmax labels,
-// bit-identical to per-sequence Predict calls.
+// PredictBatch returns Predict for every input sequence, running the
+// forward pass across up to 32 of them at a time. The forward pass has no
+// cross-sequence reductions, so the result is bit-identical to per-sequence
+// Predict calls: this is a pure throughput API, safe for concurrent use.
 func (n *Network) PredictBatch(inputs [][][]float64) ([][]int, error) {
 	out := make([][]int, len(inputs))
 	if err := n.forwardBatch(inputs, func(i int, e *engine[float64], s int) {

@@ -381,3 +381,29 @@ func TestTrainingStableOnOutliers(t *testing.T) {
 		}
 	}
 }
+
+// PredictProbs returns per-timestep class probabilities for the sequence,
+// copied out of the pooled engine; Predict skips that copy.
+func (n *Network) PredictProbs(inputs [][]float64) ([][]float64, error) {
+	var out [][]float64
+	if err := n.forwardBatch([][][]float64{inputs}, func(_ int, e *engine[float64], s int) {
+		out = e.probs(s, len(inputs))
+	}); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// probs copies slot s's first T timesteps of probabilities into fresh rows
+// that share one backing array.
+func (e *engine[F]) probs(s, T int) [][]F {
+	c := e.classes
+	out := make([][]F, T)
+	backing := make([]F, T*c)
+	for t := range out {
+		row := backing[t*c : (t+1)*c : (t+1)*c]
+		copy(row, e.steps[t].probs[s*c:(s+1)*c])
+		out[t] = row
+	}
+	return out
+}

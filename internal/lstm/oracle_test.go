@@ -9,7 +9,9 @@ import (
 // This file keeps the textbook per-sequence LSTM as a test oracle: gemv
 // forward and BPTT backward over one sequence at a time, straight from the
 // equations. The engine must reproduce it bit for bit at Batch=1, for
-// training and for every prediction entry point.
+// training and for every prediction entry point. The oracle owns its
+// vector kernels (gemv, gemvT, addOuter, addVec below) so that its operation
+// order is fixed here, independent of the engine's GEMMs.
 
 // oracleStep holds one timestep's forward intermediates.
 type oracleStep struct {
@@ -23,10 +25,7 @@ type oracleStep struct {
 // oracleForward runs the network over one sequence and returns the
 // per-step intermediates.
 func oracleForward(n *Network, inputs [][]float64) []*oracleStep {
-	h, in, c := n.cfg.Hidden, n.cfg.InputDim, n.cfg.Classes
-	wx := mat.FromSlice(4*h, in, n.p.wx)
-	wh := mat.FromSlice(4*h, h, n.p.wh)
-	wy := mat.FromSlice(c, h, n.p.wy)
+	h, c := n.cfg.Hidden, n.cfg.Classes
 	zero := make([]float64, h)
 	hPrev, cPrev := zero, zero
 	z := make([]float64, 4*h)
@@ -40,9 +39,9 @@ func oracleForward(n *Network, inputs [][]float64) []*oracleStep {
 			c: make([]float64, h), h: make([]float64, h), tanhC: make([]float64, h),
 			probs: make([]float64, c),
 		}
-		mat.MulVecInto(z, wx, x)
-		mat.MulVecAccum(z, wh, hPrev)
-		mat.AddVec(z, n.p.b)
+		gemv(z, n.p.wx, x, false)
+		gemv(z, n.p.wh, hPrev, true)
+		addVec(z, n.p.b)
 		for j := 0; j < h; j++ {
 			sc.i[j] = mat.Sigmoid(z[j])
 			sc.f[j] = mat.Sigmoid(z[h+j])
@@ -52,8 +51,8 @@ func oracleForward(n *Network, inputs [][]float64) []*oracleStep {
 			sc.tanhC[j] = math.Tanh(sc.c[j])
 			sc.h[j] = sc.o[j] * sc.tanhC[j]
 		}
-		mat.MulVecInto(logits, wy, sc.h)
-		mat.AddVec(logits, n.p.by)
+		gemv(logits, n.p.wy, sc.h, false)
+		addVec(logits, n.p.by)
 		mat.SoftmaxInto(sc.probs, logits)
 		steps[t] = sc
 		hPrev, cPrev = sc.h, sc.c
@@ -66,12 +65,7 @@ func oracleForward(n *Network, inputs [][]float64) []*oracleStep {
 // predictions.
 func oracleBackward(n *Network, seq Sequence, g params[float64]) (loss float64, counted, correct int) {
 	caches := oracleForward(n, seq.Inputs)
-	h, in, c := n.cfg.Hidden, n.cfg.InputDim, n.cfg.Classes
-	wh := mat.FromSlice(4*h, h, n.p.wh)
-	wy := mat.FromSlice(c, h, n.p.wy)
-	gwx := mat.FromSlice(4*h, in, g.wx)
-	gwh := mat.FromSlice(4*h, h, g.wh)
-	gwy := mat.FromSlice(c, h, g.wy)
+	h, c := n.cfg.Hidden, n.cfg.Classes
 
 	dh, dc, hTmp := make([]float64, h), make([]float64, h), make([]float64, h)
 	dhNext, dcNext := make([]float64, h), make([]float64, h)
@@ -99,12 +93,14 @@ func oracleBackward(n *Network, seq Sequence, g params[float64]) (loss float64, 
 
 			copy(dLogits, sc.probs)
 			dLogits[label] -= 1
-			mat.ScaleVec(dLogits, w)
+			for j := range dLogits {
+				dLogits[j] *= w
+			}
 
-			gwy.AddOuter(dLogits, sc.h)
-			mat.AddVec(g.by, dLogits)
-			mat.MulVecTInto(hTmp, wy, dLogits)
-			mat.AddVec(dh, hTmp)
+			addOuter(g.wy, dLogits, sc.h)
+			addVec(g.by, dLogits)
+			gemvT(hTmp, n.p.wy, dLogits)
+			addVec(dh, hTmp)
 		}
 
 		// Through h = o * tanh(c); the output-gate delta lands directly in
@@ -123,10 +119,10 @@ func oracleBackward(n *Network, seq Sequence, g params[float64]) (loss float64, 
 			dcNext[j] = dc[j] * sc.f[j]
 		}
 
-		gwx.AddOuter(dz, sc.x)
-		gwh.AddOuter(dz, sc.hPrev)
-		mat.AddVec(g.b, dz)
-		mat.MulVecTInto(dhNext, wh, dz)
+		addOuter(g.wx, dz, sc.x)
+		addOuter(g.wh, dz, sc.hPrev)
+		addVec(g.b, dz)
+		gemvT(dhNext, n.p.wh, dz)
 	}
 	return loss, counted, correct
 }
@@ -139,4 +135,65 @@ func oraclePredictProbs(n *Network, inputs [][]float64) [][]float64 {
 		out[t] = sc.probs
 	}
 	return out
+}
+
+// gemv computes dst = a·x, or dst += a·x when accum is set, for a row-major
+// a with len(dst) rows and len(x) columns. Each row sums its products in
+// column order before it touches dst.
+func gemv(dst, a, x []float64, accum bool) {
+	if len(a) != len(dst)*len(x) {
+		panic("oracle: gemv shape mismatch")
+	}
+	for i := range dst {
+		var sum float64
+		for j, v := range a[i*len(x) : (i+1)*len(x)] {
+			sum += v * x[j]
+		}
+		if accum {
+			dst[i] += sum
+		} else {
+			dst[i] = sum
+		}
+	}
+}
+
+// gemvT computes dst = aᵀ·x for a row-major a with len(x) rows and len(dst)
+// columns, adding the rows into dst in ascending order. A zero x entry still
+// multiplies through, so a non-finite weight propagates.
+func gemvT(dst, a, x []float64) {
+	if len(a) != len(x)*len(dst) {
+		panic("oracle: gemvT shape mismatch")
+	}
+	for j := range dst {
+		dst[j] = 0
+	}
+	for i, xv := range x {
+		for j, v := range a[i*len(dst) : (i+1)*len(dst)] {
+			dst[j] += v * xv
+		}
+	}
+}
+
+// addOuter accumulates the outer product x·yᵀ into the row-major
+// len(x)×len(y) buffer m.
+func addOuter(m, x, y []float64) {
+	if len(m) != len(x)*len(y) {
+		panic("oracle: addOuter shape mismatch")
+	}
+	for i, xv := range x {
+		row := m[i*len(y) : (i+1)*len(y)]
+		for j, yv := range y {
+			row[j] += xv * yv
+		}
+	}
+}
+
+// addVec computes dst += src element-wise.
+func addVec(dst, src []float64) {
+	if len(dst) != len(src) {
+		panic("oracle: addVec length mismatch")
+	}
+	for i, v := range src {
+		dst[i] += v
+	}
 }

@@ -40,11 +40,10 @@ func transpose(a []float64, rows, cols int) []float64 {
 	return out
 }
 
-// The three kernels must agree with the naive product on awkward shapes
-// (unroll remainders, k spanning multiple panels) to within rounding; cells
-// are individually order-compatible so GemmInto and GemmTAAccum are exact,
-// GemmTB is exact too (register vs memory accumulation of the same sequence
-// of IEEE operations is identical).
+// Both kernels must agree with the naive product on awkward shapes (unroll
+// remainders, k spanning multiple panels). Cells are individually
+// order-compatible, so the agreement is exact: register and memory
+// accumulation of the same sequence of IEEE operations are identical.
 func TestGemmMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	shapes := []struct{ m, k, n int }{
@@ -60,15 +59,6 @@ func TestGemmMatchesNaive(t *testing.T) {
 		for i := range want {
 			if dst[i] != want[i] {
 				t.Fatalf("GemmInto %dx%dx%d: cell %d = %v, want %v", sh.m, sh.k, sh.n, i, dst[i], want[i])
-			}
-		}
-
-		bt := transpose(b, sh.k, sh.n) // n×k
-		dst2 := randSlice(sh.m*sh.n, rng)
-		GemmTB(dst2, a, bt, sh.m, sh.k, sh.n, 1)
-		for i := range want {
-			if dst2[i] != want[i] {
-				t.Fatalf("GemmTB %dx%dx%d: cell %d = %v, want %v", sh.m, sh.k, sh.n, i, dst2[i], want[i])
 			}
 		}
 
@@ -96,46 +86,44 @@ func TestGemmMatchesNaive(t *testing.T) {
 	}
 }
 
-// m=1 GemmTB is the batched forward's replacement for MulVecInto, p=1
-// GemmTAAccum replaces AddOuter, and single-row GemmInto replaces
-// MulVecTInto — each must be bit-identical, or Batch=1 training drifts from
-// the golden hashes.
+// The per-sequence LSTM oracle runs row-order gemv and outer-product
+// kernels; the engine replaces them with single-row GemmInto and p=1
+// GemmTAAccum. Each must be bit-identical to the reference loop, or Batch=1
+// training drifts from the golden hashes.
 func TestGemmBitIdenticalToGemvKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	const k, n = 37, 23
 
-	w := FromSlice(n, k, randSlice(n*k, rng)) // weight-style matrix
+	// dst = xᵀ·W, rows of W added in ascending order into a zeroed dst.
+	w := randSlice(k*n, rng)
 	x := randSlice(k, rng)
-
-	want := MulVec(w, x)
-	got := make([]float64, n)
-	GemmTB(got, x, w.Data, 1, k, n, 1)
+	want := make([]float64, n)
+	for p, xv := range x {
+		for j := range want {
+			want[j] += w[p*n+j] * xv
+		}
+	}
+	got := randSlice(n, rng) // stale content must be overwritten
+	GemmInto(got, x, w, 1, k, n, 1)
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("GemmTB m=1 cell %d = %b, MulVec gives %b", i, got[i], want[i])
+			t.Fatalf("GemmInto m=1 cell %d = %b, row-order gemv gives %b", i, got[i], want[i])
 		}
 	}
 
-	wv := FromSlice(k, n, randSlice(k*n, rng))
-	xv := randSlice(k, rng)
-	wantT := make([]float64, n)
-	MulVecTInto(wantT, wv, xv)
-	gotT := make([]float64, n)
-	GemmInto(gotT, xv, wv.Data, 1, k, n, 1)
-	for i := range wantT {
-		if gotT[i] != wantT[i] {
-			t.Fatalf("GemmInto m=1 cell %d = %b, MulVecTInto gives %b", i, gotT[i], wantT[i])
-		}
-	}
-
+	// m += u·vᵀ, one product per cell.
 	u, v := randSlice(n, rng), randSlice(k, rng)
-	mref := FromSlice(n, k, randSlice(n*k, rng))
-	mgot := mref.Clone()
-	mref.AddOuter(u, v)
-	GemmTAAccum(mgot.Data, u, v, 1, n, k, 1)
-	for i := range mref.Data {
-		if mgot.Data[i] != mref.Data[i] {
-			t.Fatalf("GemmTAAccum p=1 cell %d = %b, AddOuter gives %b", i, mgot.Data[i], mref.Data[i])
+	ref := randSlice(n*k, rng)
+	acc := append([]float64(nil), ref...)
+	for i, uv := range u {
+		for j, vv := range v {
+			ref[i*k+j] += uv * vv
+		}
+	}
+	GemmTAAccum(acc, u, v, 1, n, k, 1)
+	for i := range ref {
+		if acc[i] != ref[i] {
+			t.Fatalf("GemmTAAccum p=1 cell %d = %b, outer product gives %b", i, acc[i], ref[i])
 		}
 	}
 }
@@ -148,13 +136,10 @@ func TestGemmWorkerDeterminism(t *testing.T) {
 	const m, k, n = 64, 48, 64 // 196k mul-adds > gemmParallelMin
 	a := randSlice(m*k, rng)
 	b := randSlice(k*n, rng)
-	bt := transpose(b, k, n)
 	c := randSlice(m*n, rng) // m rows, for the aᵀ·c rank-m update
 
 	refInto := make([]float64, m*n)
 	GemmInto(refInto, a, b, m, k, n, 1)
-	refTB := make([]float64, m*n)
-	GemmTB(refTB, a, bt, m, k, n, 1)
 	refTA := make([]float64, k*n)
 	GemmTAAccum(refTA, a, c, m, k, n, 1)
 
@@ -164,13 +149,6 @@ func TestGemmWorkerDeterminism(t *testing.T) {
 		for i := range refInto {
 			if got[i] != refInto[i] {
 				t.Fatalf("GemmInto workers=%d cell %d differs", workers, i)
-			}
-		}
-		got2 := make([]float64, m*n)
-		GemmTB(got2, a, bt, m, k, n, workers)
-		for i := range refTB {
-			if got2[i] != refTB[i] {
-				t.Fatalf("GemmTB workers=%d cell %d differs", workers, i)
 			}
 		}
 		got3 := make([]float64, k*n)
@@ -184,49 +162,27 @@ func TestGemmWorkerDeterminism(t *testing.T) {
 }
 
 // The package non-finite policy: a NaN/Inf operand propagates even when its
-// partner entry is zero. Before this policy the zero-skip fast paths in
-// Mul, MulVecTInto and AddOuter silently produced finite garbage.
+// partner entry is zero; a zero-skip fast path would silently produce
+// finite garbage.
 func TestNonFinitePropagation(t *testing.T) {
 	inf := math.Inf(1)
 
-	// Mul: a has a zero exactly where b carries Inf.
-	a := FromSlice(1, 2, []float64{0, 1})
-	b := FromSlice(2, 2, []float64{inf, 2, 3, 4})
-	out := Mul(a, b)
-	if !math.IsNaN(out.At(0, 0)) {
-		t.Errorf("Mul swallowed 0*Inf: got %v, want NaN", out.At(0, 0))
-	}
-
-	// MulVecTInto: x zero against a non-finite matrix row.
-	av := FromSlice(2, 2, []float64{inf, inf, 1, 1})
-	dst := make([]float64, 2)
-	MulVecTInto(dst, av, []float64{0, 1})
-	if !math.IsNaN(dst[0]) {
-		t.Errorf("MulVecTInto swallowed 0*Inf: got %v, want NaN", dst[0])
-	}
-
-	// AddOuter: zero x entry against Inf y entry.
-	m := New(2, 2)
-	m.AddOuter([]float64{0, 1}, []float64{inf, 1})
-	if !math.IsNaN(m.At(0, 0)) {
-		t.Errorf("AddOuter swallowed 0*Inf: got %v, want NaN", m.At(0, 0))
-	}
-
-	// The batched kernels must implement the same policy.
+	// a has a zero exactly where b carries Inf.
 	dg := make([]float64, 2)
 	GemmInto(dg, []float64{0, 1}, []float64{inf, 2, 3, 4}, 1, 2, 2, 1)
 	if !math.IsNaN(dg[0]) {
 		t.Errorf("GemmInto swallowed 0*Inf: got %v, want NaN", dg[0])
 	}
-	dtb := make([]float64, 2)
-	GemmTB(dtb, []float64{0, 1}, []float64{inf, 2, 3, 4}, 1, 2, 2, 1)
-	if !math.IsNaN(dtb[0]) {
-		t.Errorf("GemmTB swallowed 0*Inf: got %v, want NaN", dtb[0])
-	}
 	dta := make([]float64, 4)
 	GemmTAAccum(dta, []float64{0, 1}, []float64{inf, 2}, 1, 2, 2, 1)
 	if !math.IsNaN(dta[0]) {
 		t.Errorf("GemmTAAccum swallowed 0*Inf: got %v, want NaN", dta[0])
+	}
+	nan := math.NaN()
+	dn := make([]float64, 2)
+	GemmInto(dn, []float64{nan, 0}, []float64{0, 0, 1, 1}, 1, 2, 2, 1)
+	if !math.IsNaN(dn[0]) || !math.IsNaN(dn[1]) {
+		t.Errorf("GemmInto swallowed NaN*0: got %v, want NaN", dn)
 	}
 
 	// NaN input propagates through the float32 activations.
@@ -236,6 +192,124 @@ func TestNonFinitePropagation(t *testing.T) {
 	}
 	if v := Tanh32(nan32); v == v {
 		t.Errorf("Tanh32(NaN) = %v, want NaN", v)
+	}
+}
+
+// Known answers: a 2×3 by 3×2 product by hand.
+func TestMul(t *testing.T) {
+	dst := make([]float64, 4)
+	GemmInto(dst, []float64{1, 2, 3, 4, 5, 6}, []float64{7, 8, 9, 10, 11, 12}, 2, 3, 2, 1)
+	for i, v := range []float64{58, 64, 139, 154} {
+		if dst[i] != v {
+			t.Fatalf("GemmInto cell %d = %v, want %v", i, dst[i], v)
+		}
+	}
+}
+
+// Operand buffers whose sizes disagree with the stated dimensions must
+// panic rather than read past a row.
+func TestMulShapeMismatchPanics(t *testing.T) {
+	for name, fn := range map[string]func(){
+		"GemmInto a":    func() { GemmInto(make([]float64, 4), make([]float64, 5), make([]float64, 6), 2, 3, 2, 1) },
+		"GemmInto b":    func() { GemmInto(make([]float64, 4), make([]float64, 6), make([]float64, 4), 2, 3, 2, 1) },
+		"GemmTAAccum a": func() { GemmTAAccum(make([]float64, 4), make([]float64, 4), make([]float64, 6), 3, 2, 2, 1) },
+		"GemmTAAccum b": func() { GemmTAAccum(make([]float64, 4), make([]float64, 6), make([]float64, 4), 3, 2, 2, 1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: size mismatch not rejected", name)
+				}
+			}()
+			fn()
+		}()
+	}
+}
+
+// Known answers for a matrix-vector product: x·Aᵀ with GemmInto at m=1.
+func TestMulVec(t *testing.T) {
+	at := []float64{1, 2, 0, 2, -1, 2} // Aᵀ of A = [[1 0 -1] [2 2 2]]
+	got := make([]float64, 2)
+	GemmInto(got, []float64{3, 4, 5}, at, 1, 3, 2, 1)
+	for i, v := range []float64{-2, 24} {
+		if got[i] != v {
+			t.Fatalf("cell %d = %v, want %v", i, got[i], v)
+		}
+	}
+}
+
+// Known answers for a transposed matrix-vector product: Aᵀ·x with
+// GemmTAAccum at n=1.
+func TestMulVecT(t *testing.T) {
+	got := make([]float64, 3)
+	GemmTAAccum(got, []float64{1, 2, 3, 4, 5, 6}, []float64{1, 1}, 2, 3, 1, 1)
+	for i, v := range []float64{5, 7, 9} {
+		if got[i] != v {
+			t.Fatalf("cell %d = %v, want %v", i, got[i], v)
+		}
+	}
+}
+
+// GemmTAAccum into a zeroed dst must agree with GemmInto over an explicitly
+// transposed operand: both sum each cell in ascending reduction order.
+func TestMulVecTMatchesExplicitTranspose(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	const p, m, n = 6, 4, 5
+	a := randSlice(p*m, rng)
+	b := randSlice(p*n, rng)
+	got := make([]float64, m*n)
+	GemmTAAccum(got, a, b, p, m, n, 1)
+	want := make([]float64, m*n)
+	GemmInto(want, transpose(a, p, m), b, m, p, n, 1)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("cell %d = %v, want %v", i, got[i], want[i])
+		}
+	}
+}
+
+// Known answers for an outer product: GemmTAAccum at p=1.
+func TestAddOuter(t *testing.T) {
+	m := make([]float64, 4)
+	GemmTAAccum(m, []float64{1, 2}, []float64{3, 4}, 1, 2, 2, 1)
+	for i, v := range []float64{3, 4, 6, 8} {
+		if m[i] != v {
+			t.Fatalf("cell %d = %v, want %v", i, m[i], v)
+		}
+	}
+}
+
+// Property: (A B) x == A (B x) for random matrices, to rounding.
+func TestMulAssociativityWithVector(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for trial := 0; trial < 20; trial++ {
+		a := randSlice(3*4, rng)
+		b := randSlice(4*5, rng)
+		x := randSlice(5, rng)
+		ab := make([]float64, 3*5)
+		GemmInto(ab, a, b, 3, 4, 5, 1)
+		left := make([]float64, 3)
+		GemmInto(left, ab, x, 3, 5, 1, 1)
+		bx := make([]float64, 4)
+		GemmInto(bx, b, x, 4, 5, 1, 1)
+		right := make([]float64, 3)
+		GemmInto(right, a, bx, 3, 4, 1, 1)
+		for i := range left {
+			if math.Abs(left[i]-right[i]) > 1e-9 {
+				t.Fatalf("trial %d: (AB)x[%d]=%v != A(Bx)[%d]=%v", trial, i, left[i], i, right[i])
+			}
+		}
+	}
+}
+
+func BenchmarkMul64(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	x := randSlice(64*64, rng)
+	y := randSlice(64*64, rng)
+	dst := make([]float64, 64*64)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		GemmInto(dst, x, y, 64, 64, 64, 1)
 	}
 }
 

@@ -5,64 +5,8 @@ import (
 	"math"
 )
 
-// AddVec computes dst += src element-wise.
-func AddVec(dst, src []float64) {
-	checkVecLen(dst, src, "addvec")
-	for i, v := range src {
-		dst[i] += v
-	}
-}
-
-// SubVec computes dst -= src element-wise.
-func SubVec(dst, src []float64) {
-	checkVecLen(dst, src, "subvec")
-	for i, v := range src {
-		dst[i] -= v
-	}
-}
-
-// HadamardVec computes dst *= src element-wise.
-func HadamardVec(dst, src []float64) {
-	checkVecLen(dst, src, "hadamardvec")
-	for i, v := range src {
-		dst[i] *= v
-	}
-}
-
-// ScaleVec multiplies every element of v by s in place.
-func ScaleVec(v []float64, s float64) {
-	for i := range v {
-		v[i] *= s
-	}
-}
-
-// CloneVec returns a copy of v.
-func CloneVec(v []float64) []float64 {
-	out := make([]float64, len(v))
-	copy(out, v)
-	return out
-}
-
-// Dot returns the inner product of a and b.
-func Dot(a, b []float64) float64 {
-	checkVecLen(a, b, "dot")
-	var sum float64
-	for i, v := range a {
-		sum += v * b[i]
-	}
-	return sum
-}
-
-// Softmax returns the softmax of logits as a fresh slice, computed in a
-// numerically stable way (shift by the max logit).
-func Softmax(logits []float64) []float64 {
-	out := make([]float64, len(logits))
-	SoftmaxInto(out, logits)
-	return out
-}
-
 // SoftmaxInto computes the softmax of logits into dst without allocating,
-// bit-identical to Softmax. dst and logits may alias.
+// numerically stable (shifted by the max logit). dst and logits may alias.
 func SoftmaxInto(dst, logits []float64) {
 	checkVecLen(dst, logits, "softmaxinto")
 	if len(logits) == 0 {

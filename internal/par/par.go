@@ -138,9 +138,6 @@ func NewPool(n int) *Pool {
 	return &Pool{sem: make(chan struct{}, Workers(n))}
 }
 
-// Slots returns the pool's concurrency budget.
-func (p *Pool) Slots() int { return cap(p.sem) }
-
 // MapOn is Map drawing its concurrency from the shared pool p instead of a
 // private worker set, with the same three guarantees: results in index
 // order, the lowest-index error wins, and no new work starts after a failure.

@@ -91,3 +91,6 @@ func TestPoolSlots(t *testing.T) {
 		t.Fatalf("Slots() = %d for default pool, want >= 1", got)
 	}
 }
+
+// Slots returns the pool's concurrency budget.
+func (p *Pool) Slots() int { return cap(p.sem) }

@@ -172,14 +172,6 @@ func (d *Dataset) Batch(b, batchSize, targetSide int) (Batch, error) {
 	return out, nil
 }
 
-// NumBatches returns the number of batches of the given size.
-func (d *Dataset) NumBatches(batchSize int) int {
-	if batchSize <= 0 {
-		return 0
-	}
-	return (d.size + batchSize - 1) / batchSize
-}
-
 // approxSin is a cheap odd-polynomial sine approximation on the wrapped
 // argument; exact trigonometric fidelity is irrelevant for synthetic pixels.
 func approxSin(x float64) float64 {
@@ -195,13 +187,6 @@ func approxSin(x float64) float64 {
 	}
 	// Bhaskara I's approximation on [0, pi].
 	return sign * 16 * x * (pi - x) / (5*pi*pi - 4*x*(pi-x))
-}
-
-func absF(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 func max(a, b int) int {

@@ -180,3 +180,11 @@ func TestApproxSinProperties(t *testing.T) {
 		t.Fatalf("approxSin(pi/2) = %v, want ~1", approxSin(math.Pi/2))
 	}
 }
+
+// NumBatches returns the number of batches of the given size.
+func (d *Dataset) NumBatches(batchSize int) int {
+	if batchSize <= 0 {
+		return 0
+	}
+	return (d.size + batchSize - 1) / batchSize
+}
