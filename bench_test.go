@@ -486,16 +486,12 @@ func BenchmarkWorkbenchWorkers4(b *testing.B) { benchWorkbench(b, 4) }
 func benchTrainModels(b *testing.B, workers int) {
 	sc := benchScale()
 	sc.Workers = workers
-	// Batch=8 with FP32 compute is the batched-GEMM trainer's intended
-	// operating point: the batch is wide enough that the rank-B gradient
-	// updates amortize a whole pass over the weight matrices (the
-	// length-sorted slot prefix keeps padding free), and the float32 fast
-	// path halves kernel memory traffic and swaps math.Exp/Tanh for the
-	// cheaper Cephes polynomials. Both knobs are golden-pinned deterministic
-	// paths (see internal/lstm/golden_test.go); Batch=2 FP64, the pre-GEMM
-	// setting, left most of that on the table.
+	// Batch=8 is the batched-GEMM trainer's intended operating point: the
+	// batch is wide enough that the rank-B gradient updates amortize a whole
+	// pass over the weight matrices (the length-sorted slot prefix keeps
+	// padding free). Batch>1 is a golden-pinned deterministic path (see
+	// internal/lstm/golden_test.go).
 	sc.Attack.Batch = 8
-	sc.Attack.Precision = lstm.PrecisionFP32
 	profiled, err := sc.CollectTraces(sc.Profiled, eval.StreamProfiled)
 	if err != nil {
 		b.Fatal(err)
@@ -516,11 +512,12 @@ func benchTrainModels(b *testing.B, workers int) {
 func BenchmarkTrainModelsWorkers1(b *testing.B) { benchTrainModels(b, 1) }
 func BenchmarkTrainModelsWorkers4(b *testing.B) { benchTrainModels(b, 4) }
 
-// benchBPTT isolates raw LSTM BPTT throughput — one network, one epoch per
-// iteration, no attack pipeline around it — at the op-classifier's scale.
+// BenchmarkBPTTSingleThread isolates raw LSTM BPTT throughput — one
+// network, one epoch per iteration, no attack pipeline around it — at the
+// op-classifier's scale.
 // This is the kernel the GEMM overhaul targets, so it sits in CI's perf
 // gate alongside the end-to-end training benchmarks.
-func benchBPTT(b *testing.B, precision lstm.Precision) {
+func BenchmarkBPTTSingleThread(b *testing.B) {
 	const (
 		inputDim = 8
 		classes  = 10
@@ -544,7 +541,7 @@ func benchBPTT(b *testing.B, precision lstm.Precision) {
 	}
 	n, err := lstm.New(lstm.Config{
 		InputDim: inputDim, Hidden: 40, Classes: classes, Seed: 7,
-		Batch: 8, Workers: 1, Precision: precision,
+		Batch: 8, Workers: 1,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -558,9 +555,6 @@ func benchBPTT(b *testing.B, precision lstm.Precision) {
 	}
 	b.ReportMetric(float64(tokens)*float64(b.N)/b.Elapsed().Seconds(), "timesteps/s")
 }
-
-func BenchmarkBPTTSingleThread(b *testing.B)     { benchBPTT(b, lstm.PrecisionFP64) }
-func BenchmarkBPTTSingleThreadFP32(b *testing.B) { benchBPTT(b, lstm.PrecisionFP32) }
 
 // BenchmarkExtraction measures one full MoSConS extraction on a collected
 // trace (training excluded).

@@ -16,7 +16,6 @@ import (
 	"leakydnn/internal/eval"
 	"leakydnn/internal/fleet"
 	"leakydnn/internal/journal"
-	"leakydnn/internal/lstm"
 	"leakydnn/internal/profiling"
 	"leakydnn/internal/trace"
 )
@@ -40,8 +39,6 @@ func run() error {
 			"trace-collection and training worker-pool size (results are identical for any value; 1 runs serially)")
 		batch = flag.Int("batch", 0,
 			"LSTM minibatch size: sequences per optimizer step (0 = 1, the per-sequence schedule)")
-		precision = flag.String("precision", "fp64",
-			"LSTM training arithmetic: fp64 (bit-reproducible historical trajectories) or fp32 (faster, separately deterministic)")
 		chaosIntensity = flag.Float64("chaos", 0,
 			"measurement-fault intensity in [0,1]: applies the canonical chaos.At blend to the victim co-runs (0 = clean)")
 		chaosDrop     = flag.Float64("chaos-drop", 0, "override: per-sample CUPTI drop rate")
@@ -101,14 +98,6 @@ func run() error {
 	}
 	sc.Workers = *workers
 	sc.Attack.Batch = *batch
-	switch *precision {
-	case "fp64":
-		sc.Attack.Precision = lstm.PrecisionFP64
-	case "fp32":
-		sc.Attack.Precision = lstm.PrecisionFP32
-	default:
-		return fmt.Errorf("unknown -precision %q (want fp64 or fp32)", *precision)
-	}
 
 	// Faults hit only the victim co-runs: the adversary profiles and trains
 	// on their own clean hardware, so sc.Chaos stays zero during the

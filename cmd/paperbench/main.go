@@ -15,7 +15,6 @@ import (
 
 	"leakydnn/internal/eval"
 	"leakydnn/internal/fleet"
-	"leakydnn/internal/lstm"
 	"leakydnn/internal/profiling"
 )
 
@@ -43,8 +42,6 @@ func run() error {
 			"evaluation and training worker-pool size (results are identical for any value; 1 runs serially)")
 		batch = flag.Int("batch", 0,
 			"LSTM minibatch size: sequences per optimizer step (0 = 1, the per-sequence schedule)")
-		precision = flag.String("precision", "fp64",
-			"LSTM training arithmetic: fp64 (bit-reproducible historical trajectories) or fp32 (faster, separately deterministic)")
 		fleetDevices = flag.Int("fleet-devices", 6,
 			"fleet experiment: largest device count (the grid reports prefixes of one run)")
 		fleetBudget = flag.Int("fleet-budget", 0,
@@ -74,14 +71,6 @@ func run() error {
 	}
 	sc.Workers = *workers
 	sc.Attack.Batch = *batch
-	switch *precision {
-	case "fp64":
-		sc.Attack.Precision = lstm.PrecisionFP64
-	case "fp32":
-		sc.Attack.Precision = lstm.PrecisionFP32
-	default:
-		return fmt.Errorf("unknown -precision %q (want fp64 or fp32)", *precision)
-	}
 
 	selected := experiments
 	if *expName != "all" {

@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"leakydnn/internal/gbdt"
-	"leakydnn/internal/lstm"
 	"leakydnn/internal/par"
 )
 
@@ -58,13 +57,6 @@ type Config struct {
 	// same number of workers. Any value produces byte-identical models; 1
 	// trains serially, <= 0 selects runtime.GOMAXPROCS.
 	Workers int
-
-	// Precision selects the LSTM training arithmetic. The default
-	// (lstm.PrecisionFP64) reproduces the historical trajectories bit for bit
-	// at Batch<=1; lstm.PrecisionFP32 trades that for roughly double the GEMM
-	// throughput on a separately-deterministic trajectory. Inference always
-	// runs float64.
-	Precision lstm.Precision
 
 	// pool, when set via WithPool, makes the head-level training fan-out draw
 	// its execution slots from a budget shared with the caller's other

@@ -132,7 +132,6 @@ func (m *Models) lstmConfig(cfg lstm.Config) lstm.Config {
 	cfg.LearningRate = m.Cfg.LearningRate
 	cfg.Batch = m.Cfg.Batch
 	cfg.Workers = m.Cfg.Workers
-	cfg.Precision = m.Cfg.Precision
 	return cfg
 }
 

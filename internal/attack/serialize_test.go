@@ -3,7 +3,12 @@ package attack
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/gob"
 	"errors"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"leakydnn/internal/cupti"
@@ -71,6 +76,154 @@ func TestModelSetTruncationAndWrongMagic(t *testing.T) {
 	wrong[0] ^= 0xff
 	if _, err := LoadModels(bytes.NewReader(wrong)); err == nil {
 		t.Fatal("wrong magic accepted")
+	}
+}
+
+// The precisionEra types copy the attack and lstm snapshot types as they
+// stood while attack.Config and lstm.Config carried a Precision field
+// (0 = fp64, 1 = fp32). Model sets in mosconsd's on-disk cache still hold it.
+type precisionEraConfig struct {
+	THGap                                      int
+	RMin, RMax                                 float64
+	VoteIterations                             int
+	LongHidden, OpHidden, VoteHidden, HPHidden int
+	Epochs                                     int
+	LearningRate, MinorClassBoost              float64
+	Gap                                        gbdt.Config
+	Seed                                       int64
+	Batch, Workers                             int
+	Precision                                  int
+}
+
+type precisionEraModelsSnapshot struct {
+	Cfg                       precisionEraConfig
+	ScalerMin, ScalerMax      []float64
+	Gap, Long, VLong, Op, VOp []byte
+	HP                        [NumHPKinds][]byte
+	HPVocab                   [NumHPKinds][]int
+	MajorityLong, MajorityOp  bool
+	Report                    map[string]float64
+}
+
+type precisionEraLSTMConfig struct {
+	InputDim, Hidden, Classes int
+	LearningRate, ClipAbs     float64
+	ClassWeights              []float64
+	Seed                      int64
+	Batch, Workers            int
+	Precision                 int
+}
+
+type precisionEraLSTMSnapshot struct {
+	Cfg               precisionEraLSTMConfig
+	Wx, Wh, Wy, B, By []float64
+	TrainedEpochs     int64
+}
+
+// regob decodes a gob value into dst's type, lets edit change it, and
+// re-encodes it.
+func regob[T any](t *testing.T, blob []byte, edit func(*T)) []byte {
+	t.Helper()
+	var v T
+	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&v); err != nil {
+		t.Fatal(err)
+	}
+	edit(&v)
+	var out bytes.Buffer
+	if err := gob.NewEncoder(&out).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// A model set saved while the configs had a Precision field must load, with
+// every head predicting what the same set saved without the field predicts,
+// and re-save to the current bytes.
+func TestLoadModelsPrecisionEra(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	seqs := make([]lstm.Sequence, 4)
+	inputs := make([][][]float64, len(seqs))
+	for i := range seqs {
+		in := make([][]float64, 3+i)
+		labels := make([]int, len(in))
+		for ts := range in {
+			in[ts] = []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
+			labels[ts] = rng.Intn(4)
+		}
+		seqs[i] = lstm.Sequence{Inputs: in, Labels: labels}
+		inputs[i] = in
+	}
+	net := func(seed int64) *lstm.Network {
+		n, err := lstm.New(lstm.Config{InputDim: 3, Hidden: 5, Classes: 4, Seed: seed, Batch: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := n.Train(seqs, 1); err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	m := &Models{Cfg: FastConfig(), Long: net(1), VLong: net(2), Op: net(3), VOp: net(4),
+		Report: map[string]float64{"Mlong": 0.5}}
+	for k := range m.HP {
+		m.HP[k] = net(int64(10 + k))
+	}
+	m.Cfg.Batch = 2
+	var cur bytes.Buffer
+	if err := m.Save(&cur); err != nil {
+		t.Fatal(err)
+	}
+	heads := func(m *Models) []*lstm.Network {
+		return append([]*lstm.Network{m.Long, m.VLong, m.Op, m.VOp}, m.HP[:]...)
+	}
+	wantPreds := make([][][]int, 0, 4+NumHPKinds)
+	for _, n := range heads(m) {
+		p, err := n.PredictBatch(inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantPreds = append(wantPreds, p)
+	}
+
+	for _, precision := range []int{0, 1} {
+		toEra := func(blob []byte) []byte {
+			return regob(t, blob, func(s *precisionEraLSTMSnapshot) { s.Cfg.Precision = precision })
+		}
+		payload := cur.Bytes()[len(modelsMagic)+8+32:]
+		old := regob(t, payload, func(s *precisionEraModelsSnapshot) {
+			s.Cfg.Precision = precision
+			s.Long, s.VLong, s.Op, s.VOp = toEra(s.Long), toEra(s.VLong), toEra(s.Op), toEra(s.VOp)
+			for k := range s.HP {
+				s.HP[k] = toEra(s.HP[k])
+			}
+		})
+		var raw bytes.Buffer
+		raw.WriteString(modelsMagic)
+		binary.Write(&raw, binary.LittleEndian, uint64(len(old)))
+		sum := sha256.Sum256(old)
+		raw.Write(sum[:])
+		raw.Write(old)
+
+		got, err := LoadModels(&raw)
+		if err != nil {
+			t.Fatalf("precision %d: %v", precision, err)
+		}
+		for h, n := range heads(got) {
+			p, err := n.PredictBatch(inputs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(p, wantPreds[h]) {
+				t.Fatalf("precision %d: head %d predicts %v, want %v", precision, h, p, wantPreds[h])
+			}
+		}
+		var again bytes.Buffer
+		if err := got.Save(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), cur.Bytes()) {
+			t.Fatalf("precision %d: loaded model set re-saves to different bytes", precision)
+		}
 	}
 }
 

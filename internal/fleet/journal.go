@@ -25,9 +25,11 @@ const recordKind = "fleet-device"
 //
 // Extraction results additionally depend on where the device's model set came
 // from, so extraction campaigns (share non-nil) append the representative's
-// identity: planned index + derived seed. Collect-only campaigns never train,
-// so their keys carry no model line and stay byte-compatible with journals
-// written before sharing existed.
+// identity: planned index + derived seed, plus the LSTM minibatch size when
+// it exceeds 1 (batch 0 and 1 train byte-identical models, so their keys
+// stay byte-compatible with journals written before the batch was keyed).
+// Collect-only campaigns never train, so their keys carry no model line and
+// stay byte-compatible with journals written before sharing existed.
 func deviceKeys(cfg Config, specs []DeviceSpec, share *modelShare) []string {
 	campaign := fmt.Appendf(nil, "campaign|%s|%d|%t|%d|%d|%+v\n",
 		cfg.Base.Name, cfg.Base.Seed, cfg.CollectOnly, cfg.SpyBudget, cfg.Retries, cfg.FleetChaos)
@@ -48,7 +50,11 @@ func deviceKeys(cfg Config, specs []DeviceSpec, share *modelShare) []string {
 			spec.Victim.Name, plan)
 		if share != nil {
 			if e := share.entryFor(spec); e != nil {
-				line = fmt.Appendf(line, "models|shared|%d|%d\n", e.rep.Index, e.rep.Scale.Seed)
+				line = fmt.Appendf(line, "models|shared|%d|%d", e.rep.Index, e.rep.Scale.Seed)
+				if b := e.rep.Scale.Attack.Batch; b > 1 {
+					line = fmt.Appendf(line, "|%d", b)
+				}
+				line = append(line, '\n')
 			}
 		}
 		h.Reset()

@@ -39,6 +39,43 @@ func TestDeviceKeyGolden(t *testing.T) {
 	}
 }
 
+// TestDeviceKeyBatch: a shared model set trained at another LSTM minibatch
+// size is another model set, so an extraction key must move with the batch,
+// or a resume at -batch 4 would replay results extracted with batch-1
+// models. Batch 0 defaults to 1 and trains byte-identical models, so the
+// two share keys (and the golden above); collect-only keys never carry it.
+func TestDeviceKeyBatch(t *testing.T) {
+	keys := func(collectOnly bool, batch int) []string {
+		cfg := oneGroupFleet(2, 1)
+		cfg.CollectOnly = collectOnly
+		cfg.Base.Attack.Batch = batch
+		specs, err := Plan(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var share *modelShare
+		if !collectOnly {
+			share = newModelShare(specs)
+		}
+		return deviceKeys(cfg, specs, share)
+	}
+	b0, b1, b4 := keys(false, 0), keys(false, 1), keys(false, 4)
+	for i := range b1 {
+		if b0[i] != b1[i] {
+			t.Errorf("device %d: batch 0 key %s != batch 1 key %s", i, b0[i], b1[i])
+		}
+		if b4[i] == b1[i] {
+			t.Errorf("device %d: batch 4 and batch 1 share key %s", i, b1[i])
+		}
+	}
+	c0, c4 := keys(true, 0), keys(true, 4)
+	for i := range c0 {
+		if c0[i] != c4[i] {
+			t.Errorf("device %d: collect-only key moved with the batch: %s vs %s", i, c0[i], c4[i])
+		}
+	}
+}
+
 // TestFleetJournalReplaysGobEraFixture resumes a tinyFleet(4,1) collect-only
 // campaign from a journal whose device records are gob payloads, frozen from
 // the encoder that wrote them before the binary record format existed. Every

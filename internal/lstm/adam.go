@@ -11,16 +11,16 @@ const (
 
 // adamState holds first/second-moment estimates for every parameter tensor.
 type adamState struct {
-	m, v params[float64]
+	m, v params
 	t    int
 }
 
 func newAdamState(cfg Config) *adamState {
-	return &adamState{m: newParams[float64](cfg), v: newParams[float64](cfg)}
+	return &adamState{m: newParams(cfg), v: newParams(cfg)}
 }
 
 // step applies one Adam update of the parameters p from the gradient g.
-func (a *adamState) step(p, g params[float64], lr float64) {
+func (a *adamState) step(p, g params, lr float64) {
 	a.t++
 	c1 := 1 - math.Pow(adamBeta1, float64(a.t))
 	c2 := 1 - math.Pow(adamBeta2, float64(a.t))

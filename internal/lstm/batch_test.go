@@ -54,10 +54,10 @@ func TestBatchedRunMatchesBackwardAtBatch1(t *testing.T) {
 	}
 	seqs := randBatchSeqs(31, 8, 3, 4, true)
 
-	tr := newTrainer(n, &kernels64, n.w, 1)
+	tr := newTrainer(n, 1)
 	for i := range seqs {
 		loss, counted, correct := tr.run(seqs, []int{i})
-		g := newParams[float64](n.cfg)
+		g := newParams(n.cfg)
 		wantLoss, wantCounted, wantCorrect := oracleBackward(n, seqs[i], g)
 		if loss != wantLoss || counted != wantCounted || correct != wantCorrect {
 			t.Fatalf("seq %d: engine stats (%v,%d,%d) != oracle (%v,%d,%d)",
@@ -77,14 +77,13 @@ func TestBatchedRunMatchesBackwardAtBatch1(t *testing.T) {
 // tensorNames labels params.tensors() entries in failure messages.
 var tensorNames = [5]string{"wx", "wh", "wy", "b", "by"}
 
-// trainerGrad runs the production trainer at the network's FP64 precision
-// over the minibatch seqs[idx] and returns the batch loss and the summed
+// trainerGrad runs the production trainer over the minibatch seqs[idx] and returns the batch loss and the summed
 // gradient. Probes poke the master weights directly, so the engine's
 // transposed view is re-derived first, exactly as Train does after every
 // optimizer step.
-func trainerGrad(n *Network, seqs []Sequence, idx []int) (float64, params[float64]) {
+func trainerGrad(n *Network, seqs []Sequence, idx []int) (float64, params) {
 	n.w.refresh(n)
-	tr := newTrainer(n, &kernels64, n.w, len(idx))
+	tr := newTrainer(n, len(idx))
 	loss, _, _ := tr.run(seqs, idx)
 	return loss, tr.g
 }
@@ -124,32 +123,6 @@ func TestBatchedGradientMatchesNumeric(t *testing.T) {
 	}
 	seqs := randBatchSeqs(47, 4, 2, 3, true)
 	checkNumericGrad(t, n, seqs, []int{0, 1, 2, 3})
-}
-
-// The FP32 instantiation runs the same backward in float32 and stages its
-// gradient to float64; it must track the FP64 gradient to float32 accuracy.
-func TestFP32GradientTracksFP64(t *testing.T) {
-	cfg := Config{InputDim: 3, Hidden: 6, Classes: 4, Seed: 21, ClassWeights: []float64{1, 2, 1.5, 1}}
-	n, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqs := randBatchSeqs(59, 5, 3, 4, true)
-	idx := []int{0, 1, 2, 3, 4}
-	loss64, g64 := trainerGrad(n, seqs, idx)
-	tr := newTrainer(n, &kernels32, newWeights[float32](n), len(idx))
-	loss32, _, _ := tr.run(seqs, idx)
-	if math.Abs(loss32-loss64) > 1e-4*(1+math.Abs(loss64)) {
-		t.Fatalf("FP32 loss %v, FP64 %v", loss32, loss64)
-	}
-	want := g64.tensors()
-	for k, got := range tr.g.tensors() {
-		for j := range got {
-			if math.Abs(got[j]-want[k][j]) > 1e-4*(1+math.Abs(want[k][j])) {
-				t.Fatalf("%s[%d]: FP32 %v, FP64 %v", tensorNames[k], j, got[j], want[k][j])
-			}
-		}
-	}
 }
 
 // The forward pass has no cross-sequence reductions, so every prediction
@@ -363,54 +336,6 @@ func TestLoadResumesDistinctShuffleStream(t *testing.T) {
 	}
 }
 
-// FP32 training must stay deterministic across worker counts (workers only
-// partition GEMM output cells there too) and actually learn.
-func TestFP32TrainDeterministicAndLearns(t *testing.T) {
-	seqs := make([]Sequence, 0, 24)
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 24; i++ {
-		const length = 8
-		in := make([][]float64, length)
-		labels := make([]int, length)
-		// Label = sign of the previous step's input: solvable only through
-		// the recurrent state.
-		prev := 0.0
-		for t := range in {
-			v := rng.NormFloat64()
-			in[t] = []float64{v}
-			if prev > 0 {
-				labels[t] = 1
-			}
-			prev = v
-		}
-		seqs = append(seqs, Sequence{Inputs: in, Labels: labels})
-	}
-
-	train := func(workers int) (string, float64) {
-		n, err := New(Config{
-			InputDim: 1, Hidden: 12, Classes: 2, Seed: 5,
-			LearningRate: 3e-2, Batch: 4, Workers: workers,
-			Precision: PrecisionFP32,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := n.Train(seqs, 30)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return hashParams(n), res[len(res)-1].Accuracy
-	}
-	h1, acc := train(1)
-	h4, _ := train(4)
-	if h1 != h4 {
-		t.Fatalf("FP32 training depends on worker count: %s vs %s", h1, h4)
-	}
-	if acc < 0.85 {
-		t.Fatalf("FP32 training failed to learn the temporal task: accuracy %v", acc)
-	}
-}
-
 // PredictProbsBatch returns PredictProbs for every input sequence, running
 // the forward pass across up to 32 of them at a time. The forward pass has
 // no cross-sequence reductions, so the result is bit-identical to
@@ -418,7 +343,7 @@ func TestFP32TrainDeterministicAndLearns(t *testing.T) {
 // concurrent use like PredictProbs.
 func (n *Network) PredictProbsBatch(inputs [][][]float64) ([][][]float64, error) {
 	out := make([][][]float64, len(inputs))
-	if err := n.forwardBatch(inputs, func(i int, e *engine[float64], s int) {
+	if err := n.forwardBatch(inputs, func(i int, e *engine, s int) {
 		out[i] = e.probs(s, len(inputs[i]))
 	}); err != nil {
 		return nil, err

@@ -8,9 +8,8 @@ import (
 )
 
 // This file is the network's only LSTM arithmetic: one batch-major forward
-// pass and one BPTT backward pass, generic over the compute precision.
-// Training runs them at float64 (the default) or float32
-// (Config.Precision); every prediction runs the float64 forward pass.
+// pass and one BPTT backward pass, both in float64. Training and every
+// prediction run the same forward pass.
 //
 // A minibatch's timestep-t state lives in batch-major buffers (row s =
 // minibatch slot s), so each timestep costs two GEMMs forward and four
@@ -30,160 +29,119 @@ import (
 // slot prefix [0, live), and every GEMM and activation loop runs over that
 // prefix only: a minibatch costs the sum of its members' lengths, with no
 // padding arithmetic at all.
-//
-// At float32 the engine is a mixed-precision scheme: float32 shadow weights
-// and gradients in the hot loop, float64 masters and Adam state as the
-// source of truth. Per step: forward/backward in float32, gradients staged
-// to float64, clip + Adam on the masters, shadows refreshed. That
-// trajectory is reproducible but deliberately not bit-comparable to FP64.
 
-// kernels is the precision-specific part of the engine: the activations
-// over a gate row, and the softmax and argmax over a readout row. Per
-// element, each applies the same operation chain as its scalar form.
-type kernels[F mat.Float] struct {
-	sigmoid, tanh func(dst, src []F)
-	softmax       func(dst, logits []F)
-	argmax        func(v []F) int
+// sigmoidInto writes the logistic sigmoid of each src element to dst.
+func sigmoidInto(dst, src []float64) {
+	for j, v := range src {
+		dst[j] = mat.Sigmoid(v)
+	}
 }
 
-var kernels64 = kernels[float64]{
-	sigmoid: func(dst, src []float64) {
-		for j, v := range src {
-			dst[j] = mat.Sigmoid(v)
-		}
-	},
-	tanh: func(dst, src []float64) {
-		for j, v := range src {
-			dst[j] = math.Tanh(v)
-		}
-	},
-	softmax: mat.SoftmaxInto,
-	argmax:  mat.ArgMax,
-}
-
-var kernels32 = kernels[float32]{
-	sigmoid: mat.SigmoidInto32,
-	tanh:    mat.TanhInto32,
-	softmax: mat.SoftmaxInto32,
-	argmax:  mat.ArgMax32,
+// tanhInto writes the hyperbolic tangent of each src element to dst.
+func tanhInto(dst, src []float64) {
+	for j, v := range src {
+		dst[j] = math.Tanh(v)
+	}
 }
 
 // params is one full parameter-shaped set of row-major buffers, gates
 // stacked [input; forget; cell; output] along rows: wx is 4H×In, wh 4H×H,
 // b 4H, wy C×H and by C.
-type params[F mat.Float] struct {
-	wx, wh, b, wy, by []F
+type params struct {
+	wx, wh, b, wy, by []float64
 }
 
-func newParams[F mat.Float](cfg Config) params[F] {
+func newParams(cfg Config) params {
 	h, in, c := cfg.Hidden, cfg.InputDim, cfg.Classes
-	return params[F]{
-		wx: make([]F, 4*h*in), wh: make([]F, 4*h*h), b: make([]F, 4*h),
-		wy: make([]F, c*h), by: make([]F, c),
+	return params{
+		wx: make([]float64, 4*h*in), wh: make([]float64, 4*h*h), b: make([]float64, 4*h),
+		wy: make([]float64, c*h), by: make([]float64, c),
 	}
 }
 
 // tensors lists the buffers in their fixed serialization order.
-func (p params[F]) tensors() [5][]F {
-	return [5][]F{p.wx, p.wh, p.wy, p.b, p.by}
+func (p params) tensors() [5][]float64 {
+	return [5][]float64{p.wx, p.wh, p.wy, p.b, p.by}
 }
 
-// weights is the parameter view an engine reads. The forward GEMMs read the
-// transposed copies wxT (In×4H), whT (H×4H) and wyT (H×C): x·Wᵀ over the
-// master layout is GemmInto over the transpose, the same per-cell product
-// sequence as a row-by-row dot product, but on the kernel that streams the
-// weight matrix once and vectorizes over output columns. wh, wy, b and by keep the master
-// layout for the backward GEMMs and the bias adds. At float64 they are the
-// masters themselves; at float32 they are converted shadows.
-type weights[F mat.Float] struct {
-	wxT, whT, wyT []F
-	wh, wy, b, by []F
-	shadow        bool
+// weights is the parameter view an engine reads: the masters plus
+// transposed copies. The forward GEMMs read wxT (In×4H), whT (H×4H) and wyT
+// (H×C): x·Wᵀ over the master layout is GemmInto over the transpose, the
+// same per-cell product sequence as a row-by-row dot product, but on the
+// kernel that streams the weight matrix once and vectorizes over output
+// columns. The backward GEMMs and the bias adds read the masters.
+type weights struct {
+	params
+	wxT, whT, wyT []float64
 }
 
-func newWeights[F mat.Float](n *Network) *weights[F] {
+func newWeights(n *Network) *weights {
 	h, in, c := n.cfg.Hidden, n.cfg.InputDim, n.cfg.Classes
-	w := &weights[F]{wxT: make([]F, in*4*h), whT: make([]F, h*4*h), wyT: make([]F, h*c)}
-	p, ok := any(n.p).(params[F])
-	if !ok {
-		p = newParams[F](n.cfg)
-		w.shadow = true
+	w := &weights{
+		params: n.p,
+		wxT:    make([]float64, in*4*h), whT: make([]float64, h*4*h), wyT: make([]float64, h*c),
 	}
-	w.wh, w.wy, w.b, w.by = p.wh, p.wy, p.b, p.by
 	w.refresh(n)
 	return w
 }
 
-// refresh re-derives the view from the float64 masters; training calls it
+// refresh re-derives the transposes from the masters; training calls it
 // after every optimizer step.
-func (w *weights[F]) refresh(n *Network) {
+func (w *weights) refresh(n *Network) {
 	h, in, c := n.cfg.Hidden, n.cfg.InputDim, n.cfg.Classes
 	transpose(w.wxT, n.p.wx, 4*h, in)
 	transpose(w.whT, n.p.wh, 4*h, h)
 	transpose(w.wyT, n.p.wy, c, h)
-	if w.shadow {
-		convert(w.wh, n.p.wh)
-		convert(w.wy, n.p.wy)
-		convert(w.b, n.p.b)
-		convert(w.by, n.p.by)
-	}
 }
 
 // transpose writes dst[c*rows+r] = src[r*cols+c].
-func transpose[F mat.Float](dst []F, src []float64, rows, cols int) {
+func transpose(dst, src []float64, rows, cols int) {
 	for r := 0; r < rows; r++ {
 		row := src[r*cols : (r+1)*cols]
 		for c, v := range row {
-			dst[c*rows+r] = F(v)
+			dst[c*rows+r] = v
 		}
-	}
-}
-
-func convert[D, S mat.Float](dst []D, src []S) {
-	for i, v := range src {
-		dst[i] = D(v)
 	}
 }
 
 // step holds one timestep's forward outputs for every slot, batch-major:
 // element (s, j) of an H-wide quantity is at [s*H+j].
-type step[F mat.Float] struct {
-	*state[F]
-	probs []F // B×C
+type step struct {
+	*state
+	probs []float64 // B×C
 }
 
 // state is a timestep's inputs and LSTM intermediates.
-type state[F mat.Float] struct {
-	x                       []F // B×In inputs
-	i, f, g, o, c, h, tanhC []F // B×H each, views into one buffer
+type state struct {
+	x                       []float64 // B×In inputs
+	i, f, g, o, c, h, tanhC []float64 // B×H each, views into one buffer
 }
 
 // engine owns the forward buffers for up to bcap sequences at a time. Not
 // safe for concurrent use: inference draws engines from Network.pool, and
 // training owns one per Train call.
-type engine[F mat.Float] struct {
-	k                      *kernels[F]
-	w                      *weights[F]
+type engine struct {
+	w                      *weights
 	hidden, in, classes    int
 	bcap, workers          int
 	keep                   bool // every step keeps its own state, for BPTT
-	steps                  []*step[F]
-	hzero, z, ztmp, logits []F // B×H zero state, B×4H gate sums, B×C readout
+	steps                  []*step
+	hzero, z, ztmp, logits []float64 // B×H zero state, B×4H gate sums, B×C readout
 	lens                   []int
 	batch                  [][][]float64 // the current pass's inputs, slot order
 	order                  []int         // input order scratch for batched inference
 }
 
-func newEngine[F mat.Float](n *Network, k *kernels[F], w *weights[F], bcap int) *engine[F] {
+func newEngine(n *Network, bcap int) *engine {
 	h, c := n.cfg.Hidden, n.cfg.Classes
-	return &engine[F]{
-		k: k, w: w,
+	return &engine{
+		w:      n.w,
 		hidden: h, in: n.cfg.InputDim, classes: c,
 		bcap: bcap, workers: par.Workers(n.cfg.Workers),
-		hzero:  make([]F, bcap*h),
-		z:      make([]F, bcap*4*h),
-		ztmp:   make([]F, bcap*4*h),
-		logits: make([]F, bcap*c),
+		hzero:  make([]float64, bcap*h),
+		z:      make([]float64, bcap*4*h),
+		ztmp:   make([]float64, bcap*4*h),
+		logits: make([]float64, bcap*c),
 		lens:   make([]int, bcap),
 		batch:  make([][][]float64, bcap),
 	}
@@ -193,16 +151,16 @@ func newEngine[F mat.Float](n *Network, k *kernels[F], w *weights[F], bcap int) 
 // Without keep, a step shares its state with the step two back: the
 // recurrence only reads the previous step, and inference only reads probs
 // back, so a prediction's memory grows by B×C floats per timestep.
-func (e *engine[F]) step(t int) *step[F] {
+func (e *engine) step(t int) *step {
 	for len(e.steps) <= t {
 		b, h := e.bcap, e.hidden
-		st := &step[F]{probs: make([]F, b*e.classes)}
+		st := &step{probs: make([]float64, b*e.classes)}
 		if k := len(e.steps); !e.keep && k >= 2 {
 			st.state = e.steps[k-2].state
 		} else {
-			buf := make([]F, 7*b*h)
-			st.state = &state[F]{
-				x: make([]F, b*e.in),
+			buf := make([]float64, 7*b*h)
+			st.state = &state{
+				x: make([]float64, b*e.in),
 				i: buf[0 : b*h], f: buf[b*h : 2*b*h], g: buf[2*b*h : 3*b*h], o: buf[3*b*h : 4*b*h],
 				c: buf[4*b*h : 5*b*h], h: buf[5*b*h : 6*b*h], tanhC: buf[6*b*h : 7*b*h],
 			}
@@ -217,7 +175,7 @@ func (e *engine[F]) step(t int) *step[F] {
 // T. Step buffers 0..T-1 are valid until the engine's next use; for each
 // timestep only the rows of the then-live slot prefix are written, rows
 // beyond it hold stale garbage nothing may read.
-func (e *engine[F]) forward(inputs [][][]float64) int {
+func (e *engine) forward(inputs [][][]float64) int {
 	h, in, cls, w := e.hidden, e.in, e.classes, e.workers
 	T := 0
 	for s, seq := range inputs {
@@ -233,7 +191,7 @@ func (e *engine[F]) forward(inputs [][][]float64) int {
 		}
 		st := e.step(t)
 		for s := 0; s < live; s++ {
-			convert(st.x[s*in:s*in+in], inputs[s][t])
+			copy(st.x[s*in:s*in+in], inputs[s][t])
 		}
 		mat.GemmInto(e.z[:live*4*h], st.x[:live*in], e.w.wxT, live, in, 4*h, w)
 		mat.GemmInto(e.ztmp[:live*4*h], hPrev[:live*h], e.w.whT, live, h, 4*h, w)
@@ -248,14 +206,14 @@ func (e *engine[F]) forward(inputs [][][]float64) int {
 			for j, bv := range e.w.b {
 				zs[j] = zs[j] + zt[j] + bv
 			}
-			e.k.sigmoid(si, zs[:h])
-			e.k.sigmoid(sf, zs[h:2*h])
-			e.k.tanh(sg, zs[2*h:3*h])
-			e.k.sigmoid(so, zs[3*h:])
+			sigmoidInto(si, zs[:h])
+			sigmoidInto(sf, zs[h:2*h])
+			tanhInto(sg, zs[2*h:3*h])
+			sigmoidInto(so, zs[3*h:])
 			for j := range sc {
 				sc[j] = sf[j]*cp[j] + si[j]*sg[j]
 			}
-			e.k.tanh(stc, sc)
+			tanhInto(stc, sc)
 			for j := range sh {
 				sh[j] = so[j] * stc[j]
 			}
@@ -266,7 +224,7 @@ func (e *engine[F]) forward(inputs [][][]float64) int {
 			for j, v := range e.w.by {
 				lrow[j] += v
 			}
-			e.k.softmax(st.probs[s*cls:(s+1)*cls], lrow)
+			mat.SoftmaxInto(st.probs[s*cls:(s+1)*cls], lrow)
 		}
 		hPrev, cPrev = st.h, st.c
 	}
@@ -274,51 +232,42 @@ func (e *engine[F]) forward(inputs [][][]float64) int {
 }
 
 // labels writes slot s's per-timestep argmax into out, one per timestep.
-func (e *engine[F]) labels(out []int, s int) {
+func (e *engine) labels(out []int, s int) {
 	c := e.classes
 	for t := range out {
-		out[t] = e.k.argmax(e.steps[t].probs[s*c : (s+1)*c])
+		out[t] = mat.ArgMax(e.steps[t].probs[s*c : (s+1)*c])
 	}
 }
 
 // trainer adds the backward pass to an engine for one Train call.
-type trainer[F mat.Float] struct {
-	*engine[F]
-	// grad is the summed minibatch gradient the backward GEMMs accumulate
-	// into; at float64 it is g itself, at float32 run stages it into g.
-	grad params[F]
-	g    params[float64]
-	cw   []float64 // Config.ClassWeights
+type trainer struct {
+	*engine
+	g  params    // the summed minibatch gradient
+	cw []float64 // Config.ClassWeights
 
-	dz                           []F // B×4H
-	dh, dc, dcNext, dhNext, htmp []F // B×H
-	dLogits                      []F // B×C
+	dz                           []float64 // B×4H
+	dh, dc, dcNext, dhNext, htmp []float64 // B×H
+	dLogits                      []float64 // B×C
 	idx                          []int
 }
 
-func newTrainer[F mat.Float](n *Network, k *kernels[F], w *weights[F], bcap int) *trainer[F] {
+func newTrainer(n *Network, bcap int) *trainer {
 	h, c := n.cfg.Hidden, n.cfg.Classes
-	e := newEngine(n, k, w, bcap)
+	e := newEngine(n, bcap)
 	e.keep = true
-	t := &trainer[F]{
+	return &trainer{
 		engine:  e,
-		g:       newParams[float64](n.cfg),
+		g:       newParams(n.cfg),
 		cw:      n.cfg.ClassWeights,
-		dz:      make([]F, bcap*4*h),
-		dh:      make([]F, bcap*h),
-		dc:      make([]F, bcap*h),
-		dcNext:  make([]F, bcap*h),
-		dhNext:  make([]F, bcap*h),
-		htmp:    make([]F, bcap*h),
-		dLogits: make([]F, bcap*c),
+		dz:      make([]float64, bcap*4*h),
+		dh:      make([]float64, bcap*h),
+		dc:      make([]float64, bcap*h),
+		dcNext:  make([]float64, bcap*h),
+		dhNext:  make([]float64, bcap*h),
+		htmp:    make([]float64, bcap*h),
+		dLogits: make([]float64, bcap*c),
 		idx:     make([]int, bcap),
 	}
-	if g, ok := any(t.g).(params[F]); ok {
-		t.grad = g
-	} else {
-		t.grad = newParams[F](n.cfg)
-	}
-	return t
 }
 
 // sortByLenDesc stably sorts idx by non-increasing sequence length. A
@@ -345,7 +294,7 @@ func sortByLenDesc(idx []int, seqs []Sequence) {
 // not mutated; the trainer works on a length-sorted copy, so the
 // cross-sequence accumulation order depends only on the minibatch's
 // membership and lengths, never on Workers.
-func (t *trainer[F]) run(seqs []Sequence, idx []int) (loss float64, counted, correct int) {
+func (t *trainer) run(seqs []Sequence, idx []int) (loss float64, counted, correct int) {
 	h, in, cls, w := t.hidden, t.in, t.classes, t.workers
 	bs := len(idx)
 	sorted := t.idx[:bs]
@@ -357,7 +306,7 @@ func (t *trainer[F]) run(seqs []Sequence, idx []int) (loss float64, counted, cor
 	}
 	T := t.forward(inputs)
 
-	g := t.grad
+	g := t.g
 	for _, s := range g.tensors() {
 		clear(s)
 	}
@@ -391,20 +340,20 @@ func (t *trainer[F]) run(seqs []Sequence, idx []int) (loss float64, counted, cor
 				wgt = t.cw[label]
 			}
 			prow := st.probs[s*cls : (s+1)*cls]
-			p := float64(prow[label])
+			p := prow[label]
 			if p < 1e-12 {
 				p = 1e-12
 			}
 			loss += -wgt * math.Log(p)
 			counted++
-			if t.k.argmax(prow) == label {
+			if mat.ArgMax(prow) == label {
 				correct++
 			}
 			drow := dL[s*cls : (s+1)*cls]
 			copy(drow, prow)
 			drow[label]--
 			for j := range drow {
-				drow[j] *= F(wgt)
+				drow[j] *= wgt
 			}
 			anyCounted = true
 		}
@@ -454,13 +403,6 @@ func (t *trainer[F]) run(seqs []Sequence, idx []int) (loss float64, counted, cor
 			}
 		}
 		mat.GemmInto(dhNext[:live*h], t.dz[:live*4*h], t.w.wh, live, 4*h, h, w)
-	}
-
-	if _, ok := any(g).(params[float64]); !ok {
-		dst := t.g.tensors()
-		for i, src := range g.tensors() {
-			convert(dst[i], src)
-		}
 	}
 	return loss, counted, correct
 }

@@ -9,17 +9,16 @@ import (
 )
 
 // The golden hashes below pin the exact bits of networks trained at the
-// default precision (FP64) with the default per-sequence schedule (Batch=1).
+// with the default per-sequence schedule (Batch=1).
 // They were recorded before the batched-GEMM training path existed; any PR
 // that changes them has silently altered the numerics every published table
-// rests on. Batch>1 and FP32 hashes pin the *current* batched kernels
+// rests on. The Batch>1 hash pins the *current* batched kernels
 // instead: they may be regenerated on purpose (with a CHANGES.md note), never
 // by accident.
 const (
 	goldenPlainB1SHA256    = "1f5379aad2e454689eb4ab52d0035c14e51645aea1c05136adf775b53e1e44f9"
 	goldenMaskedB1SHA256   = "387cd9d499cb0d34e6bac3790741a3ecec14aaddfcdd1893a310da597ef52d50"
 	goldenPlainBatchSHA256 = "ea1fc9f1beefe470221bfbdb35027fe13610064461e55e6bc0e0bb9741485aa0"
-	goldenPlainFP32SHA256  = "3cf1f9704bdee48de4ada3e8e6573a6cbe69dc8daa610de2b9f1477008c6f884"
 )
 
 // goldenPredictionsSHA256 pins the inference output of the four golden
@@ -31,7 +30,6 @@ var goldenPredictionsSHA256 = map[string]string{
 	"plainB1":        "1865593a6b5e7a563dd0802de74ff69c0354efd86a8deb1e2109b1a4939482e6",
 	"maskedWeighted": "cb935ae89afb815b13c12bc07f71477194d835396c1df743fea6c5241bbf75ac",
 	"plainBatch4":    "85cba799a91d615b30289e2e408be169344b3d2281d651f44cac038f8b823f0d",
-	"plainFP32":      "15d870dca23e33af31435f50be56c0b2de324b33c2c784292a76b0756e4522fc",
 }
 
 // goldenDataset builds a deterministic labelled dataset: the sequences only
@@ -121,17 +119,6 @@ func TestGoldenTrainedWeightsPlainBatch4(t *testing.T) {
 	}
 }
 
-// The FP32 path is deterministic but deliberately not comparable to FP64;
-// its own hash pins the float32 GEMMs, the fast activations, and the shadow
-// refresh schedule all at once.
-func TestGoldenTrainedWeightsPlainFP32(t *testing.T) {
-	got := trainGolden(t, Config{InputDim: 5, Hidden: 8, Classes: 4, Seed: 42, Precision: PrecisionFP32}, false, 4)
-	if got != goldenPlainFP32SHA256 {
-		t.Fatalf("FP32 training drifted from its golden hash:\n got %s\nwant %s",
-			got, goldenPlainFP32SHA256)
-	}
-}
-
 // TestGoldenPredictions hashes what the golden networks predict, so any
 // change to the inference arithmetic shows up even when training is
 // untouched.
@@ -141,8 +128,6 @@ func TestGoldenPredictions(t *testing.T) {
 	masked.ClassWeights = []float64{1, 2, 1.5, 1}
 	batch4 := base
 	batch4.Batch = 4
-	fp32 := base
-	fp32.Precision = PrecisionFP32
 	cases := []struct {
 		name   string
 		cfg    Config
@@ -152,7 +137,6 @@ func TestGoldenPredictions(t *testing.T) {
 		{"plainB1", base, false, 4},
 		{"maskedWeighted", masked, true, 3},
 		{"plainBatch4", batch4, false, 4},
-		{"plainFP32", fp32, false, 4},
 	}
 
 	var inputs [][][]float64

@@ -46,34 +46,6 @@ type Config struct {
 	// their output cells across. Any value trains a byte-identical network;
 	// 1 runs serially, <= 0 selects runtime.GOMAXPROCS(0).
 	Workers int
-
-	// Precision selects the training arithmetic. The default, PrecisionFP64,
-	// is what every FP64 golden hash pins. PrecisionFP32 runs
-	// forward/backward in float32 (float64 Adam masters) — roughly twice the
-	// GEMM throughput for a deliberately different, separately-pinned
-	// trajectory. Inference always runs float64 regardless of this setting.
-	Precision Precision
-}
-
-// Precision enumerates Config.Precision values.
-type Precision int
-
-const (
-	// PrecisionFP64 trains in float64 throughout (the default).
-	PrecisionFP64 Precision = iota
-	// PrecisionFP32 trains forward/backward in float32 with float64 masters.
-	PrecisionFP32
-)
-
-func (p Precision) String() string {
-	switch p {
-	case PrecisionFP64:
-		return "fp64"
-	case PrecisionFP32:
-		return "fp32"
-	default:
-		return fmt.Sprintf("precision(%d)", int(p))
-	}
 }
 
 func (c *Config) defaults() error {
@@ -103,9 +75,6 @@ func (c *Config) defaults() error {
 	}
 	if c.Batch == 0 {
 		c.Batch = 1
-	}
-	if c.Precision != PrecisionFP64 && c.Precision != PrecisionFP32 {
-		return fmt.Errorf("lstm: unknown precision %d", int(c.Precision))
 	}
 	return nil
 }
@@ -170,13 +139,13 @@ type Network struct {
 	cfg Config
 	rng *rand.Rand
 
-	// p holds the float64 master parameters, the source of truth every
-	// precision trains and serializes.
-	p params[float64]
-	// w is the read-only view the FP64 engine reads: the masters plus their
-	// transposed copies. New and Load build it, FP64 training refreshes it
-	// after every optimizer step and FP32 training once at its end.
-	w *weights[float64]
+	// p holds the master parameters, the source of truth training updates
+	// and serialization writes.
+	p params
+	// w is the read-only view the engine reads: the masters plus their
+	// transposed copies. New and Load build it, and training refreshes it
+	// after every optimizer step.
+	w *weights
 
 	// adam is allocated by the first Train call, so a network that is only
 	// ever loaded and queried never carries optimizer state.
@@ -187,7 +156,7 @@ type Network struct {
 	// already consumed instead of replaying epoch 0's permutations.
 	trainedEpochs int64
 
-	// pool recycles FP64 inference engines across prediction calls. Each
+	// pool recycles inference engines across prediction calls. Each
 	// Get hands out a distinct engine, so concurrent prediction on a
 	// trained network stays safe while steady-state calls stop allocating.
 	pool sync.Pool
@@ -200,7 +169,7 @@ func New(cfg Config) (*Network, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	h, in, c := cfg.Hidden, cfg.InputDim, cfg.Classes
-	p := params[float64]{
+	p := params{
 		wx: mat.Randn(4*h, in, 1/math.Sqrt(float64(in)), rng),
 		wh: mat.Randn(4*h, h, 1/math.Sqrt(float64(h)), rng),
 		b:  make([]float64, 4*h),
@@ -215,9 +184,9 @@ func New(cfg Config) (*Network, error) {
 	return newNetwork(cfg, rng, p, 0), nil
 }
 
-func newNetwork(cfg Config, rng *rand.Rand, p params[float64], epochs int64) *Network {
+func newNetwork(cfg Config, rng *rand.Rand, p params, epochs int64) *Network {
 	n := &Network{cfg: cfg, rng: rng, p: p, trainedEpochs: epochs}
-	n.w = newWeights[float64](n)
+	n.w = newWeights(n)
 	return n
 }
 
@@ -226,14 +195,14 @@ func newNetwork(cfg Config, rng *rand.Rand, p params[float64], epochs int64) *Ne
 // + 14H) floats while keeping the GEMMs wide.
 const predictBatchWidth = 32
 
-// engine draws a pooled FP64 engine at least width slots wide. A pooled
+// engine draws a pooled engine at least width slots wide. A pooled
 // engine that is too narrow is dropped for a wider one; step buffers grow
 // with the longest sequence an engine has seen.
-func (n *Network) engine(width int) *engine[float64] {
-	if e, ok := n.pool.Get().(*engine[float64]); ok && e.bcap >= width {
+func (n *Network) engine(width int) *engine {
+	if e, ok := n.pool.Get().(*engine); ok && e.bcap >= width {
 		return e
 	}
-	return newEngine(n, &kernels64, n.w, width)
+	return newEngine(n, width)
 }
 
 // Predict returns per-timestep argmax class predictions, taken straight
@@ -242,7 +211,7 @@ func (n *Network) engine(width int) *engine[float64] {
 // probabilities.
 func (n *Network) Predict(inputs [][]float64) ([]int, error) {
 	var out []int
-	if err := n.forwardBatch([][][]float64{inputs}, func(_ int, e *engine[float64], s int) {
+	if err := n.forwardBatch([][][]float64{inputs}, func(_ int, e *engine, s int) {
 		out = make([]int, len(inputs))
 		e.labels(out, s)
 	}); err != nil {
@@ -254,7 +223,7 @@ func (n *Network) Predict(inputs [][]float64) ([]int, error) {
 // forwardBatch runs every input sequence through pooled engines, longest
 // first and up to predictBatchWidth at a time, and calls emit(i, e, s) once
 // slot s of e holds input i's outputs.
-func (n *Network) forwardBatch(inputs [][][]float64, emit func(i int, e *engine[float64], s int)) error {
+func (n *Network) forwardBatch(inputs [][][]float64, emit func(i int, e *engine, s int)) error {
 	for _, seq := range inputs {
 		if err := n.checkInputs(seq); err != nil {
 			return err
@@ -294,7 +263,7 @@ func (n *Network) forwardBatch(inputs [][][]float64, emit func(i int, e *engine[
 // Predict calls: this is a pure throughput API, safe for concurrent use.
 func (n *Network) PredictBatch(inputs [][][]float64) ([][]int, error) {
 	out := make([][]int, len(inputs))
-	if err := n.forwardBatch(inputs, func(i int, e *engine[float64], s int) {
+	if err := n.forwardBatch(inputs, func(i int, e *engine, s int) {
 		out[i] = make([]int, len(inputs[i]))
 		e.labels(out[i], s)
 	}); err != nil {
@@ -352,22 +321,11 @@ func (n *Network) Train(seqs []Sequence, epochs int) ([]TrainResult, error) {
 		n.adam = newAdamState(n.cfg)
 	}
 	batch := min(n.cfg.Batch, len(seqs))
-	if n.cfg.Precision == PrecisionFP32 {
-		res := train(n, newTrainer(n, &kernels32, newWeights[float32](n), batch), seqs, epochs)
-		n.w.refresh(n)
-		return res, nil
-	}
-	return train(n, newTrainer(n, &kernels64, n.w, batch), seqs, epochs), nil
-}
-
-// train is Train's epoch loop over one precision's trainer; after every
-// optimizer step it refreshes the trainer's weight view from the masters.
-func train[F mat.Float](n *Network, t *trainer[F], seqs []Sequence, epochs int) []TrainResult {
+	t := newTrainer(n, batch)
 	order := make([]int, len(seqs))
 	for i := range order {
 		order[i] = i
 	}
-	batch := t.bcap
 	results := make([]TrainResult, 0, epochs)
 	for epoch := 0; epoch < epochs; epoch++ {
 		n.rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
@@ -383,7 +341,7 @@ func train[F mat.Float](n *Network, t *trainer[F], seqs []Sequence, epochs int) 
 				continue
 			}
 			n.applyGrads(t.g, counted)
-			t.w.refresh(n)
+			n.w.refresh(n)
 		}
 
 		res := TrainResult{Epoch: epoch}
@@ -394,13 +352,13 @@ func train[F mat.Float](n *Network, t *trainer[F], seqs []Sequence, epochs int) 
 		results = append(results, res)
 		n.trainedEpochs++
 	}
-	return results
+	return results, nil
 }
 
 // applyGrads performs the shared post-minibatch update: average the summed
 // gradient over the counted timesteps, clip every entry to ±ClipAbs, and
 // take one Adam step.
-func (n *Network) applyGrads(g params[float64], batchCounted int) {
+func (n *Network) applyGrads(g params, batchCounted int) {
 	scale := 1 / float64(batchCounted)
 	lim := n.cfg.ClipAbs
 	for _, s := range g.tensors() {

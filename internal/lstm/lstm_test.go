@@ -83,7 +83,7 @@ func TestGradientCheck(t *testing.T) {
 // Class weights must scale the loss and the whole gradient of a timestep of
 // the weighted class.
 func TestClassWeightsScaleLoss(t *testing.T) {
-	mk := func(weights []float64) (float64, params[float64]) {
+	mk := func(weights []float64) (float64, params) {
 		n, err := New(Config{InputDim: 1, Hidden: 2, Classes: 2, Seed: 3, ClassWeights: weights})
 		if err != nil {
 			t.Fatal(err)
@@ -238,6 +238,105 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// precisionEraConfig and precisionEraSnapshot copy the snapshot types as
+// they stood while Config carried a Precision field (0 = fp64, 1 = fp32).
+// Model files on disk, mosconsd's model cache among them, still hold it.
+type precisionEraConfig struct {
+	InputDim, Hidden, Classes int
+	LearningRate, ClipAbs     float64
+	ClassWeights              []float64
+	Seed                      int64
+	Batch, Workers            int
+	Precision                 int
+}
+
+type precisionEraSnapshot struct {
+	Cfg               precisionEraConfig
+	Wx, Wh, Wy, B, By []float64
+	TrainedEpochs     int64
+}
+
+// A network saved while Config had a Precision field must load, predict
+// bit-identically to the same network saved without it, re-save to the same
+// bytes, and fine-tune on the same shuffle stream. At precision 0 gob sends
+// only the field's type; at 1 it sends a value the decoder must skip.
+func TestLoadPrecisionEraSnapshot(t *testing.T) {
+	cfg := Config{InputDim: 3, Hidden: 5, Classes: 4, Seed: 8, ClassWeights: []float64{1, 2, 1, 1.5}, Batch: 2}
+	n, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqs := randBatchSeqs(17, 6, 3, 4, false)
+	if _, err := n.Train(seqs, 2); err != nil {
+		t.Fatal(err)
+	}
+	var cur bytes.Buffer
+	if err := n.Save(&cur); err != nil {
+		t.Fatal(err)
+	}
+	fineTuned := func(raw []byte) (*Network, string) {
+		t.Helper()
+		m, err := Load(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var again bytes.Buffer
+		if err := m.Save(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), cur.Bytes()) {
+			t.Fatal("loaded network re-saves to different bytes")
+		}
+		tuned, err := Load(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tuned.Train(seqs, 1); err != nil {
+			t.Fatal(err)
+		}
+		return m, hashParams(tuned)
+	}
+	want, wantTuned := fineTuned(cur.Bytes())
+
+	for _, precision := range []int{0, 1} {
+		old := precisionEraSnapshot{
+			Cfg: precisionEraConfig{
+				InputDim: cfg.InputDim, Hidden: cfg.Hidden, Classes: cfg.Classes,
+				LearningRate: n.cfg.LearningRate, ClipAbs: n.cfg.ClipAbs,
+				ClassWeights: cfg.ClassWeights, Seed: cfg.Seed, Batch: cfg.Batch,
+				Precision: precision,
+			},
+			Wx: n.p.wx, Wh: n.p.wh, Wy: n.p.wy, B: n.p.b, By: n.p.by,
+			TrainedEpochs: 2,
+		}
+		var raw bytes.Buffer
+		if err := gob.NewEncoder(&raw).Encode(old); err != nil {
+			t.Fatal(err)
+		}
+		got, gotTuned := fineTuned(raw.Bytes())
+		for _, seq := range seqs {
+			wp, err := want.PredictProbs(seq.Inputs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gp, err := got.PredictProbs(seq.Inputs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for ts := range wp {
+				for c := range wp[ts] {
+					if math.Float64bits(gp[ts][c]) != math.Float64bits(wp[ts][c]) {
+						t.Fatalf("precision %d: probs[%d][%d] = %v, want %v", precision, ts, c, gp[ts][c], wp[ts][c])
+					}
+				}
+			}
+		}
+		if gotTuned != wantTuned {
+			t.Fatalf("precision %d: fine-tuning the loaded network diverged: %s vs %s", precision, gotTuned, wantTuned)
+		}
+	}
+}
+
 // Dims whose parameter counts overflow int must be an error from New and
 // from Load, never a panic: a crafted snapshot with Hidden = 1<<62 used to
 // wrap Load's size check (4*h*in = 0) and crash in the allocator.
@@ -386,7 +485,7 @@ func TestTrainingStableOnOutliers(t *testing.T) {
 // copied out of the pooled engine; Predict skips that copy.
 func (n *Network) PredictProbs(inputs [][]float64) ([][]float64, error) {
 	var out [][]float64
-	if err := n.forwardBatch([][][]float64{inputs}, func(_ int, e *engine[float64], s int) {
+	if err := n.forwardBatch([][][]float64{inputs}, func(_ int, e *engine, s int) {
 		out = e.probs(s, len(inputs))
 	}); err != nil {
 		return nil, err
@@ -396,10 +495,10 @@ func (n *Network) PredictProbs(inputs [][]float64) ([][]float64, error) {
 
 // probs copies slot s's first T timesteps of probabilities into fresh rows
 // that share one backing array.
-func (e *engine[F]) probs(s, T int) [][]F {
+func (e *engine) probs(s, T int) [][]float64 {
 	c := e.classes
-	out := make([][]F, T)
-	backing := make([]F, T*c)
+	out := make([][]float64, T)
+	backing := make([]float64, T*c)
 	for t := range out {
 		row := backing[t*c : (t+1)*c : (t+1)*c]
 		copy(row, e.steps[t].probs[s*c:(s+1)*c])

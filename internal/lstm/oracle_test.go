@@ -63,7 +63,7 @@ func oracleForward(n *Network, inputs [][]float64) []*oracleStep {
 // oracleBackward accumulates one sequence's gradient into g and returns its
 // summed weighted cross-entropy loss, counted timesteps and correct
 // predictions.
-func oracleBackward(n *Network, seq Sequence, g params[float64]) (loss float64, counted, correct int) {
+func oracleBackward(n *Network, seq Sequence, g params) (loss float64, counted, correct int) {
 	caches := oracleForward(n, seq.Inputs)
 	h, c := n.cfg.Hidden, n.cfg.Classes
 

@@ -71,7 +71,7 @@ func Load(r io.Reader) (*Network, error) {
 	if snap.TrainedEpochs > 0 {
 		seed = resumeSeed(cfg.Seed, snap.TrainedEpochs)
 	}
-	p := params[float64]{wx: snap.Wx, wh: snap.Wh, b: snap.B, wy: snap.Wy, by: snap.By}
+	p := params{wx: snap.Wx, wh: snap.Wh, b: snap.B, wy: snap.Wy, by: snap.By}
 	return newNetwork(cfg, rand.New(rand.NewSource(seed)), p, snap.TrainedEpochs), nil
 }
 

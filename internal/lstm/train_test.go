@@ -124,7 +124,7 @@ func TestEpochStatsMatchPreUpdatePredictions(t *testing.T) {
 		order[i] = i
 	}
 	b.adam = newAdamState(b.cfg)
-	g := newParams[float64](b.cfg)
+	g := newParams(b.cfg)
 	for epoch := 0; epoch < epochs; epoch++ {
 		b.rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		var wantLoss float64

@@ -1,7 +1,7 @@
-// AVX axpy microkernels for the float32 GEMM row kernels. Only commutative
-// VMULPS/VADDPS (never FMA) are used, and vector lanes span output columns,
+// AVX axpy microkernels for the float64 GEMM row kernels. Only commutative
+// VMULPD/VADDPD (never FMA) are used, and vector lanes span output columns,
 // so every output cell sees exactly the same mul-then-add rounding sequence
-// as the generic Go loops — the assembly changes speed, never bits.
+// as the pure-Go loops — the assembly changes speed, never bits.
 
 #include "textflag.h"
 
@@ -27,135 +27,6 @@ TEXT ·cpuHasAVX(SB), NOSPLIT, $0-1
 	RET
 noavx:
 	MOVB $0, ret+0(FP)
-	RET
-
-// func axpyQuadAVX(dst, b0, b1, b2, b3 *float32, n int, a0, a1, a2, a3 float32)
-//
-// dst[j] = ((dst[j] + a0*b0[j]) + a1*b1[j] + a2*b2[j]) + a3*b3[j]
-TEXT ·axpyQuadAVX(SB), NOSPLIT, $0-64
-	MOVQ dst+0(FP), DI
-	MOVQ b0+8(FP), R8
-	MOVQ b1+16(FP), R9
-	MOVQ b2+24(FP), R10
-	MOVQ b3+32(FP), R11
-	MOVQ n+40(FP), CX
-	VBROADCASTSS a0+48(FP), Y0
-	VBROADCASTSS a1+52(FP), Y1
-	VBROADCASTSS a2+56(FP), Y2
-	VBROADCASTSS a3+60(FP), Y3
-	XORQ BX, BX
-	// Main loop: 16 columns per iteration as two independent 8-lane chains
-	// (interleaved for ILP — each lane is a different output cell, so this
-	// changes scheduling, never any cell's rounding sequence).
-loop16:
-	LEAQ 16(BX), DX
-	CMPQ DX, CX
-	JGT  loop8
-	VMOVUPS (DI)(BX*4), Y4
-	VMOVUPS 32(DI)(BX*4), Y6
-	VMOVUPS (R8)(BX*4), Y5
-	VMOVUPS 32(R8)(BX*4), Y7
-	VMULPS  Y0, Y5, Y5
-	VMULPS  Y0, Y7, Y7
-	VADDPS  Y5, Y4, Y4
-	VADDPS  Y7, Y6, Y6
-	VMOVUPS (R9)(BX*4), Y5
-	VMOVUPS 32(R9)(BX*4), Y7
-	VMULPS  Y1, Y5, Y5
-	VMULPS  Y1, Y7, Y7
-	VADDPS  Y5, Y4, Y4
-	VADDPS  Y7, Y6, Y6
-	VMOVUPS (R10)(BX*4), Y5
-	VMOVUPS 32(R10)(BX*4), Y7
-	VMULPS  Y2, Y5, Y5
-	VMULPS  Y2, Y7, Y7
-	VADDPS  Y5, Y4, Y4
-	VADDPS  Y7, Y6, Y6
-	VMOVUPS (R11)(BX*4), Y5
-	VMOVUPS 32(R11)(BX*4), Y7
-	VMULPS  Y3, Y5, Y5
-	VMULPS  Y3, Y7, Y7
-	VADDPS  Y5, Y4, Y4
-	VADDPS  Y7, Y6, Y6
-	VMOVUPS Y4, (DI)(BX*4)
-	VMOVUPS Y6, 32(DI)(BX*4)
-	MOVQ    DX, BX
-	JMP     loop16
-loop8:
-	LEAQ 8(BX), DX
-	CMPQ DX, CX
-	JGT  tail
-	VMOVUPS (DI)(BX*4), Y4
-	VMOVUPS (R8)(BX*4), Y5
-	VMULPS  Y0, Y5, Y5
-	VADDPS  Y5, Y4, Y4
-	VMOVUPS (R9)(BX*4), Y5
-	VMULPS  Y1, Y5, Y5
-	VADDPS  Y5, Y4, Y4
-	VMOVUPS (R10)(BX*4), Y5
-	VMULPS  Y2, Y5, Y5
-	VADDPS  Y5, Y4, Y4
-	VMOVUPS (R11)(BX*4), Y5
-	VMULPS  Y3, Y5, Y5
-	VADDPS  Y5, Y4, Y4
-	VMOVUPS Y4, (DI)(BX*4)
-	MOVQ    DX, BX
-	JMP     loop8
-tail:
-	CMPQ BX, CX
-	JGE  done
-	VMOVSS (DI)(BX*4), X4
-	VMOVSS (R8)(BX*4), X5
-	VMULSS X0, X5, X5
-	VADDSS X5, X4, X4
-	VMOVSS (R9)(BX*4), X5
-	VMULSS X1, X5, X5
-	VADDSS X5, X4, X4
-	VMOVSS (R10)(BX*4), X5
-	VMULSS X2, X5, X5
-	VADDSS X5, X4, X4
-	VMOVSS (R11)(BX*4), X5
-	VMULSS X3, X5, X5
-	VADDSS X5, X4, X4
-	VMOVSS X4, (DI)(BX*4)
-	INCQ   BX
-	JMP    tail
-done:
-	VZEROUPPER
-	RET
-
-// func axpyAVX(dst, b *float32, n int, a float32)
-//
-// dst[j] += a * b[j]
-TEXT ·axpyAVX(SB), NOSPLIT, $0-28
-	MOVQ dst+0(FP), DI
-	MOVQ b+8(FP), R8
-	MOVQ n+16(FP), CX
-	VBROADCASTSS a+24(FP), Y0
-	XORQ BX, BX
-loop8:
-	LEAQ 8(BX), DX
-	CMPQ DX, CX
-	JGT  tail
-	VMOVUPS (DI)(BX*4), Y4
-	VMOVUPS (R8)(BX*4), Y5
-	VMULPS  Y0, Y5, Y5
-	VADDPS  Y5, Y4, Y4
-	VMOVUPS Y4, (DI)(BX*4)
-	MOVQ    DX, BX
-	JMP     loop8
-tail:
-	CMPQ BX, CX
-	JGE  done
-	VMOVSS (DI)(BX*4), X4
-	VMOVSS (R8)(BX*4), X5
-	VMULSS X0, X5, X5
-	VADDSS X5, X4, X4
-	VMOVSS X4, (DI)(BX*4)
-	INCQ   BX
-	JMP    tail
-done:
-	VZEROUPPER
 	RET
 
 // func axpyQuadAVX64(dst, b0, b1, b2, b3 *float64, n int, a0, a1, a2, a3 float64)
@@ -285,105 +156,13 @@ done:
 	VZEROUPPER
 	RET
 
-// func axpyOctAVX(dst, b0, b1, b2, b3, b4, b5, b6, b7 *float32, n int, a *float32)
+// func axpyOctAVX64(dst, b0, b1, b2, b3, b4, b5, b6, b7 *float64, n int, a *float64)
 //
 // Eight accumulation steps per call: dst[j] += a[0]*b0[j]; ... += a[7]*b7[j],
 // applied strictly in argument order — the identical rounding chain as two
 // back-to-back quad calls (the store/reload boundary between quads carries no
 // rounding). a points at 8 contiguous coefficients. Halves the per-row call
 // and bounds-check overhead of the GEMM wrappers' reduction loops.
-TEXT ·axpyOctAVX(SB), NOSPLIT, $0-88
-	MOVQ dst+0(FP), DI
-	MOVQ b0+8(FP), R8
-	MOVQ b1+16(FP), R9
-	MOVQ b2+24(FP), R10
-	MOVQ b3+32(FP), R11
-	MOVQ b4+40(FP), R12
-	MOVQ b5+48(FP), R13
-	MOVQ b6+56(FP), R14
-	MOVQ b7+64(FP), AX
-	MOVQ n+72(FP), CX
-	MOVQ a+80(FP), SI
-	VBROADCASTSS 0(SI), Y0
-	VBROADCASTSS 4(SI), Y1
-	VBROADCASTSS 8(SI), Y2
-	VBROADCASTSS 12(SI), Y3
-	VBROADCASTSS 16(SI), Y8
-	VBROADCASTSS 20(SI), Y9
-	VBROADCASTSS 24(SI), Y10
-	VBROADCASTSS 28(SI), Y11
-	XORQ BX, BX
-loop8:
-	LEAQ 8(BX), DX
-	CMPQ DX, CX
-	JGT  tail
-	VMOVUPS (DI)(BX*4), Y4
-	VMOVUPS (R8)(BX*4), Y5
-	VMULPS  Y0, Y5, Y5
-	VADDPS  Y5, Y4, Y4
-	VMOVUPS (R9)(BX*4), Y5
-	VMULPS  Y1, Y5, Y5
-	VADDPS  Y5, Y4, Y4
-	VMOVUPS (R10)(BX*4), Y5
-	VMULPS  Y2, Y5, Y5
-	VADDPS  Y5, Y4, Y4
-	VMOVUPS (R11)(BX*4), Y5
-	VMULPS  Y3, Y5, Y5
-	VADDPS  Y5, Y4, Y4
-	VMOVUPS (R12)(BX*4), Y5
-	VMULPS  Y8, Y5, Y5
-	VADDPS  Y5, Y4, Y4
-	VMOVUPS (R13)(BX*4), Y5
-	VMULPS  Y9, Y5, Y5
-	VADDPS  Y5, Y4, Y4
-	VMOVUPS (R14)(BX*4), Y5
-	VMULPS  Y10, Y5, Y5
-	VADDPS  Y5, Y4, Y4
-	VMOVUPS (AX)(BX*4), Y5
-	VMULPS  Y11, Y5, Y5
-	VADDPS  Y5, Y4, Y4
-	VMOVUPS Y4, (DI)(BX*4)
-	MOVQ    DX, BX
-	JMP     loop8
-tail:
-	CMPQ BX, CX
-	JGE  done
-	VMOVSS (DI)(BX*4), X4
-	VMOVSS (R8)(BX*4), X5
-	VMULSS X0, X5, X5
-	VADDSS X5, X4, X4
-	VMOVSS (R9)(BX*4), X5
-	VMULSS X1, X5, X5
-	VADDSS X5, X4, X4
-	VMOVSS (R10)(BX*4), X5
-	VMULSS X2, X5, X5
-	VADDSS X5, X4, X4
-	VMOVSS (R11)(BX*4), X5
-	VMULSS X3, X5, X5
-	VADDSS X5, X4, X4
-	VMOVSS (R12)(BX*4), X5
-	VMULSS X8, X5, X5
-	VADDSS X5, X4, X4
-	VMOVSS (R13)(BX*4), X5
-	VMULSS X9, X5, X5
-	VADDSS X5, X4, X4
-	VMOVSS (R14)(BX*4), X5
-	VMULSS X10, X5, X5
-	VADDSS X5, X4, X4
-	VMOVSS (AX)(BX*4), X5
-	VMULSS X11, X5, X5
-	VADDSS X5, X4, X4
-	VMOVSS X4, (DI)(BX*4)
-	INCQ   BX
-	JMP    tail
-done:
-	VZEROUPPER
-	RET
-
-// func axpyOctAVX64(dst, b0, b1, b2, b3, b4, b5, b6, b7 *float64, n int, a *float64)
-//
-// Float64 counterpart of axpyOctAVX: eight in-order accumulation steps,
-// coefficients loaded from a[0..7].
 TEXT ·axpyOctAVX64(SB), NOSPLIT, $0-88
 	MOVQ dst+0(FP), DI
 	MOVQ b0+8(FP), R8
@@ -472,171 +251,15 @@ done:
 	VZEROUPPER
 	RET
 
-// func taccumOctAVX(dst, coef, b0, b1, b2, b3, b4, b5, b6, b7 *float32, rows, n int)
-//
-// Row-looping variant of axpyOctAVX for the Aᵀ·B accumulate kernel: applies
-// the same eight in-order accumulation steps to `rows` consecutive dst rows
-// of width n, with a separate 8-coefficient set per row read from the
-// transposed staging block coef (row r uses coef[8r..8r+7]). The b rows are
-// shared across all dst rows, so one call amortizes argument setup over the
-// whole row range instead of paying it per row. Per-element arithmetic is
-// identical to calling axpyOctAVX once per row.
-TEXT ·taccumOctAVX(SB), NOSPLIT, $0-96
-	MOVQ  dst+0(FP), DI
-	MOVQ  coef+8(FP), SI
-	MOVQ  b0+16(FP), R8
-	MOVQ  b1+24(FP), R9
-	MOVQ  b2+32(FP), R10
-	MOVQ  b3+40(FP), R11
-	MOVQ  b4+48(FP), R12
-	MOVQ  b5+56(FP), R13
-	MOVQ  b6+64(FP), R14
-	MOVQ  b7+72(FP), AX
-	MOVQ  rows+80(FP), R15
-	MOVQ  n+88(FP), CX
-	TESTQ R15, R15
-	JLE   done
-
-rowloop:
-	VBROADCASTSS 0(SI), Y0
-	VBROADCASTSS 4(SI), Y1
-	VBROADCASTSS 8(SI), Y2
-	VBROADCASTSS 12(SI), Y3
-	VBROADCASTSS 16(SI), Y8
-	VBROADCASTSS 20(SI), Y9
-	VBROADCASTSS 24(SI), Y10
-	VBROADCASTSS 28(SI), Y11
-	XORQ         BX, BX
-
-loop8:
-	LEAQ    8(BX), DX
-	CMPQ    DX, CX
-	JGT     tail
-	VMOVUPS (DI)(BX*4), Y4
-	VMOVUPS (R8)(BX*4), Y5
-	VMULPS  Y0, Y5, Y5
-	VADDPS  Y5, Y4, Y4
-	VMOVUPS (R9)(BX*4), Y5
-	VMULPS  Y1, Y5, Y5
-	VADDPS  Y5, Y4, Y4
-	VMOVUPS (R10)(BX*4), Y5
-	VMULPS  Y2, Y5, Y5
-	VADDPS  Y5, Y4, Y4
-	VMOVUPS (R11)(BX*4), Y5
-	VMULPS  Y3, Y5, Y5
-	VADDPS  Y5, Y4, Y4
-	VMOVUPS (R12)(BX*4), Y5
-	VMULPS  Y8, Y5, Y5
-	VADDPS  Y5, Y4, Y4
-	VMOVUPS (R13)(BX*4), Y5
-	VMULPS  Y9, Y5, Y5
-	VADDPS  Y5, Y4, Y4
-	VMOVUPS (R14)(BX*4), Y5
-	VMULPS  Y10, Y5, Y5
-	VADDPS  Y5, Y4, Y4
-	VMOVUPS (AX)(BX*4), Y5
-	VMULPS  Y11, Y5, Y5
-	VADDPS  Y5, Y4, Y4
-	VMOVUPS Y4, (DI)(BX*4)
-	MOVQ    DX, BX
-	JMP     loop8
-
-tail:
-	CMPQ   BX, CX
-	JGE    nextrow
-	VMOVSS (DI)(BX*4), X4
-	VMOVSS (R8)(BX*4), X5
-	VMULSS X0, X5, X5
-	VADDSS X5, X4, X4
-	VMOVSS (R9)(BX*4), X5
-	VMULSS X1, X5, X5
-	VADDSS X5, X4, X4
-	VMOVSS (R10)(BX*4), X5
-	VMULSS X2, X5, X5
-	VADDSS X5, X4, X4
-	VMOVSS (R11)(BX*4), X5
-	VMULSS X3, X5, X5
-	VADDSS X5, X4, X4
-	VMOVSS (R12)(BX*4), X5
-	VMULSS X8, X5, X5
-	VADDSS X5, X4, X4
-	VMOVSS (R13)(BX*4), X5
-	VMULSS X9, X5, X5
-	VADDSS X5, X4, X4
-	VMOVSS (R14)(BX*4), X5
-	VMULSS X10, X5, X5
-	VADDSS X5, X4, X4
-	VMOVSS (AX)(BX*4), X5
-	VMULSS X11, X5, X5
-	VADDSS X5, X4, X4
-	VMOVSS X4, (DI)(BX*4)
-	INCQ   BX
-	JMP    tail
-
-nextrow:
-	LEAQ (DI)(CX*4), DI
-	ADDQ $32, SI
-	DECQ R15
-	JNZ  rowloop
-
-done:
-	VZEROUPPER
-	RET
-
-// func taccumRank1AVX(dst, coef, b *float32, rows, n int)
-//
-// Rank-1 accumulate dst[r][j] += coef[r]*b[j] over `rows` consecutive dst
-// rows of width n — the single-step tail of the Aᵀ·B kernel, looping rows
-// inside the call. Per-element arithmetic matches axpyAVX exactly.
-TEXT ·taccumRank1AVX(SB), NOSPLIT, $0-40
-	MOVQ  dst+0(FP), DI
-	MOVQ  coef+8(FP), SI
-	MOVQ  b+16(FP), R8
-	MOVQ  rows+24(FP), R15
-	MOVQ  n+32(FP), CX
-	TESTQ R15, R15
-	JLE   done
-
-rowloop:
-	VBROADCASTSS (SI), Y0
-	XORQ         BX, BX
-
-loop8:
-	LEAQ    8(BX), DX
-	CMPQ    DX, CX
-	JGT     tail
-	VMOVUPS (DI)(BX*4), Y4
-	VMOVUPS (R8)(BX*4), Y5
-	VMULPS  Y0, Y5, Y5
-	VADDPS  Y5, Y4, Y4
-	VMOVUPS Y4, (DI)(BX*4)
-	MOVQ    DX, BX
-	JMP     loop8
-
-tail:
-	CMPQ   BX, CX
-	JGE    nextrow
-	VMOVSS (DI)(BX*4), X4
-	VMOVSS (R8)(BX*4), X5
-	VMULSS X0, X5, X5
-	VADDSS X5, X4, X4
-	VMOVSS X4, (DI)(BX*4)
-	INCQ   BX
-	JMP    tail
-
-nextrow:
-	LEAQ (DI)(CX*4), DI
-	ADDQ $4, SI
-	DECQ R15
-	JNZ  rowloop
-
-done:
-	VZEROUPPER
-	RET
-
 // func taccumOctAVX64(dst, coef, b0, b1, b2, b3, b4, b5, b6, b7 *float64, rows, n int)
 //
-// Float64 counterpart of taccumOctAVX.
+// Row-looping variant of axpyOctAVX64 for the Aᵀ·B accumulate kernel:
+// applies the same eight in-order accumulation steps to `rows` consecutive
+// dst rows of width n, with a separate 8-coefficient set per row read from
+// the transposed staging block coef (row r uses coef[8r..8r+7]). The b rows
+// are shared across all dst rows, so one call amortizes argument setup over
+// the whole row range instead of paying it per row. Per-element arithmetic
+// is identical to calling axpyOctAVX64 once per row.
 TEXT ·taccumOctAVX64(SB), NOSPLIT, $0-96
 	MOVQ  dst+0(FP), DI
 	MOVQ  coef+8(FP), SI
@@ -741,7 +364,9 @@ done:
 
 // func taccumRank1AVX64(dst, coef, b *float64, rows, n int)
 //
-// Float64 counterpart of taccumRank1AVX.
+// Rank-1 accumulate dst[r][j] += coef[r]*b[j] over `rows` consecutive dst
+// rows of width n — the single-step tail of the Aᵀ·B kernel, looping rows
+// inside the call. Per-element arithmetic matches axpyAVX64 exactly.
 TEXT ·taccumRank1AVX64(SB), NOSPLIT, $0-40
 	MOVQ  dst+0(FP), DI
 	MOVQ  coef+8(FP), SI
@@ -788,85 +413,12 @@ done:
 	VZEROUPPER
 	RET
 
-// func taccumQuadAVX(dst, coef, b0, b1, b2, b3 *float32, rows, n int)
+// func taccumQuadAVX64(dst, coef, b0, b1, b2, b3 *float64, rows, n int)
 //
-// Four-step sibling of taccumOctAVX: row r applies coefficients
+// Four-step sibling of taccumOctAVX64: row r applies coefficients
 // coef[4r..4r+3] to the shared b rows in argument order. Used for the
 // p%8 >= 4 tier of the Aᵀ·B accumulate so mid-sized reductions sweep dst
 // once instead of four rank-1 passes.
-TEXT ·taccumQuadAVX(SB), NOSPLIT, $0-64
-	MOVQ  dst+0(FP), DI
-	MOVQ  coef+8(FP), SI
-	MOVQ  b0+16(FP), R8
-	MOVQ  b1+24(FP), R9
-	MOVQ  b2+32(FP), R10
-	MOVQ  b3+40(FP), R11
-	MOVQ  rows+48(FP), R15
-	MOVQ  n+56(FP), CX
-	TESTQ R15, R15
-	JLE   done
-
-rowloop:
-	VBROADCASTSS 0(SI), Y0
-	VBROADCASTSS 4(SI), Y1
-	VBROADCASTSS 8(SI), Y2
-	VBROADCASTSS 12(SI), Y3
-	XORQ         BX, BX
-
-loop8:
-	LEAQ    8(BX), DX
-	CMPQ    DX, CX
-	JGT     tail
-	VMOVUPS (DI)(BX*4), Y4
-	VMOVUPS (R8)(BX*4), Y5
-	VMULPS  Y0, Y5, Y5
-	VADDPS  Y5, Y4, Y4
-	VMOVUPS (R9)(BX*4), Y5
-	VMULPS  Y1, Y5, Y5
-	VADDPS  Y5, Y4, Y4
-	VMOVUPS (R10)(BX*4), Y5
-	VMULPS  Y2, Y5, Y5
-	VADDPS  Y5, Y4, Y4
-	VMOVUPS (R11)(BX*4), Y5
-	VMULPS  Y3, Y5, Y5
-	VADDPS  Y5, Y4, Y4
-	VMOVUPS Y4, (DI)(BX*4)
-	MOVQ    DX, BX
-	JMP     loop8
-
-tail:
-	CMPQ   BX, CX
-	JGE    nextrow
-	VMOVSS (DI)(BX*4), X4
-	VMOVSS (R8)(BX*4), X5
-	VMULSS X0, X5, X5
-	VADDSS X5, X4, X4
-	VMOVSS (R9)(BX*4), X5
-	VMULSS X1, X5, X5
-	VADDSS X5, X4, X4
-	VMOVSS (R10)(BX*4), X5
-	VMULSS X2, X5, X5
-	VADDSS X5, X4, X4
-	VMOVSS (R11)(BX*4), X5
-	VMULSS X3, X5, X5
-	VADDSS X5, X4, X4
-	VMOVSS X4, (DI)(BX*4)
-	INCQ   BX
-	JMP    tail
-
-nextrow:
-	LEAQ (DI)(CX*4), DI
-	ADDQ $16, SI
-	DECQ R15
-	JNZ  rowloop
-
-done:
-	VZEROUPPER
-	RET
-
-// func taccumQuadAVX64(dst, coef, b0, b1, b2, b3 *float64, rows, n int)
-//
-// Float64 counterpart of taccumQuadAVX.
 TEXT ·taccumQuadAVX64(SB), NOSPLIT, $0-64
 	MOVQ  dst+0(FP), DI
 	MOVQ  coef+8(FP), SI

@@ -30,15 +30,12 @@ import (
 // The kernels follow the package non-finite policy: no zero-skip shortcuts,
 // NaN/Inf operands always propagate.
 //
-// All kernels are generic over float32/float64; the float32 instantiation
-// backs the lstm FP32 training fast path. They take row-major buffers plus
-// explicit dimensions so callers with pooled flat buffers (the batched LSTM
-// scratch) pay no per-call header allocation.
-
-// Float is the element type the GEMM kernels are generic over.
-type Float interface {
-	~float32 | ~float64
-}
+// The kernels take row-major float64 buffers plus explicit dimensions so
+// callers with pooled flat buffers (the batched LSTM scratch) pay no
+// per-call header allocation. Each has two row loops with identical
+// per-cell arithmetic: the AVX one in gemm_simd.go, taken when the CPU has
+// AVX, and the pure-Go one here, the only path on other CPUs and
+// architectures.
 
 // gemmParallelMin is the minimum m*k*n product volume before the
 // partitioned path fans out; below it goroutine dispatch costs more
@@ -50,7 +47,7 @@ const gemmParallelMin = 1 << 16
 // ascending k order (bit-identical to a row-order vector-matrix product
 // when m=1). dst must not alias a or b. workers <= 1 runs serially; larger
 // values partition dst rows, which cannot change the result.
-func GemmInto[F Float](dst, a, b []F, m, k, n, workers int) {
+func GemmInto(dst, a, b []float64, m, k, n, workers int) {
 	checkGemm("gemminto", len(dst), len(a), len(b), m*n, m*k, k*n)
 	if workers > m {
 		workers = m
@@ -66,25 +63,24 @@ func GemmInto[F Float](dst, a, b []F, m, k, n, workers int) {
 	})
 }
 
-// gemmIntoRows walks b's rows outermost: b (usually a weight matrix much
+// gemmIntoRows computes dst rows [i0,i1) of GemmInto.
+func gemmIntoRows(dst, a, b []float64, k, n, i0, i1 int) {
+	if hasAVX {
+		gemmIntoRowsAVX(dst, a, b, k, n, i0, i1)
+		return
+	}
+	gemmIntoRowsGo(dst, a, b, k, n, i0, i1)
+}
+
+// gemmIntoRowsGo walks b's rows outermost: b (usually a weight matrix much
 // larger than the m×n dst) is streamed exactly once per call, while the dst
 // rows it scatters into stay L1-resident. Cell (i,j) still accumulates its
 // products in ascending p order — the same order a vector-matrix product
 // uses — the nest only changes which cell is visited when.
-// Like gemmTAAccumRows, four b rows are folded per pass with explicitly
+// Like gemmTAAccumRowsGo, four b rows are folded per pass with explicitly
 // sequenced adds, so each dst element is loaded and stored once per four
 // products while every cell still sums in ascending p order.
-func gemmIntoRows[F Float](dst, a, b []F, k, n, i0, i1 int) {
-	if hasAVX {
-		switch d := any(dst).(type) {
-		case []float32:
-			gemmIntoRows32(d, any(a).([]float32), any(b).([]float32), k, n, i0, i1)
-			return
-		case []float64:
-			gemmIntoRows64(d, any(a).([]float64), any(b).([]float64), k, n, i0, i1)
-			return
-		}
-	}
+func gemmIntoRowsGo(dst, a, b []float64, k, n, i0, i1 int) {
 	for i := i0; i < i1; i++ {
 		drow := dst[i*n : i*n+n]
 		for j := range drow {
@@ -127,7 +123,7 @@ func gemmIntoRows[F Float](dst, a, b []F, k, n, i0, i1 int) {
 // one outer-product accumulation, which is how the batched backward pass stays bit-identical
 // to the per-sequence gradient accumulation at Batch=1. dst must not alias
 // a or b. workers partition dst rows.
-func GemmTAAccum[F Float](dst, a, b []F, p, m, n, workers int) {
+func GemmTAAccum(dst, a, b []float64, p, m, n, workers int) {
 	checkGemm("gemmtaaccum", len(dst), len(a), len(b), m*n, p*m, p*n)
 	if workers > m {
 		workers = m
@@ -143,24 +139,23 @@ func GemmTAAccum[F Float](dst, a, b []F, p, m, n, workers int) {
 	})
 }
 
-// gemmTAAccumRows keeps the dst row outermost: each row receives all p of
+// gemmTAAccumRows accumulates dst rows [i0,i1) of GemmTAAccum.
+func gemmTAAccumRows(dst, a, b []float64, p, m, n, i0, i1 int) {
+	if hasAVX {
+		gemmTAAccumRowsAVX(dst, a, b, p, m, n, i0, i1)
+		return
+	}
+	gemmTAAccumRowsGo(dst, a, b, p, m, n, i0, i1)
+}
+
+// gemmTAAccumRowsGo keeps the dst row outermost: each row receives all p of
 // its rank-1 contributions while it is hot in L1, instead of streaming the
 // whole (often cache-sized) dst matrix once per p. Four s-contributions are
 // folded per pass with explicitly sequenced adds — v accumulates a0·b0,
 // then a1·b1, then a2·b2, then a3·b3, exactly the ascending-s order the
 // scalar loop uses — so dst is loaded and stored once per four products
 // instead of once per product, without changing a single cell's bits.
-func gemmTAAccumRows[F Float](dst, a, b []F, p, m, n, i0, i1 int) {
-	if hasAVX {
-		switch d := any(dst).(type) {
-		case []float32:
-			gemmTAAccumRows32(d, any(a).([]float32), any(b).([]float32), p, m, n, i0, i1)
-			return
-		case []float64:
-			gemmTAAccumRows64(d, any(a).([]float64), any(b).([]float64), p, m, n, i0, i1)
-			return
-		}
-	}
+func gemmTAAccumRowsGo(dst, a, b []float64, p, m, n, i0, i1 int) {
 	for i := i0; i < i1; i++ {
 		drow := dst[i*n : i*n+n]
 		s := 0

@@ -184,15 +184,6 @@ func TestNonFinitePropagation(t *testing.T) {
 	if !math.IsNaN(dn[0]) || !math.IsNaN(dn[1]) {
 		t.Errorf("GemmInto swallowed NaN*0: got %v, want NaN", dn)
 	}
-
-	// NaN input propagates through the float32 activations.
-	nan32 := float32(math.NaN())
-	if v := Exp32(nan32); v == v {
-		t.Errorf("Exp32(NaN) = %v, want NaN", v)
-	}
-	if v := Tanh32(nan32); v == v {
-		t.Errorf("Tanh32(NaN) = %v, want NaN", v)
-	}
 }
 
 // Known answers: a 2×3 by 3×2 product by hand.
@@ -313,137 +304,77 @@ func BenchmarkMul64(b *testing.B) {
 	}
 }
 
-// The float32 instantiation of the generic kernels must work identically in
-// structure; spot-check against a float64 reference within float32 noise.
-func TestGemmFloat32(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	const m, k, n = 5, 17, 9
-	a64 := randSlice(m*k, rng)
-	b64 := randSlice(k*n, rng)
-	a := make([]float32, len(a64))
-	b := make([]float32, len(b64))
-	for i, v := range a64 {
-		a[i] = float32(v)
+// The pure-Go row loops are the only GEMM path on arm64 and on CPUs without
+// AVX, and no other test reaches them on an AVX host. Each must match its
+// AVX row kernel bit for bit on every tail: n mod 4 and n mod 8 remainders
+// (the vector lanes), reduction lengths that are not multiples of 4 or 8
+// (the quad/oct unrolls), m = 1, row ranges that start mid-matrix (a
+// worker's partition) and exceed the 128-row staging chunk, and NaN/Inf
+// operands.
+func TestGemmRowsGoMatchesAVX(t *testing.T) {
+	if !hasAVX {
+		t.Skip("no AVX on this CPU: the pure-Go loops are the only path")
 	}
-	for i, v := range b64 {
-		b[i] = float32(v)
+	rng := rand.New(rand.NewSource(5))
+	operand := func(n int) []float64 {
+		out := randSlice(n, rng)
+		for i := range out {
+			switch rng.Intn(40) {
+			case 0:
+				out[i] = math.NaN()
+			case 1:
+				out[i] = math.Inf(1)
+			case 2:
+				out[i] = math.Inf(-1)
+			case 3:
+				out[i] = 0
+			}
+		}
+		return out
 	}
-	want := naiveGemm(a64, b64, m, k, n)
-	dst := make([]float32, m*n)
-	GemmInto(dst, a, b, m, k, n, 1)
-	for i := range want {
-		if diff := math.Abs(float64(dst[i]) - want[i]); diff > 1e-4*(1+math.Abs(want[i])) {
-			t.Fatalf("float32 GemmInto cell %d = %v, float64 reference %v", i, dst[i], want[i])
+	// NaN payloads are not part of the contract (x86 keeps the first NaN
+	// operand's, and operand order is the compiler's choice), so any NaN
+	// matches any NaN; every other result must match bit for bit.
+	same := func(x, y float64) bool {
+		return math.Float64bits(x) == math.Float64bits(y) || (math.IsNaN(x) && math.IsNaN(y))
+	}
+	check := func(op string, m, k, n, i0, i1 int, got, want []float64) {
+		t.Helper()
+		for c := range want {
+			if !same(got[c], want[c]) {
+				t.Fatalf("%s m=%d k=%d n=%d rows [%d,%d): cell %d Go %v (%#x) != AVX %v (%#x)",
+					op, m, k, n, i0, i1, c, got[c], math.Float64bits(got[c]), want[c], math.Float64bits(want[c]))
+			}
 		}
 	}
-}
-
-// The fast float32 activations must track the float64 library functions to
-// a few ulps across their useful range.
-func TestFast32Accuracy(t *testing.T) {
-	for x := -87.0; x <= 87.0; x += 0.0371 {
-		// Compare against exp of the float32-rounded input: rounding x
-		// itself already moves e^x by ~ulp(x), which is not Exp32's error.
-		got := float64(Exp32(float32(x)))
-		want := math.Exp(float64(float32(x)))
-		if relErr := math.Abs(got-want) / want; relErr > 4e-7 {
-			t.Fatalf("Exp32(%v) = %v, want %v (rel err %v)", x, got, want, relErr)
-		}
-	}
-	for x := -12.0; x <= 12.0; x += 0.0173 {
-		got := float64(Tanh32(float32(x)))
-		want := math.Tanh(x)
-		if err := math.Abs(got - want); err > 1e-6 {
-			t.Fatalf("Tanh32(%v) = %v, want %v", x, got, want)
-		}
-		gs := float64(Sigmoid32(float32(x)))
-		ws := Sigmoid(x)
-		if err := math.Abs(gs - ws); err > 1e-6 {
-			t.Fatalf("Sigmoid32(%v) = %v, want %v", x, gs, ws)
-		}
-	}
-	// Saturation and edges.
-	if v := Exp32(-1000); v != 0 {
-		t.Errorf("Exp32(-1000) = %v, want 0", v)
-	}
-	if v := Exp32(1000); !math.IsInf(float64(v), 1) {
-		t.Errorf("Exp32(1000) = %v, want +Inf", v)
-	}
-	if v := Tanh32(50); v != 1 {
-		t.Errorf("Tanh32(50) = %v, want 1", v)
-	}
-	if v := Tanh32(-50); v != -1 {
-		t.Errorf("Tanh32(-50) = %v, want -1", v)
-	}
-
-	// SoftmaxInto32 must be a probability distribution.
-	logits := []float32{1.5, -0.5, 3, 0}
-	probs := make([]float32, 4)
-	SoftmaxInto32(probs, logits)
-	var sum float32
-	for _, p := range probs {
-		if p <= 0 || p >= 1 {
-			t.Fatalf("SoftmaxInto32 prob out of range: %v", probs)
-		}
-		sum += p
-	}
-	if math.Abs(float64(sum)-1) > 1e-6 {
-		t.Fatalf("SoftmaxInto32 sums to %v", sum)
-	}
-	if ArgMax32(probs) != 2 {
-		t.Fatalf("ArgMax32 = %d, want 2", ArgMax32(probs))
-	}
-}
-
-// The AVX2 vector sigmoid/tanh must be bit-identical to the scalar functions
-// on every lane — random values across the whole dynamic range plus the edge
-// cases (±0, ±Inf, NaN, saturation and underflow boundaries). Odd lengths
-// exercise the scalar tail. On CPUs without AVX2 this still passes trivially
-// (both sides run the scalar code), so the assembly is only truly pinned on
-// AVX2 hardware — which includes CI.
-func TestVectorTranscendentalsMatchScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	src := []float32{
-		0, float32(math.Copysign(0, -1)), 1, -1, 9, -9,
-		9.0000005, -9.0000005, 88, -88, 200, -200,
-		float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
-		0.5, -0.5, 1e-30, -1e-30,
-	}
-	for i := 0; i < 1000; i++ {
-		// Mix gate-scale values with full-range magnitudes.
-		switch i % 3 {
-		case 0:
-			src = append(src, float32(rng.NormFloat64()*4))
-		case 1:
-			src = append(src, float32(rng.NormFloat64()*40))
-		default:
-			src = append(src, math.Float32frombits(rng.Uint32()))
-		}
-	}
-	check := func(name string, into func(dst, src []float32), scalar func(float32) float32) {
-		// Odd slice lengths force the post-vector tail path.
-		for _, n := range []int{len(src), 8, 7, 17, 1, 0} {
-			in := src[:n]
-			dst := make([]float32, n)
-			into(dst, in)
-			for j, x := range in {
-				want := scalar(x)
-				if math.Float32bits(dst[j]) != math.Float32bits(want) {
-					t.Fatalf("%s[%d] (x=%v %#08x): vector %v %#08x != scalar %v %#08x",
-						name, j, x, math.Float32bits(x),
-						dst[j], math.Float32bits(dst[j]), want, math.Float32bits(want))
+	ns := []int{1, 2, 3, 4, 5, 7, 8, 9, 12, 13, 16, 17}
+	ks := []int{1, 2, 3, 4, 5, 7, 8, 9, 11, 12, 13, 16, 17}
+	for _, m := range []int{1, 2, 3, 130} {
+		for _, k := range ks {
+			for _, n := range ns {
+				if m == 130 && n > 5 {
+					continue // the staging chunk needs many rows, not wide ones
 				}
-			}
-		}
-		// In-place application must work: the kernels read each lane once.
-		inPlace := append([]float32(nil), src...)
-		into(inPlace, inPlace)
-		for j, x := range src {
-			if math.Float32bits(inPlace[j]) != math.Float32bits(scalar(x)) {
-				t.Fatalf("%s in-place diverged at %d (x=%v)", name, j, x)
+				i0, i1 := 0, m
+				if m > 2 {
+					i0, i1 = 1, m-1
+				}
+				a := operand(m * k)
+				b := operand(k * n)
+				stale := operand(m * n)
+				goDst := append([]float64(nil), stale...)
+				avxDst := append([]float64(nil), stale...)
+				gemmIntoRowsGo(goDst, a, b, k, n, i0, i1)
+				gemmIntoRowsAVX(avxDst, a, b, k, n, i0, i1)
+				check("gemmIntoRows", m, k, n, i0, i1, goDst, avxDst)
+
+				// Aᵀ·B accumulate: a is k×m, b is k×n, reduction over k.
+				copy(goDst, stale)
+				copy(avxDst, stale)
+				gemmTAAccumRowsGo(goDst, a, b, k, m, n, i0, i1)
+				gemmTAAccumRowsAVX(avxDst, a, b, k, m, n, i0, i1)
+				check("gemmTAAccumRows", m, k, n, i0, i1, goDst, avxDst)
 			}
 		}
 	}
-	check("SigmoidInto32", SigmoidInto32, Sigmoid32)
-	check("TanhInto32", TanhInto32, Tanh32)
 }

@@ -1,8 +1,7 @@
 // Package mat provides the small numeric kernel under the learning
 // components of the MoSConS reproduction (the LSTM inference models and the
-// gradient-boosted trees): row-major GEMM kernels over flat float32/float64
-// buffers, the float32 transcendentals of the LSTM training fast path, and
-// a handful of vector helpers. Shapes are checked so dimension bugs fail
+// gradient-boosted trees): row-major GEMM kernels over flat float64 buffers
+// and a handful of vector helpers. Shapes are checked so dimension bugs fail
 // fast.
 //
 // Non-finite policy: every kernel follows IEEE-754 propagation — a NaN or
@@ -10,8 +9,7 @@
 // when the other operand is zero. No kernel may skip work in a way that
 // could swallow a non-finite contribution; an overflowing gradient must
 // surface as NaN/Inf at the output, not silently vanish because it was
-// multiplied by a structural zero. This matters most for the float32
-// training fast path, which can overflow where float64 did not.
+// multiplied by a structural zero.
 package mat
 
 import (
