@@ -37,6 +37,21 @@ func TestDeviceKeyGolden(t *testing.T) {
 	if got, want := deviceKeys(ecfg, especs, newModelShare(especs))[1], "87fa56a80d0cb8b9afa96e125a506a4fe368a98a61525c3e59db188e21931c27"; got != want {
 		t.Errorf("shared-extraction key moved:\n got %s\nwant %s", got, want)
 	}
+	// A key that carries chaos: every fault field a production plan can set
+	// is non-zero here, so a change to how any of them is written shows.
+	ccfg := tinyFleet(4, 1)
+	ccfg.FleetChaos = chaos.FleetAt(0.5)
+	ccfg.Base.Chaos = chaos.At(0.25)
+	ccfg.Base.Chaos.Seed = 7
+	ccfg.Base.Chaos.Sched = chaos.SchedAt(0.5)
+	ccfg.Base.Chaos.Sched.Seed = 11
+	cspecs, err := Plan(ccfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := deviceKeys(ccfg, cspecs, nil)[1], "17787122ee7af7a8f074b174ee92dad163e8755f1262860106d4aa8308ca14b4"; got != want {
+		t.Errorf("chaos-bearing key moved:\n got %s\nwant %s", got, want)
+	}
 }
 
 // TestDeviceKeyBatch: a shared model set trained at another LSTM minibatch
