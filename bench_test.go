@@ -428,34 +428,6 @@ func benchFleetCollect(b *testing.B, workers int) {
 func BenchmarkFleetCollectWorkers1(b *testing.B) { benchFleetCollect(b, 1) }
 func BenchmarkFleetCollectWorkers4(b *testing.B) { benchFleetCollect(b, 4) }
 
-// BenchmarkFleetFullShared runs the full extraction fleet — collection,
-// training and extraction for eight devices spanning two classes and one mix,
-// so the fleet holds exactly two (class, mix) model groups: it trains two
-// model sets and references them from the other six devices.
-func BenchmarkFleetFullShared(b *testing.B) {
-	cfg := fleet.Config{
-		Base:    benchScale(),
-		Devices: 8,
-		Classes: fleet.DefaultClasses()[:2],
-		Mixes:   []fleet.TenancyMix{{Name: "solo", Tenants: 0}},
-	}
-	var trained, referenced int
-	for i := 0; i < b.N; i++ {
-		res, err := fleet.Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, d := range res.Devices {
-			if d.ExtractErr != "" {
-				b.Fatalf("%s: extraction failed: %s", d.Spec.Name, d.ExtractErr)
-			}
-		}
-		trained, referenced = res.ModelSetsTrained, res.ModelSetsReferenced
-	}
-	b.ReportMetric(float64(trained), "modelsets-trained")
-	b.ReportMetric(float64(referenced), "modelsets-shared")
-}
-
 // benchWorkbench builds the full pipelined Workbench — profiled and tested
 // collection on one shared pool, training overlapped with the tested set —
 // under a fixed worker budget. Comparing the Workers1/Workers4 variants

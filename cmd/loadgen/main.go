@@ -47,6 +47,13 @@ var outcomeName = [numOutcomes]string{
 	"ok", "shed (429)", "malformed (400)", "client-aborted", "server-cancelled", "other-error",
 }
 
+// sample is one upload's result.
+type sample struct {
+	outcome outcome
+	latency time.Duration
+	traces  int
+}
+
 func run() error {
 	var (
 		httpAddr  = flag.String("http", "", "daemon TCP address (e.g. 127.0.0.1:7070)")
@@ -95,11 +102,6 @@ func run() error {
 	client, base := newClient(*httpAddr, *unixPath)
 	client.Timeout = 0 // per-request contexts carry the deadline
 
-	type sample struct {
-		outcome outcome
-		latency time.Duration
-		traces  int
-	}
 	var (
 		mu      sync.Mutex
 		samples []sample
@@ -199,11 +201,7 @@ func (s *slowReader) Read(p []byte) (int, error) {
 }
 
 func uploadOnce(client *http.Client, base string, body []byte, kind int,
-	rng *rand.Rand, timeout time.Duration) (s struct {
-	outcome outcome
-	latency time.Duration
-	traces  int
-}) {
+	rng *rand.Rand, timeout time.Duration) (s sample) {
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
 

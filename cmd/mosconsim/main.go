@@ -49,8 +49,8 @@ func run() error {
 
 		schedIntensity = flag.Float64("sched", 0,
 			"scheduler-fault intensity in [0,1]: applies the canonical chaos.SchedAt mix (victim stalls, driver resets, tenant churn) to the victim co-runs")
-		schedStallRate = flag.Float64("sched-stall-rate", 0, "override: per-iteration victim input-pipeline stall probability")
-		schedStallFrac = flag.Float64("sched-stall-frac", 0, "override: stall length as a fraction of one iteration")
+		schedStallRate = flag.Float64("sched-stall-rate", 0, "override: per-iteration victim input-pipeline stall probability (needs a stall length from -sched-stall-frac or -sched)")
+		schedStallFrac = flag.Float64("sched-stall-frac", 0, "override: stall length as a fraction of one iteration (needs a stall rate from -sched-stall-rate or -sched)")
 		schedResets    = flag.Int("sched-resets", 0, "override: driver resets of the spy context per run")
 		schedJoins     = flag.Int("sched-joins", 0, "override: background tenants joining mid-run")
 		schedLeaves    = flag.Int("sched-leaves", 0, "override: initially attached tenants leaving mid-run")

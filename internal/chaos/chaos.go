@@ -70,8 +70,8 @@ type Plan struct {
 	Sched SchedPlan
 
 	// Device injects process-level faults — whole-device crash, spy-process
-	// kill, arming-session loss, finite co-tenant schedules. See
-	// DeviceFaults; its zero value injects nothing.
+	// kill, arming-session loss. See DeviceFaults; its zero value injects
+	// nothing.
 	Device DeviceFaults
 }
 

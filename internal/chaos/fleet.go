@@ -29,11 +29,6 @@ type DeviceFaults struct {
 	// fraction of the run: kernels keep timesharing the device but no
 	// counter windows materialize after the loss.
 	ArmLossFrac float64
-	// TenantIterations caps every background tenant's training run at this
-	// many iterations, after which the tenant's context drains and leaves
-	// (finite co-tenant schedules). Zero means tenants run for the whole
-	// co-run, as before.
-	TenantIterations int
 }
 
 // IsZero reports whether the faults inject nothing.
@@ -54,9 +49,6 @@ func (d DeviceFaults) Validate() error {
 		if r.v < 0 || r.v >= 1 {
 			return fmt.Errorf("chaos: %s must be in [0, 1), got %v", r.name, r.v)
 		}
-	}
-	if d.TenantIterations < 0 {
-		return fmt.Errorf("chaos: TenantIterations must be >= 0, got %d", d.TenantIterations)
 	}
 	return nil
 }
@@ -115,8 +107,10 @@ type DeviceStats struct {
 	// windows discarded past it.
 	ArmSessionLostAt     gpu.Nanos
 	SamplesLostToArmLoss int
-	// TenantIterationCap echoes the applied finite-tenant cap (0 = none);
-	// TenantsExpired counts tenants that hit it and left.
+	// TenantIterationCap and TenantsExpired echoed a finite co-tenant
+	// schedule, which nothing applies any more. They stay because the trace
+	// header and the fleet journal record carry them, so traces and records
+	// written while such schedules existed still decode.
 	TenantIterationCap int
 	TenantsExpired     int
 }
@@ -129,17 +123,11 @@ type DeviceStats struct {
 // draws its data from its own keyed seed stream, never re-rolling the fault
 // dice into the measurement. The zero plan injects nothing anywhere.
 type FleetPlan struct {
-	// Seed keys the per-device fault assignment. Zero is a valid key (the
-	// plan is still deterministic); distinct seeds fault different devices.
-	Seed int64
 	// CrashProb, SpyKillProb, ArmLossProb are per-device probabilities that
 	// a faulty attempt suffers that fault class.
 	CrashProb   float64
 	SpyKillProb float64
 	ArmLossProb float64
-	// TenantIterations caps co-tenant training runs fleet-wide (finite
-	// co-tenant schedules); zero leaves tenants unbounded.
-	TenantIterations int
 	// FaultyAttempts is how many initial attempts per device draw faults;
 	// attempts >= FaultyAttempts run clean. Zero selects 1 (first attempt
 	// may fault, first retry runs clean).
@@ -164,9 +152,6 @@ func (p FleetPlan) Validate() error {
 		if r.v < 0 || r.v > 1 {
 			return fmt.Errorf("chaos: %s must be in [0, 1], got %v", r.name, r.v)
 		}
-	}
-	if p.TenantIterations < 0 {
-		return fmt.Errorf("chaos: TenantIterations must be >= 0, got %d", p.TenantIterations)
 	}
 	if p.FaultyAttempts < 0 {
 		return fmt.Errorf("chaos: FaultyAttempts must be >= 0, got %d", p.FaultyAttempts)
@@ -193,12 +178,12 @@ func FleetAt(intensity float64) FleetPlan {
 	}
 }
 
-// fleetMix is a splitmix64-style keyed mixer local to chaos (eval.DeriveSeed
-// lives above chaos in the import graph). Each (seed, device, attempt, class)
-// tuple yields an independent uniform draw; changing any coordinate decorrelates
+// fleetMix is a splitmix64-style mixer local to chaos (eval.DeriveSeed lives
+// above chaos in the import graph). Each (device, attempt, class) tuple
+// yields an independent uniform draw; changing any coordinate decorrelates
 // the output completely, so one device's faults never depend on another's.
-func fleetMix(seed int64, device, attempt, class uint64) uint64 {
-	z := uint64(seed) ^ device*0x9e3779b97f4a7c15 ^ attempt*0xbf58476d1ce4e5b9 ^ class*0x94d049bb133111eb
+func fleetMix(device, attempt, class uint64) uint64 {
+	z := device*0x9e3779b97f4a7c15 ^ attempt*0xbf58476d1ce4e5b9 ^ class*0x94d049bb133111eb
 	z += 0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
@@ -218,25 +203,25 @@ func (p FleetPlan) FaultsFor(device, attempt int) DeviceFaults {
 	if p.IsZero() {
 		return DeviceFaults{}
 	}
-	faults := DeviceFaults{TenantIterations: p.TenantIterations}
 	faulty := p.FaultyAttempts
 	if faulty == 0 {
 		faulty = 1
 	}
 	if attempt >= faulty {
-		return faults
+		return DeviceFaults{}
 	}
+	var faults DeviceFaults
 	d, a := uint64(device), uint64(attempt)
 	frac := func(class uint64) float64 {
-		return 0.25 + 0.5*fleetU01(fleetMix(p.Seed, d, a, class|0x100))
+		return 0.25 + 0.5*fleetU01(fleetMix(d, a, class|0x100))
 	}
-	if p.CrashProb > 0 && fleetU01(fleetMix(p.Seed, d, a, 1)) < p.CrashProb {
+	if p.CrashProb > 0 && fleetU01(fleetMix(d, a, 1)) < p.CrashProb {
 		faults.CrashFrac = frac(1)
 	}
-	if p.SpyKillProb > 0 && fleetU01(fleetMix(p.Seed, d, a, 2)) < p.SpyKillProb {
+	if p.SpyKillProb > 0 && fleetU01(fleetMix(d, a, 2)) < p.SpyKillProb {
 		faults.SpyKillFrac = frac(2)
 	}
-	if p.ArmLossProb > 0 && fleetU01(fleetMix(p.Seed, d, a, 3)) < p.ArmLossProb {
+	if p.ArmLossProb > 0 && fleetU01(fleetMix(d, a, 3)) < p.ArmLossProb {
 		faults.ArmLossFrac = frac(3)
 	}
 	return faults

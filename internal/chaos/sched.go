@@ -32,25 +32,6 @@ type SchedPlan struct {
 	// scale-free across platforms.
 	StallFrac float64
 
-	// OpStallRate is the per-op probability that the victim's host thread
-	// stalls before launching an individual (non-first) op within an
-	// iteration — a blocking host sync, an allocator hiccup — stretching
-	// that op's gap without touching the iteration boundary. The first op of
-	// each iteration is governed by StallRate instead, so the two stall
-	// classes draw from disjoint points of the stream.
-	OpStallRate float64
-	// OpStallFrac sizes each op stall as a fraction of one op's average
-	// exclusive-device time; the drawn stall is uniform in
-	// [0.5, 1.5] x OpStallFrac x op duration.
-	OpStallFrac float64
-
-	// VictimResets is the number of victim-context driver resets injected
-	// per run: at each seeded time the engine tears down the *victim's*
-	// context mid-iteration. The tfsim session must rewind to the start of
-	// the interrupted iteration and replay it when the context re-attaches —
-	// the dual of Resets, which targets the spy.
-	VictimResets int
-
 	// Resets is the number of driver resets injected per run: at each
 	// seeded time the engine tears down the spy's context. The spy's
 	// watchdog must notice the outage and re-arm, losing every sample
@@ -84,11 +65,10 @@ func (p SchedPlan) Validate() error {
 	if p.StallFrac < 0 || p.StallFrac > 16 {
 		return fmt.Errorf("chaos: StallFrac must be in [0, 16], got %v", p.StallFrac)
 	}
-	if p.OpStallRate < 0 || p.OpStallRate > 1 {
-		return fmt.Errorf("chaos: OpStallRate must be in [0, 1], got %v", p.OpStallRate)
-	}
-	if p.OpStallFrac < 0 || p.OpStallFrac > 16 {
-		return fmt.Errorf("chaos: OpStallFrac must be in [0, 16], got %v", p.OpStallFrac)
+	if (p.StallRate == 0) != (p.StallFrac == 0) {
+		// StallBefore needs both; one alone would inject nothing yet still
+		// make a non-zero plan with its own fleet key.
+		return fmt.Errorf("chaos: StallRate and StallFrac must be set together, got %v and %v", p.StallRate, p.StallFrac)
 	}
 	for _, c := range []struct {
 		name string
@@ -97,7 +77,6 @@ func (p SchedPlan) Validate() error {
 		{"Resets", p.Resets},
 		{"TenantJoins", p.TenantJoins},
 		{"TenantLeaves", p.TenantLeaves},
-		{"VictimResets", p.VictimResets},
 	} {
 		if c.v < 0 || c.v > schedEventCap {
 			return fmt.Errorf("chaos: %s must be in [0, %d], got %d", c.name, schedEventCap, c.v)
@@ -151,14 +130,13 @@ type SchedStats struct {
 	// channels' first launch).
 	SamplesLostToRecovery int
 
-	// OpStallsInjected counts op-granular host stalls inside iterations;
-	// OpStallTime is their summed simulated duration.
-	OpStallsInjected int
-	OpStallTime      gpu.Nanos
-
-	// VictimResets counts driver resets applied to the victim's context;
-	// VictimOpsReplayed counts ops re-executed because their iteration was
-	// interrupted mid-flight and rewound.
+	// OpStallsInjected and OpStallTime counted op-granular host stalls, and
+	// VictimResets and VictimOpsReplayed victim-context resets and the ops
+	// they replayed. Nothing injects either any more; the fields stay
+	// because the trace header and the fleet journal record carry them, so
+	// traces and records written while those faults existed still decode.
+	OpStallsInjected  int
+	OpStallTime       gpu.Nanos
 	VictimResets      int
 	VictimOpsReplayed int
 }
@@ -174,7 +152,6 @@ const (
 	SchedReset SchedEventKind = iota + 1
 	SchedTenantJoin
 	SchedTenantLeave
-	SchedVictimReset
 	SchedDeviceCrash
 	SchedSpyKill
 	SchedArmLoss
@@ -189,8 +166,6 @@ func (k SchedEventKind) String() string {
 		return "tenant-join"
 	case SchedTenantLeave:
 		return "tenant-leave"
-	case SchedVictimReset:
-		return "victim-reset"
 	case SchedDeviceCrash:
 		return "device-crash"
 	case SchedSpyKill:
@@ -256,10 +231,6 @@ func (si *SchedInjector) Schedule(start, end gpu.Nanos) []SchedEvent {
 	events = append(events, draw(SchedReset, si.plan.Resets)...)
 	events = append(events, draw(SchedTenantJoin, si.plan.TenantJoins)...)
 	events = append(events, draw(SchedTenantLeave, si.plan.TenantLeaves)...)
-	// Victim resets draw after every pre-existing class so plans without
-	// them keep their exact event times (the draw prefix is part of the
-	// golden-hash contract).
-	events = append(events, draw(SchedVictimReset, si.plan.VictimResets)...)
 	sort.SliceStable(events, func(i, j int) bool {
 		if events[i].At != events[j].At {
 			return events[i].At < events[j].At
@@ -289,36 +260,8 @@ func (si *SchedInjector) StallBefore(iterDur gpu.Nanos) gpu.Nanos {
 	return d
 }
 
-// OpStallBefore draws whether one individual (non-first) op launch is
-// preceded by a host stall, and its length. opDur is the op's average
-// exclusive-device time. A zero-rate plan consumes no RNG draws, so enabling
-// op stalls never perturbs iteration stalls or event times, and vice versa:
-// both stall classes interleave on the same stream in launch order, which is
-// deterministic for a fixed plan.
-func (si *SchedInjector) OpStallBefore(opDur gpu.Nanos) gpu.Nanos {
-	if si.plan.OpStallRate <= 0 || si.plan.OpStallFrac <= 0 {
-		return 0
-	}
-	if si.rng.Float64() >= si.plan.OpStallRate {
-		return 0
-	}
-	d := gpu.Nanos(si.plan.OpStallFrac * float64(opDur) * (0.5 + si.rng.Float64()))
-	if d < 1 {
-		d = 1
-	}
-	si.stats.OpStallsInjected++
-	si.stats.OpStallTime += d
-	return d
-}
-
 // NoteReset counts one applied driver reset.
 func (si *SchedInjector) NoteReset() { si.stats.ResetsInjected++ }
-
-// NoteVictimReset counts one applied victim-context reset.
-func (si *SchedInjector) NoteVictimReset() { si.stats.VictimResets++ }
-
-// NoteVictimOpsReplayed counts ops replayed after a victim-context rewind.
-func (si *SchedInjector) NoteVictimOpsReplayed(n int) { si.stats.VictimOpsReplayed += n }
 
 // NoteResetSurvived counts one reset the spy recovered from.
 func (si *SchedInjector) NoteResetSurvived() { si.stats.ResetsSurvived++ }

@@ -42,6 +42,8 @@ func TestSchedPlanValidate(t *testing.T) {
 		{StallRate: 1.1},
 		{StallFrac: -1},
 		{StallFrac: 17},
+		{StallRate: 0.5}, // a rate without a length stalls nothing
+		{StallFrac: 1},   // a length without a rate stalls nothing
 		{Resets: -1},
 		{Resets: schedEventCap + 1},
 		{TenantJoins: -2},

@@ -106,9 +106,6 @@ func (w *WindowSampler) Finish(at gpu.Nanos) []Sample {
 	return w.samples
 }
 
-// Samples returns the windows emitted so far.
-func (w *WindowSampler) Samples() []Sample { return w.samples }
-
 func (w *WindowSampler) flushWindow() {
 	w.samples = append(w.samples, w.current)
 	w.start += w.period

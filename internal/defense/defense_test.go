@@ -91,18 +91,32 @@ func TestHardenedEngineCapsSpyChannels(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := gpu.KernelProfile{Name: "k", FixedDuration: gpu.Millisecond}
-	if !eng.AddChannel(1, &gpu.RepeatSource{Kernel: k, Limit: 1}) {
+	if !eng.AddChannel(1, &gpu.RepeatSource{Kernel: k}) {
 		t.Fatal("protected context channel rejected")
 	}
-	if !eng.AddChannel(1, &gpu.RepeatSource{Kernel: k, Limit: 1}) {
+	if !eng.AddChannel(1, &gpu.RepeatSource{Kernel: k}) {
 		t.Fatal("protected context second channel rejected")
 	}
-	if !eng.AddChannel(2, &gpu.RepeatSource{Kernel: k, Limit: 1}) {
+	if !eng.AddChannel(2, &gpu.RepeatSource{Kernel: k}) {
 		t.Fatal("spy's first channel rejected")
 	}
-	if eng.AddChannel(2, &gpu.RepeatSource{Kernel: k, Limit: 1}) {
+	if eng.AddChannel(2, &gpu.RepeatSource{Kernel: k}) {
 		t.Fatal("spy's second channel accepted despite cap")
 	}
+}
+
+// oneShot hands the engine one kernel, once.
+type oneShot struct {
+	kernel gpu.KernelProfile
+	done   bool
+}
+
+func (s *oneShot) Next(now gpu.Nanos) (gpu.KernelProfile, gpu.Nanos, bool) {
+	if s.done {
+		return gpu.KernelProfile{}, 0, false
+	}
+	s.done = true
+	return s.kernel, now, true
 }
 
 // The protected context's boosted slices reduce the spy's preemption
@@ -136,9 +150,7 @@ func TestProtectedBoostCoarsensPreemption(t *testing.T) {
 			Name: "spy", FixedDuration: 5 * gpu.Millisecond,
 			Blocks: 64, ThreadsPerBlock: 256,
 		}
-		q := &gpu.QueueSource{}
-		q.Enqueue(long, 0)
-		eng.AddChannel(1, q)
+		eng.AddChannel(1, &oneShot{kernel: long})
 		eng.AddChannel(2, &gpu.RepeatSource{Kernel: spyK})
 		eng.Run(2 * gpu.Second)
 		return victimSlices

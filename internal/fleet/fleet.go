@@ -95,10 +95,6 @@ type Config struct {
 	Base eval.Scale
 	// Devices is the fleet size.
 	Devices int
-	// Classes and Mixes are cycled across devices (mixes fastest, so every
-	// small prefix already spans the tenancy axis). Nil selects the defaults.
-	Classes []DeviceClass
-	Mixes   []TenancyMix
 	// SpyBudget is the total number of slow-down channels the adversary may
 	// arm across the whole fleet (shared infrastructure quota). Devices are
 	// funded greedily in index order, eight channels each, so an existing
@@ -111,8 +107,7 @@ type Config struct {
 	CollectOnly bool
 
 	// FleetChaos assigns device-level faults (whole-device crash, spy kill,
-	// arming-session loss, finite co-tenant schedules) across the campaign;
-	// see chaos.FleetPlan. The zero plan injects nothing and keeps every
+	// arming-session loss) across the campaign; see chaos.FleetPlan. The zero plan injects nothing and keeps every
 	// device's collection byte-identical to a fault-free fleet.
 	FleetChaos chaos.FleetPlan
 	// Retries bounds re-attempts per device after a crash or failure; the
@@ -153,23 +148,22 @@ type DeviceSpec struct {
 	Victim dnn.Model
 }
 
-// Plan expands a Config into per-device specs. The expansion is a pure
-// function of (Base, Devices, Classes, Mixes, SpyBudget) with the prefix
-// property: Plan(N+1)[:N] equals Plan(N) element for element.
+// Plan expands a Config into per-device specs over DefaultClasses and
+// DefaultMixes. The expansion is a pure function of (Base, Devices,
+// SpyBudget) with the prefix property: Plan(N+1)[:N] equals Plan(N) element
+// for element.
 func Plan(cfg Config) ([]DeviceSpec, error) {
+	return planWith(cfg, DefaultClasses(), DefaultMixes())
+}
+
+// planWith is Plan over the given classes and mixes, cycled across devices
+// (mixes fastest, so every small prefix already spans the tenancy axis).
+func planWith(cfg Config, classes []DeviceClass, mixes []TenancyMix) ([]DeviceSpec, error) {
 	if cfg.Devices <= 0 {
 		return nil, fmt.Errorf("fleet: Devices must be >= 1, got %d", cfg.Devices)
 	}
 	if len(cfg.Base.Tested) == 0 {
 		return nil, fmt.Errorf("fleet: base scale %q has no tested models", cfg.Base.Name)
-	}
-	classes := cfg.Classes
-	if len(classes) == 0 {
-		classes = DefaultClasses()
-	}
-	mixes := cfg.Mixes
-	if len(mixes) == 0 {
-		mixes = DefaultMixes()
 	}
 	specs := make([]DeviceSpec, cfg.Devices)
 	for i := range specs {

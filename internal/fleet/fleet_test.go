@@ -6,7 +6,6 @@ import (
 
 	"leakydnn/internal/chaos"
 	"leakydnn/internal/eval"
-	"leakydnn/internal/gpu"
 	"leakydnn/internal/par"
 	"leakydnn/internal/trace"
 )
@@ -211,15 +210,34 @@ func TestFleetFullPipelineSmall(t *testing.T) {
 	}
 }
 
-// oneGroupFleet is an extraction fleet whose devices all land in a single
-// model group (one class, one mix), so class-sharing dedups N trainings to 1.
-// The default classes/mixes would give every small-fleet device its own group.
+// oneGroupFleet is an extraction fleet for oneGroupPlan.
 func oneGroupFleet(devices, workers int) Config {
 	cfg := tinyFleet(devices, workers)
 	cfg.CollectOnly = false
-	cfg.Classes = []DeviceClass{{Name: "stock", Apply: func(d gpu.DeviceConfig) gpu.DeviceConfig { return d }}}
-	cfg.Mixes = []TenancyMix{{Name: "solo", Tenants: 0}}
 	return cfg
+}
+
+// oneGroupPlan plans cfg so that every device lands in a single model group
+// (one class, one mix), and class-sharing dedups N trainings to 1. The
+// default classes and mixes would give every small-fleet device its own
+// group.
+func oneGroupPlan(t testing.TB, cfg Config) []DeviceSpec {
+	t.Helper()
+	specs, err := planWith(cfg, DefaultClasses()[:1], DefaultMixes()[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return specs
+}
+
+// runOneGroup runs cfg as oneGroupPlan plans it.
+func runOneGroup(t testing.TB, cfg Config) *Result {
+	t.Helper()
+	res, err := RunSpecs(cfg, oneGroupPlan(t, cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // Class-sharing must train one model set per group and report the provenance:
@@ -228,10 +246,7 @@ func TestFleetSharedModelDedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a model set")
 	}
-	res, err := Run(oneGroupFleet(3, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runOneGroup(t, oneGroupFleet(3, 2))
 	if res.ModelSetsTrained != 1 || res.ModelSetsReferenced != 2 {
 		t.Errorf("model sets trained/referenced = %d/%d, want 1/2",
 			res.ModelSetsTrained, res.ModelSetsReferenced)
@@ -264,14 +279,8 @@ func TestFleetSharedMatchesPerDeviceOnRepresentative(t *testing.T) {
 		t.Skip("trains model sets")
 	}
 	cfg := oneGroupFleet(2, 1)
-	shared, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	specs, err := Plan(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	shared := runOneGroup(t, cfg)
+	specs := oneGroupPlan(t, cfg)
 	models, err := trainModelSet(specs[0], par.NewPool(1))
 	if err != nil {
 		t.Fatal(err)
@@ -300,14 +309,8 @@ func TestFleetSharedWorkerAndSizeInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains model sets")
 	}
-	small, err := Run(oneGroupFleet(2, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	big, err := Run(oneGroupFleet(3, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	small := runOneGroup(t, oneGroupFleet(2, 1))
+	big := runOneGroup(t, oneGroupFleet(3, 4))
 	for i := range small.Devices {
 		a, b := small.Devices[i], big.Devices[i]
 		if a.TraceHash != b.TraceHash || a.ExtractHash != b.ExtractHash || a.Fingerprint != b.Fingerprint {
@@ -322,10 +325,7 @@ func TestFleetSharedWorkerAndSizeInvariance(t *testing.T) {
 // campaign whose group elected another.
 func TestDeviceKeyModelSource(t *testing.T) {
 	cfg := oneGroupFleet(3, 1)
-	specs, err := Plan(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	specs := oneGroupPlan(t, cfg)
 	share := newModelShare(specs)
 	// Without device 0 the group elects device 1 as its representative.
 	moved := newModelShare(specs[1:])
@@ -373,4 +373,31 @@ func TestAccuracyGridPrefixConsistency(t *testing.T) {
 	if g.Render() == "" {
 		t.Error("empty grid render")
 	}
+}
+
+// BenchmarkFleetFullShared runs the full extraction fleet — collection,
+// training and extraction for eight devices spanning two classes and one mix,
+// so the fleet holds exactly two (class, mix) model groups: it trains two
+// model sets and references them from the other six devices.
+func BenchmarkFleetFullShared(b *testing.B) {
+	cfg := Config{Base: eval.Tiny(), Devices: 8}
+	specs, err := planWith(cfg, DefaultClasses()[:2], DefaultMixes()[:1])
+	if err != nil {
+		b.Fatal(err)
+	}
+	var trained, referenced int
+	for i := 0; i < b.N; i++ {
+		res, err := RunSpecs(cfg, specs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, d := range res.Devices {
+			if d.ExtractErr != "" {
+				b.Fatalf("%s: extraction failed: %s", d.Spec.Name, d.ExtractErr)
+			}
+		}
+		trained, referenced = res.ModelSetsTrained, res.ModelSetsReferenced
+	}
+	b.ReportMetric(float64(trained), "modelsets-trained")
+	b.ReportMetric(float64(referenced), "modelsets-shared")
 }

@@ -4,7 +4,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"strconv"
 
+	"leakydnn/internal/chaos"
 	"leakydnn/internal/journal"
 )
 
@@ -31,23 +33,20 @@ const recordKind = "fleet-device"
 // Collect-only campaigns never train, so their keys carry no model line and
 // stay byte-compatible with journals written before sharing existed.
 func deviceKeys(cfg Config, specs []DeviceSpec, share *modelShare) []string {
-	campaign := fmt.Appendf(nil, "campaign|%s|%d|%t|%d|%d|%+v\n",
-		cfg.Base.Name, cfg.Base.Seed, cfg.CollectOnly, cfg.SpyBudget, cfg.Retries, cfg.FleetChaos)
+	campaign := fmt.Appendf(nil, "campaign|%s|%d|%t|%d|%d|",
+		cfg.Base.Name, cfg.Base.Seed, cfg.CollectOnly, cfg.SpyBudget, cfg.Retries)
+	campaign = append(appendFleetPlanKey(campaign, cfg.FleetChaos), '\n')
 	h := sha256.New()
-	var line, plan []byte
+	var line []byte
 	var sum [sha256.Size]byte
 	keys := make([]string, len(specs))
 	for i, spec := range specs {
-		// Neighbouring specs nearly always share a chaos plan, and its
-		// reflective formatting is most of a key's cost.
-		if i == 0 || spec.Scale.Chaos != specs[i-1].Scale.Chaos {
-			plan = fmt.Appendf(plan[:0], "%+v", spec.Scale.Chaos)
-		}
-		line = fmt.Appendf(line[:0], "spec|%d|%s|%s|%s|%d|%d|%d|%s|%d|%d|%d|%s|%s\n",
+		line = fmt.Appendf(line[:0], "spec|%d|%s|%s|%s|%d|%d|%d|%s|%d|%d|%d|%s|",
 			spec.Index, spec.Name, spec.Class, spec.Mix, spec.Tenants, spec.Slowdown,
 			spec.Scale.Seed, spec.Scale.Name, spec.Scale.Iterations,
 			int64(spec.Scale.IterGap), int64(spec.Scale.SamplePeriod),
-			spec.Victim.Name, plan)
+			spec.Victim.Name)
+		line = append(appendPlanKey(line, spec.Scale.Chaos), '\n')
 		if share != nil {
 			if e := share.entryFor(spec); e != nil {
 				line = fmt.Appendf(line, "models|shared|%d|%d", e.rep.Index, e.rep.Scale.Seed)
@@ -63,6 +62,63 @@ func deviceKeys(cfg Config, specs []DeviceSpec, share *modelShare) []string {
 		keys[i] = hex.EncodeToString(h.Sum(sum[:0]))
 	}
 	return keys
+}
+
+// The fault plans enter the key as the bytes fmt's %+v printed for them
+// while it formatted the key, field by field, so keys of journals written
+// then still match. The fleet owns these bytes: editing a chaos struct
+// cannot move a key, and a field added to a plan must be added here, or
+// plans differing only in it share keys. Fields the plans no longer have
+// are written as the zeros every production plan held: op stalls, victim
+// resets, finite co-tenant schedules and the fleet fault seed were only
+// ever set by tests.
+func appendPlanKey(b []byte, p chaos.Plan) []byte {
+	b = keyInt(b, "{Seed:", p.Seed)
+	b = keyFloat(b, " DropRate:", p.DropRate)
+	b = keyFloat(b, " DupRate:", p.DupRate)
+	b = keyFloat(b, " JitterFrac:", p.JitterFrac)
+	b = keyFloat(b, " SaturateFrac:", p.SaturateFrac)
+	b = keyFloat(b, " ArmFailRate:", p.ArmFailRate)
+	b = keyInt(b, " ArmMaxRetries:", int64(p.ArmMaxRetries))
+	b = keyFloat(b, " PreemptGapRate:", p.PreemptGapRate)
+	b = keyInt(b, " PreemptGapLen:", int64(p.PreemptGapLen))
+	b = keyFloat(b, " ClockSkewFrac:", p.ClockSkewFrac)
+	b = keyFloat(b, " TruncateFrac:", p.TruncateFrac)
+	s := p.Sched
+	b = keyInt(b, " Sched:{Seed:", s.Seed)
+	b = keyFloat(b, " StallRate:", s.StallRate)
+	b = keyFloat(b, " StallFrac:", s.StallFrac)
+	b = append(b, " OpStallRate:0 OpStallFrac:0 VictimResets:0"...)
+	b = keyInt(b, " Resets:", int64(s.Resets))
+	b = keyInt(b, " TenantJoins:", int64(s.TenantJoins))
+	b = keyInt(b, " TenantLeaves:", int64(s.TenantLeaves))
+	d := p.Device
+	b = keyFloat(b, "} Device:{CrashFrac:", d.CrashFrac)
+	b = keyFloat(b, " SpyKillFrac:", d.SpyKillFrac)
+	b = keyFloat(b, " ArmLossFrac:", d.ArmLossFrac)
+	return append(b, " TenantIterations:0}}"...)
+}
+
+// appendFleetPlanKey appends the campaign's fleet fault plan the way
+// appendPlanKey appends a per-run plan.
+func appendFleetPlanKey(b []byte, p chaos.FleetPlan) []byte {
+	b = append(b, "{Seed:0"...)
+	b = keyFloat(b, " CrashProb:", p.CrashProb)
+	b = keyFloat(b, " SpyKillProb:", p.SpyKillProb)
+	b = keyFloat(b, " ArmLossProb:", p.ArmLossProb)
+	b = append(b, " TenantIterations:0"...)
+	b = keyInt(b, " FaultyAttempts:", int64(p.FaultyAttempts))
+	return append(b, '}')
+}
+
+// keyInt and keyFloat append one field of a plan's key bytes: its prefix,
+// then the value as fmt's %v prints it.
+func keyInt(b []byte, prefix string, v int64) []byte {
+	return strconv.AppendInt(append(b, prefix...), v, 10)
+}
+
+func keyFloat(b []byte, prefix string, v float64) []byte {
+	return strconv.AppendFloat(append(b, prefix...), v, 'g', -1, 64)
 }
 
 // appendDeviceRecord durably journals one completed (or quarantined) device.

@@ -29,7 +29,9 @@ func frameBoundaries(t *testing.T, data []byte) []int64 {
 	return bounds
 }
 
-func runJournaled(t *testing.T, cfg Config, path string) *Result {
+// runJournaled runs specs, or cfg's own plan when specs is nil, journaled
+// at path.
+func runJournaled(t *testing.T, cfg Config, specs []DeviceSpec, path string) *Result {
 	t.Helper()
 	j, err := journal.Open(path)
 	if err != nil {
@@ -37,7 +39,12 @@ func runJournaled(t *testing.T, cfg Config, path string) *Result {
 	}
 	defer j.Close()
 	cfg.Journal = j
-	res, err := Run(cfg)
+	if specs == nil {
+		if specs, err = Plan(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := RunSpecs(cfg, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +81,7 @@ func assertSameDevices(t *testing.T, label string, want, got *Result) {
 func TestFleetJournalResumeAtEveryBoundary(t *testing.T) {
 	cfg := tinyFleet(4, 2)
 	dir := t.TempDir()
-	golden := runJournaled(t, cfg, filepath.Join(dir, "golden.journal"))
+	golden := runJournaled(t, cfg, nil, filepath.Join(dir, "golden.journal"))
 	full, err := os.ReadFile(filepath.Join(dir, "golden.journal"))
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +111,7 @@ func TestFleetJournalResumeAtEveryBoundary(t *testing.T) {
 		if err := os.WriteFile(p, full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		resumed := runJournaled(t, cfg, p)
+		resumed := runJournaled(t, cfg, nil, p)
 		assertSameDevices(t, "resume", golden, resumed)
 		if resumed.Replayed != intact {
 			t.Errorf("cut@%d: replayed %d devices from journal, want %d", cut, resumed.Replayed, intact)
@@ -132,7 +139,7 @@ func TestFleetJournalFullPipelineFingerprintGolden(t *testing.T) {
 	cfg := tinyFleet(2, 2)
 	cfg.CollectOnly = false
 	dir := t.TempDir()
-	golden := runJournaled(t, cfg, filepath.Join(dir, "golden.journal"))
+	golden := runJournaled(t, cfg, nil, filepath.Join(dir, "golden.journal"))
 	for i, d := range golden.Devices {
 		if d.Fingerprint == "" {
 			t.Fatalf("device %d has no fingerprint", i)
@@ -148,7 +155,7 @@ func TestFleetJournalFullPipelineFingerprintGolden(t *testing.T) {
 	if err := os.WriteFile(p, full[:bounds[1]], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	resumed := runJournaled(t, cfg, p)
+	resumed := runJournaled(t, cfg, nil, p)
 	assertSameDevices(t, "full-pipeline resume", golden, resumed)
 	if resumed.Replayed != 1 {
 		t.Errorf("replayed %d devices, want 1", resumed.Replayed)
@@ -162,16 +169,16 @@ func TestFleetJournalIgnoresForeignCampaign(t *testing.T) {
 	path := filepath.Join(dir, "shared.journal")
 	other := tinyFleet(2, 2)
 	other.Base.Seed = 99
-	runJournaled(t, other, path)
+	runJournaled(t, other, nil, path)
 
 	cfg := tinyFleet(2, 2)
-	res := runJournaled(t, cfg, path)
+	res := runJournaled(t, cfg, nil, path)
 	if res.Replayed != 0 {
 		t.Fatalf("replayed %d foreign records", res.Replayed)
 	}
 	// The same campaign now resumes fully from its own records, ignoring the
 	// foreign ones interleaved ahead of them.
-	res2 := runJournaled(t, cfg, path)
+	res2 := runJournaled(t, cfg, nil, path)
 	if res2.Replayed != 2 {
 		t.Fatalf("replayed %d own records, want 2", res2.Replayed)
 	}
@@ -189,7 +196,7 @@ func TestFleetCrashRetryIsolation(t *testing.T) {
 	}
 
 	cfg := tinyFleet(devices, 2)
-	cfg.FleetChaos = chaos.FleetPlan{Seed: 7, CrashProb: 0.5, FaultyAttempts: 1}
+	cfg.FleetChaos = chaos.FleetPlan{CrashProb: 0.5, FaultyAttempts: 1}
 	cfg.Retries = 2
 	faulted, err := Run(cfg)
 	if err != nil {
@@ -224,7 +231,7 @@ func TestFleetCrashRetryIsolation(t *testing.T) {
 		}
 	}
 	if !sawCrash {
-		t.Fatalf("FleetPlan seed produced no crashing device in %d; pick another seed", devices)
+		t.Fatalf("FleetPlan crashed no device in %d; raise CrashProb", devices)
 	}
 
 	// Determinism of the whole supervised run: same config, same bytes.
@@ -282,7 +289,7 @@ func TestFleetWatchdogTimeout(t *testing.T) {
 // perturb the run — the journaled fleet's device 0 still matches the
 // golden hash pinned by TestFleetDeviceCountAndWorkerInvariance.
 func TestFleetJournalGoldenUnchangedByJournaling(t *testing.T) {
-	res := runJournaled(t, tinyFleet(2, 1), filepath.Join(t.TempDir(), "run.journal"))
+	res := runJournaled(t, tinyFleet(2, 1), nil, filepath.Join(t.TempDir(), "run.journal"))
 	if got := res.Devices[0].TraceHash; got != goldenDev0TraceSHA256 {
 		t.Errorf("journaled device 0 trace drifted from golden:\n got %s\nwant %s", got, goldenDev0TraceSHA256)
 	}

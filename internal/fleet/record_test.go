@@ -30,10 +30,7 @@ func TestDeviceKeyGolden(t *testing.T) {
 		t.Errorf("collect-only key moved:\n got %s\nwant %s", got, want)
 	}
 	ecfg := oneGroupFleet(2, 1)
-	especs, err := Plan(ecfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	especs := oneGroupPlan(t, ecfg)
 	if got, want := deviceKeys(ecfg, especs, newModelShare(especs))[1], "87fa56a80d0cb8b9afa96e125a506a4fe368a98a61525c3e59db188e21931c27"; got != want {
 		t.Errorf("shared-extraction key moved:\n got %s\nwant %s", got, want)
 	}
@@ -54,6 +51,49 @@ func TestDeviceKeyGolden(t *testing.T) {
 	}
 }
 
+// TestPlanKeyCoversEveryField: every fault-plan field reaches the journal
+// key, so a field added to a plan without a line in appendPlanKey or
+// appendFleetPlanKey fails here instead of letting two plans share a key.
+func TestPlanKeyCoversEveryField(t *testing.T) {
+	var p chaos.Plan
+	var fp chaos.FleetPlan
+	key := func() string { return string(appendPlanKey(appendFleetPlanKey(nil, fp), p)) }
+	base := key()
+	var walk func(name string, v reflect.Value)
+	walk = func(name string, v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(name+"."+v.Type().Field(i).Name, v.Field(i))
+			}
+			return
+		case reflect.Int, reflect.Int64:
+			v.SetInt(3)
+		case reflect.Float64:
+			v.SetFloat(0.5)
+		default:
+			t.Fatalf("%s: no test value for kind %s", name, v.Kind())
+		}
+		if key() == base {
+			t.Errorf("%s does not reach the journal key", name)
+		}
+		v.Set(reflect.Zero(v.Type()))
+	}
+	walk("Plan", reflect.ValueOf(&p).Elem())
+	walk("FleetPlan", reflect.ValueOf(&fp).Elem())
+}
+
+// TestKeyFloatMatchesFmt: keyFloat writes a float the way fmt's %v did when
+// it formatted the key.
+func TestKeyFloatMatchesFmt(t *testing.T) {
+	for _, v := range []float64{0, math.Copysign(0, -1), 0.1 + 0.2, 1.0 / 3, 0.175, 1, 16, 1e-5, 1e20, 1e21,
+		123456789, math.SmallestNonzeroFloat64, math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN()} {
+		if got, want := string(keyFloat(nil, "", v)), fmt.Sprint(v); got != want {
+			t.Errorf("keyFloat(%v) = %q, fmt prints %q", v, got, want)
+		}
+	}
+}
+
 // TestDeviceKeyBatch: a shared model set trained at another LSTM minibatch
 // size is another model set, so an extraction key must move with the batch,
 // or a resume at -batch 4 would replay results extracted with batch-1
@@ -64,10 +104,7 @@ func TestDeviceKeyBatch(t *testing.T) {
 		cfg := oneGroupFleet(2, 1)
 		cfg.CollectOnly = collectOnly
 		cfg.Base.Attack.Batch = batch
-		specs, err := Plan(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		specs := oneGroupPlan(t, cfg)
 		var share *modelShare
 		if !collectOnly {
 			share = newModelShare(specs)
@@ -98,7 +135,7 @@ func TestDeviceKeyBatch(t *testing.T) {
 func TestFleetJournalReplaysGobEraFixture(t *testing.T) {
 	p := copyGobFixture(t)
 	cfg := tinyFleet(4, 1)
-	resumed := runJournaled(t, cfg, p)
+	resumed := runJournaled(t, cfg, nil, p)
 	if resumed.Replayed != cfg.Devices {
 		t.Fatalf("replayed %d of %d devices from the gob-era journal", resumed.Replayed, cfg.Devices)
 	}
@@ -116,7 +153,7 @@ func TestFleetJournalReplaysGobEraFixture(t *testing.T) {
 func TestFleetJournalReplaysMixedVersions(t *testing.T) {
 	p := copyGobFixture(t)
 	cfg := tinyFleet(6, 1)
-	if grown := runJournaled(t, cfg, p); grown.Replayed != 4 {
+	if grown := runJournaled(t, cfg, nil, p); grown.Replayed != 4 {
 		t.Fatalf("replayed %d gob-era devices, want 4", grown.Replayed)
 	}
 	j, err := journal.Open(p)
@@ -135,7 +172,7 @@ func TestFleetJournalReplaysMixedVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertReplayEqual(t, "mixed", live, runJournaled(t, cfg, p))
+	assertReplayEqual(t, "mixed", live, runJournaled(t, cfg, nil, p))
 }
 
 // copyGobFixture copies the gob-era journal fixture to a temporary file,
@@ -183,12 +220,16 @@ func TestFleetJournalReplayEqualsLive(t *testing.T) {
 		cases["extraction"] = oneGroupFleet(2, 1)
 	}
 	for name, cfg := range cases {
+		var specs []DeviceSpec
+		if name == "extraction" {
+			specs = oneGroupPlan(t, cfg)
+		}
 		p := filepath.Join(t.TempDir(), "run.journal")
-		live := runJournaled(t, cfg, p)
+		live := runJournaled(t, cfg, specs, p)
 		if name == "quarantined" && live.Quarantined != cfg.Devices {
 			t.Fatalf("quarantined %d of %d devices", live.Quarantined, cfg.Devices)
 		}
-		assertReplayEqual(t, name, live, runJournaled(t, cfg, p))
+		assertReplayEqual(t, name, live, runJournaled(t, cfg, specs, p))
 	}
 }
 

@@ -14,17 +14,6 @@ type CounterDelta struct {
 	L2WriteMisses  [2]float64 // l2_subp0/1_write_sector_misses
 }
 
-// Add accumulates o into d.
-func (d *CounterDelta) Add(o CounterDelta) {
-	for i := 0; i < 2; i++ {
-		d.TexQueries[i] += o.TexQueries[i]
-		d.FBReadSectors[i] += o.FBReadSectors[i]
-		d.FBWriteSectors[i] += o.FBWriteSectors[i]
-		d.L2ReadMisses[i] += o.L2ReadMisses[i]
-		d.L2WriteMisses[i] += o.L2WriteMisses[i]
-	}
-}
-
 // Scale multiplies every counter by f (used when splitting a slice across
 // sampling-window boundaries).
 func (d *CounterDelta) Scale(f float64) {
@@ -35,15 +24,6 @@ func (d *CounterDelta) Scale(f float64) {
 		d.L2ReadMisses[i] *= f
 		d.L2WriteMisses[i] *= f
 	}
-}
-
-// Total returns the sum over both units of every counter family.
-func (d CounterDelta) Total() (tex, fbRead, fbWrite, l2Read, l2Write float64) {
-	return d.TexQueries[0] + d.TexQueries[1],
-		d.FBReadSectors[0] + d.FBReadSectors[1],
-		d.FBWriteSectors[0] + d.FBWriteSectors[1],
-		d.L2ReadMisses[0] + d.L2ReadMisses[1],
-		d.L2WriteMisses[0] + d.L2WriteMisses[1]
 }
 
 // splitAcross divides total between the two units around 50/50 with a random

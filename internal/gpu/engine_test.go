@@ -259,7 +259,7 @@ func TestNoRefetchWhenAlone(t *testing.T) {
 	}
 	var refetches []float64
 	eng.OnSlice = func(r *SliceRecord) { refetches = append(refetches, r.RefetchBytes) }
-	eng.AddChannel(1, &RepeatSource{Kernel: fullKernel("solo", 2*Millisecond, cfg), Limit: 20})
+	eng.AddChannel(1, repeated(fullKernel("solo", 2*Millisecond, cfg), 20))
 	eng.Run(Second)
 
 	if len(refetches) < 5 {
@@ -380,18 +380,17 @@ func TestQueueSourceOrderingAndExhaustion(t *testing.T) {
 	}
 }
 
+// A RepeatSource has no launch limit: every call hands out its kernel at the
+// current time, and Launched counts the calls.
 func TestRepeatSourceLimit(t *testing.T) {
-	r := &RepeatSource{Kernel: KernelProfile{Name: "k"}, Limit: 2}
-	for i := 0; i < 2; i++ {
-		if _, _, ok := r.Next(0); !ok {
-			t.Fatalf("launch %d refused", i)
+	r := &RepeatSource{Kernel: KernelProfile{Name: "k"}}
+	for i := 0; i < 100; i++ {
+		if k, at, ok := r.Next(Nanos(i)); !ok || k.Name != "k" || at != Nanos(i) {
+			t.Fatalf("launch %d = %q at %d, ok %v", i, k.Name, at, ok)
 		}
 	}
-	if _, _, ok := r.Next(0); ok {
-		t.Fatal("limit exceeded")
-	}
-	if r.Launched() != 2 {
-		t.Fatalf("Launched = %d, want 2", r.Launched())
+	if r.Launched() != 100 {
+		t.Fatalf("Launched = %d, want 100", r.Launched())
 	}
 }
 

@@ -73,8 +73,8 @@ func TestKernelSpanCoversSlices(t *testing.T) {
 	}
 	k := KernelProfile{Name: "k", Blocks: cfg.NumSMs, ThreadsPerBlock: 256,
 		FLOPs: float64(300*Microsecond) * cfg.FLOPsPerNs}
-	eng.AddChannel(1, &RepeatSource{Kernel: k, Limit: 10})
-	eng.AddChannel(2, &RepeatSource{Kernel: k, Limit: 10})
+	eng.AddChannel(1, repeated(k, 10))
+	eng.AddChannel(2, repeated(k, 10))
 	eng.Run(Second)
 	for ctx, span := range spanTime {
 		// Wall-clock span includes preemption, so span >= own slice time.

@@ -48,7 +48,7 @@ func victimSlices(t *testing.T, isolate, tenant bool) ([]Nanos, []CounterDelta) 
 	if tenant {
 		tk := k
 		tk.Name = "tenant"
-		if !eng.AddChannel(2, &RepeatSource{Kernel: tk, Limit: 8}) {
+		if !eng.AddChannel(2, repeated(tk, 8)) {
 			t.Fatal("tenant channel rejected")
 		}
 	}

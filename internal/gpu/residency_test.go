@@ -37,7 +37,7 @@ func residencyChurnRun(t *testing.T, exact, isolate bool, workingSet float64, ho
 
 	eng.AddChannel(1, &RepeatSource{Kernel: residencyKernel("a", workingSet, cfg)})
 	eng.AddChannel(2, &RepeatSource{Kernel: residencyKernel("b", workingSet, cfg)})
-	eng.AddChannel(3, &RepeatSource{Kernel: residencyKernel("ghost", workingSet, cfg), Limit: 4})
+	eng.AddChannel(3, repeated(residencyKernel("ghost", workingSet, cfg), 4))
 
 	eng.Run(horizon / 2)
 	eng.DetachContext(2)
@@ -100,7 +100,7 @@ func TestGhostResidencyDecaysIdentically(t *testing.T) {
 			t.Fatal(err)
 		}
 		eng.AddChannel(1, &RepeatSource{Kernel: residencyKernel("live", 256<<10, cfg)})
-		eng.AddChannel(2, &RepeatSource{Kernel: residencyKernel("ghost", 256<<10, cfg), Limit: 2})
+		eng.AddChannel(2, repeated(residencyKernel("ghost", 256<<10, cfg), 2))
 		eng.Run(60 * cfg.SliceQuantum)
 		var ghost *channel
 		for _, ch := range eng.channels {
@@ -262,7 +262,7 @@ func TestSourceExhaustionShrinksLiveRing(t *testing.T) {
 	}
 	k := fullKernel("k", cfg.SliceQuantum, cfg)
 	eng.AddChannel(1, &RepeatSource{Kernel: k})
-	eng.AddChannel(2, &RepeatSource{Kernel: k, Limit: 2})
+	eng.AddChannel(2, repeated(k, 2))
 	eng.Run(40 * cfg.SliceQuantum)
 	if got := len(eng.live); got != 1 {
 		t.Fatalf("live ring has %d channels after exhaustion, want 1", got)

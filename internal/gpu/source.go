@@ -1,61 +1,18 @@
 package gpu
 
-// QueueSource feeds a fixed list of kernels in order, spacing them with the
-// per-kernel Delay (host-side preparation time before each launch).
-type QueueSource struct {
-	items []queued
-	next  int
-}
-
-type queued struct {
-	kernel KernelProfile
-	delay  Nanos
-}
-
-// Enqueue appends a kernel to the queue. delay is the host delay between the
-// previous kernel becoming ready and this one launching.
-func (q *QueueSource) Enqueue(k KernelProfile, delay Nanos) {
-	q.items = append(q.items, queued{kernel: k, delay: delay})
-}
-
-// Len returns the number of kernels not yet handed out.
-func (q *QueueSource) Len() int { return len(q.items) - q.next }
-
-// Next implements Source.
-func (q *QueueSource) Next(now Nanos) (KernelProfile, Nanos, bool) {
-	if q.next >= len(q.items) {
-		return KernelProfile{}, 0, false
-	}
-	item := q.items[q.next]
-	q.next++
-	return item.kernel, now + item.delay, true
-}
-
-// RepeatSource relaunches the same kernel forever (or Limit times when
-// Limit > 0). This is how the spy keeps its probe and slow-down kernels
-// resident on the device.
+// RepeatSource relaunches the same kernel forever. This is how the spy keeps
+// its probe and slow-down kernels resident on the device.
 type RepeatSource struct {
 	Kernel KernelProfile
-	// Limit bounds the number of launches; 0 means unlimited.
-	Limit int
 
 	launched int
 }
 
 // Next implements Source.
 func (r *RepeatSource) Next(now Nanos) (KernelProfile, Nanos, bool) {
-	if r.Limit > 0 && r.launched >= r.Limit {
-		return KernelProfile{}, 0, false
-	}
 	r.launched++
 	return r.Kernel, now, true
 }
 
 // Launched returns how many times the kernel has been handed to the engine.
 func (r *RepeatSource) Launched() int { return r.launched }
-
-// FuncSource adapts a closure to the Source interface.
-type FuncSource func(now Nanos) (KernelProfile, Nanos, bool)
-
-// Next implements Source.
-func (f FuncSource) Next(now Nanos) (KernelProfile, Nanos, bool) { return f(now) }

@@ -163,9 +163,6 @@ type Config struct {
 	// paper's ten of Table IV). Every enabled counter group adds collection
 	// overhead to the probe kernel (§IV), and disabled counters read zero.
 	Events []cupti.Event
-	// Driver, when set, is consulted before profiling: a patched driver
-	// (§II-D) denies CUPTI access until the adversary downgrades it.
-	Driver *cupti.Driver
 	// Faults, when set, injects channel-arming failures (and, via the trace
 	// layer, sample-stream faults) into the spy's measurement path. Failed
 	// arming attempts are retried with capped exponential backoff; the
@@ -197,11 +194,6 @@ type Program struct {
 func NewProgram(cfg Config) (*Program, error) {
 	if cfg.TimeScale == 0 {
 		cfg.TimeScale = 1
-	}
-	if cfg.Driver != nil {
-		if err := cfg.Driver.CheckAccess(); err != nil {
-			return nil, fmt.Errorf("spy: cannot initialize CUPTI: %w", err)
-		}
 	}
 	probe, err := ProbeKernel(cfg.Probe, cfg.TimeScale)
 	if err != nil {

@@ -41,10 +41,9 @@ type IterOp struct {
 
 // Session is one victim training process.
 type Session struct {
-	model dnn.Model
-	ops   []dnn.Op
-	cfg   Config
-	dev   gpu.DeviceConfig
+	ops []dnn.Op
+	cfg Config
+	dev gpu.DeviceConfig
 }
 
 // NewSession compiles the model and prepares its training run.
@@ -59,11 +58,8 @@ func NewSession(m dnn.Model, cfg Config, dev gpu.DeviceConfig) (*Session, error)
 	if err != nil {
 		return nil, err
 	}
-	return &Session{model: m, ops: ops, cfg: cfg, dev: dev}, nil
+	return &Session{ops: ops, cfg: cfg, dev: dev}, nil
 }
-
-// Model returns the session's model definition.
-func (s *Session) Model() dnn.Model { return s.model }
 
 // Ops returns the compiled per-iteration op sequence. Every session of an
 // equal model shares one slice, so it is read-only: callers must not write
@@ -135,8 +131,7 @@ func (s *Session) IterationDuration() gpu.Nanos {
 }
 
 // Source returns a fresh kernel source feeding Iterations repetitions of the
-// op sequence to the GPU engine, separated by the host gap. The returned
-// source also implements Rewindable for victim-context reset recovery.
+// op sequence to the GPU engine, separated by the host gap.
 func (s *Session) Source() gpu.Source {
 	return s.SourceWith(nil)
 }
@@ -220,27 +215,6 @@ func (ts *TagSlab) nextBlock(n int) {
 	}
 }
 
-// Rewindable is implemented by victim kernel sources that can recover from a
-// driver reset of their context: handed-out work past the last committed
-// optimizer step is discarded and the interrupted iteration replays from its
-// first op when the context re-attaches, the way a real training loop
-// restarts its current step after cudaErrorDevicesUnavailable (it still has
-// the step's inputs host-side; no optimizer state was committed
-// mid-iteration). The caller decides which iteration is the earliest
-// uncommitted one — the source cannot know which of its handed-out kernels
-// actually completed before the reset.
-type Rewindable interface {
-	// Position returns the iteration and op index of the next kernel the
-	// source would hand out.
-	Position() (iter, op int)
-	// RewindTo repositions the source at the first op of iteration iter,
-	// discarding handed-out work after that point, and returns how many
-	// handed-out kernels were discarded. Rewinding to the current position
-	// (op index 0 of the next iteration to hand out) discards nothing;
-	// rewinding forward is refused and returns 0.
-	RewindTo(iter int) int
-}
-
 type sessionSource struct {
 	session *Session
 	iter    int
@@ -254,24 +228,6 @@ type sessionSource struct {
 	// where the slices are cut from.
 	tags []IterOp
 	slab *TagSlab
-}
-
-// Position implements Rewindable.
-func (src *sessionSource) Position() (int, int) { return src.iter, src.opIdx }
-
-// RewindTo implements Rewindable.
-func (src *sessionSource) RewindTo(iter int) int {
-	if iter < 0 {
-		iter = 0
-	}
-	ops := len(src.session.ops)
-	discarded := (src.iter-iter)*ops + src.opIdx
-	if discarded < 0 {
-		return 0
-	}
-	src.iter = iter
-	src.opIdx = 0
-	return discarded
 }
 
 // Next implements gpu.Source.

@@ -8,6 +8,18 @@ import (
 	"leakydnn/internal/zoo"
 )
 
+// Clean reports whether the co-run delivered everything it measured: no
+// injected faults (measurement or scheduler), no rejected channels, no
+// quarantined iterations.
+func (h *Health) Clean() bool {
+	return h.SamplesEmitted == h.SamplesDelivered &&
+		h.Faults == (chaos.Stats{}) &&
+		h.Sched == (chaos.SchedStats{}) && h.Reanchors == 0 &&
+		h.Device == (chaos.DeviceStats{}) &&
+		h.SpyChannelsRejected == 0 && h.SpyArmRetries == 0 && h.SpyArmFailures == 0 &&
+		h.IterationsQuarantined == 0
+}
+
 // An explicit zero plan must behave exactly like no plan at all: same
 // samples, same counters, and a clean Health report. This is the trace-level
 // face of the determinism guarantee (the eval package checks the same thing

@@ -36,102 +36,6 @@ func collectTwice(t *testing.T, m dnn.Model, cfg RunConfig) *Trace {
 	return a
 }
 
-// TestVictimResetRecovery injects a driver reset of the victim's context
-// mid-run: the training loop must replay the interrupted iteration from its
-// first op, finish every iteration, account the replayed ops — and the whole
-// recovery must be deterministic.
-func TestVictimResetRecovery(t *testing.T) {
-	m := zoo.TinyTestedModels()[0]
-	cfg := fastRun(3, 4, true)
-	cfg.Chaos.Sched = chaos.SchedPlan{VictimResets: 1}
-	tr := collectTwice(t, m, cfg)
-	h := tr.Health
-	if h.Sched.VictimResets != 1 {
-		t.Fatalf("applied %d victim resets, want 1: %s", h.Sched.VictimResets, h.Summary())
-	}
-	if h.Clean() {
-		t.Fatal("victim-reset run reported clean")
-	}
-	// The victim recovered: every iteration committed despite the reset.
-	if got := tr.Timeline.Iterations(); got != cfg.Session.Iterations {
-		t.Fatalf("victim committed %d iterations, want %d", got, cfg.Session.Iterations)
-	}
-	if h.Sched.VictimOpsReplayed == 0 {
-		t.Fatalf("reset at seed %d replayed no ops; pick a seed that lands mid-iteration", cfg.Seed)
-	}
-	// Replay is bounded by one iteration's op count: only the uncommitted
-	// step is re-run, never completed ones.
-	opsPerIter := len(tr.Ops)
-	if h.Sched.VictimOpsReplayed >= opsPerIter {
-		t.Fatalf("replayed %d ops, more than one iteration (%d ops)", h.Sched.VictimOpsReplayed, opsPerIter)
-	}
-	schedIdentities(t, tr, cfg.Chaos.Sched, 0)
-}
-
-// TestVictimResetChangesTrace: the reset and replay must actually show up in
-// the spy's view (the replayed iteration stretches the victim's wall time).
-func TestVictimResetChangesTrace(t *testing.T) {
-	m := zoo.TinyTestedModels()[0]
-	clean, err := Collect(m, fastRun(3, 4, true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := fastRun(3, 4, true)
-	cfg.Chaos.Sched = chaos.SchedPlan{VictimResets: 1}
-	reset, err := Collect(m, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reset.VictimWall <= clean.VictimWall {
-		t.Fatalf("victim wall did not stretch: clean %v, reset %v", clean.VictimWall, reset.VictimWall)
-	}
-}
-
-// TestOpStallDeterminism: op-granular host stalls inside iterations must be
-// injected, accounted, and byte-reproducible. Stall draws ride the injector's
-// own RNG stream, so the same plan always stalls the same ops by the same
-// amounts.
-func TestOpStallDeterminism(t *testing.T) {
-	m := zoo.TinyTestedModels()[0]
-	cfg := fastRun(23, 4, true)
-	cfg.Chaos.Sched = chaos.SchedPlan{OpStallRate: 0.5, OpStallFrac: 0.5}
-	tr := collectTwice(t, m, cfg)
-	h := tr.Health
-	if h.Sched.OpStallsInjected == 0 {
-		t.Fatalf("no op stalls injected at rate %v", cfg.Chaos.Sched.OpStallRate)
-	}
-	if h.Sched.OpStallTime == 0 {
-		t.Fatal("op stalls injected but zero stall time accounted")
-	}
-	if got := tr.Timeline.Iterations(); got != cfg.Session.Iterations {
-		t.Fatalf("victim committed %d iterations under op stalls, want %d", got, cfg.Session.Iterations)
-	}
-	schedIdentities(t, tr, cfg.Chaos.Sched, 0)
-
-	// Zero-rate plans must consume no draws: adding a disabled op-stall knob
-	// to an otherwise identical plan leaves the collection byte-identical.
-	base := fastRun(23, 4, true)
-	base.Chaos.Sched = chaos.SchedPlan{Resets: 1}
-	withZero := fastRun(23, 4, true)
-	withZero.Chaos.Sched = chaos.SchedPlan{Resets: 1, OpStallRate: 0, OpStallFrac: 0.5}
-	a, err := Collect(m, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Collect(m, withZero)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Samples) != len(b.Samples) {
-		t.Fatalf("zero-rate op stalls perturbed the run: %d vs %d samples", len(a.Samples), len(b.Samples))
-	}
-	for i := range a.Samples {
-		if a.Samples[i] != b.Samples[i] {
-			t.Fatalf("zero-rate op stalls perturbed sample %d", i)
-		}
-	}
-}
-
 // TestDeviceCrashReturnsTypedError: an injected whole-device crash aborts the
 // collection with a *chaos.DeviceCrashError carrying the crash time — the
 // typed error the fleet supervisor matches to schedule a retry.
@@ -221,40 +125,6 @@ func TestEarlierDeviceCutoffWinsAttribution(t *testing.T) {
 	}
 	if d.SamplesLostToArmLoss == 0 || d.SamplesLostToSpyKill != 0 {
 		t.Fatalf("earlier cutoff must own the tail: %+v", d)
-	}
-}
-
-// TestFiniteTenantSchedules: a tenant iteration cap drains background
-// tenants after that many iterations instead of training forever, and the
-// run reports how many expired.
-func TestFiniteTenantSchedules(t *testing.T) {
-	m := zoo.TinyTestedModels()[0]
-	cfg := fastRun(9, 4, true)
-	cfg.BackgroundTenants = []dnn.Model{zoo.TinyMLP()}
-	cfg.Chaos.Device = chaos.DeviceFaults{TenantIterations: 1}
-	tr := collectTwice(t, m, cfg)
-	d := tr.Health.Device
-	if d.TenantIterationCap != 1 {
-		t.Fatalf("cap echoed as %d, want 1", d.TenantIterationCap)
-	}
-	if d.TenantsExpired != 1 {
-		t.Fatalf("%d tenants expired, want 1: %+v", d.TenantsExpired, d)
-	}
-	if got := tr.Timeline.Iterations(); got != cfg.Session.Iterations {
-		t.Fatalf("victim committed %d iterations, want %d", got, cfg.Session.Iterations)
-	}
-
-	// The finite schedule must actually free the device: the victim's wall
-	// time with a drained tenant is below the train-forever co-location's.
-	forever := fastRun(9, 4, true)
-	forever.BackgroundTenants = []dnn.Model{zoo.TinyMLP()}
-	trF, err := Collect(m, forever)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.VictimWall >= trF.VictimWall {
-		t.Fatalf("capped tenant did not free the device: capped wall %v, forever wall %v",
-			tr.VictimWall, trF.VictimWall)
 	}
 }
 

@@ -35,8 +35,7 @@ type Health struct {
 
 	// Device is the device-level fault accounting (zero on runs without
 	// DeviceFaults): when the spy process was killed or its arming session
-	// lost, the sample windows that died with it, and finite co-tenant
-	// schedule accounting. A device crash never produces a Health at all —
+	// lost, and the sample windows that died with it. A device crash never produces a Health at all —
 	// the collection returns a *chaos.DeviceCrashError instead.
 	Device chaos.DeviceStats
 
@@ -101,18 +100,6 @@ func (t *Trace) computeIterationHealth(h *Health, totalIterations int) {
 	for _, n := range h.QuarantineCauses {
 		h.IterationsQuarantined += n
 	}
-}
-
-// Clean reports whether the co-run delivered everything it measured: no
-// injected faults (measurement or scheduler), no rejected channels, no
-// quarantined iterations.
-func (h *Health) Clean() bool {
-	return h.SamplesEmitted == h.SamplesDelivered &&
-		h.Faults == (chaos.Stats{}) &&
-		h.Sched == (chaos.SchedStats{}) && h.Reanchors == 0 &&
-		h.Device == (chaos.DeviceStats{}) &&
-		h.SpyChannelsRejected == 0 && h.SpyArmRetries == 0 && h.SpyArmFailures == 0 &&
-		h.IterationsQuarantined == 0
 }
 
 // Summary renders the report as one line for CLI output and logs.

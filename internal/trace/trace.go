@@ -158,15 +158,6 @@ func collectOn(m dnn.Model, cfg RunConfig, arena *Arena) (*Trace, error) {
 	totalOps := sess.OpsPerIteration() * cfg.Session.Iterations
 	victimDone := 0
 	schedSlices := 0
-	// Finite co-tenant schedules: per-context completed-op counts let the end
-	// of the run report how many capped tenants actually drained and left.
-	tenantCap := cfg.Chaos.Device.TenantIterations
-	var tenantOps map[gpu.ContextID]int
-	var tenantTotal map[gpu.ContextID]int
-	if tenantCap > 0 {
-		tenantOps = make(map[gpu.ContextID]int)
-		tenantTotal = make(map[gpu.ContextID]int)
-	}
 	eng.OnSlice = func(r *gpu.SliceRecord) {
 		schedSlices++
 		prog.ObserveSlice(r)
@@ -178,27 +169,20 @@ func collectOn(m dnn.Model, cfg RunConfig, arena *Arena) (*Trace, error) {
 		if span.Ctx == VictimCtx {
 			tl.Observe(span)
 			victimDone++
-		} else if tenantOps != nil && span.Ctx != cfg.Spy.Ctx {
-			tenantOps[span.Ctx]++
 		}
 	}
 
 	// Ground-truth channels must never be dropped: a hardened scheduler
 	// rejecting the victim or a tenant would silently produce a trace of a
 	// different co-location than the one requested.
-	sessSrc := sess.SourceWith(&arena.tags)
-	rewinder, _ := sessSrc.(tfsim.Rewindable)
-	victimSrc := gpu.Source(sessSrc)
+	victimSrc := sess.SourceWith(&arena.tags)
 	if sched != nil {
-		ss := &stalledSource{
+		victimSrc = &stalledSource{
 			inner:      victimSrc,
-			rewind:     rewinder,
 			opsPerIter: sess.OpsPerIteration(),
 			iterDur:    sess.IterationDuration(),
 			inj:        sched,
 		}
-		victimSrc = ss
-		rewinder = ss
 	}
 	if !eng.AddChannel(VictimCtx, victimSrc) {
 		return nil, fmt.Errorf("trace: scheduler rejected the victim channel (ctx %d, MaxChannelsPerCtx=%d)",
@@ -207,13 +191,8 @@ func collectOn(m dnn.Model, cfg RunConfig, arena *Arena) (*Trace, error) {
 	if err := prog.AttachTimeSliced(eng); err != nil {
 		return nil, err
 	}
-	// A finite-tenant cap replaces the train-forever iteration count; a
-	// capped tenant's source drains after that many iterations and its
-	// channel retires, exactly like a co-located job finishing its run.
-	tenantIters := 1 << 30
-	if tenantCap > 0 {
-		tenantIters = tenantCap
-	}
+	// Background tenants train for the whole co-run.
+	const tenantIters = 1 << 30
 	for i, tenant := range cfg.BackgroundTenants {
 		tsess, err := tfsim.NewSession(tenant, tfsim.Config{
 			Iterations: tenantIters,
@@ -226,9 +205,6 @@ func collectOn(m dnn.Model, cfg RunConfig, arena *Arena) (*Trace, error) {
 		if !eng.AddChannel(ctx, tsess.SourceWith(&arena.tags)) {
 			return nil, fmt.Errorf("trace: scheduler rejected tenant %s channel (ctx %d, MaxChannelsPerCtx=%d)",
 				tenant.Name, ctx, cfg.Device.MaxChannelsPerCtx)
-		}
-		if tenantTotal != nil {
-			tenantTotal[ctx] = tenantIters * tsess.OpsPerIteration()
 		}
 	}
 
@@ -292,7 +268,6 @@ func collectOn(m dnn.Model, cfg RunConfig, arena *Arena) (*Trace, error) {
 		// after a leave never aliases a detached context id.
 		joinCtx = SpyCtx + 1 + gpu.ContextID(len(cfg.BackgroundTenants))
 	)
-	devStats.TenantIterationCap = tenantCap
 	applyEvent := func(ev chaos.SchedEvent) error {
 		switch ev.Kind {
 		case chaos.SchedReset:
@@ -317,30 +292,6 @@ func collectOn(m dnn.Model, cfg RunConfig, arena *Arena) (*Trace, error) {
 				// Re-arm exhausted its retries: the spy is blind for the rest
 				// of the run and every later window is recovery loss.
 				outages = append(outages, outage{from: resetAt, to: math.MaxInt64})
-			}
-		case chaos.SchedVictimReset:
-			// Driver reset of the victim's context mid-iteration: in-flight
-			// and queued kernels are lost and no optimizer state was
-			// committed for the interrupted step, so the training loop
-			// replays it from its first op. Completed victim ops arrive in
-			// program order (one serialized channel), so the earliest
-			// uncommitted iteration is exactly victimDone / opsPerIter.
-			sched.NoteVictimReset()
-			if rewinder == nil || victimDone >= totalOps {
-				return nil
-			}
-			opsPerIter := sess.OpsPerIteration()
-			committed := victimDone / opsPerIter
-			rewinder.RewindTo(committed)
-			replayed := victimDone - committed*opsPerIter
-			victimDone = committed * opsPerIter
-			sched.NoteVictimOpsReplayed(replayed)
-			eng.DetachContext(VictimCtx)
-			// The restarted process re-attaches after one host gap (driver
-			// context re-creation + input pipeline rewind), then the replayed
-			// iteration's own IterGap applies as usual.
-			if !eng.AddChannelAt(VictimCtx, victimSrc, eng.Now()+cfg.Session.IterGap) {
-				return fmt.Errorf("trace: scheduler rejected the victim channel on post-reset re-attach (ctx %d)", VictimCtx)
 			}
 		case chaos.SchedDeviceCrash:
 			// Whole-device crash: the host died mid-campaign. Nothing
@@ -376,9 +327,6 @@ func collectOn(m dnn.Model, cfg RunConfig, arena *Arena) (*Trace, error) {
 				return fmt.Errorf("trace: churn tenant %s: %w", tmpl.Name, terr)
 			}
 			if eng.AddChannel(joinCtx, tsess.SourceWith(&arena.tags)) {
-				if tenantTotal != nil {
-					tenantTotal[joinCtx] = tenantIters * tsess.OpsPerIteration()
-				}
 				joinCtx++
 				joined++
 				sched.NoteTenantJoined()
@@ -463,13 +411,6 @@ func collectOn(m dnn.Model, cfg RunConfig, arena *Arena) (*Trace, error) {
 			devStats.SamplesLostToArmLoss = lost
 		}
 	}
-	if tenantTotal != nil {
-		for ctx, total := range tenantTotal {
-			if total > 0 && tenantOps[ctx] >= total {
-				devStats.TenantsExpired++
-			}
-		}
-	}
 	if len(outages) > 0 {
 		// Windows overlapping a reset outage carry no signal (the spy had no
 		// context): discard them as recovery loss before measurement faults
@@ -514,14 +455,12 @@ func collectOn(m dnn.Model, cfg RunConfig, arena *Arena) (*Trace, error) {
 }
 
 // stalledSource wraps the victim's kernel source and defers each iteration's
-// first launch by a seeded host input-pipeline stall, and every other launch
-// by a (usually rarer) op-granular host stall. The wrapper counts handed-out
-// kernels itself so it needs nothing from the session beyond its
-// per-iteration shape; both stall classes draw from the injector's one
-// stream in launch order, so a fixed plan stalls the same ops every run.
+// first launch by a seeded host input-pipeline stall. The wrapper counts
+// handed-out kernels itself so it needs nothing from the session beyond its
+// per-iteration shape; stalls draw from the injector's stream in launch
+// order, so a fixed plan stalls the same iterations every run.
 type stalledSource struct {
 	inner      gpu.Source
-	rewind     tfsim.Rewindable
 	opsPerIter int
 	iterDur    gpu.Nanos
 	inj        *chaos.SchedInjector
@@ -536,31 +475,9 @@ func (s *stalledSource) Next(now gpu.Nanos) (gpu.KernelProfile, gpu.Nanos, bool)
 	}
 	if s.opsPerIter > 0 && s.handed%s.opsPerIter == 0 {
 		notBefore += s.inj.StallBefore(s.iterDur)
-	} else if s.opsPerIter > 0 {
-		notBefore += s.inj.OpStallBefore(s.iterDur / gpu.Nanos(s.opsPerIter))
 	}
 	s.handed++
 	return k, notBefore, ok
-}
-
-// Position implements tfsim.Rewindable by forwarding to the session source.
-func (s *stalledSource) Position() (int, int) {
-	if s.rewind == nil {
-		return 0, 0
-	}
-	return s.rewind.Position()
-}
-
-// RewindTo implements tfsim.Rewindable: the session source rewinds, and the
-// handed count shrinks by the discarded kernels so the replayed iteration's
-// first op is again recognized as an iteration boundary for stall draws.
-func (s *stalledSource) RewindTo(iter int) int {
-	if s.rewind == nil {
-		return 0
-	}
-	discarded := s.rewind.RewindTo(iter)
-	s.handed -= discarded
-	return discarded
 }
 
 // outage is a half-open interval [from, to) during which the spy had no

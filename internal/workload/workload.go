@@ -32,14 +32,6 @@ func Synthetic(n, side, channels, classes int, seed int64) (*Dataset, error) {
 	return &Dataset{size: n, side: side, channels: channels, classes: classes, seed: seed}, nil
 }
 
-// Len returns the number of images.
-func (d *Dataset) Len() int { return d.size }
-
-// Shape returns the per-image shape.
-func (d *Dataset) Shape() dnn.Shape {
-	return dnn.Shape{H: d.side, W: d.side, C: d.channels}
-}
-
 // Image is one synthetic example: HWC pixel data in [0,1) and a label.
 type Image struct {
 	Pixels []float32 // H*W*C, row-major

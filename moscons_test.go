@@ -76,8 +76,11 @@ func TestFacadeSyntheticDataset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if data.Len() != 32 {
-		t.Fatalf("dataset length %d", data.Len())
+	if _, err := data.Example(31); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := data.Example(32); err == nil {
+		t.Fatal("example 32 of a 32-image dataset accepted")
 	}
 	batch, err := data.Batch(0, 8, 32)
 	if err != nil {

@@ -1,255 +1,606 @@
 package leakydnn
 
 import (
+	"errors"
+	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
-	"path"
+	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 )
 
 // TestNonTestCodeIsReachable keeps the rule that non-test code holds only
-// what non-test code reaches. It parses every non-test .go file in the
-// repository — the library, cmd/, examples/ and the perfbench module — and
-// fails, naming each offender and its file, when a function or method is
-// referenced by name from no non-test code outside its own body. A function
-// only tests call belongs in a _test.go file; one nothing calls belongs
-// nowhere. The check repeats until nothing changes, so a function called
-// only from unreachable functions is caught too; a cycle of functions that
-// call only each other is not.
+// what non-test code reaches. It type-checks every non-test package of the
+// repository — the library, cmd/, examples/ and the perfbench module — with
+// go/types, and fails, naming each offender and where it is declared, on:
 //
-// References are matched by name, not by type: a package-level function is
-// referenced by a bare identifier in its own package or by pkg.Name where
-// pkg imports its package; a method is referenced by any selector .Name or
-// any interface method of that name. So a dead method whose name collides
-// with a live method or a struct field anywhere in the repository (Add,
-// Scale, Clone) cannot be seen. Package-level declarations always count as
-// live code, so neither can a function that only a variable initializer,
-// such as a facade re-export, names. Methods called only through
-// standard-library interfaces may look unreferenced; reachAllowlist lists
-// them.
+//   - a function or method that no non-test code uses outside its own body,
+//     unless the method satisfies an interface declared in the program, in
+//     its imports or in the universe (error), through which code outside
+//     the repository may call it;
+//   - a package-level type that no non-test code names outside its own
+//     declaration and methods;
+//   - a struct field that non-test code reads but never writes. A write is
+//     an assignment through any selector or index chain (x.f = v, x.f.g++,
+//     x.f[i] = v), &x.f, slicing x.f[:n], a pointer-method call x.f.M(), or
+//     a composite-literal key, keyed or positional. A field only tests set
+//     gates a path that never runs outside go test.
+//
+// A function or type only tests use belongs in a _test.go file; one nothing
+// uses belongs nowhere; a field only tests set goes with the path it gates.
+// Uses are keyed by the declaration's position, so names shared between
+// methods, fields and packages never hide each other. Uses from dead
+// functions and types do not count, and the check repeats until nothing
+// changes, so a function called only from unreachable functions is caught
+// too; a cycle of functions that call only each other is not.
+// Package-level variable and constant initializers always count as live, so
+// a function named only by one (a facade re-export, a dispatch table) stays.
+//
+// reachAllowlist lists the findings that are reached in ways the types do
+// not show, each with its reason; an entry that is no longer flagged fails
+// the test, so the list cannot go stale.
 func TestNonTestCodeIsReachable(t *testing.T) {
-	dead, files := unreachableFuncs(t, ".")
-	if len(dead) == 0 {
-		return
-	}
-	t.Errorf("%d non-test functions are referenced by no non-test code; delete them or move them into a _test.go file:", len(dead))
-	for _, k := range dead {
-		t.Errorf("  %s: %s", files[k], k)
-	}
-}
-
-// reachAllowlist names the methods that look unreferenced but are reached:
-// by method name for standard-library interfaces, which call them from
-// outside the repository, and by dir.Type.Method for repository code that
-// tests in other packages need.
-var reachAllowlist = map[string]string{
-	"Error":   "error: fmt and errors call it on returned errors",
-	"String":  "fmt.Stringer: fmt calls it when printing",
-	"Read":    "io.Reader: net/http and io read request bodies through it",
-	"Write":   "io.Writer: fmt, bufio and io write through it",
-	"WriteTo": "io.WriterTo: io.Copy calls it",
-
-	"internal/gpu.QueueSource.Enqueue": "a fake kernel source that gpu and defense tests both drive",
-	"internal/trace.Health.Clean":      "trace and serve tests both check a health report with it",
-}
-
-// funcKey identifies one function (recv empty) or method declaration. The
-// zero key stands for package-level code, which always runs.
-type funcKey struct{ dir, recv, name string }
-
-func (k funcKey) String() string {
-	if k.recv == "" {
-		return k.dir + "." + k.name
-	}
-	return k.dir + "." + k.recv + "." + k.name
-}
-
-// target is what a reference to k names: one package-level function, or
-// every method of k's name.
-func (k funcKey) target() string {
-	if k.recv == "" {
-		return "func " + k.String()
-	}
-	return "method " + k.name
-}
-
-// funcRef is one reference from owner's code to a target.
-type funcRef struct {
-	owner  funcKey
-	target string
-}
-
-// unreachableFuncs scans the non-test files under root and returns the
-// unreachable functions, sorted, with the file that declares each.
-func unreachableFuncs(t *testing.T, root string) ([]funcKey, map[funcKey]string) {
-	t.Helper()
-	files := map[funcKey]string{}
-	var refs []funcRef
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if p != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		dir := filepath.ToSlash(filepath.Dir(p))
-		refs = append(refs, scanFile(f, dir, p, files)...)
-		return nil
-	})
+	found, err := unreachable(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	live := map[funcKey]bool{}
-	for k := range files {
-		live[k] = true
-	}
-	for changed := true; changed; {
-		owners := map[string]map[funcKey]bool{}
-		for _, r := range refs {
-			if r.owner != (funcKey{}) && !live[r.owner] {
-				continue
-			}
-			if owners[r.target] == nil {
-				owners[r.target] = map[funcKey]bool{}
-			}
-			owners[r.target][r.owner] = true
-		}
-		changed = false
-		for k := range live {
-			by := owners[k.target()]
-			if reachExempt(k) || len(by) > 1 || len(by) == 1 && !by[k] {
-				continue
-			}
-			delete(live, k)
-			changed = true
+	flagged := map[string]bool{}
+	for _, f := range found {
+		flagged[f.name] = true
+		if _, ok := reachAllowlist[f.name]; !ok {
+			t.Errorf("%s: %s is %s", f.pos, f.name, f.why)
 		}
 	}
-
-	var dead []funcKey
-	for k := range files {
-		if !live[k] {
-			dead = append(dead, k)
+	for name := range reachAllowlist {
+		if !flagged[name] {
+			t.Errorf("reachAllowlist entry %s is no longer flagged; delete it", name)
 		}
 	}
-	sort.Slice(dead, func(i, j int) bool { return dead[i].String() < dead[j].String() })
-	return dead, files
 }
 
-// reachExempt reports the declarations that need no caller: program entry
-// points and allowlisted methods.
-func reachExempt(k funcKey) bool {
-	if k.recv == "" {
-		return k.name == "main" || k.name == "init"
+// TestReachGuardFixture runs the guard on the module under testdata/reach.
+// Its three findings are each one that matching names instead of types
+// misses. It must keep a method reached only through an interface, a
+// function named only by a package-level variable, and fields whose only
+// writes are each of the forms the guard counts (shapes/writes.go).
+func TestReachGuardFixture(t *testing.T) {
+	found, err := unreachable(filepath.Join("testdata", "reach"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	_, byName := reachAllowlist[k.name]
-	_, byKey := reachAllowlist[k.String()]
-	return byName || byKey
+	var got []string
+	for _, f := range found {
+		got = append(got, f.name)
+	}
+	want := []string{
+		"shapes.Bag.Size",       // shares its name with Box.Size and Crate.Size
+		"shapes.Config.Verbose", // only shapes_test.go sets it
+		"shapes.Unused",         // named by nothing
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("findings %q, want %q", got, want)
+	}
 }
 
-// scanFile records f's function declarations in files and returns the
-// references its code makes.
-func scanFile(f *ast.File, dir, file string, files map[funcKey]string) []funcRef {
-	imports := map[string]string{}
-	for _, is := range f.Imports {
-		ip, _ := strconv.Unquote(is.Path.Value)
-		local := path.Base(ip)
-		if is.Name != nil {
-			local = is.Name.Name
-		}
-		switch {
-		case ip == "leakydnn":
-			imports[local] = "."
-		case strings.HasPrefix(ip, "leakydnn/"):
-			imports[local] = strings.TrimPrefix(ip, "leakydnn/")
-		default:
-			imports[local] = "std:" + ip
+// reachAllowlist names the findings reached in ways the types do not show,
+// by the names unreachable reports.
+var reachAllowlist = map[string]string{
+	"internal/trace.chunk.Kind":            "v1 wire format: encoding/gob writes it by reflection",
+	"internal/trace.chunk.Header":          "v1 wire format: encoding/gob writes it by reflection",
+	"internal/trace.chunk.Samples":         "v1 wire format: encoding/gob writes it by reflection",
+	"internal/trace.chunk.Events":          "v1 wire format: encoding/gob writes it by reflection",
+	"internal/trace.eventRecord.Name":      "v1 wire format: encoding/gob writes it by reflection",
+	"internal/trace.eventRecord.Start":     "v1 wire format: encoding/gob writes it by reflection",
+	"internal/trace.eventRecord.End":       "v1 wire format: encoding/gob writes it by reflection",
+	"internal/trace.eventRecord.Iteration": "v1 wire format: encoding/gob writes it by reflection",
+	"internal/trace.eventRecord.Op":        "v1 wire format: encoding/gob writes it by reflection",
+
+	"internal/fleet.decodeGobRecord.Health": "v1 record probe: encoding/gob writes it by reflection",
+	"cmd/loadgen.uploadOnce.Traces":         "response body: encoding/json writes it by reflection",
+	"perfbench.outcome.Error":               "error body: encoding/json writes it by reflection",
+	"perfbench.outcome.Detail":              "error body: encoding/json writes it by reflection",
+
+	"internal/gpu.DeviceConfig.ExactResidencyTotal": "the eager residency reference the incremental totals are tested against",
+	"internal/trace.RunConfig.Horizon":              "the only way to reach the horizon-exhaustion error TestCollectHorizonGuard checks",
+}
+
+// reachFinding is one declaration the guard rejects.
+type reachFinding struct {
+	name string // dir.Func, dir.Type, dir.Type.Method or dir.Type.Field
+	why  string
+	pos  token.Position
+}
+
+// reachKind classifies the declarations the guard judges.
+type reachKind int
+
+const (
+	reachFunc reachKind = iota
+	reachType
+	reachField
+)
+
+// reachDecl is one judged declaration. recv is the receiver's base type
+// declaration for a method, and exempt marks a function that needs no
+// caller (main, init, an interface's method).
+type reachDecl struct {
+	kind   reachKind
+	name   string
+	recv   token.Pos
+	exempt bool
+}
+
+// reachUse is one use of target from code owned by owner: a function,
+// method or type declaration, or token.NoPos for package-level variable and
+// constant initializers, which always run. write marks a field write.
+type reachUse struct {
+	owner, target token.Pos
+	write         bool
+}
+
+// reachProgram type-checks the non-test packages under one module root,
+// each once: it imports the module's own packages from their source and
+// everything else through the source importer, so nothing is downloaded.
+type reachProgram struct {
+	fset         *token.FileSet
+	root, module string
+	std          types.Importer
+	pkgs         map[string]*types.Package // by import path; nil while loading
+	infos        []*types.Info
+	decls        map[token.Pos]*reachDecl
+	uses         []reachUse
+}
+
+// unreachable runs the guard on the module rooted at root and returns its
+// findings, sorted by name. Nested modules whose path extends root's (such
+// as perfbench) are part of the program; testdata and dot directories are
+// not.
+func unreachable(root string) ([]reachFinding, error) {
+	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	if err != nil {
+		return nil, err
+	}
+	var module string
+	for _, line := range strings.Split(string(mod), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && f[0] == "module" {
+			module = f[1]
 		}
 	}
-	var refs []funcRef
-	var walk func(owner funcKey, n ast.Node)
-	walk = func(owner funcKey, n ast.Node) {
+	// The pure-Go variants of the standard library type-check without a C
+	// toolchain.
+	defer func(cgo bool) { build.Default.CgoEnabled = cgo }(build.Default.CgoEnabled)
+	build.Default.CgoEnabled = false
+	fset := token.NewFileSet()
+	p := &reachProgram{
+		fset: fset, root: root, module: module,
+		std:   importer.ForCompiler(fset, "source", nil),
+		pkgs:  map[string]*types.Package{},
+		decls: map[token.Pos]*reachDecl{},
+	}
+	err = filepath.WalkDir(root, func(dir string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if dir != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		rel, err := filepath.Rel(root, dir)
+		if err != nil {
+			return err
+		}
+		ip := module
+		if rel != "." {
+			ip += "/" + filepath.ToSlash(rel)
+		}
+		_, err = p.Import(ip)
+		if errors.As(err, new(*build.NoGoError)) {
+			return nil
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	p.exemptInterfaceMethods()
+	return p.judge(), nil
+}
+
+// Import implements types.Importer.
+func (p *reachProgram) Import(path string) (*types.Package, error) {
+	if path != p.module && !strings.HasPrefix(path, p.module+"/") {
+		return p.std.Import(path)
+	}
+	if pkg, ok := p.pkgs[path]; ok {
+		if pkg == nil {
+			return nil, fmt.Errorf("import cycle through %s", path)
+		}
+		return pkg, nil
+	}
+	dir := filepath.Join(p.root, filepath.FromSlash(strings.TrimPrefix(path, p.module)))
+	bp, err := build.Default.ImportDir(dir, 0)
+	if err != nil {
+		return nil, err
+	}
+	p.pkgs[path] = nil
+	var files []*ast.File
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(p.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	info := &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
+	conf := types.Config{Importer: p}
+	pkg, err := conf.Check(path, p.fset, files, info)
+	if err != nil {
+		return nil, err
+	}
+	p.pkgs[path] = pkg
+	p.infos = append(p.infos, info)
+	dirName := strings.TrimPrefix(strings.TrimPrefix(path, p.module), "/")
+	if dirName == "" {
+		dirName = p.module
+	}
+	p.declare(dirName, pkg, files, info)
+	for _, f := range files {
+		p.scanFile(f, info)
+	}
+	return pkg, nil
+}
+
+// declare records the package's functions, methods, package-level types
+// and struct fields. A field is named after the top-level declaration that
+// holds its struct: dir.Type.Field for a package-level struct type, and
+// dir.Func.Field for a struct written out inside a function.
+func (p *reachProgram) declare(dir string, pkg *types.Package, files []*ast.File, info *types.Info) {
+	fields := func(prefix string, n ast.Node) {
 		ast.Inspect(n, func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.SelectorExpr:
-				if id, ok := x.X.(*ast.Ident); ok {
-					if pkgDir, ok := imports[id.Name]; ok {
-						refs = append(refs, funcRef{owner, funcKey{dir: pkgDir, name: x.Sel.Name}.target()})
-						return false
+			st, ok := n.(*ast.StructType)
+			if !ok {
+				return true
+			}
+			for _, fl := range st.Fields.List {
+				ids := fl.Names
+				if len(ids) == 0 { // embedded: the type's name defines the field
+					e := fl.Type
+					if star, ok := e.(*ast.StarExpr); ok {
+						e = star.X
 					}
-				}
-				refs = append(refs, funcRef{owner, funcKey{recv: "*", name: x.Sel.Name}.target()})
-				walk(owner, x.X) // not x.Sel: a selector never names a same-package function
-				return false
-			case *ast.InterfaceType:
-				for _, m := range x.Methods.List {
-					for _, name := range m.Names {
-						refs = append(refs, funcRef{owner, funcKey{recv: "*", name: name.Name}.target()})
+					if sel, ok := e.(*ast.SelectorExpr); ok {
+						e = sel.Sel
 					}
+					ids = []*ast.Ident{e.(*ast.Ident)}
 				}
-			case *ast.Ident:
-				refs = append(refs, funcRef{owner, funcKey{dir: dir, name: x.Name}.target()})
+				for _, id := range ids {
+					p.decls[id.Pos()] = &reachDecl{kind: reachField, name: prefix + "." + id.Name}
+				}
 			}
 			return true
 		})
 	}
-	for _, d := range f.Decls {
-		fd, ok := d.(*ast.FuncDecl)
-		if !ok {
-			walk(funcKey{}, d)
-			continue
-		}
-		k := funcKey{dir: dir, name: fd.Name.Name}
-		if fd.Recv != nil && len(fd.Recv.List) == 1 {
-			k.recv = recvTypeName(fd.Recv.List[0].Type)
-		}
-		if fd.Name.Name != "_" {
-			files[k] = file
-		}
-		walk(k, fd.Type)
-		if fd.Recv != nil {
-			walk(k, fd.Recv)
-		}
-		if fd.Body != nil {
-			walk(k, fd.Body)
+	for _, f := range files {
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				obj := info.Defs[d.Name].(*types.Func)
+				decl := &reachDecl{kind: reachFunc, name: dir + "." + d.Name.Name}
+				if recv := obj.Type().(*types.Signature).Recv(); recv != nil {
+					t := recv.Type()
+					if ptr, ok := t.(*types.Pointer); ok {
+						t = ptr.Elem()
+					}
+					named := t.(*types.Named).Obj()
+					decl.name = dir + "." + named.Name() + "." + d.Name.Name
+					decl.recv = named.Pos()
+				} else if d.Name.Name == "init" || d.Name.Name == "main" && pkg.Name() == "main" {
+					decl.exempt = true
+				}
+				if d.Name.Name != "_" {
+					p.decls[d.Name.Pos()] = decl
+				}
+				fields(decl.name, d)
+			case *ast.GenDecl:
+				for _, s := range d.Specs {
+					switch s := s.(type) {
+					case *ast.TypeSpec:
+						if !s.Assign.IsValid() {
+							p.decls[s.Name.Pos()] = &reachDecl{kind: reachType, name: dir + "." + s.Name.Name}
+						}
+						fields(dir+"."+s.Name.Name, s)
+					case *ast.ValueSpec:
+						fields(dir+"."+s.Names[0].Name, s)
+					}
+				}
+			}
 		}
 	}
-	return refs
 }
 
-// recvTypeName strips pointers and type parameters from a receiver type.
-func recvTypeName(e ast.Expr) string {
-	for {
-		switch x := e.(type) {
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.IndexListExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return ""
+// scanFile records every use f's code makes of a judged declaration, with
+// the declaration that owns the using code.
+func (p *reachProgram) scanFile(f *ast.File, info *types.Info) {
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			p.scan(d.Name.Pos(), d, info)
+		case *ast.GenDecl:
+			for _, s := range d.Specs {
+				owner := token.NoPos
+				if ts, ok := s.(*ast.TypeSpec); ok {
+					owner = ts.Name.Pos()
+				}
+				p.scan(owner, s, info)
+			}
 		}
 	}
+}
+
+// scan records the uses under n, owned by owner. Write contexts are seen
+// before the identifiers under them, so marking those identifiers on the
+// way down classifies every field use as it is reached.
+func (p *reachProgram) scan(owner token.Pos, n ast.Node, info *types.Info) {
+	writes := map[*ast.Ident]bool{}
+	use := func(obj types.Object, write bool) {
+		if p.decls[obj.Pos()] != nil {
+			p.uses = append(p.uses, reachUse{owner: owner, target: obj.Pos(), write: write})
+		}
+	}
+	// writeChain marks the fields along a selector and index chain as
+	// written, including the embedded fields a promoted selection passes.
+	writeChain := func(e ast.Expr) {
+		for {
+			switch x := e.(type) {
+			case *ast.ParenExpr:
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.SliceExpr:
+				e = x.X
+			case *ast.SelectorExpr:
+				sel := info.Selections[x]
+				if sel == nil {
+					return
+				}
+				for _, f := range embeddedPath(sel) {
+					use(f, true)
+				}
+				if sel.Kind() == types.FieldVal {
+					writes[x.Sel] = true
+				}
+				e = x.X
+			default:
+				return
+			}
+		}
+	}
+	ast.Inspect(n, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range x.Lhs {
+				writeChain(lhs)
+			}
+		case *ast.IncDecStmt:
+			writeChain(x.X)
+		case *ast.RangeStmt:
+			if x.Tok == token.ASSIGN {
+				if x.Key != nil {
+					writeChain(x.Key)
+				}
+				if x.Value != nil {
+					writeChain(x.Value)
+				}
+			}
+		case *ast.UnaryExpr:
+			if x.Op == token.AND {
+				writeChain(x.X)
+			}
+		case *ast.SliceExpr:
+			writeChain(x.X)
+		case *ast.SelectorExpr:
+			// A pointer method on an addressable value takes its address.
+			sel := info.Selections[x]
+			if sel == nil || sel.Kind() != types.MethodVal {
+				break
+			}
+			for _, f := range embeddedPath(sel) {
+				use(f, true)
+			}
+			recv := sel.Obj().Type().(*types.Signature).Recv()
+			if _, ptrRecv := recv.Type().(*types.Pointer); !ptrRecv {
+				break
+			}
+			if _, ptrX := info.TypeOf(x.X).Underlying().(*types.Pointer); !ptrX {
+				writeChain(x.X)
+			}
+		case *ast.CompositeLit:
+			t := info.TypeOf(x)
+			if ptr, ok := t.Underlying().(*types.Pointer); ok {
+				t = ptr.Elem()
+			}
+			st, ok := t.Underlying().(*types.Struct)
+			if !ok {
+				break
+			}
+			for i, elt := range x.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					if id, ok := kv.Key.(*ast.Ident); ok {
+						writes[id] = true
+					}
+				} else {
+					use(st.Field(i), true)
+				}
+			}
+		case *ast.Ident:
+			if obj := info.Uses[x]; obj != nil {
+				use(obj, writes[x])
+			}
+		}
+		return true
+	})
+}
+
+// embeddedPath returns the embedded fields a promoted selection passes
+// through on its way to the selected field or method.
+func embeddedPath(sel *types.Selection) []*types.Var {
+	var path []*types.Var
+	t := sel.Recv()
+	idx := sel.Index()
+	for _, i := range idx[:len(idx)-1] {
+		if ptr, ok := t.Underlying().(*types.Pointer); ok {
+			t = ptr.Elem()
+		}
+		f := t.Underlying().(*types.Struct).Field(i)
+		path = append(path, f)
+		t = f.Type()
+	}
+	return path
+}
+
+// exemptInterfaceMethods exempts every program method that implements a
+// method of an interface declared in the program, in its imports or in the
+// universe: code outside the repository (fmt, io, net/http, sort) may call
+// it through that interface.
+func (p *reachProgram) exemptInterfaceMethods() {
+	byMethod := map[string][]*types.Interface{}
+	seen := map[*types.Interface]bool{}
+	addIface := func(t types.Type) {
+		if n, ok := t.(*types.Named); ok && n.TypeParams().Len() > n.TypeArgs().Len() {
+			return
+		}
+		it, ok := t.Underlying().(*types.Interface)
+		if !ok || seen[it] || !it.IsMethodSet() {
+			return
+		}
+		seen[it] = true
+		for i := 0; i < it.NumMethods(); i++ {
+			byMethod[it.Method(i).Name()] = append(byMethod[it.Method(i).Name()], it)
+		}
+	}
+	addIface(types.Universe.Lookup("error").Type())
+	for _, info := range p.infos {
+		for _, tv := range info.Types {
+			if tv.Type != nil {
+				addIface(tv.Type)
+			}
+		}
+	}
+	visited := map[*types.Package]bool{}
+	var visit func(pkg *types.Package)
+	visit = func(pkg *types.Package) {
+		if visited[pkg] {
+			return
+		}
+		visited[pkg] = true
+		for _, name := range pkg.Scope().Names() {
+			if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok {
+				addIface(tn.Type())
+			}
+		}
+		for _, imp := range pkg.Imports() {
+			visit(imp)
+		}
+	}
+	var named []*types.Named
+	for _, pkg := range p.pkgs {
+		visit(pkg)
+		for _, name := range pkg.Scope().Names() {
+			if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
+				if n, ok := tn.Type().(*types.Named); ok && !types.IsInterface(n) {
+					named = append(named, n)
+				}
+			}
+		}
+	}
+	for _, n := range named {
+		for _, v := range []types.Type{n, types.NewPointer(n)} {
+			ms := types.NewMethodSet(v)
+			for i := 0; i < ms.Len(); i++ {
+				m := ms.At(i).Obj()
+				d := p.decls[m.Pos()]
+				if d == nil || d.exempt {
+					continue
+				}
+				for _, it := range byMethod[m.Name()] {
+					if types.Implements(v, it) {
+						d.exempt = true
+						break
+					}
+				}
+			}
+		}
+	}
+}
+
+// judge runs the fixpoint over functions and types, then judges the fields
+// by the uses the live code makes, and returns the findings sorted by name.
+func (p *reachProgram) judge() []reachFinding {
+	live := map[token.Pos]bool{}
+	for pos, d := range p.decls {
+		if d.kind != reachField {
+			live[pos] = true
+		}
+	}
+	liveOwner := func(u reachUse) bool { return u.owner == token.NoPos || live[u.owner] }
+	for changed := true; changed; {
+		changed = false
+		used := map[token.Pos]bool{}
+		for _, u := range p.uses {
+			if !liveOwner(u) || u.owner == u.target {
+				continue
+			}
+			if u.owner != token.NoPos && p.decls[u.owner].recv == u.target {
+				continue // a type's own methods do not keep it
+			}
+			used[u.target] = true
+		}
+		for pos := range live {
+			if !used[pos] && !p.decls[pos].exempt {
+				delete(live, pos)
+				changed = true
+			}
+		}
+	}
+	read, written := map[token.Pos]bool{}, map[token.Pos]bool{}
+	for _, u := range p.uses {
+		if p.decls[u.target].kind != reachField || !liveOwner(u) {
+			continue
+		}
+		if u.write {
+			written[u.target] = true
+		} else {
+			read[u.target] = true
+		}
+	}
+	var found []reachFinding
+	for pos, d := range p.decls {
+		var why string
+		switch {
+		case d.kind == reachFunc && !live[pos]:
+			why = "used by no non-test code outside its own body"
+		case d.kind == reachType && !live[pos]:
+			why = "named by no non-test code outside its own declaration and methods"
+		case d.kind == reachField && read[pos] && !written[pos]:
+			why = "read by non-test code but written by none"
+		default:
+			continue
+		}
+		found = append(found, reachFinding{name: d.name, why: why, pos: p.fset.Position(pos)})
+	}
+	sort.Slice(found, func(i, j int) bool { return found[i].name < found[j].name })
+	return found
 }
