@@ -450,20 +450,9 @@ func benchWorkbench(b *testing.B, workers int) {
 func BenchmarkWorkbenchWorkers1(b *testing.B) { benchWorkbench(b, 1) }
 func BenchmarkWorkbenchWorkers4(b *testing.B) { benchWorkbench(b, 4) }
 
-// benchTrainModels runs the full MoSConS training under a fixed worker-pool
-// size, with trace collection outside the timer. Comparing the
-// Workers1/Workers4 variants measures the deterministic training fan-out's
-// speedup (head-level concurrency plus minibatch worker pools; expect gains
-// on a multi-core runner, and byte-identical models at any setting).
-func benchTrainModels(b *testing.B, workers int) {
-	sc := benchScale()
-	sc.Workers = workers
-	// Batch=8 is the batched-GEMM trainer's intended operating point: the
-	// batch is wide enough that the rank-B gradient updates amortize a whole
-	// pass over the weight matrices (the length-sorted slot prefix keeps
-	// padding free). Batch>1 is a golden-pinned deterministic path (see
-	// internal/lstm/golden_test.go).
-	sc.Attack.Batch = 8
+// benchTrainModels runs the full MoSConS training at scale sc, with trace
+// collection outside the timer.
+func benchTrainModels(b *testing.B, sc eval.Scale) {
 	profiled, err := sc.CollectTraces(sc.Profiled, eval.StreamProfiled)
 	if err != nil {
 		b.Fatal(err)
@@ -481,14 +470,33 @@ func benchTrainModels(b *testing.B, workers int) {
 	}
 }
 
-func BenchmarkTrainModelsWorkers1(b *testing.B) { benchTrainModels(b, 1) }
-func BenchmarkTrainModelsWorkers4(b *testing.B) { benchTrainModels(b, 4) }
+// BenchmarkTrainModelsBatch1 times training at the production operating
+// point: eval.Tiny()'s own attack config, whose LSTM Batch is 1, which is
+// what serve.ModelCache, the Workbench, fleet and the -batch flags' default
+// train. The per-timestep BPTT work is the one this shape stresses.
+func BenchmarkTrainModelsBatch1(b *testing.B) { benchTrainModels(b, benchScale()) }
+
+// The Workers1/Workers4 variants train at Batch=8, a golden-pinned
+// deterministic path (internal/lstm/golden_test.go) that no production
+// caller selects: the rank-B gradient updates are wide enough for the
+// minibatch worker pool to split, so comparing the two measures the
+// deterministic training fan-out's speedup (head-level concurrency plus
+// minibatch worker pools; expect gains on a multi-core runner, and
+// byte-identical models at any setting).
+func benchTrainModelsBatch8(b *testing.B, workers int) {
+	sc := benchScale()
+	sc.Workers = workers
+	sc.Attack.Batch = 8
+	benchTrainModels(b, sc)
+}
+
+func BenchmarkTrainModelsWorkers1(b *testing.B) { benchTrainModelsBatch8(b, 1) }
+func BenchmarkTrainModelsWorkers4(b *testing.B) { benchTrainModelsBatch8(b, 4) }
 
 // BenchmarkBPTTSingleThread isolates raw LSTM BPTT throughput — one
 // network, one epoch per iteration, no attack pipeline around it — at the
-// op-classifier's scale.
-// This is the kernel the GEMM overhaul targets, so it sits in CI's perf
-// gate alongside the end-to-end training benchmarks.
+// op-classifier's scale, at Batch=8. No CI step runs it; it is a local
+// probe of the batched kernels.
 func BenchmarkBPTTSingleThread(b *testing.B) {
 	const (
 		inputDim = 8

@@ -1,6 +1,10 @@
 package lstm
 
-import "math"
+import (
+	"math"
+
+	"leakydnn/internal/mat"
+)
 
 // Adam hyper-parameters (standard values).
 const (
@@ -20,22 +24,20 @@ func newAdamState(cfg Config) *adamState {
 }
 
 // step applies one Adam update of the parameters p from the gradient g.
+// 1-adamBeta1 and 1-adamBeta2 are constant expressions, folded exactly
+// before they are rounded to float64.
 func (a *adamState) step(p, g params, lr float64) {
 	a.t++
-	c1 := 1 - math.Pow(adamBeta1, float64(a.t))
-	c2 := 1 - math.Pow(adamBeta2, float64(a.t))
+	k := mat.AdamCoef{
+		Beta1: adamBeta1, OneMinusBeta1: 1 - adamBeta1,
+		Beta2: adamBeta2, OneMinusBeta2: 1 - adamBeta2,
+		LR:  lr,
+		C1:  1 - math.Pow(adamBeta1, float64(a.t)),
+		C2:  1 - math.Pow(adamBeta2, float64(a.t)),
+		Eps: adamEps,
+	}
 	ps, gs, ms, vs := p.tensors(), g.tensors(), a.m.tensors(), a.v.tensors()
 	for i := range ps {
-		adamSlice(ps[i], gs[i], ms[i], vs[i], lr, c1, c2)
-	}
-}
-
-func adamSlice(param, grad, m, v []float64, lr, c1, c2 float64) {
-	for i, gi := range grad {
-		m[i] = adamBeta1*m[i] + (1-adamBeta1)*gi
-		v[i] = adamBeta2*v[i] + (1-adamBeta2)*gi*gi
-		mHat := m[i] / c1
-		vHat := v[i] / c2
-		param[i] -= lr * mHat / (math.Sqrt(vHat) + adamEps)
+		mat.AdamStep(ps[i], gs[i], ms[i], vs[i], &k)
 	}
 }

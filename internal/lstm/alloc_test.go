@@ -54,3 +54,24 @@ func TestPredictBatchAllocsRegression(t *testing.T) {
 		t.Errorf("PredictBatch allocates %.1f objects per call, ceiling %.0f (its outputs)", avg, ceiling)
 	}
 }
+
+// Train allocates per call, never per epoch or minibatch: the trainer, its
+// gradient stages and its step buffers are built once and reused, so two
+// and four epochs allocate the same number of objects.
+func TestTrainAllocsSteadyState(t *testing.T) {
+	n, _ := allocNet(t)
+	seqs := randBatchSeqs(84, 12, 4, 3, true)
+	if _, err := n.Train(seqs, 1); err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(epochs int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := n.Train(seqs, epochs); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a2, a4 := allocs(2), allocs(4); a2 != a4 {
+		t.Errorf("Train allocates %.0f objects at 2 epochs and %.0f at 4: something allocates per epoch", a2, a4)
+	}
+}

@@ -77,12 +77,9 @@ func TestBatchedRunMatchesBackwardAtBatch1(t *testing.T) {
 // tensorNames labels params.tensors() entries in failure messages.
 var tensorNames = [5]string{"wx", "wh", "wy", "b", "by"}
 
-// trainerGrad runs the production trainer over the minibatch seqs[idx] and returns the batch loss and the summed
-// gradient. Probes poke the master weights directly, so the engine's
-// transposed view is re-derived first, exactly as Train does after every
-// optimizer step.
+// trainerGrad runs the production trainer over the minibatch seqs[idx] and
+// returns the batch loss and the summed gradient.
 func trainerGrad(n *Network, seqs []Sequence, idx []int) (float64, params) {
-	n.w.refresh(n)
 	tr := newTrainer(n, len(idx))
 	loss, _, _ := tr.run(seqs, idx)
 	return loss, tr.g
@@ -96,21 +93,24 @@ func checkNumericGrad(t *testing.T, n *Network, seqs []Sequence, idx []int) {
 	_, analytic := trainerGrad(n, seqs, idx)
 	grads := analytic.tensors()
 	const eps = 1e-5
-	for k, param := range n.p.tensors() {
+	p := n.masters()
+	probe := func(k, j int, v float64) float64 {
+		p.tensors()[k][j] = v
+		n.refresh(p)
+		loss, _ := trainerGrad(n, seqs, idx)
+		return loss
+	}
+	for k, param := range p.tensors() {
 		for _, j := range []int{0, len(param) / 2, len(param) - 1} {
 			orig := param[j]
-			param[j] = orig + eps
-			up, _ := trainerGrad(n, seqs, idx)
-			param[j] = orig - eps
-			down, _ := trainerGrad(n, seqs, idx)
-			param[j] = orig
+			up, down := probe(k, j, orig+eps), probe(k, j, orig-eps)
+			probe(k, j, orig)
 			numeric := (up - down) / (2 * eps)
 			if diff := math.Abs(numeric - grads[k][j]); diff > 1e-4*(1+math.Abs(numeric)) {
 				t.Errorf("%s[%d]: analytic %v vs numeric %v", tensorNames[k], j, grads[k][j], numeric)
 			}
 		}
 	}
-	n.w.refresh(n)
 }
 
 // The engine's backward at Batch>1 must compute the gradient of the summed
@@ -349,4 +349,101 @@ func (n *Network) PredictProbsBatch(inputs [][][]float64) ([][][]float64, error)
 		return nil, err
 	}
 	return out, nil
+}
+
+// stagingSeq builds one sequence of the given length whose timestep t
+// counts when counts(t) holds (nil counts: every timestep, no mask).
+func stagingSeq(rng *rand.Rand, length, inputDim, classes int, counts func(t int) bool) Sequence {
+	seq := Sequence{Inputs: make([][]float64, length), Labels: make([]int, length)}
+	if counts != nil {
+		seq.Mask = make([]bool, length)
+	}
+	for t := range seq.Inputs {
+		v := make([]float64, inputDim)
+		for j := range v {
+			v[j] = rng.NormFloat64()
+		}
+		seq.Inputs[t] = v
+		seq.Labels[t] = rng.Intn(classes)
+		if counts != nil {
+			seq.Mask[t] = counts(t)
+		}
+	}
+	return seq
+}
+
+// The trainer stages its weight-gradient rows and accumulates them 8 at a
+// time. One run's gradient must still equal the oracle's bit for bit,
+// summed in the engine's cross-sequence order, wherever the flushes fall:
+// a ragged batch whose live prefix shrinks across flush boundaries, steps
+// where only some slots count (wy then takes zero dL rows), class weights,
+// a sequence shorter than one flush, and shapes wide enough that a flush
+// fans out at Workers=2. A second run on the same trainer must repeat the
+// first, so no row outlives its run.
+func TestStagedGradientsMatchOracle(t *testing.T) {
+	ragged := func(cfg Config, lens []int, counts func(s, t int) bool) []Sequence {
+		rng := rand.New(rand.NewSource(int64(len(lens)*100 + cfg.Hidden)))
+		seqs := make([]Sequence, len(lens))
+		for s, l := range lens {
+			var c func(int) bool
+			if counts != nil {
+				c = func(t int) bool { return counts(s, t) }
+			}
+			seqs[s] = stagingSeq(rng, l, cfg.InputDim, cfg.Classes, c)
+		}
+		return seqs
+	}
+	small := Config{InputDim: 3, Hidden: 5, Classes: 4, Seed: 21}
+	weighted := small
+	weighted.ClassWeights = []float64{1, 2.5, 0.5, 1.5}
+	wide := Config{InputDim: 64, Hidden: 32, Classes: 5, Seed: 22}
+	// Input order differs from length order, so the stable length sort
+	// matters too.
+	raggedLens := []int{3, 9, 7, 2, 7}
+	someCount := func(s, t int) bool { return (s+t)%3 != 0 }
+	cases := []struct {
+		name string
+		cfg  Config
+		seqs []Sequence
+	}{
+		{"ragged", small, ragged(small, raggedLens, nil)},
+		{"masked", small, ragged(small, raggedLens, someCount)},
+		{"weighted", weighted, ragged(weighted, raggedLens, someCount)},
+		{"short", small, ragged(small, []int{3}, nil)},
+		{"single-long", weighted, ragged(weighted, []int{19}, func(_, t int) bool { return t%4 != 1 })},
+		{"wide", wide, ragged(wide, []int{11, 6, 13}, someCount)},
+	}
+	for _, c := range cases {
+		for _, workers := range []int{1, 2} {
+			cfg := c.cfg
+			cfg.Workers = workers
+			n, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			idx := make([]int, len(c.seqs))
+			for i := range idx {
+				idx[i] = i
+			}
+			want := newParams(n.cfg)
+			wantLoss, wantCounted, wantCorrect := oracleBatchBackward(n, c.seqs, idx, want)
+			tr := newTrainer(n, len(idx))
+			for run := 0; run < 2; run++ {
+				loss, counted, correct := tr.run(c.seqs, idx)
+				if math.Float64bits(loss) != math.Float64bits(wantLoss) || counted != wantCounted || correct != wantCorrect {
+					t.Fatalf("%s workers=%d run %d: stats (%v,%d,%d), oracle (%v,%d,%d)",
+						c.name, workers, run, loss, counted, correct, wantLoss, wantCounted, wantCorrect)
+				}
+				for k, got := range tr.g.tensors() {
+					w := want.tensors()[k]
+					for j := range got {
+						if math.Float64bits(got[j]) != math.Float64bits(w[j]) {
+							t.Fatalf("%s workers=%d run %d: %s[%d] = %v, oracle %v",
+								c.name, workers, run, tensorNames[k], j, got[j], w[j])
+						}
+					}
+				}
+			}
+		}
+	}
 }

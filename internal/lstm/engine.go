@@ -12,8 +12,9 @@ import (
 // prediction run the same forward pass.
 //
 // A minibatch's timestep-t state lives in batch-major buffers (row s =
-// minibatch slot s), so each timestep costs two GEMMs forward and four
-// backward. Every output cell accumulates in ascending reduction order, so:
+// minibatch slot s), so each timestep costs three GEMMs forward and two
+// backward, and the weight gradients take one GEMM per 8 staged rows
+// (gradStage). Every output cell accumulates in ascending reduction order, so:
 //
 //   - At Batch=1 a training step performs exactly the IEEE operations of
 //     the textbook per-sequence gemv derivation, which oracle_test.go keeps
@@ -29,20 +30,6 @@ import (
 // slot prefix [0, live), and every GEMM and activation loop runs over that
 // prefix only: a minibatch costs the sum of its members' lengths, with no
 // padding arithmetic at all.
-
-// sigmoidInto writes the logistic sigmoid of each src element to dst.
-func sigmoidInto(dst, src []float64) {
-	for j, v := range src {
-		dst[j] = mat.Sigmoid(v)
-	}
-}
-
-// tanhInto writes the hyperbolic tangent of each src element to dst.
-func tanhInto(dst, src []float64) {
-	for j, v := range src {
-		dst[j] = math.Tanh(v)
-	}
-}
 
 // params is one full parameter-shaped set of row-major buffers, gates
 // stacked [input; forget; cell; output] along rows: wx is 4H×In, wh 4H×H,
@@ -64,34 +51,54 @@ func (p params) tensors() [5][]float64 {
 	return [5][]float64{p.wx, p.wh, p.wy, p.b, p.by}
 }
 
-// weights is the parameter view an engine reads: the masters plus
-// transposed copies. The forward GEMMs read wxT (In×4H), whT (H×4H) and wyT
-// (H×C): x·Wᵀ over the master layout is GemmInto over the transpose, the
-// same per-cell product sequence as a row-by-row dot product, but on the
-// kernel that streams the weight matrix once and vectorizes over output
-// columns. The backward GEMMs and the bias adds read the masters.
+// weights is what a network holds and an engine's forward pass reads: the
+// biases and transposed copies of the weight matrices. The forward GEMMs
+// read wxT (In×4H), whT (H×4H) and wyT (H×C): x·Wᵀ over the master layout
+// is GemmInto over the transpose, the same per-cell product sequence as a
+// row-by-row dot product, but on the kernel that streams the weight matrix
+// once and vectorizes over output columns. The master layout (params) is
+// derived from the transposes only while something needs it — a Train
+// call, whose backward GEMMs and optimizer read it, and Save — so a trained
+// network does not carry the weight matrices twice. A transpose is a copy:
+// masters derived back are bit-identical to the ones the view came from.
 type weights struct {
-	params
 	wxT, whT, wyT []float64
+	b, by         []float64 // shared with the masters while they exist
 }
 
-func newWeights(n *Network) *weights {
+// setWeights builds the network's view from the masters p, sharing p's
+// biases.
+func (n *Network) setWeights(p params) {
 	h, in, c := n.cfg.Hidden, n.cfg.InputDim, n.cfg.Classes
-	w := &weights{
-		params: n.p,
-		wxT:    make([]float64, in*4*h), whT: make([]float64, h*4*h), wyT: make([]float64, h*c),
+	n.w = &weights{
+		wxT: make([]float64, in*4*h), whT: make([]float64, h*4*h), wyT: make([]float64, h*c),
+		b: p.b, by: p.by,
 	}
-	w.refresh(n)
-	return w
+	n.refresh(p)
 }
 
-// refresh re-derives the transposes from the masters; training calls it
+// refresh re-derives the transposes from the masters p; training calls it
 // after every optimizer step.
-func (w *weights) refresh(n *Network) {
+func (n *Network) refresh(p params) {
 	h, in, c := n.cfg.Hidden, n.cfg.InputDim, n.cfg.Classes
-	transpose(w.wxT, n.p.wx, 4*h, in)
-	transpose(w.whT, n.p.wh, 4*h, h)
-	transpose(w.wyT, n.p.wy, c, h)
+	transpose(n.w.wxT, p.wx, 4*h, in)
+	transpose(n.w.whT, p.wh, 4*h, h)
+	transpose(n.w.wyT, p.wy, c, h)
+}
+
+// masters returns the network's parameters in the master layout: weight
+// matrices transposed back from the view into fresh buffers, and the view's
+// own biases. It only reads the network, so it is safe alongside prediction.
+func (n *Network) masters() params {
+	h, in, c := n.cfg.Hidden, n.cfg.InputDim, n.cfg.Classes
+	p := params{
+		wx: make([]float64, 4*h*in), wh: make([]float64, 4*h*h), wy: make([]float64, c*h),
+		b: n.w.b, by: n.w.by,
+	}
+	transpose(p.wx, n.w.wxT, in, 4*h)
+	transpose(p.wh, n.w.whT, h, 4*h)
+	transpose(p.wy, n.w.wyT, h, c)
+	return p
 }
 
 // transpose writes dst[c*rows+r] = src[r*cols+c].
@@ -206,14 +213,14 @@ func (e *engine) forward(inputs [][][]float64) int {
 			for j, bv := range e.w.b {
 				zs[j] = zs[j] + zt[j] + bv
 			}
-			sigmoidInto(si, zs[:h])
-			sigmoidInto(sf, zs[h:2*h])
-			tanhInto(sg, zs[2*h:3*h])
-			sigmoidInto(so, zs[3*h:])
+			mat.SigmoidInto(si, zs[:h])
+			mat.SigmoidInto(sf, zs[h:2*h])
+			mat.TanhInto(sg, zs[2*h:3*h])
+			mat.SigmoidInto(so, zs[3*h:])
 			for j := range sc {
 				sc[j] = sf[j]*cp[j] + si[j]*sg[j]
 			}
-			tanhInto(stc, sc)
+			mat.TanhInto(stc, sc)
 			for j := range sh {
 				sh[j] = so[j] * stc[j]
 			}
@@ -242,6 +249,7 @@ func (e *engine) labels(out []int, s int) {
 // trainer adds the backward pass to an engine for one Train call.
 type trainer struct {
 	*engine
+	p  params    // the masters: the backward GEMMs read them, Adam updates them
 	g  params    // the summed minibatch gradient
 	cw []float64 // Config.ClassWeights
 
@@ -249,15 +257,21 @@ type trainer struct {
 	dh, dc, dcNext, dhNext, htmp []float64 // B×H
 	dLogits                      []float64 // B×C
 	idx                          []int
+
+	// The weight-gradient products, staged: dz rows with their x and hPrev
+	// rows for g.wx and g.wh, dL rows with their h rows for g.wy.
+	stageZ, stageY *gradStage
 }
 
 func newTrainer(n *Network, bcap int) *trainer {
 	h, c := n.cfg.Hidden, n.cfg.Classes
 	e := newEngine(n, bcap)
 	e.keep = true
+	g := newParams(n.cfg)
 	return &trainer{
 		engine:  e,
-		g:       newParams(n.cfg),
+		p:       n.masters(),
+		g:       g,
 		cw:      n.cfg.ClassWeights,
 		dz:      make([]float64, bcap*4*h),
 		dh:      make([]float64, bcap*h),
@@ -267,7 +281,65 @@ func newTrainer(n *Network, bcap int) *trainer {
 		htmp:    make([]float64, bcap*h),
 		dLogits: make([]float64, bcap*c),
 		idx:     make([]int, bcap),
+		stageZ:  newGradStage(4*h, e.workers, g.wx, g.wh),
+		stageY:  newGradStage(c, e.workers, g.wy),
 	}
+}
+
+// stageRows is how many rows a gradStage holds before it flushes. Eight is
+// the widest GemmTAAccum kernel step, so a full flush is one pass over each
+// gradient, and a trainer's staging stays at 8 × (6H + In + C) floats.
+const stageRows = 8
+
+// gradStage batches the weight-gradient products of the backward pass.
+// Accumulating each timestep's rows with its own GemmTAAccum would, at
+// Batch=1, be a rank-1 update that loads and stores every gradient cell for
+// a single product. A stage keeps the rows instead, in the order they come
+// (timestep descending, then slot ascending), and accumulates stageRows of
+// them at a time. Every gradient cell still receives the same products, one
+// at a time and in the same order, so the sums are bit-identical; nothing
+// reads the gradients before the trainer's final flush.
+//
+// Row r of coef (width m) pairs with row r of each operand, and a flush
+// adds coefᵀ·ops[i] into dst[i].
+type gradStage struct {
+	rows, m, workers int
+	coef             []float64
+	ops, dst         [][]float64
+}
+
+func newGradStage(m, workers int, dst ...[]float64) *gradStage {
+	s := &gradStage{m: m, workers: workers, coef: make([]float64, stageRows*m), dst: dst}
+	for _, d := range dst {
+		s.ops = append(s.ops, make([]float64, stageRows*len(d)/m))
+	}
+	return s
+}
+
+// push stages one row: the coefficients c and one operand row per
+// destination, flushing when the stage is full.
+func (s *gradStage) push(c []float64, rows ...[]float64) {
+	copy(s.coef[s.rows*s.m:], c)
+	for i, b := range rows {
+		copy(s.ops[i][s.rows*len(b):], b)
+	}
+	if s.rows++; s.rows == stageRows {
+		s.flush()
+	}
+}
+
+// flush accumulates the staged rows into the gradients and empties the
+// stage.
+func (s *gradStage) flush() {
+	p := s.rows
+	if p == 0 {
+		return
+	}
+	for i, d := range s.dst {
+		k := len(d) / s.m
+		mat.GemmTAAccum(d, s.coef[:p*s.m], s.ops[i][:p*k], p, s.m, k, s.workers)
+	}
+	s.rows = 0
 }
 
 // sortByLenDesc stably sorts idx by non-increasing sequence length. A
@@ -323,8 +395,8 @@ func (t *trainer) run(seqs []Sequence, idx []int) (loss float64, counted, correc
 		copy(dh[:live*h], dhNext[:live*h])
 
 		// Readout: rows of dLogits are only populated for live slots whose
-		// timestep is counted; the rest stay exactly zero so the rank-live
-		// updates below add only ±0 for them. When no slot counts, the whole
+		// timestep is counted; the rest stay exactly zero, so their staged
+		// wy rows and bias sums add only ±0. When no slot counts, the whole
 		// block is skipped.
 		dL := t.dLogits
 		clear(dL[:live*cls])
@@ -358,13 +430,14 @@ func (t *trainer) run(seqs []Sequence, idx []int) (loss float64, counted, correc
 			anyCounted = true
 		}
 		if anyCounted {
-			mat.GemmTAAccum(g.wy, dL[:live*cls], st.h[:live*h], live, cls, h, w)
 			for s := 0; s < live; s++ {
-				for j, v := range dL[s*cls : (s+1)*cls] {
+				drow := dL[s*cls : (s+1)*cls]
+				t.stageY.push(drow, st.h[s*h:(s+1)*h])
+				for j, v := range drow {
 					g.by[j] += v
 				}
 			}
-			mat.GemmInto(t.htmp[:live*h], dL[:live*cls], t.w.wy, live, cls, h, w)
+			mat.GemmInto(t.htmp[:live*h], dL[:live*cls], t.p.wy, live, cls, h, w)
 			for j, v := range t.htmp[:live*h] {
 				dh[j] += v
 			}
@@ -395,14 +468,16 @@ func (t *trainer) run(seqs []Sequence, idx []int) (loss float64, counted, correc
 			}
 		}
 
-		mat.GemmTAAccum(g.wx, t.dz[:live*4*h], st.x[:live*in], live, 4*h, in, w)
-		mat.GemmTAAccum(g.wh, t.dz[:live*4*h], hPrev[:live*h], live, 4*h, h, w)
 		for s := 0; s < live; s++ {
-			for j, v := range t.dz[s*4*h : (s+1)*4*h] {
+			dzs := t.dz[s*4*h : (s+1)*4*h]
+			t.stageZ.push(dzs, st.x[s*in:(s+1)*in], hPrev[s*h:(s+1)*h])
+			for j, v := range dzs {
 				g.b[j] += v
 			}
 		}
-		mat.GemmInto(dhNext[:live*h], t.dz[:live*4*h], t.w.wh, live, 4*h, h, w)
+		mat.GemmInto(dhNext[:live*h], t.dz[:live*4*h], t.p.wh, live, 4*h, h, w)
 	}
+	t.stageY.flush()
+	t.stageZ.flush()
 	return loss, counted, correct
 }

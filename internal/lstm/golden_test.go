@@ -65,7 +65,7 @@ func goldenDataset(masked bool) []Sequence {
 // legitimately grow fields) in a fixed order.
 func hashParams(n *Network) string {
 	h := sha256.New()
-	for _, s := range n.p.tensors() {
+	for _, s := range n.masters().tensors() {
 		binary.Write(h, binary.LittleEndian, s)
 	}
 	return fmt.Sprintf("%x", h.Sum(nil))

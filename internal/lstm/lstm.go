@@ -139,17 +139,10 @@ type Network struct {
 	cfg Config
 	rng *rand.Rand
 
-	// p holds the master parameters, the source of truth training updates
-	// and serialization writes.
-	p params
-	// w is the read-only view the engine reads: the masters plus their
-	// transposed copies. New and Load build it, and training refreshes it
-	// after every optimizer step.
+	// w is the network's parameters, in the layout the forward pass reads.
+	// New and Load build it from masters, training refreshes it after every
+	// optimizer step, and Save derives the masters back from it.
 	w *weights
-
-	// adam is allocated by the first Train call, so a network that is only
-	// ever loaded and queried never carries optimizer state.
-	adam *adamState
 
 	// trainedEpochs counts completed Train epochs; serialization records it
 	// so a loaded network resumes on a shuffle stream distinct from the one
@@ -185,8 +178,8 @@ func New(cfg Config) (*Network, error) {
 }
 
 func newNetwork(cfg Config, rng *rand.Rand, p params, epochs int64) *Network {
-	n := &Network{cfg: cfg, rng: rng, p: p, trainedEpochs: epochs}
-	n.w = newWeights(n)
+	n := &Network{cfg: cfg, rng: rng, trainedEpochs: epochs}
+	n.setWeights(p)
 	return n
 }
 
@@ -293,7 +286,10 @@ type TrainResult struct {
 }
 
 // Train runs the given number of epochs of minibatch Adam updates over the
-// training set (shuffled each epoch) and returns per-epoch stats. Every
+// training set (shuffled each epoch) and returns per-epoch stats. The
+// master parameters and the Adam moments live for one call: a trained
+// network holds only what prediction reads, and a later Train starts from
+// fresh moments, as one on a loaded network does. Every
 // minibatch runs through the batch-major engine (engine.go). Larger batches
 // accumulate the members' gradients in one rank-B GEMM update before a
 // shared Adam step, a cross-sequence reduction order that Batch=1 never
@@ -317,9 +313,7 @@ func (n *Network) Train(seqs []Sequence, epochs int) ([]TrainResult, error) {
 			return nil, fmt.Errorf("sequence %d: %w", i, err)
 		}
 	}
-	if n.adam == nil {
-		n.adam = newAdamState(n.cfg)
-	}
+	adam := newAdamState(n.cfg)
 	batch := min(n.cfg.Batch, len(seqs))
 	t := newTrainer(n, batch)
 	order := make([]int, len(seqs))
@@ -340,8 +334,8 @@ func (n *Network) Train(seqs []Sequence, epochs int) ([]TrainResult, error) {
 			if counted == 0 {
 				continue
 			}
-			n.applyGrads(t.g, counted)
-			n.w.refresh(n)
+			n.applyGrads(adam, t.p, t.g, counted)
+			n.refresh(t.p)
 		}
 
 		res := TrainResult{Epoch: epoch}
@@ -355,10 +349,10 @@ func (n *Network) Train(seqs []Sequence, epochs int) ([]TrainResult, error) {
 	return results, nil
 }
 
-// applyGrads performs the shared post-minibatch update: average the summed
-// gradient over the counted timesteps, clip every entry to ±ClipAbs, and
-// take one Adam step.
-func (n *Network) applyGrads(g params, batchCounted int) {
+// applyGrads performs the shared post-minibatch update of the masters p:
+// average the summed gradient over the counted timesteps, clip every entry
+// to ±ClipAbs, and take one Adam step.
+func (n *Network) applyGrads(adam *adamState, p, g params, batchCounted int) {
 	scale := 1 / float64(batchCounted)
 	lim := n.cfg.ClipAbs
 	for _, s := range g.tensors() {
@@ -372,5 +366,5 @@ func (n *Network) applyGrads(g params, batchCounted int) {
 			s[i] = v
 		}
 	}
-	n.adam.step(n.p, g, n.cfg.LearningRate)
+	adam.step(p, g, n.cfg.LearningRate)
 }

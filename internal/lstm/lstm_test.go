@@ -298,6 +298,7 @@ func TestLoadPrecisionEraSnapshot(t *testing.T) {
 	}
 	want, wantTuned := fineTuned(cur.Bytes())
 
+	np := n.masters()
 	for _, precision := range []int{0, 1} {
 		old := precisionEraSnapshot{
 			Cfg: precisionEraConfig{
@@ -306,7 +307,7 @@ func TestLoadPrecisionEraSnapshot(t *testing.T) {
 				ClassWeights: cfg.ClassWeights, Seed: cfg.Seed, Batch: cfg.Batch,
 				Precision: precision,
 			},
-			Wx: n.p.wx, Wh: n.p.wh, Wy: n.p.wy, B: n.p.b, By: n.p.by,
+			Wx: np.wx, Wh: np.wh, Wy: np.wy, B: np.b, By: np.by,
 			TrainedEpochs: 2,
 		}
 		var raw bytes.Buffer

@@ -2,6 +2,7 @@ package lstm
 
 import (
 	"math"
+	"slices"
 
 	"leakydnn/internal/mat"
 )
@@ -26,6 +27,7 @@ type oracleStep struct {
 // per-step intermediates.
 func oracleForward(n *Network, inputs [][]float64) []*oracleStep {
 	h, c := n.cfg.Hidden, n.cfg.Classes
+	p := n.masters()
 	zero := make([]float64, h)
 	hPrev, cPrev := zero, zero
 	z := make([]float64, 4*h)
@@ -39,20 +41,20 @@ func oracleForward(n *Network, inputs [][]float64) []*oracleStep {
 			c: make([]float64, h), h: make([]float64, h), tanhC: make([]float64, h),
 			probs: make([]float64, c),
 		}
-		gemv(z, n.p.wx, x, false)
-		gemv(z, n.p.wh, hPrev, true)
-		addVec(z, n.p.b)
+		gemv(z, p.wx, x, false)
+		gemv(z, p.wh, hPrev, true)
+		addVec(z, p.b)
 		for j := 0; j < h; j++ {
 			sc.i[j] = mat.Sigmoid(z[j])
 			sc.f[j] = mat.Sigmoid(z[h+j])
-			sc.g[j] = math.Tanh(z[2*h+j])
+			sc.g[j] = mat.Tanh(z[2*h+j])
 			sc.o[j] = mat.Sigmoid(z[3*h+j])
 			sc.c[j] = sc.f[j]*cPrev[j] + sc.i[j]*sc.g[j]
-			sc.tanhC[j] = math.Tanh(sc.c[j])
+			sc.tanhC[j] = mat.Tanh(sc.c[j])
 			sc.h[j] = sc.o[j] * sc.tanhC[j]
 		}
-		gemv(logits, n.p.wy, sc.h, false)
-		addVec(logits, n.p.by)
+		gemv(logits, p.wy, sc.h, false)
+		addVec(logits, p.by)
 		mat.SoftmaxInto(sc.probs, logits)
 		steps[t] = sc
 		hPrev, cPrev = sc.h, sc.c
@@ -60,19 +62,29 @@ func oracleForward(n *Network, inputs [][]float64) []*oracleStep {
 	return steps
 }
 
-// oracleBackward accumulates one sequence's gradient into g and returns its
-// summed weighted cross-entropy loss, counted timesteps and correct
-// predictions.
-func oracleBackward(n *Network, seq Sequence, g params) (loss float64, counted, correct int) {
+// oracleRow is one timestep of one sequence as the backward pass sees it:
+// the rows it multiplies into the weight gradients, and its loss term.
+type oracleRow struct {
+	dz, x, hPrev []float64
+	dL, h        []float64 // dL is nil when the timestep does not count
+	loss         float64
+	correct      bool
+}
+
+// oracleRows runs the textbook BPTT over one sequence and returns its
+// timesteps' rows, indexed by timestep.
+func oracleRows(n *Network, seq Sequence) []oracleRow {
 	caches := oracleForward(n, seq.Inputs)
-	h, c := n.cfg.Hidden, n.cfg.Classes
+	h, mp := n.cfg.Hidden, n.masters()
 
 	dh, dc, hTmp := make([]float64, h), make([]float64, h), make([]float64, h)
 	dhNext, dcNext := make([]float64, h), make([]float64, h)
-	dz, dLogits := make([]float64, 4*h), make([]float64, c)
 
+	rows := make([]oracleRow, len(caches))
 	for t := len(caches) - 1; t >= 0; t-- {
 		sc := caches[t]
+		r := &rows[t]
+		r.x, r.hPrev, r.h = sc.x, sc.hPrev, sc.h
 		copy(dh, dhNext)
 
 		if seq.Mask == nil || seq.Mask[t] {
@@ -85,26 +97,21 @@ func oracleBackward(n *Network, seq Sequence, g params) (loss float64, counted, 
 			if p < 1e-12 {
 				p = 1e-12
 			}
-			loss += -w * math.Log(p)
-			counted++
-			if mat.ArgMax(sc.probs) == label {
-				correct++
-			}
+			r.loss = -w * math.Log(p)
+			r.correct = mat.ArgMax(sc.probs) == label
 
-			copy(dLogits, sc.probs)
-			dLogits[label] -= 1
-			for j := range dLogits {
-				dLogits[j] *= w
+			r.dL = append([]float64(nil), sc.probs...)
+			r.dL[label] -= 1
+			for j := range r.dL {
+				r.dL[j] *= w
 			}
-
-			addOuter(g.wy, dLogits, sc.h)
-			addVec(g.by, dLogits)
-			gemvT(hTmp, n.p.wy, dLogits)
+			gemvT(hTmp, mp.wy, r.dL)
 			addVec(dh, hTmp)
 		}
 
 		// Through h = o * tanh(c); the output-gate delta lands directly in
 		// its dz quarter.
+		dz := make([]float64, 4*h)
 		copy(dc, dcNext)
 		for j := 0; j < h; j++ {
 			dz[3*h+j] = dh[j] * sc.tanhC[j] * sc.o[j] * (1 - sc.o[j])
@@ -118,11 +125,66 @@ func oracleBackward(n *Network, seq Sequence, g params) (loss float64, counted, 
 			dz[2*h+j] = dc[j] * sc.i[j] * (1 - sc.g[j]*sc.g[j])
 			dcNext[j] = dc[j] * sc.f[j]
 		}
+		r.dz = dz
+		gemvT(dhNext, mp.wh, dz)
+	}
+	return rows
+}
 
-		addOuter(g.wx, dz, sc.x)
-		addOuter(g.wh, dz, sc.hPrev)
-		addVec(g.b, dz)
-		gemvT(dhNext, n.p.wh, dz)
+// oracleBackward accumulates one sequence's gradient into g and returns its
+// summed weighted cross-entropy loss, counted timesteps and correct
+// predictions.
+func oracleBackward(n *Network, seq Sequence, g params) (loss float64, counted, correct int) {
+	return oracleBatchBackward(n, []Sequence{seq}, []int{0}, g)
+}
+
+// oracleBatchBackward accumulates the gradient of the minibatch seqs[idx]
+// into g and returns its loss and stats, summing across sequences in the
+// order the batched trainer defines: slots sorted by non-increasing length
+// (stable), then timestep descending and slot ascending. On a timestep where
+// any live slot counts, every live slot adds its dL row to wy and by, a
+// zero row for a slot that does not count.
+func oracleBatchBackward(n *Network, seqs []Sequence, idx []int, g params) (loss float64, counted, correct int) {
+	sorted := append([]int(nil), idx...)
+	slices.SortStableFunc(sorted, func(a, b int) int { return len(seqs[b].Inputs) - len(seqs[a].Inputs) })
+	rows := make([][]oracleRow, len(sorted))
+	for s, id := range sorted {
+		rows[s] = oracleRows(n, seqs[id])
+	}
+	zero := make([]float64, n.cfg.Classes)
+	for ts := len(rows[0]) - 1; ts >= 0; ts-- {
+		live := 0
+		for live < len(rows) && len(rows[live]) > ts {
+			live++
+		}
+		anyCounted := false
+		for s := 0; s < live; s++ {
+			if r := rows[s][ts]; r.dL != nil {
+				loss += r.loss
+				counted++
+				if r.correct {
+					correct++
+				}
+				anyCounted = true
+			}
+		}
+		if anyCounted {
+			for s := 0; s < live; s++ {
+				r := rows[s][ts]
+				dL := r.dL
+				if dL == nil {
+					dL = zero
+				}
+				addOuter(g.wy, dL, r.h)
+				addVec(g.by, dL)
+			}
+		}
+		for s := 0; s < live; s++ {
+			r := rows[s][ts]
+			addOuter(g.wx, r.dz, r.x)
+			addOuter(g.wh, r.dz, r.hPrev)
+			addVec(g.b, r.dz)
+		}
 	}
 	return loss, counted, correct
 }

@@ -25,13 +25,14 @@ type snapshot struct {
 
 // Save writes the network's parameters to w.
 func (n *Network) Save(w io.Writer) error {
+	p := n.masters()
 	snap := snapshot{
 		Cfg:           n.cfg,
-		Wx:            n.p.wx,
-		Wh:            n.p.wh,
-		Wy:            n.p.wy,
-		B:             n.p.b,
-		By:            n.p.by,
+		Wx:            p.wx,
+		Wh:            p.wh,
+		Wy:            p.wy,
+		B:             p.b,
+		By:            p.by,
 		TrainedEpochs: n.trainedEpochs,
 	}
 	// Workers is an execution knob, not a model property: dropping it keeps
@@ -45,8 +46,8 @@ func (n *Network) Save(w io.Writer) error {
 
 // Load reads a network previously written by Save. The network is built
 // directly from the snapshot — no Xavier initialization is drawn only to be
-// overwritten, so loading burns no RNG state and allocates no throwaway
-// weight matrices, and no optimizer state until the network first trains.
+// overwritten, so loading burns no RNG state — and keeps only the view
+// prediction reads; the decoded masters are transposed into it and dropped.
 func Load(r io.Reader) (*Network, error) {
 	var snap snapshot
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {

@@ -123,7 +123,7 @@ func TestEpochStatsMatchPreUpdatePredictions(t *testing.T) {
 	for i := range order {
 		order[i] = i
 	}
-	b.adam = newAdamState(b.cfg)
+	adam, bp := newAdamState(b.cfg), b.masters()
 	g := newParams(b.cfg)
 	for epoch := 0; epoch < epochs; epoch++ {
 		b.rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
@@ -158,8 +158,8 @@ func TestEpochStatsMatchPreUpdatePredictions(t *testing.T) {
 			if counted == 0 {
 				continue
 			}
-			b.applyGrads(g, counted)
-			b.w.refresh(b)
+			b.applyGrads(adam, bp, g, counted)
+			b.refresh(bp)
 		}
 		res := results[epoch]
 		if wantAcc := float64(wantCorrect) / float64(wantCounted); res.Accuracy != wantAcc {
@@ -193,7 +193,7 @@ func paramsEqual(a, b *Network) bool {
 		}
 		return true
 	}
-	at, bt := a.p.tensors(), b.p.tensors()
+	at, bt := a.masters().tensors(), b.masters().tensors()
 	for k := range at {
 		if !eq(at[k], bt[k]) {
 			return false

@@ -29,6 +29,37 @@ noavx:
 	MOVB $0, ret+0(FP)
 	RET
 
+// func cpuHasAVX2FMA() bool
+//
+// CPUID leaf 1 ECX bit 12 (FMA) and leaf 7 EBX bit 5 (AVX2). The OS-saved
+// YMM state is cpuHasAVX's check; callers combine the two.
+TEXT ·cpuHasAVX2FMA(SB), NOSPLIT, $0-1
+	MOVQ BX, R15 // CPUID clobbers BX
+	XORL AX, AX
+	XORL CX, CX
+	CPUID
+	CMPL AX, $7
+	JLT  nofma
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	MOVL CX, R8
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	MOVL BX, R9
+	MOVQ R15, BX
+	ANDL $(1<<12), R8
+	JZ   nofma
+	ANDL $(1<<5), R9
+	JZ   nofma
+	MOVB $1, ret+0(FP)
+	RET
+nofma:
+	MOVQ R15, BX
+	MOVB $0, ret+0(FP)
+	RET
+
 // func axpyQuadAVX64(dst, b0, b1, b2, b3 *float64, n int, a0, a1, a2, a3 float64)
 //
 // dst[j] = ((dst[j] + a0*b0[j]) + a1*b1[j] + a2*b2[j]) + a3*b3[j]

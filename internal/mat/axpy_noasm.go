@@ -31,3 +31,16 @@ func taccumQuadAVX64(dst, coef, b0, b1, b2, b3 *float64, rows, n int) {
 func taccumRank1AVX64(dst, coef, b *float64, rows, n int) {
 	panic("mat: taccumRank1AVX64 called without AVX support")
 }
+
+// The row kernels below write nothing and report so; their callers then
+// take the scalar functions for every element.
+
+const hasAVX2FMA = false
+
+func expRowAVX2(dst, src *float64, n int) int { return 0 }
+
+func sigmoidRowAVX2(dst, src *float64, n int) int { return 0 }
+
+func tanhRowAVX2(dst, src *float64, n int) int { return 0 }
+
+func adamAVX(param, grad, m, v *float64, n int, k *AdamCoef) int { return 0 }

@@ -1,8 +1,9 @@
 // Package mat provides the small numeric kernel under the learning
 // components of the MoSConS reproduction (the LSTM inference models and the
-// gradient-boosted trees): row-major GEMM kernels over flat float64 buffers
-// and a handful of vector helpers. Shapes are checked so dimension bugs fail
-// fast.
+// gradient-boosted trees): row-major GEMM kernels over flat float64 buffers,
+// the exp and tanh the package owns with their activation rows, the Adam
+// update and a handful of vector helpers. Shapes are checked so dimension
+// bugs fail fast.
 //
 // Non-finite policy: every kernel follows IEEE-754 propagation — a NaN or
 // Inf operand always reaches the result (0×Inf = NaN, 0×NaN = NaN), even

@@ -18,10 +18,12 @@ func SoftmaxInto(dst, logits []float64) {
 			max = v
 		}
 	}
-	var sum float64
 	for i, v := range logits {
-		e := math.Exp(v - max)
-		dst[i] = e
+		dst[i] = v - max
+	}
+	expInto(dst, dst)
+	var sum float64
+	for _, e := range dst {
 		sum += e
 	}
 	for i := range dst {
@@ -41,11 +43,6 @@ func ArgMax(v []float64) int {
 		}
 	}
 	return best
-}
-
-// Sigmoid returns 1/(1+e^{-x}).
-func Sigmoid(x float64) float64 {
-	return 1 / (1 + math.Exp(-x))
 }
 
 // Mean returns the arithmetic mean of v (0 for empty v).

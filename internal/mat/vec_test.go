@@ -101,7 +101,7 @@ func TestSoftmaxIntoMatchesSoftmaxAndAliases(t *testing.T) {
 	want := make([]float64, len(logits))
 	var sum float64
 	for i, v := range logits {
-		want[i] = math.Exp(v - 700)
+		want[i] = Exp(v - 700)
 		sum += want[i]
 	}
 	for i := range want {
