@@ -6,6 +6,7 @@
 package leakydnn
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -384,7 +385,7 @@ func benchCollectWorkers(b *testing.B, workers int) {
 	sc := benchScale()
 	sc.Workers = workers
 	for i := 0; i < b.N; i++ {
-		traces, err := sc.CollectTraces(sc.Profiled, eval.StreamProfiled)
+		traces, err := sc.CollectTraces(context.Background(), nil, sc.Profiled, eval.StreamProfiled)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -453,7 +454,7 @@ func BenchmarkWorkbenchWorkers4(b *testing.B) { benchWorkbench(b, 4) }
 // benchTrainModels runs the full MoSConS training at scale sc, with trace
 // collection outside the timer.
 func benchTrainModels(b *testing.B, sc eval.Scale) {
-	profiled, err := sc.CollectTraces(sc.Profiled, eval.StreamProfiled)
+	profiled, err := sc.CollectTraces(context.Background(), nil, sc.Profiled, eval.StreamProfiled)
 	if err != nil {
 		b.Fatal(err)
 	}

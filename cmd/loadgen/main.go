@@ -86,7 +86,7 @@ func run() error {
 	}
 	fmt.Fprintf(os.Stderr, "loadgen: collecting %d victim traces at %s scale ...\n",
 		len(sc.Tested), sc.Name)
-	tested, err := sc.CollectTraces(sc.Tested, eval.StreamTested)
+	tested, err := sc.CollectTraces(context.Background(), nil, sc.Tested, eval.StreamTested)
 	if err != nil {
 		return err
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -231,7 +232,7 @@ func run() error {
 			fmt.Printf("re-collecting victim traces under fault plan (measurement %.2f, scheduler %.2f blend)\n",
 				*chaosIntensity, *schedIntensity)
 		}
-		tested, err = scVictim.CollectTraces(scVictim.Tested, eval.StreamTested)
+		tested, err = scVictim.CollectTraces(context.Background(), nil, scVictim.Tested, eval.StreamTested)
 		if err != nil {
 			return err
 		}

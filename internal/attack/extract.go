@@ -80,7 +80,7 @@ type Recovery struct {
 // vote across iterations, infer hyper-parameters, collapse, derive layers
 // and apply syntax corrections.
 func (m *Models) Extract(samples []cupti.Sample) (*Recovery, error) {
-	return m.ExtractSegmentedCtx(context.Background(), samples, nil)
+	return m.extractSegmented(context.Background(), samples, nil)
 }
 
 // ExtractTrace extracts from a collected trace, honoring its re-anchor
@@ -88,7 +88,7 @@ func (m *Models) Extract(samples []cupti.Sample) (*Recovery, error) {
 // independent segments instead of one contiguous stream. For traces without
 // markers it is identical to Extract(tr.Samples).
 func (m *Models) ExtractTrace(tr *trace.Trace) (*Recovery, error) {
-	return m.ExtractSegmentedCtx(context.Background(), tr.Samples, tr.Reanchors)
+	return m.extractSegmented(context.Background(), tr.Samples, tr.Reanchors)
 }
 
 // ExtractTraceCtx is ExtractTrace with cooperative cancellation, the entry a
@@ -96,17 +96,18 @@ func (m *Models) ExtractTrace(tr *trace.Trace) (*Recovery, error) {
 // context abandons the pipeline at the next stage boundary instead of burning
 // worker time on an answer nobody will read.
 func (m *Models) ExtractTraceCtx(ctx context.Context, tr *trace.Trace) (*Recovery, error) {
-	return m.ExtractSegmentedCtx(ctx, tr.Samples, tr.Reanchors)
+	return m.extractSegmented(ctx, tr.Samples, tr.Reanchors)
 }
 
-// ExtractSegmentedCtx is Extract with explicit re-anchor markers (simulated
-// times at which the spy re-established its context after losing it) and
+// extractSegmented is the one pipeline behind Extract, ExtractTrace and
+// ExtractTraceCtx. It takes explicit re-anchor markers (simulated times at
+// which the spy re-established its context after losing it) and honours
 // cooperative cancellation: ctx is checked between pipeline stages and
 // between per-iteration model passes (the units of meaningful work), so
 // cancellation latency is one model pass, not one extraction. An uncancelled
 // ctx gives the same recovery as context.Background(); a cancelled one
 // returns ctx.Err().
-func (m *Models) ExtractSegmentedCtx(ctx context.Context, samples []cupti.Sample, reanchors []gpu.Nanos) (*Recovery, error) {
+func (m *Models) extractSegmented(ctx context.Context, samples []cupti.Sample, reanchors []gpu.Nanos) (*Recovery, error) {
 	if len(samples) == 0 {
 		return nil, errors.New("attack: no samples to extract from")
 	}

@@ -250,7 +250,7 @@ func TestExtractCtxCancelled(t *testing.T) {
 		Long:   &lstm.Network{},
 		Op:     &lstm.Network{},
 	}
-	_, err := m.ExtractSegmentedCtx(ctx, []cupti.Sample{{}}, nil)
+	_, err := m.extractSegmented(ctx, []cupti.Sample{{}}, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

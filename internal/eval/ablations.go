@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -26,7 +27,7 @@ func AblationSlowdown(sc Scale) (*SlowdownAblation, error) {
 	}
 	// The two co-runs are independent (indices 0/1 of their stream), so they
 	// fan out.
-	traces, err := par.Map(sc.Workers, 2, func(i int) (*trace.Trace, error) {
+	traces, err := par.MapCtx(context.Background(), sc.Workers, 2, func(i int) (*trace.Trace, error) {
 		return trace.Collect(sc.Tested[0], sc.RunConfig(sc.StreamSeed(StreamAblationSlowdown, i), i == 0))
 	})
 	if err != nil {
@@ -79,7 +80,7 @@ type SyntaxAblationRow struct {
 // AblationSyntax re-derives layers from each tested recovery with the
 // correction stages disabled and compares against the full pipeline.
 func (w *Workbench) AblationSyntax() (*SyntaxAblation, error) {
-	rows, err := par.Map(w.Scale.Workers, len(w.Tested), func(i int) (SyntaxAblationRow, error) {
+	rows, err := par.MapCtx(context.Background(), w.Scale.Workers, len(w.Tested), func(i int) (SyntaxAblationRow, error) {
 		tr := w.Tested[i]
 		rec, err := w.Models.Extract(tr.Samples)
 		if err != nil {
@@ -156,7 +157,7 @@ type WeightedLossAblation struct {
 // one with the class-imbalance weighting, one without — and compares voted
 // op accuracy on the first tested trace.
 func AblationWeightedLoss(sc Scale) (*WeightedLossAblation, error) {
-	profiled, err := sc.CollectTraces(sc.Profiled, StreamProfiled)
+	profiled, err := sc.CollectTraces(context.Background(), nil, sc.Profiled, StreamProfiled)
 	if err != nil {
 		return nil, err
 	}
@@ -216,7 +217,7 @@ func AblationCounterGroups(sc Scale) (*CounterGroupAblation, error) {
 			cfg.Spy.Events = events
 			return cfg
 		}
-		profiled, err := par.Map(sc.Workers, len(sc.Profiled), func(i int) (*trace.Trace, error) {
+		profiled, err := par.MapCtx(context.Background(), sc.Workers, len(sc.Profiled), func(i int) (*trace.Trace, error) {
 			return trace.Collect(sc.Profiled[i], cfgOf(sc.StreamSeed(StreamCounterAblation, i)))
 		})
 		if err != nil {
@@ -298,7 +299,7 @@ func (w *Workbench) MultiTenant() (*MultiTenantResult, error) {
 	}
 
 	// Three independent co-runs against read-only trained models.
-	accs, err := par.Map(w.Scale.Workers, 3, func(i int) (float64, error) {
+	accs, err := par.MapCtx(context.Background(), w.Scale.Workers, 3, func(i int) (float64, error) {
 		return score(i, w.Scale.StreamSeed(StreamMultiTenant, i))
 	})
 	if err != nil {

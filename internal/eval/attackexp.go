@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -35,7 +36,7 @@ type Table6Row struct {
 // trained models are read-only during inference, so the per-trace work fans
 // out across the workbench's worker pool.
 func (w *Workbench) Table6() (*Table6Result, error) {
-	rows, err := par.Map(w.Scale.Workers, len(w.Tested), func(i int) (Table6Row, error) {
+	rows, err := par.MapCtx(context.Background(), w.Scale.Workers, len(w.Tested), func(i int) (Table6Row, error) {
 		tr := w.Tested[i]
 		feats := attackFeatures(w.Models, tr)
 		split, err := w.Models.SplitIterations(feats)
@@ -124,7 +125,7 @@ func (w *Workbench) GapSweep(batches, sides []int) (*GapSweepResult, error) {
 			tasks = append(tasks, task{batch: batch, side: side, variant: variant, seed: seed})
 		}
 	}
-	rows, err := par.Map(w.Scale.Workers, len(tasks), func(i int) (GapSweepRow, error) {
+	rows, err := par.MapCtx(context.Background(), w.Scale.Workers, len(tasks), func(i int) (GapSweepRow, error) {
 		t := tasks[i]
 		tr, err := trace.Collect(t.variant, w.Scale.RunConfig(t.seed, true))
 		if err != nil {
@@ -170,7 +171,7 @@ type Table7Row struct {
 // Table7 runs the op-inference stage on every tested trace and scores both
 // arms, fanning the independent extractions across the worker pool.
 func (w *Workbench) Table7() (*Table7Result, error) {
-	rows, err := par.Map(w.Scale.Workers, len(w.Tested), func(i int) (Table7Row, error) {
+	rows, err := par.MapCtx(context.Background(), w.Scale.Workers, len(w.Tested), func(i int) (Table7Row, error) {
 		tr := w.Tested[i]
 		rec, err := w.Models.Extract(tr.Samples)
 		if err != nil {
@@ -262,7 +263,7 @@ type Table9Row struct {
 // Table9 runs the full extraction on every tested trace, one worker-pool
 // task per model.
 func (w *Workbench) Table9() (*Table9Result, error) {
-	rows, err := par.Map(w.Scale.Workers, len(w.Tested), func(i int) (Table9Row, error) {
+	rows, err := par.MapCtx(context.Background(), w.Scale.Workers, len(w.Tested), func(i int) (Table9Row, error) {
 		tr := w.Tested[i]
 		rec, err := w.Models.Extract(tr.Samples)
 		if err != nil {

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -46,8 +47,8 @@ func (w *Workbench) EvaluateDefenses(quantStep, noiseFrac float64) (*DefenseResu
 	}
 
 	// The four rows are independent attacks on the same read-only trained
-	// models; par.Map keeps them in the paper's row order.
-	rows, err := par.Map(w.Scale.Workers, 4, func(i int) (DefenseRow, error) {
+	// models; par.MapCtx keeps them in the paper's row order.
+	rows, err := par.MapCtx(context.Background(), w.Scale.Workers, 4, func(i int) (DefenseRow, error) {
 		switch i {
 		case 0:
 			return score("none", base.Samples, baselineSPI)

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"testing"
 )
 
@@ -60,11 +61,11 @@ func TestCollectTracesDeterministic(t *testing.T) {
 	parallel := Tiny()
 	parallel.Workers = 8
 
-	a, err := serial.CollectTraces(serial.Tested, StreamTested)
+	a, err := serial.CollectTraces(context.Background(), nil, serial.Tested, StreamTested)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := parallel.CollectTraces(parallel.Tested, StreamTested)
+	b, err := parallel.CollectTraces(context.Background(), nil, parallel.Tested, StreamTested)
 	if err != nil {
 		t.Fatal(err)
 	}

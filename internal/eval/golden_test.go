@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -23,7 +24,7 @@ const goldenTestedTracesSHA256 = "c64d010a2c91dfdc76fa9e5c4e99728816d19338a81372
 func hashTraces(t *testing.T, sc Scale) string {
 	t.Helper()
 	h := sha256.New()
-	traces, err := sc.CollectTraces(sc.Tested, StreamTested)
+	traces, err := sc.CollectTraces(context.Background(), nil, sc.Tested, StreamTested)
 	if err != nil {
 		t.Fatal(err)
 	}

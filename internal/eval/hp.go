@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -117,7 +118,7 @@ func Table8(sc Scale, kinds []attack.HPKind) (*Table8Result, error) {
 	if len(variants) == 0 {
 		return nil, fmt.Errorf("eval: no hyper-parameter variants at scale %q", sc.Name)
 	}
-	trainTraces, err := sc.CollectTraces(variants, StreamHPTrain)
+	trainTraces, err := sc.CollectTraces(context.Background(), nil, variants, StreamHPTrain)
 	if err != nil {
 		return nil, err
 	}
@@ -125,14 +126,14 @@ func Table8(sc Scale, kinds []attack.HPKind) (*Table8Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	testTraces, err := sc.CollectTraces(variants, StreamHPTest)
+	testTraces, err := sc.CollectTraces(context.Background(), nil, variants, StreamHPTest)
 	if err != nil {
 		return nil, err
 	}
 
 	// Each kind's evaluation is pure inference over the shared trained
 	// models, so the kinds fan out across the worker pool.
-	rows, err := par.Map(sc.Workers, len(kinds), func(k int) (Table8Row, error) {
+	rows, err := par.MapCtx(context.Background(), sc.Workers, len(kinds), func(k int) (Table8Row, error) {
 		kind := kinds[k]
 		var correct, total int
 		for _, tr := range testTraces {

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -138,7 +139,7 @@ func Table1(sc Scale, samplesPerCell int) (*Table1Result, error) {
 		return nil, err
 	}
 	kinds := spy.Kinds()
-	rows, err := par.Map(sc.Workers, len(kinds), func(i int) (Table1Row, error) {
+	rows, err := par.MapCtx(context.Background(), sc.Workers, len(kinds), func(i int) (Table1Row, error) {
 		samples, err := sc.pilotSamples(kinds[i], &victim, samplesPerCell, sc.StreamSeed(StreamPilotSpy, i))
 		if err != nil {
 			return Table1Row{}, err
@@ -195,7 +196,7 @@ func Table2(sc Scale, samplesPerCell int) (*Table2Result, error) {
 		{"Sigmoid", dnn.OpSigmoid},
 	}
 	// The last task is the NOP row (idle victim, the stream's last index).
-	rows, err := par.Map(sc.Workers, len(victims)+1, func(i int) (Table2Row, error) {
+	rows, err := par.MapCtx(context.Background(), sc.Workers, len(victims)+1, func(i int) (Table2Row, error) {
 		name, kernel, seed := "NOP", (*gpu.KernelProfile)(nil), sc.StreamSeed(StreamPilotVictim, len(victims))
 		if i < len(victims) {
 			k, err := sc.victimOpKernel(victims[i].kind)

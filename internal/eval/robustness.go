@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -110,7 +111,7 @@ func (w *Workbench) robustnessCell(intensity, schedIntensity float64) (*Robustne
 	// Same seed stream as the workbench's clean tested collection, so each
 	// cell perturbs the same underlying co-runs and the sweep isolates
 	// the fault effect from seed-to-seed variance.
-	outs, err := par.Map(sc.Workers, len(sc.Tested), func(i int) (victim, error) {
+	outs, err := par.MapCtx(context.Background(), sc.Workers, len(sc.Tested), func(i int) (victim, error) {
 		tr, err := trace.Collect(sc.Tested[i], sc.RunConfig(sc.StreamSeed(StreamTested, i), true))
 		if err != nil {
 			return victim{collectErr: err}, nil

@@ -165,14 +165,33 @@ func (sc Scale) AttackConfig() attack.Config {
 // CollectTraces runs the spy against every model and returns the traces in
 // model order. Each co-run owns an independent engine seeded from
 // (Seed, stream, i), so the fan-out is deterministic for any worker count.
-func (sc Scale) CollectTraces(models []dnn.Model, stream SeedStream) ([]*trace.Trace, error) {
-	return par.Map(sc.Workers, len(models), func(i int) (*trace.Trace, error) {
+// The co-runs draw slots from pool, or from a private pool of sc.Workers
+// when pool is nil; once ctx is done no new co-run starts.
+func (sc Scale) CollectTraces(ctx context.Context, pool *par.Pool, models []dnn.Model, stream SeedStream) ([]*trace.Trace, error) {
+	collect := func(i int) (*trace.Trace, error) {
 		tr, err := trace.Collect(models[i], sc.RunConfig(sc.StreamSeed(stream, i), true))
 		if err != nil {
 			return nil, fmt.Errorf("eval: collect %s: %w", models[i].Name, err)
 		}
 		return tr, nil
-	})
+	}
+	if pool == nil {
+		return par.MapCtx(ctx, sc.Workers, len(models), collect)
+	}
+	return par.MapOnCtx(ctx, pool, len(models), collect)
+}
+
+// TrainModelSet runs the attack's first two stages on sc: it collects the
+// profiled traces and trains the MoSConS model set on them, every task on
+// pool (a private pool of sc.Workers per stage when pool is nil).
+// Cancellation stops it at the next co-run or model-head boundary with
+// ctx.Err(); an uncancelled run is byte-identical to NewWorkbench's models.
+func (sc Scale) TrainModelSet(ctx context.Context, pool *par.Pool) (*attack.Models, error) {
+	profiled, err := sc.CollectTraces(ctx, pool, sc.Profiled, StreamProfiled)
+	if err != nil {
+		return nil, err
+	}
+	return attack.TrainModelsCtx(ctx, profiled, sc.AttackConfig().WithPool(pool))
 }
 
 // PhaseTimings breaks the Workbench construction wall-clock into its
@@ -207,26 +226,9 @@ type Workbench struct {
 // head and every reduction is in fixed task order, so the result is
 // byte-identical to the serial workers=1 construction for any Workers value.
 func NewWorkbench(sc Scale) (*Workbench, error) {
-	return NewWorkbenchCtx(context.Background(), sc)
-}
-
-// NewWorkbenchCtx is NewWorkbench with cooperative cancellation threaded
-// through both collection fan-outs and model training. The extraction service
-// builds its warm model cache through this entry so a shutdown mid-warm-up
-// abandons the build at the next co-run or model-head boundary instead of
-// holding the drain deadline hostage to a full training run.
-func NewWorkbenchCtx(ctx context.Context, sc Scale) (*Workbench, error) {
+	ctx := context.Background()
 	start := time.Now()
 	pool := par.NewPool(sc.Workers)
-	collect := func(models []dnn.Model, stream SeedStream) ([]*trace.Trace, error) {
-		return par.MapOnCtx(ctx, pool, len(models), func(i int) (*trace.Trace, error) {
-			tr, err := trace.Collect(models[i], sc.RunConfig(sc.StreamSeed(stream, i), true))
-			if err != nil {
-				return nil, fmt.Errorf("eval: collect %s: %w", models[i].Name, err)
-			}
-			return tr, nil
-		})
-	}
 
 	var (
 		profiled  []*trace.Trace
@@ -239,16 +241,15 @@ func NewWorkbenchCtx(ctx context.Context, sc Scale) (*Workbench, error) {
 	)
 	go func() {
 		defer close(trained)
-		profiled, profErr = collect(sc.Profiled, StreamProfiled)
+		profiled, profErr = sc.CollectTraces(ctx, pool, sc.Profiled, StreamProfiled)
 		profDone = time.Now()
 		if profErr != nil {
 			return
 		}
-		trainStart := time.Now()
-		models, trainErr = attack.TrainModelsCtx(ctx, profiled, sc.AttackConfig().WithPool(pool))
-		trainWall = time.Since(trainStart)
+		models, trainErr = attack.TrainModels(profiled, sc.AttackConfig().WithPool(pool))
+		trainWall = time.Since(profDone)
 	}()
-	tested, testedErr := collect(sc.Tested, StreamTested)
+	tested, testedErr := sc.CollectTraces(ctx, pool, sc.Tested, StreamTested)
 	testedDone := time.Now()
 	<-trained
 

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -147,7 +148,7 @@ func SlowdownImpact(sc Scale) (*SlowdownResult, error) {
 		iter gpu.Nanos
 		thr  float64
 	}
-	got, err := par.Map(sc.Workers, 5, func(i int) (measurement, error) {
+	got, err := par.MapCtx(context.Background(), sc.Workers, 5, func(i int) (measurement, error) {
 		switch i {
 		case 0, 1, 2:
 			t, err := sc.victimIterTime(i == 2, i != 0, sc.StreamSeed(StreamSlowdownImpact, i))
@@ -214,7 +215,7 @@ func SlowdownSweep(sc Scale, kernels, blocks, threads []int) ([]SweepPoint, erro
 			}
 		}
 	}
-	return par.Map(sc.Workers, len(tasks), func(i int) (SweepPoint, error) {
+	return par.MapCtx(context.Background(), sc.Workers, len(tasks), func(i int) (SweepPoint, error) {
 		t := tasks[i]
 		iter, err := sc.victimIterTimeCustomSpy(t.nk, t.nb, t.nt, t.seed)
 		if err != nil {

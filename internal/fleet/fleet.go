@@ -16,6 +16,7 @@
 package fleet
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -307,7 +308,7 @@ func RunSpecs(cfg Config, specs []DeviceSpec) (*Result, error) {
 		}
 	}
 	pool := par.NewPool(cfg.Base.Workers)
-	devices, err := par.Map(0, len(specs), func(i int) (DeviceResult, error) {
+	devices, err := par.MapCtx(context.Background(), 0, len(specs), func(i int) (DeviceResult, error) {
 		if found != nil && found[i] {
 			return replayed[i].result(specs[i], cfg.CollectOnly), nil
 		}
@@ -413,6 +414,12 @@ func runAttempt(cfg Config, spec DeviceSpec, pool *par.Pool, share *modelShare) 
 		res DeviceResult
 		err error
 	}
+	// The deadline is armed before the device starts, and a result that
+	// lands at or past it is a timeout whichever case the select takes: a
+	// ready result and a due timer would otherwise be a coin flip.
+	deadline := time.Now().Add(cfg.Watchdog)
+	timer := time.NewTimer(cfg.Watchdog)
+	defer timer.Stop()
 	ch := make(chan outcome, 1)
 	// spec and the flag go in as arguments, not captures, so the caller's
 	// large Config and DeviceSpec stay on its stack on the watchdog-free path.
@@ -420,14 +427,14 @@ func runAttempt(cfg Config, spec DeviceSpec, pool *par.Pool, share *modelShare) 
 		r, e := runDevice(spec, pool, collectOnly, share)
 		ch <- outcome{r, e}
 	}(spec, cfg.CollectOnly)
-	timer := time.NewTimer(cfg.Watchdog)
-	defer timer.Stop()
 	select {
 	case out := <-ch:
-		return out.res, out.err
+		if time.Now().Before(deadline) {
+			return out.res, out.err
+		}
 	case <-timer.C:
-		return DeviceResult{}, errWatchdog
 	}
+	return DeviceResult{}, errWatchdog
 }
 
 // runDevice executes one device end to end: victim co-run under the device's
@@ -446,7 +453,7 @@ func runDevice(spec DeviceSpec, pool *par.Pool, collectOnly bool, share *modelSh
 	// The co-run executes as a pool task: the caller's goroutine is just a
 	// coordinator, so a 1-worker pool really does serialize the whole fleet.
 	victim := spec.Victim // a capture of spec would move all of it to the heap
-	victims, err := par.MapOn(pool, 1, func(int) (*trace.Trace, error) {
+	victims, err := par.MapOnCtx(context.Background(), pool, 1, func(int) (*trace.Trace, error) {
 		return trace.Collect(victim, rcfg)
 	})
 	if err != nil {

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -272,8 +273,9 @@ func TestFleetSharedModelDedup(t *testing.T) {
 }
 
 // A group representative's extraction is a pure function of its own spec:
-// collecting its trace and training a set from its spec directly, outside the
-// fleet, must reproduce the shared run's bytes.
+// collecting its trace and building a set from its scale with
+// eval.Scale.TrainModelSet directly, outside the fleet, must reproduce the
+// shared run's bytes.
 func TestFleetSharedMatchesPerDeviceOnRepresentative(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains model sets")
@@ -281,7 +283,7 @@ func TestFleetSharedMatchesPerDeviceOnRepresentative(t *testing.T) {
 	cfg := oneGroupFleet(2, 1)
 	shared := runOneGroup(t, cfg)
 	specs := oneGroupPlan(t, cfg)
-	models, err := trainModelSet(specs[0], par.NewPool(1))
+	models, err := specs[0].Scale.TrainModelSet(context.Background(), par.NewPool(1))
 	if err != nil {
 		t.Fatal(err)
 	}

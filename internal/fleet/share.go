@@ -1,14 +1,13 @@
 package fleet
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
 	"leakydnn/internal/attack"
 	"leakydnn/internal/chaos"
-	"leakydnn/internal/eval"
 	"leakydnn/internal/par"
-	"leakydnn/internal/trace"
 )
 
 // Class-shared model sets: the fleet's training-dedup layer.
@@ -96,32 +95,14 @@ func (s *modelShare) modelsFor(spec DeviceSpec, pool *par.Pool) (*attack.Models,
 		return nil, -1, fmt.Errorf("fleet: %s: no model group planned for this spec", spec.Name)
 	}
 	e.once.Do(func() {
-		e.models, e.err = trainModelSet(e.rep, pool)
+		e.models, e.err = e.rep.Scale.TrainModelSet(context.Background(), pool)
+		if e.err != nil {
+			e.err = fmt.Errorf("fleet: %s: %w", e.rep.Name, e.err)
+		}
 	})
 	if e.err != nil {
 		return nil, e.rep.Index, fmt.Errorf("fleet: %s: shared model set (trained from dev%03d): %w",
 			spec.Name, e.rep.Index, e.err)
 	}
 	return e.models, e.rep.Index, nil
-}
-
-// trainModelSet collects the profiled traces and trains the MoSConS model set
-// for one spec, the group representative's planned spec.
-func trainModelSet(spec DeviceSpec, pool *par.Pool) (*attack.Models, error) {
-	sc := spec.Scale
-	profiled, err := par.MapOn(pool, len(sc.Profiled), func(i int) (*trace.Trace, error) {
-		ptr, perr := trace.Collect(sc.Profiled[i], sc.RunConfig(sc.StreamSeed(eval.StreamProfiled, i), true))
-		if perr != nil {
-			return nil, fmt.Errorf("fleet: %s: profile %s: %w", spec.Name, sc.Profiled[i].Name, perr)
-		}
-		return ptr, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	models, err := attack.TrainModels(profiled, sc.AttackConfig().WithPool(pool))
-	if err != nil {
-		return nil, fmt.Errorf("fleet: %s: train: %w", spec.Name, err)
-	}
-	return models, nil
 }

@@ -162,25 +162,21 @@ func New(cfg Config) (*Network, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	h, in, c := cfg.Hidden, cfg.InputDim, cfg.Classes
-	p := params{
-		wx: mat.Randn(4*h, in, 1/math.Sqrt(float64(in)), rng),
-		wh: mat.Randn(4*h, h, 1/math.Sqrt(float64(h)), rng),
-		b:  make([]float64, 4*h),
-		wy: mat.Randn(c, h, 1/math.Sqrt(float64(h)), rng),
-		by: make([]float64, c),
+	// Xavier weights, drawn in master-layout order (wx, wh, wy) straight
+	// into the transposed view the forward pass reads.
+	w := &weights{
+		wxT: mat.RandnT(4*h, in, 1/math.Sqrt(float64(in)), rng),
+		whT: mat.RandnT(4*h, h, 1/math.Sqrt(float64(h)), rng),
+		wyT: mat.RandnT(c, h, 1/math.Sqrt(float64(h)), rng),
+		b:   make([]float64, 4*h),
+		by:  make([]float64, c),
 	}
 	// Positive forget-gate bias: the standard trick for remembering long
 	// spans (the voting models rely on it).
 	for j := h; j < 2*h; j++ {
-		p.b[j] = 1
+		w.b[j] = 1
 	}
-	return newNetwork(cfg, rng, p, 0), nil
-}
-
-func newNetwork(cfg Config, rng *rand.Rand, p params, epochs int64) *Network {
-	n := &Network{cfg: cfg, rng: rng, trainedEpochs: epochs}
-	n.setWeights(p)
-	return n
+	return &Network{cfg: cfg, rng: rng, w: w}, nil
 }
 
 // predictBatchWidth bounds how many sequences one batched forward pass

@@ -73,7 +73,9 @@ func Load(r io.Reader) (*Network, error) {
 		seed = resumeSeed(cfg.Seed, snap.TrainedEpochs)
 	}
 	p := params{wx: snap.Wx, wh: snap.Wh, b: snap.B, wy: snap.Wy, by: snap.By}
-	return newNetwork(cfg, rand.New(rand.NewSource(seed)), p, snap.TrainedEpochs), nil
+	n := &Network{cfg: cfg, rng: rand.New(rand.NewSource(seed)), trainedEpochs: snap.TrainedEpochs}
+	n.setWeights(p)
+	return n, nil
 }
 
 // resumeSeed mixes the config seed with the epoch count through a

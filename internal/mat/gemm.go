@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"context"
 	"fmt"
 
 	"leakydnn/internal/par"
@@ -56,10 +57,11 @@ func GemmInto(dst, a, b []float64, m, k, n, workers int) {
 		gemmIntoRows(dst, a, b, k, n, 0, m)
 		return
 	}
-	_ = par.Do(workers, workers, func(w int) error {
+	// The row tasks return no error, and the background ctx is never done.
+	_, _ = par.MapCtx(context.Background(), workers, workers, func(w int) (struct{}, error) {
 		lo, hi := partition(m, workers, w)
 		gemmIntoRows(dst, a, b, k, n, lo, hi)
-		return nil
+		return struct{}{}, nil
 	})
 }
 
@@ -132,10 +134,11 @@ func GemmTAAccum(dst, a, b []float64, p, m, n, workers int) {
 		gemmTAAccumRows(dst, a, b, p, m, n, 0, m)
 		return
 	}
-	_ = par.Do(workers, workers, func(w int) error {
+	// The row tasks return no error, and the background ctx is never done.
+	_, _ = par.MapCtx(context.Background(), workers, workers, func(w int) (struct{}, error) {
 		lo, hi := partition(m, workers, w)
 		gemmTAAccumRows(dst, a, b, p, m, n, lo, hi)
-		return nil
+		return struct{}{}, nil
 	})
 }
 

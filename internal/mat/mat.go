@@ -32,13 +32,16 @@ func checkDims(rows, cols int) {
 	}
 }
 
-// Randn returns a row-major rows×cols buffer with entries drawn from
-// N(0, scale²), in index order.
-func Randn(rows, cols int, scale float64, rng *rand.Rand) []float64 {
+// RandnT draws a rows×cols matrix with entries from N(0, scale²) in
+// row-major index order and returns its transpose: the row-major cols×rows
+// buffer whose element [c*rows+r] holds draw (r, c).
+func RandnT(rows, cols int, scale float64, rng *rand.Rand) []float64 {
 	checkDims(rows, cols)
 	out := make([]float64, rows*cols)
-	for i := range out {
-		out[i] = rng.NormFloat64() * scale
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			out[c*rows+r] = rng.NormFloat64() * scale
+		}
 	}
 	return out
 }

@@ -148,23 +148,23 @@ func TestDimensionOverflowPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	huge := math.MaxInt/2 + 1
 	for name, fn := range map[string]func(){
-		"overflow": func() { Randn(huge, 4, 1, rng) },
-		"negative": func() { Randn(-1, 4, 1, rng) },
+		"overflow": func() { RandnT(huge, 4, 1, rng) },
+		"negative": func() { RandnT(-1, 4, 1, rng) },
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("Randn with %s dimensions did not panic", name)
+					t.Errorf("RandnT with %s dimensions did not panic", name)
 				}
 			}()
 			fn()
 		}()
 	}
 	// Degenerate-but-valid shapes must still work.
-	if v := Randn(0, 5, 1, rng); len(v) != 0 {
-		t.Errorf("Randn(0,5) allocated %d elements", len(v))
+	if v := RandnT(0, 5, 1, rng); len(v) != 0 {
+		t.Errorf("RandnT(0,5) allocated %d elements", len(v))
 	}
-	if v := Randn(5, 0, 1, rng); len(v) != 0 {
-		t.Errorf("Randn(5,0) allocated %d elements", len(v))
+	if v := RandnT(5, 0, 1, rng); len(v) != 0 {
+		t.Errorf("RandnT(5,0) allocated %d elements", len(v))
 	}
 }

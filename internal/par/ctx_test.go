@@ -11,14 +11,14 @@ import (
 )
 
 // TestMapCtxUncancelledMatchesMap pins the load-bearing identity: with a live
-// context the ctx variants are byte-identical to the historical Map/MapOn for
+// context both fan-outs are byte-identical to the serial workers=1 loop for
 // any worker count, including task order of the result slice.
 func TestMapCtxUncancelledMatchesMap(t *testing.T) {
 	const n = 200
 	fn := func(i int) (string, error) {
 		return fmt.Sprintf("task-%03d", i*i), nil
 	}
-	want, err := Map(1, n, fn)
+	want, err := MapCtx(context.Background(), 1, n, fn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestMapCtxSerialPathHonoursCancel(t *testing.T) {
 }
 
 // TestMapCtxTaskErrorBeatsCancel: when a task fails and the context is then
-// cancelled, the task error keeps Map's lowest-index precedence.
+// cancelled, the task error keeps its lowest-index precedence.
 func TestMapCtxTaskErrorBeatsCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -1,6 +1,7 @@
 package par
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -27,7 +28,7 @@ func TestWorkersResolution(t *testing.T) {
 
 func TestMapPreservesOrder(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 16} {
-		got, err := Map(workers, 50, func(i int) (int, error) { return i * i, nil })
+		got, err := MapCtx(context.Background(), workers, 50, func(i int) (int, error) { return i * i, nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,9 +44,9 @@ func TestMapPreservesOrder(t *testing.T) {
 }
 
 func TestMapEmpty(t *testing.T) {
-	got, err := Map(4, 0, func(i int) (int, error) { return 0, nil })
+	got, err := MapCtx(context.Background(), 4, 0, func(i int) (int, error) { return 0, nil })
 	if err != nil || got != nil {
-		t.Fatalf("Map(4, 0) = %v, %v", got, err)
+		t.Fatalf("MapCtx(ctx, 4, 0) = %v, %v", got, err)
 	}
 }
 
@@ -53,7 +54,7 @@ func TestMapEmpty(t *testing.T) {
 // order — exactly what a serial loop would have returned first.
 func TestMapReturnsLowestIndexError(t *testing.T) {
 	for _, workers := range []int{1, 3, 8} {
-		_, err := Map(workers, 20, func(i int) (int, error) {
+		_, err := MapCtx(context.Background(), workers, 20, func(i int) (int, error) {
 			if i == 3 || i == 11 {
 				return 0, fmt.Errorf("task %d failed", i)
 			}
@@ -70,7 +71,7 @@ func TestMapFailFast(t *testing.T) {
 	var started atomic.Int64
 	release := make(chan struct{})
 	var once sync.Once
-	_, err := Map(2, 100, func(i int) (int, error) {
+	_, err := MapCtx(context.Background(), 2, 100, func(i int) (int, error) {
 		started.Add(1)
 		if i == 0 {
 			return 0, errors.New("boom")
@@ -94,7 +95,7 @@ func TestMapActuallyRunsConcurrently(t *testing.T) {
 		t.Skip("single-core runner")
 	}
 	var inFlight, peak atomic.Int64
-	_, err := Map(4, 16, func(i int) (int, error) {
+	_, err := MapCtx(context.Background(), 4, 16, func(i int) (int, error) {
 		cur := inFlight.Add(1)
 		for {
 			p := peak.Load()
@@ -111,25 +112,5 @@ func TestMapActuallyRunsConcurrently(t *testing.T) {
 	}
 	if peak.Load() < 2 {
 		t.Fatalf("peak concurrency %d, want >= 2", peak.Load())
-	}
-}
-
-func TestDoPropagatesError(t *testing.T) {
-	var ran atomic.Int64
-	err := Do(3, 10, func(i int) error {
-		ran.Add(1)
-		if i == 5 {
-			return errors.New("task 5")
-		}
-		return nil
-	})
-	if err == nil || err.Error() != "task 5" {
-		t.Fatalf("Do err = %v", err)
-	}
-	if err := Do(3, 10, func(i int) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if ran.Load() == 0 {
-		t.Fatal("Do never ran")
 	}
 }

@@ -1,6 +1,7 @@
 package par
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -12,7 +13,7 @@ import (
 func TestMapOnPreservesOrder(t *testing.T) {
 	for _, slots := range []int{1, 2, 4, 16} {
 		p := NewPool(slots)
-		got, err := MapOn(p, 50, func(i int) (int, error) { return i * i, nil })
+		got, err := MapOnCtx(context.Background(), p, 50, func(i int) (int, error) { return i * i, nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -25,7 +26,7 @@ func TestMapOnPreservesOrder(t *testing.T) {
 }
 
 func TestMapOnNilPoolFallsBack(t *testing.T) {
-	got, err := MapOn[int](nil, 10, func(i int) (int, error) { return i + 1, nil })
+	got, err := MapOnCtx[int](context.Background(), nil, 10, func(i int) (int, error) { return i + 1, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +39,7 @@ func TestMapOnNilPoolFallsBack(t *testing.T) {
 
 func TestMapOnReturnsLowestIndexError(t *testing.T) {
 	want := errors.New("boom-3")
-	_, err := MapOn(NewPool(4), 20, func(i int) (int, error) {
+	_, err := MapOnCtx(context.Background(), NewPool(4), 20, func(i int) (int, error) {
 		if i == 3 || i == 7 {
 			return 0, fmt.Errorf("boom-%d", i)
 		}
@@ -49,7 +50,7 @@ func TestMapOnReturnsLowestIndexError(t *testing.T) {
 	}
 }
 
-// Two concurrent MapOn fan-outs on the same pool must never exceed the pool's
+// Two concurrent MapOnCtx fan-outs on the same pool must never exceed the pool's
 // slot budget in actually-running tasks — the whole point of sharing one
 // budget across overlapped pipeline stages.
 func TestMapOnSharesOneBudget(t *testing.T) {
@@ -72,7 +73,7 @@ func TestMapOnSharesOneBudget(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := MapOn(p, 40, task); err != nil {
+			if _, err := MapOnCtx(context.Background(), p, 40, task); err != nil {
 				t.Error(err)
 			}
 		}()

@@ -69,11 +69,7 @@ func NewModelCache(dir string) *ModelCache {
 		dir:     dir,
 		entries: make(map[string]*cacheEntry),
 		train: func(ctx context.Context, sc eval.Scale) (*attack.Models, error) {
-			w, err := eval.NewWorkbenchCtx(ctx, sc)
-			if err != nil {
-				return nil, err
-			}
-			return w.Models, nil
+			return sc.TrainModelSet(ctx, nil)
 		},
 	}
 }

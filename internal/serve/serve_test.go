@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -510,6 +511,53 @@ func trainedCache(t *testing.T) *ModelCache {
 		return wb.Models, nil
 	}
 	return c
+}
+
+// TestCacheDefaultTrainerMatchesWorkbench runs the production population
+// path that every other cache test stubs out: a cold Get under the default
+// trainer serves a model set whose serialized bytes equal the tiny
+// workbench's. Save gob-encodes the Report map in map iteration order, so
+// the bytes are compared with Report cleared and the reports compared apart.
+func TestCacheDefaultTrainerMatchesWorkbench(t *testing.T) {
+	wb := tinyBench(t)
+	m, err := NewModelCache("").Get(context.Background(), eval.Tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(m.Report, wb.Models.Report) {
+		t.Fatalf("cache-trained report %v differs from the workbench's %v", m.Report, wb.Models.Report)
+	}
+	save := func(m attack.Models) []byte {
+		m.Report = nil
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	if got, want := save(*m), save(*wb.Models); !bytes.Equal(got, want) {
+		t.Fatalf("cache-trained set (%d bytes) differs from the workbench's (%d bytes)", len(got), len(want))
+	}
+}
+
+// TestCacheDefaultTrainerCancelled is the drain path: a cold Get whose ctx
+// is already dead returns ctx.Err() from the default trainer, and neither
+// memory nor disk keeps an entry.
+func TestCacheDefaultTrainerCancelled(t *testing.T) {
+	dir := t.TempDir()
+	c := NewModelCache(dir)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	m, err := c.Get(ctx, eval.Tiny())
+	if !errors.Is(err, context.Canceled) || m != nil {
+		t.Fatalf("Get under a cancelled ctx = %v, %v; want nil, context.Canceled", m, err)
+	}
+	if s := c.Stats(); s.Entries != 0 || s.Bytes != 0 {
+		t.Fatalf("cancelled population left %d entries (%d bytes)", s.Entries, s.Bytes)
+	}
+	if files, err := os.ReadDir(dir); err != nil || len(files) != 0 {
+		t.Fatalf("cancelled population left %d files on disk (%v)", len(files), err)
+	}
 }
 
 // TestServiceMatchesOfflineGolden pins the acceptance bar: for the same trace

@@ -10,6 +10,7 @@ package leakydnn
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"path/filepath"
@@ -370,7 +371,7 @@ func TestCollectWorkersScalingGate(t *testing.T) {
 		best := time.Duration(0)
 		for r := 0; r < 3; r++ {
 			start := time.Now()
-			traces, err := sc.CollectTraces(sc.Profiled, eval.StreamProfiled)
+			traces, err := sc.CollectTraces(context.Background(), nil, sc.Profiled, eval.StreamProfiled)
 			elapsed := time.Since(start)
 			if err != nil {
 				t.Fatal(err)
