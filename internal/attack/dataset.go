@@ -190,8 +190,14 @@ func featurizeAppend(v []float64, s cupti.Sample) []float64 {
 // trace and per extraction. The rows are value-identical to the two-step
 // form.
 func FeatureMatrix(scaler *gbdt.MinMaxScaler, samples []cupti.Sample) [][]float64 {
-	rows := make([][]float64, len(samples))
-	backing := make([]float64, 0, len(samples)*FeatureDim)
+	return fillFeatures(new(matrix), scaler, samples)
+}
+
+// fillFeatures is FeatureMatrix into m's memory: fresh for a zero matrix,
+// an extraction's scratch otherwise.
+func fillFeatures(m *matrix, scaler *gbdt.MinMaxScaler, samples []cupti.Sample) [][]float64 {
+	rows, backing := m.reserve(len(samples), len(samples)*FeatureDim)
+	backing = backing[:0]
 	for i, s := range samples {
 		start := len(backing)
 		backing = featurizeAppend(backing, s)

@@ -106,7 +106,8 @@ func (m *Models) ExtractTraceCtx(ctx context.Context, tr *trace.Trace) (*Recover
 // between per-iteration model passes (the units of meaningful work), so
 // cancellation latency is one model pass, not one extraction. An uncancelled
 // ctx gives the same recovery as context.Background(); a cancelled one
-// returns ctx.Err().
+// returns ctx.Err(). The feature and vote matrices live in scratch borrowed
+// for the call (extractScratch), which no part of the Recovery points into.
 func (m *Models) extractSegmented(ctx context.Context, samples []cupti.Sample, reanchors []gpu.Nanos) (*Recovery, error) {
 	if len(samples) == 0 {
 		return nil, errors.New("attack: no samples to extract from")
@@ -124,7 +125,9 @@ func (m *Models) extractSegmented(ctx context.Context, samples []cupti.Sample, r
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	features := FeatureMatrix(m.Scaler, samples)
+	sc := scratch.get()
+	defer scratch.put(sc)
+	features := fillFeatures(&sc.features, m.Scaler, samples)
 
 	split, err := m.splitSegmentedCtx(ctx, features, trace.SegmentBounds(samples, reanchors))
 	if err != nil {
@@ -186,8 +189,8 @@ func (m *Models) extractSegmented(ctx context.Context, samples []cupti.Sample, r
 	for i := range group {
 		group[i] = i
 	}
-	longVotes := voteInputs(rec.PreVoteLong, group, baseLen, int(dnn.NumLongClasses), int(dnn.LongNOP))
-	opVotes := voteInputs(rec.PreVoteOp, group, baseLen, NumOtherOps, 0)
+	longVotes := fillVotes(&sc.longVotes, rec.PreVoteLong, group, baseLen, int(dnn.NumLongClasses), int(dnn.LongNOP), 0)
+	opVotes := fillVotes(&sc.opVotes, rec.PreVoteOp, group, baseLen, NumOtherOps, 0, 0)
 	rec.VotedLong, err = m.arbitrate(m.VLong, m.majorityLong, longVotes, rec.PreVoteLong,
 		int(dnn.NumLongClasses), len(group), baseLen)
 	if err != nil {

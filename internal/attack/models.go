@@ -616,27 +616,29 @@ func boolToFloat(b bool) float64 {
 	return 0
 }
 
-// voteInputs builds the voting model's input sequence: at each timestep of
-// the base iteration, the concatenated one-hot predictions of every
-// iteration in the group. Iterations whose sample counts differ from the
-// base (scheduler jitter shifts a few windows per iteration) are linearly
-// time-normalized onto the base timeline, so a vote at base position t reads
-// each iteration at the proportional position rather than drifting apart
-// toward the end of long sequences. Empty iterations pad with padClass.
-func voteInputs(preds [][]int, group []int, baseLen, classes, padClass int) [][]float64 {
-	return voteInputsShifted(preds, group, baseLen, classes, padClass, 0)
+// voteInputsShifted builds the voting model's input sequence: at each
+// timestep of the base iteration, the concatenated one-hot predictions of
+// every iteration in the group. Iterations whose sample counts differ from
+// the base (scheduler jitter shifts a few windows per iteration) are
+// linearly time-normalized onto the base timeline, so a vote at base
+// position t reads each iteration at the proportional position rather than
+// drifting apart toward the end of long sequences. Empty iterations pad with
+// padClass. Every non-base iteration's reading position is further offset by
+// shift samples, which augments the voting models' training with the
+// misalignment they face at attack time (extraction passes 0).
+func voteInputsShifted(preds [][]int, group []int, baseLen, classes, padClass, shift int) [][]float64 {
+	return fillVotes(new(matrix), preds, group, baseLen, classes, padClass, shift)
 }
 
-// voteInputsShifted additionally offsets every non-base iteration's reading
-// position by shift samples, used to augment the voting models' training
-// with the misalignment they face at attack time.
-func voteInputsShifted(preds [][]int, group []int, baseLen, classes, padClass, shift int) [][]float64 {
-	out := make([][]float64, baseLen)
+// fillVotes is voteInputsShifted into m's memory: fresh for a zero matrix,
+// an extraction's scratch otherwise.
+func fillVotes(m *matrix, preds [][]int, group []int, baseLen, classes, padClass, shift int) [][]float64 {
 	width := classes * len(group)
 	// One backing array for all timesteps: these sequences are built per
 	// group per augmentation shift, so row-at-a-time allocation dominated
 	// the training pipeline's allocation profile.
-	backing := make([]float64, baseLen*width)
+	out, backing := m.reserve(baseLen, baseLen*width)
+	clear(backing)
 	for t := 0; t < baseLen; t++ {
 		vec := backing[t*width : (t+1)*width : (t+1)*width]
 		for j, idx := range group {

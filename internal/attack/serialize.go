@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sort"
 
 	"leakydnn/internal/gbdt"
 	"leakydnn/internal/lstm"
@@ -40,6 +41,12 @@ type modelsSnapshot struct {
 	HPVocab      [NumHPKinds][]int
 	MajorityLong bool
 	MajorityOp   bool
+	// ReportKeys and ReportValues carry Models.Report sorted by key, so one
+	// set always saves to the same bytes: gob writes a map in iteration
+	// order. Report is only read, from envelopes written before the sorted
+	// form existed.
+	ReportKeys   []string
+	ReportValues []float64
 	Report       map[string]float64
 }
 
@@ -51,7 +58,13 @@ func (m *Models) Save(w io.Writer) error {
 		HPVocab:      m.HPVocab,
 		MajorityLong: m.majorityLong,
 		MajorityOp:   m.majorityOp,
-		Report:       m.Report,
+	}
+	for k := range m.Report {
+		snap.ReportKeys = append(snap.ReportKeys, k)
+	}
+	sort.Strings(snap.ReportKeys)
+	for _, k := range snap.ReportKeys {
+		snap.ReportValues = append(snap.ReportValues, m.Report[k])
 	}
 	// Workers is an execution knob, not a model property: dropping it keeps
 	// the encoding identical across worker-pool settings. Batch stays — it
@@ -149,6 +162,16 @@ func LoadModels(r io.Reader) (*Models, error) {
 	var snap modelsSnapshot
 	if err := gob.NewDecoder(&payload).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("attack: load: %w", err)
+	}
+	if len(snap.ReportKeys) != len(snap.ReportValues) {
+		return nil, fmt.Errorf("attack: load: report has %d keys but %d values",
+			len(snap.ReportKeys), len(snap.ReportValues))
+	}
+	if len(snap.ReportKeys) > 0 {
+		snap.Report = make(map[string]float64, len(snap.ReportKeys))
+		for i, k := range snap.ReportKeys {
+			snap.Report[k] = snap.ReportValues[i]
+		}
 	}
 	m := &Models{
 		Cfg:          snap.Cfg,

@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -79,6 +80,83 @@ func TestModelSetTruncationAndWrongMagic(t *testing.T) {
 	}
 }
 
+// envelope wraps a gob payload in the MOSMDLS envelope Save writes: magic,
+// little-endian length, SHA-256 of the payload, payload.
+func envelope(payload []byte) []byte {
+	var raw bytes.Buffer
+	raw.WriteString(modelsMagic)
+	binary.Write(&raw, binary.LittleEndian, uint64(len(payload)))
+	sum := sha256.Sum256(payload)
+	raw.Write(sum[:])
+	raw.Write(payload)
+	return raw.Bytes()
+}
+
+// Two saves of one model set are byte-identical, whatever order the Report
+// map iterates in: the report is written sorted by key.
+func TestModelSetSaveDeterministic(t *testing.T) {
+	m := &Models{Cfg: FastConfig(), Report: map[string]float64{}}
+	for i := range 32 {
+		m.Report[fmt.Sprintf("metric%02d", i)] = float64(i) / 7
+	}
+	var first bytes.Buffer
+	if err := m.Save(&first); err != nil {
+		t.Fatal(err)
+	}
+	for i := range 8 {
+		var again bytes.Buffer
+		if err := m.Save(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), first.Bytes()) {
+			t.Fatalf("save %d differs from the first (%d vs %d bytes)", i+1, again.Len(), first.Len())
+		}
+	}
+}
+
+// reportMapEraModelsSnapshot is the model-set snapshot as it stood while
+// Save gob-encoded Report as a map (in map iteration order).
+type reportMapEraModelsSnapshot struct {
+	Cfg                       Config
+	ScalerMin, ScalerMax      []float64
+	Gap, Long, VLong, Op, VOp []byte
+	HP                        [NumHPKinds][]byte
+	HPVocab                   [NumHPKinds][]int
+	MajorityLong, MajorityOp  bool
+	Report                    map[string]float64
+}
+
+// A model set saved with its report as a map still loads that report, and
+// re-saves to the current, sorted bytes.
+func TestLoadModelsReportMapEra(t *testing.T) {
+	report := map[string]float64{"Mlong": 0.5, "Mop": 0.25, "Vlong": 0.75}
+	m := &Models{Cfg: FastConfig(), Report: report}
+	var cur bytes.Buffer
+	if err := m.Save(&cur); err != nil {
+		t.Fatal(err)
+	}
+	old := regob(t, cur.Bytes()[len(modelsMagic)+8+32:], func(s *reportMapEraModelsSnapshot) {
+		if s.Report != nil {
+			t.Fatalf("current payload carries a report map: %v", s.Report)
+		}
+		s.Report = report
+	})
+	got, err := LoadModels(bytes.NewReader(envelope(old)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Report, report) {
+		t.Fatalf("map-era report loaded as %v, want %v", got.Report, report)
+	}
+	var again bytes.Buffer
+	if err := got.Save(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), cur.Bytes()) {
+		t.Fatal("map-era model set re-saves to different bytes")
+	}
+}
+
 // The precisionEra types copy the attack and lstm snapshot types as they
 // stood while attack.Config and lstm.Config carried a Precision field
 // (0 = fp64, 1 = fp32). Model sets in mosconsd's on-disk cache still hold it.
@@ -122,7 +200,7 @@ type precisionEraLSTMSnapshot struct {
 
 // regob decodes a gob value into dst's type, lets edit change it, and
 // re-encodes it.
-func regob[T any](t *testing.T, blob []byte, edit func(*T)) []byte {
+func regob[T any](t testing.TB, blob []byte, edit func(*T)) []byte {
 	t.Helper()
 	var v T
 	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&v); err != nil {
@@ -196,15 +274,10 @@ func TestLoadModelsPrecisionEra(t *testing.T) {
 			for k := range s.HP {
 				s.HP[k] = toEra(s.HP[k])
 			}
+			s.Report = m.Report // that era wrote the report as a map
 		})
-		var raw bytes.Buffer
-		raw.WriteString(modelsMagic)
-		binary.Write(&raw, binary.LittleEndian, uint64(len(old)))
-		sum := sha256.Sum256(old)
-		raw.Write(sum[:])
-		raw.Write(old)
 
-		got, err := LoadModels(&raw)
+		got, err := LoadModels(bytes.NewReader(envelope(old)))
 		if err != nil {
 			t.Fatalf("precision %d: %v", precision, err)
 		}

@@ -2,6 +2,7 @@ package gbdt
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"math/rand"
 	"testing"
@@ -236,6 +237,33 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(bytes.NewBufferString("nope")); err == nil {
 		t.Fatal("garbage accepted")
+	}
+}
+
+// A tree Save could not have written is an error on Load: child indices
+// that loop back, share a subtree (a DAG that would rebuild exponentially),
+// skip or trail nodes, or a split on a feature past the dimension. The loop
+// once recursed until the stack overflowed.
+func TestLoadRejectsMalformedTrees(t *testing.T) {
+	leaf := nodeRec{Feature: -1, Left: -1, Right: -1}
+	split := func(l, r int) nodeRec { return nodeRec{Feature: 0, Left: l, Right: r} }
+	cases := map[string][]nodeRec{
+		"self loop":     {split(0, 0)},
+		"back edge":     {split(1, 2), split(0, 0), leaf},
+		"shared child":  {split(1, 1), leaf},
+		"skipped node":  {split(2, 3), leaf, leaf, leaf},
+		"trailing node": {leaf, leaf},
+		"missing child": {split(1, 2), leaf},
+		"bad feature":   {{Feature: 3, Left: 1, Right: 2}, leaf, leaf},
+	}
+	for name, tree := range cases {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(snapshot{Dim: 2, Trees: [][]nodeRec{tree}}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(&buf); err == nil {
+			t.Errorf("%s: malformed tree accepted", name)
+		}
 	}
 }
 

@@ -49,7 +49,10 @@ func Load(r io.Reader) (*Classifier, error) {
 	}
 	c := &Classifier{cfg: snap.Cfg, base: snap.Base, dim: snap.Dim}
 	for i, flat := range snap.Trees {
-		root, err := unflatten(flat, 0)
+		root, end, err := unflatten(flat, 0, snap.Dim)
+		if err == nil && end != len(flat) {
+			err = fmt.Errorf("%d nodes past the tree", len(flat)-end)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("gbdt: load: tree %d: %w", i, err)
 		}
@@ -72,21 +75,37 @@ func flatten(n *node, out *[]nodeRec) int {
 	return idx
 }
 
-// unflatten rebuilds the subtree at index i.
-func unflatten(flat []nodeRec, i int) (*node, error) {
+// unflatten rebuilds the subtree flatten stored at index i and returns it
+// with the index just past it. Children must sit exactly where flatten puts
+// them — the left subtree right after its parent, the right one right after
+// the left — so every node is built once and the recursion ends: a hostile
+// tree whose child indices loop or share a subtree is an error, not an
+// endless or exponential rebuild. A split must name a feature below dim.
+func unflatten(flat []nodeRec, i, dim int) (*node, int, error) {
 	if i < 0 || i >= len(flat) {
-		return nil, fmt.Errorf("node index %d out of range", i)
+		return nil, 0, fmt.Errorf("node index %d out of range", i)
 	}
 	rec := flat[i]
 	n := &node{feature: rec.Feature, threshold: rec.Threshold, value: rec.Value}
-	if rec.Feature >= 0 {
-		var err error
-		if n.left, err = unflatten(flat, rec.Left); err != nil {
-			return nil, err
-		}
-		if n.right, err = unflatten(flat, rec.Right); err != nil {
-			return nil, err
-		}
+	next := i + 1
+	if rec.Feature < 0 {
+		return n, next, nil
 	}
-	return n, nil
+	if rec.Feature >= dim {
+		return nil, 0, fmt.Errorf("node %d splits on feature %d of %d", i, rec.Feature, dim)
+	}
+	var err error
+	if rec.Left != next {
+		return nil, 0, fmt.Errorf("node %d has left child %d, want %d (not pre-order)", i, rec.Left, next)
+	}
+	if n.left, next, err = unflatten(flat, next, dim); err != nil {
+		return nil, 0, err
+	}
+	if rec.Right != next {
+		return nil, 0, fmt.Errorf("node %d has right child %d, want %d (not pre-order)", i, rec.Right, next)
+	}
+	if n.right, next, err = unflatten(flat, next, dim); err != nil {
+		return nil, 0, err
+	}
+	return n, next, nil
 }

@@ -115,8 +115,6 @@ type Engine struct {
 	// OnKernelEnd, if set, observes every kernel completion.
 	OnKernelEnd func(KernelSpan)
 
-	busy map[ContextID]Nanos // accumulated execution time per context
-
 	// rec is the record OnSlice observes. Passing a pointer to engine-owned
 	// storage keeps the 200-odd-byte record from being copied at every hop
 	// of the hook chain, and a field (unlike a local whose address is taken)
@@ -192,7 +190,6 @@ func NewEngine(cfg DeviceConfig, rng *rand.Rand) (*Engine, error) {
 	return &Engine{
 		cfg:     cfg,
 		rng:     rng,
-		busy:    make(map[ContextID]Nanos),
 		lastCtx: -1,
 	}, nil
 }
@@ -586,7 +583,6 @@ func (e *Engine) grantSlice(ch *channel, until Nanos) {
 	rec.Counters = e.sliceCounters(ch, run, refetch, texRefetch, e.rngFor(ch.ctx))
 
 	e.now = rec.End
-	e.busy[ch.ctx] += run
 	ch.remaining -= run
 
 	if ch.remaining <= 0 {

@@ -120,11 +120,12 @@ func TestTimeSlicedFairSharing(t *testing.T) {
 	}
 	a := &RepeatSource{Kernel: fullKernel("a", 2*Millisecond, cfg)}
 	b := &RepeatSource{Kernel: fullKernel("b", 2*Millisecond, cfg)}
+	busy := meterBusy(eng)
 	eng.AddChannel(1, a)
 	eng.AddChannel(2, b)
 	eng.Run(200 * Millisecond)
 
-	ba, bb := float64(eng.BusyTime(1)), float64(eng.BusyTime(2))
+	ba, bb := float64(busy[1]), float64(busy[2])
 	if ba == 0 || bb == 0 {
 		t.Fatalf("starved channel: busy(a)=%v busy(b)=%v", ba, bb)
 	}
@@ -183,6 +184,7 @@ func TestSlowdownAttackAsymmetry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		busy := meterBusy(eng)
 		if victimOn {
 			eng.AddChannel(1, &RepeatSource{Kernel: fullKernel("victim", 20*Millisecond, cfg)})
 		}
@@ -190,7 +192,7 @@ func TestSlowdownAttackAsymmetry(t *testing.T) {
 			eng.AddChannel(2, &RepeatSource{Kernel: fullKernel("spy.slowdown", 5*Millisecond, cfg)})
 		}
 		eng.Run(300 * Millisecond)
-		return eng.BusyTime(2)
+		return busy[2]
 	}
 	spyAlone := spyBusyWith(false)
 	spyContended := spyBusyWith(true)
@@ -483,6 +485,23 @@ func TestEngineStopsAtHorizon(t *testing.T) {
 	}
 }
 
-// BusyTime returns the accumulated execution (not wall-clock) time granted
-// to ctx so far.
-func (e *Engine) BusyTime(ctx ContextID) Nanos { return e.busy[ctx] }
+// sliceBusy is the execution (not wall-clock) time one slice granted its
+// context: the slice's span less its DRAM refetch stall, in the engine's own
+// arithmetic, so sums of it are exact.
+func sliceBusy(r *SliceRecord, cfg DeviceConfig) Nanos {
+	return r.End - r.Start - Nanos((r.RefetchBytes+r.TexRefetchBytes)/cfg.DRAMBytesPerNs)
+}
+
+// meterBusy chains onto eng's OnSlice hook and returns the per-context busy
+// time it accumulates as the engine runs.
+func meterBusy(eng *Engine) map[ContextID]Nanos {
+	busy := make(map[ContextID]Nanos)
+	prev := eng.OnSlice
+	eng.OnSlice = func(r *SliceRecord) {
+		busy[r.Ctx] += sliceBusy(r, eng.cfg)
+		if prev != nil {
+			prev(r)
+		}
+	}
+	return busy
+}

@@ -126,7 +126,7 @@ func TestEngineDeterminism(t *testing.T) {
 	}
 }
 
-// Property: BusyTime never exceeds wall-clock time and is conserved across
+// Property: busy time never exceeds wall-clock time and is conserved across
 // contexts (total busy <= elapsed).
 func TestBusyTimeConservation(t *testing.T) {
 	cfg := DefaultDeviceConfig().ScaledTime(0.01)
@@ -136,12 +136,13 @@ func TestBusyTimeConservation(t *testing.T) {
 	}
 	k := KernelProfile{Name: "k", Blocks: cfg.NumSMs, ThreadsPerBlock: 256,
 		FLOPs: float64(400*Microsecond) * cfg.FLOPsPerNs}
+	busy := meterBusy(eng)
 	eng.AddChannel(1, &RepeatSource{Kernel: k})
 	eng.AddChannel(2, &RepeatSource{Kernel: k})
 	eng.AddChannel(3, &RepeatSource{Kernel: k})
 	horizon := 40 * Millisecond
 	eng.Run(horizon)
-	total := eng.BusyTime(1) + eng.BusyTime(2) + eng.BusyTime(3)
+	total := busy[1] + busy[2] + busy[3]
 	if total > eng.Now() {
 		t.Fatalf("total busy %v exceeds elapsed %v", total, eng.Now())
 	}

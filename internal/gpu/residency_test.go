@@ -153,10 +153,18 @@ func TestFastResidencyBoundedDivergenceUnderPressure(t *testing.T) {
 	if r := relErr(sumRefetch(fast), sumRefetch(exact)); r > 0.02 {
 		t.Fatalf("cumulative refetch diverged beyond 2%%: fast %v, exact %v", sumRefetch(fast), sumRefetch(exact))
 	}
+	busyOf := func(recs []SliceRecord, cfg DeviceConfig) map[ContextID]Nanos {
+		busy := make(map[ContextID]Nanos)
+		for i := range recs {
+			busy[recs[i].Ctx] += sliceBusy(&recs[i], cfg)
+		}
+		return busy
+	}
+	busyF, busyE := busyOf(fast, engF.cfg), busyOf(exact, engE.cfg)
 	for _, ctx := range []ContextID{1, 2, 3} {
-		if r := relErr(float64(engF.BusyTime(ctx)), float64(engE.BusyTime(ctx))); r > 0.02 {
+		if r := relErr(float64(busyF[ctx]), float64(busyE[ctx])); r > 0.02 {
 			t.Fatalf("ctx %d busy time diverged beyond 2%%: fast %v, exact %v",
-				ctx, engF.BusyTime(ctx), engE.BusyTime(ctx))
+				ctx, busyF[ctx], busyE[ctx])
 		}
 	}
 }
@@ -260,6 +268,7 @@ func TestSourceExhaustionShrinksLiveRing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	busy := meterBusy(eng)
 	k := fullKernel("k", cfg.SliceQuantum, cfg)
 	eng.AddChannel(1, &RepeatSource{Kernel: k})
 	eng.AddChannel(2, repeated(k, 2))
@@ -270,7 +279,7 @@ func TestSourceExhaustionShrinksLiveRing(t *testing.T) {
 	if eng.cursor >= len(eng.live) {
 		t.Fatalf("cursor %d out of range for live ring of %d", eng.cursor, len(eng.live))
 	}
-	if eng.BusyTime(1) == 0 {
+	if busy[1] == 0 {
 		t.Fatal("surviving channel stopped receiving grants")
 	}
 }

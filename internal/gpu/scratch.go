@@ -3,8 +3,8 @@ package gpu
 import "math/rand"
 
 // EngineScratch is an opaque bundle of engine-internal allocations — the
-// channel structs, scheduling ring, runlist-slot accounting, residency decay
-// logs and busy-time map — that one worker reuses across consecutive
+// channel structs, scheduling ring, runlist-slot accounting and residency
+// decay logs — that one worker reuses across consecutive
 // engines. A co-run's engine dies with the run, so everything it allocated
 // is recyclable the moment the caller has pulled its samples out; routing
 // those buffers through a scratch turns the per-collection constructor and
@@ -19,14 +19,13 @@ type EngineScratch struct {
 	passServed []int
 	l2Log      []resStep
 	texLog     []float64
-	busy       map[ContextID]Nanos
 	free       []*channel
 }
 
 // NewEngineWith builds an engine like NewEngine, reusing the scratch's
 // backing memory for the engine's internal state. A nil scratch is exactly
 // NewEngine. Reuse is invisible to the simulation: every reused buffer is
-// length-reset (and the busy map cleared) before the engine sees it, so a
+// length-reset before the engine sees it, so a
 // scratch-backed run is byte-identical to a fresh one.
 func NewEngineWith(cfg DeviceConfig, rng *rand.Rand, s *EngineScratch) (*Engine, error) {
 	e, err := NewEngine(cfg, rng)
@@ -40,10 +39,6 @@ func NewEngineWith(cfg DeviceConfig, rng *rand.Rand, s *EngineScratch) (*Engine,
 		e.l2Log = s.l2Log[:0]
 		e.texLog = s.texLog[:0]
 		e.free = s.free
-		if s.busy != nil {
-			clear(s.busy)
-			e.busy = s.busy
-		}
 		// The scratch no longer owns any of it until Release hands it back.
 		*s = EngineScratch{}
 	}
@@ -70,8 +65,6 @@ func (s *EngineScratch) Release(eng *Engine) {
 	s.passServed = eng.passServed[:0]
 	s.l2Log = eng.l2Log[:0]
 	s.texLog = eng.texLog[:0]
-	clear(eng.busy)
-	s.busy = eng.busy
 }
 
 // allocChannel pops a recycled channel struct from the free list, or

@@ -375,6 +375,12 @@ func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, apiError{Error: "malformed_upload", Detail: detail})
 		return
 	}
+	// The decoded traces are request scratch: once the response is written
+	// (every return below), their sample and event buffers go back to the
+	// trace arenas for the next upload's decode. Extraction has finished by
+	// then — MapOnCtx waits for every task it started — and no response,
+	// journal record or Recovery keeps a slice of them.
+	defer recycleAll(traces)
 
 	// Warm restart: an upload this daemon's journal already holds an answer
 	// for is served from the record — no model warm-up, no extraction. The
@@ -503,17 +509,27 @@ func (s *Server) readUpload(body io.Reader) (traces []*trace.Trace, bodyHash, qu
 			break
 		}
 		if rerr != nil {
+			recycleAll(traces)
 			return nil, "", "", rerr
 		}
+		traces = append(traces, t)
 		if tr.Offset() > s.cfg.MaxUploadBytes {
+			recycleAll(traces)
 			return nil, "", "", fmt.Errorf("serve: upload exceeds %d byte limit", s.cfg.MaxUploadBytes)
 		}
-		traces = append(traces, t)
 	}
 	if len(traces) == 0 {
 		return nil, "", "", errors.New("serve: empty upload: no traces before EOF")
 	}
 	return traces, hex.EncodeToString(hasher.Sum(nil)), "", nil
+}
+
+// recycleAll hands a finished request's decoded traces back to the trace
+// arenas.
+func recycleAll(traces []*trace.Trace) {
+	for _, t := range traces {
+		trace.Recycle(t)
+	}
 }
 
 // rotateQuarantine bounds the quarantine directory: oldest captures are

@@ -1,4 +1,5 @@
-// Collection arenas: process-wide reusable scratch for the co-run hot path.
+// Collection arenas: process-wide reusable scratch for the co-run hot path,
+// whose spare trace buffers the upload decode shares.
 //
 // One Collect builds and discards a whole simulator — engine, channels,
 // residency logs, per-iteration kernel tags — while the only memory that
@@ -9,7 +10,7 @@
 // collection and hands it to the next collection:
 //
 //   - the engine's internal scratch (channel structs, scheduling ring,
-//     runlist-slot accounting, L2/texture decay logs, busy map),
+//     runlist-slot accounting, L2/texture decay logs),
 //   - the sessions' per-iteration IterOp tag slabs (the timeline copies tag
 //     fields out at kernel end; no tag pointer survives the engine),
 //   - the engine's *rand.Rand, reseeded per collection (Seed fully resets
@@ -22,12 +23,20 @@
 // list the GC never empties: a process keeps its warm arenas from one
 // campaign to the next, so allocation does not depend on GC timing. The set
 // holds at most GOMAXPROCS idle arenas, and as many spare sample and event
-// buffers, so its retained memory is bounded by the largest collections the
-// process has run.
+// buffers, so its retained memory is bounded by the largest traces the
+// process has collected or decoded.
+//
+// Decoding shares the spares. A Reader starts each trace in the smallest
+// spare sample and event buffers that hold its header's (capped) counts,
+// and allocates them as before when none does; a decode that fails gives
+// its buffers back. A server that recycles each upload's traces once its
+// response is written therefore decodes upload after upload into the same
+// buffers, and a collection after them appends into whatever they left.
 //
 // Ownership rule: everything in an arena is owned by at most one live
 // collection at a time, and nothing reachable from a returned *Trace may
-// point into arena memory. A trace's buffers enter the set only through
+// point into arena memory. A spare buffer leaves the set for exactly one
+// collection or decode, whose trace then owns it. A trace's buffers enter the set only through
 // Recycle, which takes them away from the trace: after Recycle, nothing may
 // reach the recycled trace's samples or timeline events, through the trace
 // or through any slice taken from it earlier. Reuse is therefore invisible —
@@ -137,6 +146,11 @@ func (s *arenaSet) recycle(t *Trace) {
 		events = t.Timeline.Events()
 	}
 	t.Samples, t.Timeline = nil, nil
+	s.reclaim(samples, events)
+}
+
+// reclaim adds a dead trace's sample and event buffers to the spares.
+func (s *arenaSet) reclaim(samples []cupti.Sample, events []tfsim.TimelineEvent) {
 	// Drop the dead run's *dnn.Op and name pointers, up to capacity, so the
 	// idle buffer retains nothing and stale events cannot leak.
 	clear(events[:cap(events)])
@@ -145,6 +159,26 @@ func (s *arenaSet) recycle(t *Trace) {
 	limit := idleLimit()
 	s.samples = offer(s.samples, samples[:0], limit)
 	s.events = offer(s.events, events[:0], limit)
+}
+
+// decodeBuffers hands a trace decode its empty sample and event buffers,
+// sized for its header's (capped) counts: for each, the smallest spare that
+// holds the count, else a fresh buffer of exactly that capacity, as a decode
+// without spares allocates. A decode that fails gives both back through
+// reclaim; one that succeeds owns them until its trace is recycled.
+func (s *arenaSet) decodeBuffers(nSamples, nEvents int) ([]cupti.Sample, []tfsim.TimelineEvent) {
+	s.mu.Lock()
+	samples, spareSamples := takeFitting(s.samples, nSamples)
+	events, spareEvents := takeFitting(s.events, nEvents)
+	s.samples, s.events = spareSamples, spareEvents
+	s.mu.Unlock()
+	if samples == nil {
+		samples = make([]cupti.Sample, 0, nSamples)
+	}
+	if events == nil {
+		events = make([]tfsim.TimelineEvent, 0, nEvents)
+	}
+	return samples, events
 }
 
 // offer adds buf to a spare list of at most limit buffers. A full list keeps
@@ -183,6 +217,25 @@ func takeLargest[T any](spares [][]T) ([]T, [][]T) {
 	buf := spares[big]
 	last := len(spares) - 1
 	spares[big] = spares[last]
+	spares[last] = nil
+	return buf, spares[:last]
+}
+
+// takeFitting removes and returns the smallest spare whose capacity holds n,
+// or nil when none does or n is zero.
+func takeFitting[T any](spares [][]T, n int) ([]T, [][]T) {
+	fit := -1
+	for i := range spares {
+		if c := cap(spares[i]); c >= n && (fit < 0 || c < cap(spares[fit])) {
+			fit = i
+		}
+	}
+	if n == 0 || fit < 0 {
+		return nil, spares
+	}
+	buf := spares[fit]
+	last := len(spares) - 1
+	spares[fit] = spares[last]
 	spares[last] = nil
 	return buf, spares[:last]
 }

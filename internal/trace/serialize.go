@@ -476,12 +476,14 @@ func (d *Reader) Read() (*Trace, error) {
 }
 
 // newTrace validates a decoded header and starts the trace it describes,
-// with sample and event capacity presized from its counts.
+// with sample and event capacity presized from its counts: a recycled buffer
+// from the collection arenas when one fits, else a fresh one.
 func newTrace(hdr *traceHeader, start int64) (*Trace, []tfsim.TimelineEvent, error) {
 	if hdr.SampleCount < 0 || hdr.EventCount < 0 {
 		return nil, nil, fmt.Errorf("trace: header at byte offset %d carries negative counts (%d samples, %d events)",
 			start, hdr.SampleCount, hdr.EventCount)
 	}
+	samples, events := arenas.decodeBuffers(min(hdr.SampleCount, maxPrealloc), min(hdr.EventCount, maxPrealloc))
 	t := &Trace{
 		Model:               hdr.Model,
 		Ops:                 hdr.Ops,
@@ -491,9 +493,18 @@ func newTrace(hdr *traceHeader, start int64) (*Trace, []tfsim.TimelineEvent, err
 		SchedSlices:         hdr.SchedSlices,
 		Reanchors:           hdr.Reanchors,
 		Health:              hdr.Health,
-		Samples:             make([]cupti.Sample, 0, min(hdr.SampleCount, maxPrealloc)),
+		Samples:             samples,
 	}
-	return t, make([]tfsim.TimelineEvent, 0, min(hdr.EventCount, maxPrealloc)), nil
+	return t, events, nil
+}
+
+// giveBackOnError returns a failed decode's sample and event buffers to the
+// collection arenas: no trace escapes a decode that fails, so nothing else
+// can reach them.
+func giveBackOnError(err *error, t *Trace, events *[]tfsim.TimelineEvent) {
+	if *err != nil {
+		arenas.reclaim(t.Samples, *events)
+	}
 }
 
 // finish reconciles the header's counts at the end chunk or frame, which
@@ -534,7 +545,7 @@ func (d *Reader) readFrame() (chunkKind, []byte, error) {
 }
 
 // readV2 decodes the frames of a version-2 trace whose magic sits at start.
-func (d *Reader) readV2(start int64) (*Trace, error) {
+func (d *Reader) readV2(start int64) (_ *Trace, err error) {
 	kind, payload, err := d.readFrame()
 	if err != nil {
 		if errors.Is(err, io.EOF) {
@@ -553,6 +564,7 @@ func (d *Reader) readV2(start int64) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer giveBackOnError(&err, t, &events)
 	var names map[string]string // interned event names
 	for {
 		at := d.off
@@ -609,21 +621,22 @@ func decodeSamples(dst []cupti.Sample, p []byte) []cupti.Sample {
 
 // decodeEvents appends the timeline events in p, whose first byte sits at
 // stream offset base, to events: at most limit in all, every op an index
-// into ops, and every name interned in names.
+// into ops, and every name interned in names. On error it returns the events
+// decoded so far with the error.
 func decodeEvents(events []tfsim.TimelineEvent, p []byte, base int64, ops []dnn.Op, limit int,
 	names map[string]string) ([]tfsim.TimelineEvent, error) {
 	for pos := 0; pos < len(p); {
 		at := base + int64(pos)
 		if len(events) == limit {
-			return nil, fmt.Errorf("event at byte offset %d overflows the header's promise of %d events", at, limit)
+			return events, fmt.Errorf("event at byte offset %d overflows the header's promise of %d events", at, limit)
 		}
 		nl, k := binary.Uvarint(p[pos:])
 		if k <= 0 {
-			return nil, fmt.Errorf("event at byte offset %d: truncated or overflowing name length", at)
+			return events, fmt.Errorf("event at byte offset %d: truncated or overflowing name length", at)
 		}
 		pos += k
 		if nl > uint64(len(p)-pos) {
-			return nil, fmt.Errorf("event at byte offset %d: name length %d runs past the frame's %d remaining bytes",
+			return events, fmt.Errorf("event at byte offset %d: name length %d runs past the frame's %d remaining bytes",
 				at, nl, len(p)-pos)
 		}
 		raw := p[pos : pos+int(nl)]
@@ -631,12 +644,12 @@ func decodeEvents(events []tfsim.TimelineEvent, p []byte, base int64, ops []dnn.
 		var v [4]int64 // Start, End, Iteration, Op
 		for i := range v {
 			if v[i], k = binary.Varint(p[pos:]); k <= 0 {
-				return nil, fmt.Errorf("event at byte offset %d: truncated or overflowing varint", at)
+				return events, fmt.Errorf("event at byte offset %d: truncated or overflowing varint", at)
 			}
 			pos += k
 		}
 		if op := v[3]; op < -1 || op >= int64(len(ops)) {
-			return nil, fmt.Errorf("event at byte offset %d: op index %d outside op table of %d", at, op, len(ops))
+			return events, fmt.Errorf("event at byte offset %d: op index %d outside op table of %d", at, op, len(ops))
 		}
 		name, ok := names[string(raw)]
 		if !ok {
@@ -664,7 +677,7 @@ func (d *Reader) readChunk(c *chunk) error {
 }
 
 // readV1 decodes the chunks of a version-1 trace whose magic sits at start.
-func (d *Reader) readV1(start int64) (*Trace, error) {
+func (d *Reader) readV1(start int64) (_ *Trace, err error) {
 	var first chunk
 	if err := d.readChunk(&first); err != nil {
 		if errors.Is(err, io.EOF) {
@@ -680,6 +693,7 @@ func (d *Reader) readV1(start int64) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer giveBackOnError(&err, t, &events)
 	for {
 		at := d.off
 		var c chunk

@@ -2,8 +2,11 @@ package leakydnn
 
 import (
 	"errors"
+	"reflect"
+	"sync"
 	"testing"
 
+	"leakydnn/internal/attack"
 	"leakydnn/internal/cupti"
 )
 
@@ -88,5 +91,58 @@ func TestFacadeSyntheticDataset(t *testing.T) {
 	}
 	if len(batch.Images) != 8 || batch.Shape.H != 32 {
 		t.Fatalf("batch %d images shape %v", len(batch.Images), batch.Shape)
+	}
+}
+
+// TestExtractScratchReuse pins the extraction scratch's ownership rule on
+// the trained tiny set. ExtractTrace over X, Y, X — the second X running on
+// matrices Y's extraction left behind — and then over every tested trace
+// from 4 goroutines at once must return the first pass's fingerprints;
+// under -race the concurrent pass also checks that no scratch serves two
+// live extractions. The first pass's recoveries, kept throughout, must
+// still deep-equal fresh ones at the end: nothing in a Recovery points into
+// scratch a later extraction overwrote.
+func TestExtractScratchReuse(t *testing.T) {
+	wb := tinyWorkbench(t)
+	traces := wb.Tested
+	if len(traces) < 2 {
+		t.Fatalf("need two tested traces, have %d", len(traces))
+	}
+	extract := func(i int) *attack.Recovery {
+		rec, err := wb.Models.ExtractTrace(traces[i])
+		if err != nil {
+			t.Error(err)
+		}
+		return rec
+	}
+	first := make([]*attack.Recovery, len(traces))
+	want := make([]string, len(traces))
+	for i := range traces {
+		first[i] = extract(i)
+		want[i] = first[i].Fingerprint()
+	}
+	for _, i := range []int{0, 1, 0} {
+		if got := extract(i).Fingerprint(); got != want[i] {
+			t.Fatalf("trace %d: fingerprint %s after reuse, first pass %s", i, got, want[i])
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < 3; r++ {
+				i := (w + r) % len(traces)
+				if rec := extract(i); rec != nil && rec.Fingerprint() != want[i] {
+					t.Errorf("trace %d: concurrent fingerprint %s, first pass %s", i, rec.Fingerprint(), want[i])
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for i, rec := range first {
+		if !reflect.DeepEqual(rec, extract(i)) {
+			t.Fatalf("trace %d: the first pass's Recovery changed under later extractions", i)
+		}
 	}
 }

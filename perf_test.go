@@ -96,6 +96,22 @@ const (
 // allocation sneaking back in.
 const maxExtractAllocs = 600
 
+// maxDecodeRecycledBytes bounds decoding one tiny tested upload whose
+// sample and event buffers come back through trace.Recycle, as mosconsd
+// hands them back after each response. It measured ~42 KB per trace once
+// decodes drew on the recycled buffers (~123 KB while every decode
+// allocated its own); the ceiling sits about 25% over, well under one
+// trace's sample buffer.
+//
+// maxExtractBytes bounds one warm ExtractTrace over a tiny tested trace,
+// the feature and vote matrices reused from the extraction scratch. It
+// measured ~25 KB per trace (~158 KB while each extraction built its own
+// matrices); the ceiling sits about 25% over.
+const (
+	maxDecodeRecycledBytes = 53 << 10
+	maxExtractBytes        = 32 << 10
+)
+
 var (
 	tinyBenchOnce sync.Once
 	tinyBench     *eval.Workbench
@@ -220,6 +236,57 @@ func TestExtractAllocsRegression(t *testing.T) {
 	if allocs > maxExtractAllocs {
 		t.Errorf("ExtractTrace allocates %.0f objects/trace, ceiling %d — the extraction hot path regressed",
 			allocs, maxExtractAllocs)
+	}
+}
+
+// TestDecodeRecycledBytes pins the upload decode in steady state: decoded
+// into the sample and event buffers the previous upload's trace recycled,
+// a decode allocates the header and its op table but no sample or event
+// storage.
+func TestDecodeRecycledBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector inflates allocation counts")
+	}
+	wb := tinyWorkbench(t)
+	bodies := make([][]byte, len(wb.Tested))
+	for i, tr := range wb.Tested {
+		var buf bytes.Buffer
+		if _, err := tr.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		bodies[i] = buf.Bytes()
+	}
+	_, b := perTrace(len(bodies), func(i int) {
+		tr, err := trace.ReadTrace(bytes.NewReader(bodies[i]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		trace.Recycle(tr)
+	})
+	t.Logf("ReadTrace + Recycle: %.1f KB per trace", b/1024)
+	if b > maxDecodeRecycledBytes {
+		t.Errorf("a recycled decode allocates %.0f bytes/trace, ceiling %d — uploads no longer decode into recycled buffers",
+			b, maxDecodeRecycledBytes)
+	}
+}
+
+// TestExtractBytesSteadyState pins the bytes of one warm extraction: the
+// feature matrix and the vote matrices come from the extraction scratch, so
+// a return to per-call matrices shows up here.
+func TestExtractBytesSteadyState(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector inflates allocation counts")
+	}
+	wb := tinyWorkbench(t)
+	_, b := perTrace(len(wb.Tested), func(i int) {
+		if _, err := wb.Models.ExtractTrace(wb.Tested[i]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("ExtractTrace: %.1f KB per trace", b/1024)
+	if b > maxExtractBytes {
+		t.Errorf("a warm ExtractTrace allocates %.0f bytes/trace, ceiling %d — the extraction scratch is no longer reused",
+			b, maxExtractBytes)
 	}
 }
 
