@@ -43,11 +43,9 @@ type modelsSnapshot struct {
 	MajorityOp   bool
 	// ReportKeys and ReportValues carry Models.Report sorted by key, so one
 	// set always saves to the same bytes: gob writes a map in iteration
-	// order. Report is only read, from envelopes written before the sorted
-	// form existed.
+	// order.
 	ReportKeys   []string
 	ReportValues []float64
-	Report       map[string]float64
 }
 
 // Save writes the trained model set to w, so an adversary can profile once
@@ -167,18 +165,17 @@ func LoadModels(r io.Reader) (*Models, error) {
 		return nil, fmt.Errorf("attack: load: report has %d keys but %d values",
 			len(snap.ReportKeys), len(snap.ReportValues))
 	}
-	if len(snap.ReportKeys) > 0 {
-		snap.Report = make(map[string]float64, len(snap.ReportKeys))
-		for i, k := range snap.ReportKeys {
-			snap.Report[k] = snap.ReportValues[i]
-		}
-	}
 	m := &Models{
 		Cfg:          snap.Cfg,
 		HPVocab:      snap.HPVocab,
 		majorityLong: snap.MajorityLong,
 		majorityOp:   snap.MajorityOp,
-		Report:       snap.Report,
+	}
+	if len(snap.ReportKeys) > 0 {
+		m.Report = make(map[string]float64, len(snap.ReportKeys))
+		for i, k := range snap.ReportKeys {
+			m.Report[k] = snap.ReportValues[i]
+		}
 	}
 	if snap.ScalerMin != nil {
 		m.Scaler = &gbdt.MinMaxScaler{Min: snap.ScalerMin, Max: snap.ScalerMax}

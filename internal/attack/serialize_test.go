@@ -126,35 +126,27 @@ type reportMapEraModelsSnapshot struct {
 	Report                    map[string]float64
 }
 
-// A model set saved with its report as a map still loads that report, and
-// re-saves to the current, sorted bytes.
+// A model set saved with its report as a map, before the sorted form, still
+// loads: every head predicts what the current save of the same set
+// predicts, and the map-form report, which only mosconsim printed, is
+// dropped.
 func TestLoadModelsReportMapEra(t *testing.T) {
-	report := map[string]float64{"Mlong": 0.5, "Mop": 0.25, "Vlong": 0.75}
-	m := &Models{Cfg: FastConfig(), Report: report}
+	m, inputs, want := headsModelSet(t)
 	var cur bytes.Buffer
 	if err := m.Save(&cur); err != nil {
 		t.Fatal(err)
 	}
 	old := regob(t, cur.Bytes()[len(modelsMagic)+8+32:], func(s *reportMapEraModelsSnapshot) {
-		if s.Report != nil {
-			t.Fatalf("current payload carries a report map: %v", s.Report)
-		}
-		s.Report = report
+		s.Report = map[string]float64{"Mlong": 0.5, "Mop": 0.25, "Vlong": 0.75}
 	})
 	got, err := LoadModels(bytes.NewReader(envelope(old)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.Report, report) {
-		t.Fatalf("map-era report loaded as %v, want %v", got.Report, report)
+	if len(got.Report) != 0 {
+		t.Fatalf("map-era report loaded as %v, want none", got.Report)
 	}
-	var again bytes.Buffer
-	if err := got.Save(&again); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(again.Bytes(), cur.Bytes()) {
-		t.Fatal("map-era model set re-saves to different bytes")
-	}
+	assertHeadsPredict(t, "map era", got, inputs, want)
 }
 
 // The precisionEra types copy the attack and lstm snapshot types as they
@@ -214,10 +206,10 @@ func regob[T any](t testing.TB, blob []byte, edit func(*T)) []byte {
 	return out.Bytes()
 }
 
-// A model set saved while the configs had a Precision field must load, with
-// every head predicting what the same set saved without the field predicts,
-// and re-save to the current bytes.
-func TestLoadModelsPrecisionEra(t *testing.T) {
+// headsModelSet is a model set whose LSTM heads are trained briefly, with
+// inputs for them and each head's predictions on those inputs.
+func headsModelSet(t *testing.T) (*Models, [][][]float64, [][][]int) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(4))
 	seqs := make([]lstm.Sequence, 4)
 	inputs := make([][][]float64, len(seqs))
@@ -241,28 +233,49 @@ func TestLoadModelsPrecisionEra(t *testing.T) {
 		}
 		return n
 	}
-	m := &Models{Cfg: FastConfig(), Long: net(1), VLong: net(2), Op: net(3), VOp: net(4),
-		Report: map[string]float64{"Mlong": 0.5}}
+	m := &Models{Cfg: FastConfig(), Long: net(1), VLong: net(2), Op: net(3), VOp: net(4)}
 	for k := range m.HP {
 		m.HP[k] = net(int64(10 + k))
 	}
 	m.Cfg.Batch = 2
-	var cur bytes.Buffer
-	if err := m.Save(&cur); err != nil {
-		t.Fatal(err)
-	}
-	heads := func(m *Models) []*lstm.Network {
-		return append([]*lstm.Network{m.Long, m.VLong, m.Op, m.VOp}, m.HP[:]...)
-	}
-	wantPreds := make([][][]int, 0, 4+NumHPKinds)
-	for _, n := range heads(m) {
+	var want [][][]int
+	for _, n := range modelHeads(m) {
 		p, err := n.PredictBatch(inputs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantPreds = append(wantPreds, p)
+		want = append(want, p)
 	}
+	return m, inputs, want
+}
 
+func modelHeads(m *Models) []*lstm.Network {
+	return append([]*lstm.Network{m.Long, m.VLong, m.Op, m.VOp}, m.HP[:]...)
+}
+
+// assertHeadsPredict checks that every LSTM head of m predicts want on inputs.
+func assertHeadsPredict(t *testing.T, label string, m *Models, inputs [][][]float64, want [][][]int) {
+	t.Helper()
+	for h, n := range modelHeads(m) {
+		p, err := n.PredictBatch(inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(p, want[h]) {
+			t.Fatalf("%s: head %d predicts %v, want %v", label, h, p, want[h])
+		}
+	}
+}
+
+// A model set saved while the configs had a Precision field must load, with
+// every head predicting what the same set saved without the field predicts,
+// and re-save to the current bytes.
+func TestLoadModelsPrecisionEra(t *testing.T) {
+	m, inputs, want := headsModelSet(t)
+	var cur bytes.Buffer
+	if err := m.Save(&cur); err != nil {
+		t.Fatal(err)
+	}
 	for _, precision := range []int{0, 1} {
 		toEra := func(blob []byte) []byte {
 			return regob(t, blob, func(s *precisionEraLSTMSnapshot) { s.Cfg.Precision = precision })
@@ -274,22 +287,13 @@ func TestLoadModelsPrecisionEra(t *testing.T) {
 			for k := range s.HP {
 				s.HP[k] = toEra(s.HP[k])
 			}
-			s.Report = m.Report // that era wrote the report as a map
 		})
 
 		got, err := LoadModels(bytes.NewReader(envelope(old)))
 		if err != nil {
 			t.Fatalf("precision %d: %v", precision, err)
 		}
-		for h, n := range heads(got) {
-			p, err := n.PredictBatch(inputs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(p, wantPreds[h]) {
-				t.Fatalf("precision %d: head %d predicts %v, want %v", precision, h, p, wantPreds[h])
-			}
-		}
+		assertHeadsPredict(t, fmt.Sprintf("precision %d", precision), got, inputs, want)
 		var again bytes.Buffer
 		if err := got.Save(&again); err != nil {
 			t.Fatal(err)

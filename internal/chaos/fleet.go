@@ -107,12 +107,6 @@ type DeviceStats struct {
 	// windows discarded past it.
 	ArmSessionLostAt     gpu.Nanos
 	SamplesLostToArmLoss int
-	// TenantIterationCap and TenantsExpired echoed a finite co-tenant
-	// schedule, which nothing applies any more. They stay because the trace
-	// header and the fleet journal record carry them, so traces and records
-	// written while such schedules existed still decode.
-	TenantIterationCap int
-	TenantsExpired     int
 }
 
 // FleetPlan assigns DeviceFaults across a fleet campaign: per (device,

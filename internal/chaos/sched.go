@@ -129,16 +129,6 @@ type SchedStats struct {
 	// overlapped a reset outage (between context teardown and the re-armed
 	// channels' first launch).
 	SamplesLostToRecovery int
-
-	// OpStallsInjected and OpStallTime counted op-granular host stalls, and
-	// VictimResets and VictimOpsReplayed victim-context resets and the ops
-	// they replayed. Nothing injects either any more; the fields stay
-	// because the trace header and the fleet journal record carry them, so
-	// traces and records written while those faults existed still decode.
-	OpStallsInjected  int
-	OpStallTime       gpu.Nanos
-	VictimResets      int
-	VictimOpsReplayed int
 }
 
 // ChurnEvents returns the total applied tenant churn.

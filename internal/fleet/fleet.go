@@ -310,7 +310,7 @@ func RunSpecs(cfg Config, specs []DeviceSpec) (*Result, error) {
 	pool := par.NewPool(cfg.Base.Workers)
 	devices, err := par.MapCtx(context.Background(), 0, len(specs), func(i int) (DeviceResult, error) {
 		if found != nil && found[i] {
-			return replayed[i].result(specs[i], cfg.CollectOnly), nil
+			return replayed[i].result(specs[i]), nil
 		}
 		r := superviseDevice(cfg, specs[i], pool, share)
 		if cfg.Journal != nil {

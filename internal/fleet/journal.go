@@ -3,6 +3,7 @@ package fleet
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"strconv"
 
@@ -139,9 +140,10 @@ func appendDeviceRecord(j *journal.Journal, key string, r *DeviceResult) error {
 // each spec that has one (both nil when nothing matched). Records for other
 // kinds, other campaigns, or specs no longer in the plan are ignored (the
 // journal is append-only; a changed plan simply re-executes what no longer
-// matches). A corrupt payload under a matching key is an error — the key
-// promises the producer wrote it, so unreadable bytes mean real damage past
-// the CRC.
+// matches), and so are records in a retired version: their devices run
+// again, and a retired record never hides a live one under the same key. A
+// corrupt payload under a matching key is an error — the key promises the
+// producer wrote it, so unreadable bytes mean real damage past the CRC.
 func replayJournal(j *journal.Journal, specs []DeviceSpec, keys []string) ([]deviceRecord, []bool, error) {
 	loaded := j.Records()
 	if len(loaded) == 0 {
@@ -164,7 +166,11 @@ func replayJournal(j *journal.Journal, specs []DeviceSpec, keys []string) ([]dev
 		if recs == nil {
 			recs, found = make([]deviceRecord, len(specs)), make([]bool, len(specs))
 		}
-		if err := decodeRecord(rec.Payload, &recs[i]); err != nil {
+		err := decodeRecord(rec.Payload, &recs[i])
+		if errors.Is(err, errRetiredRecord) {
+			continue
+		}
+		if err != nil {
 			return nil, nil, fmt.Errorf("fleet: journal record for %s undecodable: %w", specs[i].Name, err)
 		}
 		found[i] = true

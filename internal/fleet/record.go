@@ -1,9 +1,7 @@
 package fleet
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math"
@@ -15,15 +13,10 @@ import (
 	"leakydnn/internal/trace"
 )
 
-// Fleet-device record payloads are versioned by their first byte.
+// Fleet-device record payloads are versioned by their first byte, and only
+// the live version is read.
 //
-// Version 1 is a self-contained gob stream of a deviceRecord. Every journal
-// written before version 2 holds it, so it stays readable, but nothing
-// writes it any more. A gob stream starts with a message length: one byte
-// below 0x80, or a negated byte count in 0xF8–0xFF. A first byte in
-// 0x80–0xF7 therefore never starts version 1, and names a binary version.
-//
-// Version 2 is recordV2 followed by the deviceRecord fields in declaration
+// Version 3 is recordV3 followed by the deviceRecord fields in declaration
 // order, recursing into Coverage and Health: ints and gpu.Nanos as varints,
 // floats as their 8 little-endian IEEE bytes (NaN and -0 round-trip), bools
 // as one byte 0 or 1, strings as a uvarint length and the bytes. Health and
@@ -31,9 +24,19 @@ import (
 // a uvarint count and its entries in ascending key order. Every encoding is
 // canonical, so a payload that decodes re-encodes to the same bytes.
 //
-// Adding a field means a new version byte and a new walk beside this one;
-// the version 2 decoder stays, as trace wire formats v1 and v2 do.
-const recordV2 = 0x82
+// Version 2 (0x82) was the same walk with six more Health counters, and
+// version 1 a self-contained gob stream, whose first byte is a gob message
+// length: below 0x80, or a negated byte count in 0xF8–0xFF. Both are
+// retired. A device record is a pure function of its spec, so replay treats
+// a retired record as absent and the device runs again, appending a version
+// 3 record. Any other first byte in 0x80–0xF7 is an unknown version.
+//
+// Adding a field means a new version byte and a new walk in place of this
+// one; the old version byte joins the retired ones.
+const recordV3 = 0x83
+
+// errRetiredRecord marks a payload in a retired version.
+var errRetiredRecord = errors.New("fleet: device record in a retired version")
 
 // deviceRecord is the journaled payload: the DeviceResult minus its Spec
 // (restored from the live plan on replay, so a journal never resurrects a
@@ -51,12 +54,7 @@ type deviceRecord struct {
 	Attempts                   int
 	Quarantined                bool
 	FailCause                  string
-	// ModelRep records the model set's provenance (see DeviceResult.ModelRep).
-	// Absent from pre-sharing version 1 records, which gob decodes as 0;
-	// replay forces collect-only records back to -1, and extraction keys
-	// changed when the field landed, so a stale 0 can never be replayed into
-	// an extraction.
-	ModelRep int
+	ModelRep                   int
 }
 
 func recordOf(r *DeviceResult) deviceRecord {
@@ -80,8 +78,8 @@ func recordOf(r *DeviceResult) deviceRecord {
 }
 
 // result restores the replayed DeviceResult for spec.
-func (rec *deviceRecord) result(spec DeviceSpec, collectOnly bool) DeviceResult {
-	r := DeviceResult{
+func (rec *deviceRecord) result(spec DeviceSpec) DeviceResult {
+	return DeviceResult{
 		Spec:           spec,
 		LetterAcc:      rec.LetterAcc,
 		LayerAcc:       rec.LayerAcc,
@@ -100,94 +98,40 @@ func (rec *deviceRecord) result(spec DeviceSpec, collectOnly bool) DeviceResult 
 		ModelRep:       rec.ModelRep,
 		Replayed:       true,
 	}
-	if collectOnly {
-		// Pre-sharing collect-only records predate the field; nothing was
-		// trained, so the provenance is "none" regardless of stored bytes.
-		r.ModelRep = -1
-	}
-	return r
 }
 
 // recordBufs holds payload buffers between appends: the journal copies a
 // payload into its frame, so the buffer is free once Append returns.
 var recordBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// encodeRecord appends rec's version 2 payload to b.
+// encodeRecord appends rec's version 3 payload to b.
 func encodeRecord(b []byte, rec *deviceRecord) []byte {
-	c := recordCodec{b: append(b, recordV2)}
+	c := recordCodec{b: append(b, recordV3)}
 	c.record(rec)
 	return c.b
 }
 
-// decodeRecord decodes a version 2 or version 1 payload into rec.
+// decodeRecord decodes a version 3 payload into rec. A payload in a retired
+// version returns errRetiredRecord and leaves rec untouched.
 func decodeRecord(p []byte, rec *deviceRecord) error {
-	*rec = deviceRecord{}
 	switch {
-	case len(p) > 0 && p[0] == recordV2:
+	case len(p) == 0:
+		return errors.New("fleet: empty device record")
+	case p[0] == recordV3:
+		*rec = deviceRecord{}
 		c := recordCodec{b: p[1:], n: len(p), decode: true}
 		c.record(rec)
 		if c.err == nil && len(c.b) > 0 {
 			c.fail("trailing bytes")
 		}
 		return c.err
-	case len(p) > 0 && p[0] >= 0x80 && p[0] < 0xF8:
-		return fmt.Errorf("fleet: unknown device record version %#x", p[0])
+	case p[0] == 0x82, p[0] < 0x80, p[0] >= 0xF8: // version 2, or version 1's gob
+		return errRetiredRecord
 	}
-	return decodeGobRecord(p, rec)
+	return fmt.Errorf("fleet: unknown device record version %#x", p[0])
 }
 
-// decodeGobRecord reads a version 1 payload, bounding what gob allocates on
-// damaged bytes. gob reads a message in chunks of up to 10 MB before it finds
-// the message short, so the framing is checked first. gob sizes a nil map
-// from the count that precedes its entries, which could ask for gigabytes;
-// into a map that already exists it inserts entry by entry and fails when
-// the bytes run out. A first pass, which skips the map at no cost, learns
-// whether the record holds a Health at all; the second decodes into a Health
-// whose map exists. Version 1 Healths all came from trace.Collect, which
-// always sets QuarantineCauses, so presetting the map loses nothing. What
-// remains is gob's cap on a slice in a type definition (10 MB, once per
-// pass, since the first short slice ends the decode).
-func decodeGobRecord(p []byte, rec *deviceRecord) error {
-	if !gobFramed(p) {
-		return errors.New("fleet: device record v1: message length exceeds payload")
-	}
-	var probe struct {
-		Health *struct{ IterationsTotal int }
-	}
-	if err := gob.NewDecoder(bytes.NewReader(p)).Decode(&probe); err != nil {
-		return err
-	}
-	if probe.Health != nil {
-		rec.Health = &trace.Health{QuarantineCauses: map[string]int{}}
-	}
-	return gob.NewDecoder(bytes.NewReader(p)).Decode(rec)
-}
-
-// gobFramed reports whether p is a sequence of whole gob messages. Each
-// starts with its length as a gob uint: one byte below 0x80, or a negated
-// byte count followed by that many big-endian bytes.
-func gobFramed(p []byte) bool {
-	for len(p) > 0 {
-		n, w := uint64(p[0]), 1
-		if p[0] >= 0x80 {
-			w += 256 - int(p[0])
-			if w > 9 || w > len(p) {
-				return false
-			}
-			n = 0
-			for _, b := range p[1:w] {
-				n = n<<8 | uint64(b)
-			}
-		}
-		if n > uint64(len(p)-w) {
-			return false
-		}
-		p = p[w+int(n):]
-	}
-	return true
-}
-
-// recordCodec walks a deviceRecord in version 2 wire order, appending each
+// recordCodec walks a deviceRecord in version 3 wire order, appending each
 // field to b when encoding and consuming it from b when decoding, so the two
 // directions share one field list. A decode records its first error and
 // reads zeros from then on.
@@ -251,18 +195,12 @@ func (c *recordCodec) health(h *trace.Health) {
 	c.int(&s.TenantsJoined)
 	c.int(&s.TenantsLeft)
 	c.int(&s.SamplesLostToRecovery)
-	c.int(&s.OpStallsInjected)
-	c.nanos(&s.OpStallTime)
-	c.int(&s.VictimResets)
-	c.int(&s.VictimOpsReplayed)
 	c.int(&h.Reanchors)
 	d := &h.Device
 	c.nanos(&d.SpyKilledAt)
 	c.int(&d.SamplesLostToSpyKill)
 	c.nanos(&d.ArmSessionLostAt)
 	c.int(&d.SamplesLostToArmLoss)
-	c.int(&d.TenantIterationCap)
-	c.int(&d.TenantsExpired)
 	c.int(&h.SpyChannelsRejected)
 	c.int(&h.SpyArmRetries)
 	c.int(&h.SpyArmFailures)
@@ -321,7 +259,7 @@ func (c *recordCodec) causes(p *map[string]int) {
 
 func (c *recordCodec) fail(what string) {
 	if c.err == nil {
-		c.err = fmt.Errorf("fleet: device record v2: %s at byte %d", what, c.n-len(c.b))
+		c.err = fmt.Errorf("fleet: device record v3: %s at byte %d", what, c.n-len(c.b))
 	}
 	c.b = nil
 }

@@ -130,31 +130,45 @@ func TestDeviceKeyBatch(t *testing.T) {
 
 // TestFleetJournalReplaysGobEraFixture resumes a tinyFleet(4,1) collect-only
 // campaign from a journal whose device records are gob payloads, frozen from
-// the encoder that wrote them before the binary record format existed. Every
-// device must replay, equal to a live run.
+// the encoder that wrote them before the binary record format existed.
+// Version 1 is retired, so every device re-executes, equal to a live run,
+// and appends a version 3 record that the next resume replays.
 func TestFleetJournalReplaysGobEraFixture(t *testing.T) {
-	p := copyGobFixture(t)
+	assertRetiredFixtureReexecutes(t, "gob-era-collect4.journal")
+}
+
+// TestFleetJournalReexecutesV2Records does the same from a journal of
+// version 2 (0x82) records, frozen from the encoder that wrote them while
+// the record carried six chaos counters that nothing set.
+func TestFleetJournalReexecutesV2Records(t *testing.T) {
+	assertRetiredFixtureReexecutes(t, "v2-collect4.journal")
+}
+
+func assertRetiredFixtureReexecutes(t *testing.T, fixture string) {
+	t.Helper()
+	p := copyFixture(t, fixture)
 	cfg := tinyFleet(4, 1)
-	resumed := runJournaled(t, cfg, nil, p)
-	if resumed.Replayed != cfg.Devices {
-		t.Fatalf("replayed %d of %d devices from the gob-era journal", resumed.Replayed, cfg.Devices)
-	}
 	live, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertReplayEqual(t, "gob-era", live, resumed)
+	resumed := runJournaled(t, cfg, nil, p)
+	if resumed.Replayed != 0 {
+		t.Fatalf("replayed %d devices from retired records", resumed.Replayed)
+	}
+	assertResultsEqual(t, fixture+" re-executed", live, resumed, false)
+	assertResultsEqual(t, fixture+" resumed again", live, runJournaled(t, cfg, nil, p), true)
 }
 
 // TestFleetJournalReplaysMixedVersions grows the gob-era campaign to six
-// devices: the resume replays the four version 1 records and appends two
-// version 2 records, and the next resume replays all six from the mixed
-// journal.
+// devices: the resume re-executes all six and appends six version 3
+// records. Retired records of both versions for the same keys, appended
+// after the live ones, must not hide them: the next resume replays all six.
 func TestFleetJournalReplaysMixedVersions(t *testing.T) {
-	p := copyGobFixture(t)
+	p := copyFixture(t, "gob-era-collect4.journal")
 	cfg := tinyFleet(6, 1)
-	if grown := runJournaled(t, cfg, nil, p); grown.Replayed != 4 {
-		t.Fatalf("replayed %d gob-era devices, want 4", grown.Replayed)
+	if grown := runJournaled(t, cfg, nil, p); grown.Replayed != 0 {
+		t.Fatalf("replayed %d gob-era devices, want 0", grown.Replayed)
 	}
 	j, err := journal.Open(p)
 	if err != nil {
@@ -164,46 +178,59 @@ func TestFleetJournalReplaysMixedVersions(t *testing.T) {
 	for _, rec := range j.Records() {
 		versions = append(versions, rec.Payload[0])
 	}
-	j.Close()
-	if want := []byte{0xff, 0xff, 0xff, 0xff, recordV2, recordV2}; !bytes.Equal(versions, want) {
+	if want := append([]byte{0xff, 0xff, 0xff, 0xff}, bytes.Repeat([]byte{recordV3}, 6)...); !bytes.Equal(versions, want) {
+		j.Close()
 		t.Fatalf("payload first bytes %x, want %x", versions, want)
 	}
+	retired := append([]journal.Record(nil), j.Records()[:4]...)
+	v2, err := journal.Open(copyFixture(t, "v2-collect4.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	retired = append(retired, v2.Records()...)
+	v2.Close()
+	for _, rec := range retired {
+		if err := j.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.Close()
 	live, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertReplayEqual(t, "mixed", live, runJournaled(t, cfg, nil, p))
+	assertResultsEqual(t, "mixed", live, runJournaled(t, cfg, nil, p), true)
 }
 
-// copyGobFixture copies the gob-era journal fixture to a temporary file,
-// since opening a journal may truncate it and resuming appends to it.
-func copyGobFixture(tb testing.TB) string {
+// copyFixture copies a journal fixture to a temporary file, since opening a
+// journal may truncate it and resuming appends to it.
+func copyFixture(tb testing.TB, name string) string {
 	tb.Helper()
-	fixture, err := os.ReadFile(filepath.Join("testdata", "gob-era-collect4.journal"))
+	fixture, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	p := filepath.Join(tb.TempDir(), "gob.journal")
+	p := filepath.Join(tb.TempDir(), name)
 	if err := os.WriteFile(p, fixture, 0o644); err != nil {
 		tb.Fatal(err)
 	}
 	return p
 }
 
-// assertReplayEqual checks that every device of got was replayed and is
-// reflect.DeepEqual to the live result apart from the Replayed marker.
-func assertReplayEqual(t *testing.T, label string, live, got *Result) {
+// assertResultsEqual checks that every device of got is reflect.DeepEqual to
+// the live result apart from the Replayed marker, which must read replayed.
+func assertResultsEqual(t *testing.T, label string, live, got *Result, replayed bool) {
 	t.Helper()
 	if len(live.Devices) != len(got.Devices) {
 		t.Fatalf("%s: %d devices, want %d", label, len(got.Devices), len(live.Devices))
 	}
 	for i, d := range got.Devices {
-		if !d.Replayed {
-			t.Errorf("%s: device %d was re-executed, not replayed", label, i)
+		if d.Replayed != replayed {
+			t.Errorf("%s: device %d Replayed = %t, want %t", label, i, d.Replayed, replayed)
 		}
 		d.Replayed = false
 		if !reflect.DeepEqual(live.Devices[i], d) {
-			t.Errorf("%s: device %d replayed unequal to live:\n live   %+v\n replay %+v", label, i, live.Devices[i], d)
+			t.Errorf("%s: device %d unequal to live:\n live %+v\n got  %+v", label, i, live.Devices[i], d)
 		}
 	}
 }
@@ -211,7 +238,8 @@ func assertReplayEqual(t *testing.T, label string, live, got *Result) {
 // TestFleetJournalReplayEqualsLive: a journaled result restored on resume
 // carries every field the live run produced, not just the hashes
 // assertSameDevices compares — collect-only devices, a quarantined device
-// (nil Health), and an extraction device.
+// (nil Health), and an extraction device. A collect-only record stores
+// ModelRep -1 itself; replay does not patch it in.
 func TestFleetJournalReplayEqualsLive(t *testing.T) {
 	quarantined := tinyFleet(2, 1)
 	quarantined.FleetChaos = chaos.FleetPlan{CrashProb: 1, FaultyAttempts: 8}
@@ -229,7 +257,18 @@ func TestFleetJournalReplayEqualsLive(t *testing.T) {
 		if name == "quarantined" && live.Quarantined != cfg.Devices {
 			t.Fatalf("quarantined %d of %d devices", live.Quarantined, cfg.Devices)
 		}
-		assertReplayEqual(t, name, live, runJournaled(t, cfg, specs, p))
+		if cfg.CollectOnly {
+			for i, payload := range journalPayloads(t, p) {
+				var rec deviceRecord
+				if err := decodeRecord(payload, &rec); err != nil {
+					t.Fatal(err)
+				}
+				if rec.ModelRep != -1 {
+					t.Errorf("%s: record %d stores ModelRep %d, want -1", name, i, rec.ModelRep)
+				}
+			}
+		}
+		assertResultsEqual(t, name, live, runJournaled(t, cfg, specs, p), true)
 	}
 }
 
@@ -267,7 +306,7 @@ func fillLeaves(t testing.TB, v reflect.Value, next *int) {
 }
 
 // TestDeviceRecordCodecComplete fills every leaf of a deviceRecord with a
-// distinct value and round-trips it through the version 2 codec. A field
+// distinct value and round-trips it through the version 3 codec. A field
 // added to deviceRecord, Coverage, Health or a chaos stats struct without a
 // line in the codec decodes as zero and fails here.
 func TestDeviceRecordCodecComplete(t *testing.T) {
@@ -317,7 +356,7 @@ func TestDeviceRecordCodecEdges(t *testing.T) {
 	}
 }
 
-// TestDeviceRecordRejectsDamage: a version 2 payload is checked against the
+// TestDeviceRecordRejectsDamage: a version 3 payload is checked against the
 // bytes that remain before anything is sized from it, and must be consumed
 // exactly.
 func TestDeviceRecordRejectsDamage(t *testing.T) {
@@ -343,7 +382,8 @@ func TestDeviceRecordRejectsDamage(t *testing.T) {
 		p    []byte
 		want string
 	}{
-		{"unknown version", []byte{0x83}, "unknown device record version"},
+		{"unknown version", []byte{0x84}, "unknown device record version"},
+		{"empty", nil, "empty device record"},
 		{"huge causes count", huge, "causes count exceeds payload"},
 		{"non-minimal varint", padded, "bad varint"},
 	} {
@@ -353,11 +393,10 @@ func TestDeviceRecordRejectsDamage(t *testing.T) {
 	}
 }
 
-// gobFixturePayloads returns the device-record payloads of the gob-era
-// journal fixture.
-func gobFixturePayloads(tb testing.TB) [][]byte {
+// journalPayloads returns the record payloads of the journal at path.
+func journalPayloads(tb testing.TB, path string) [][]byte {
 	tb.Helper()
-	j, err := journal.Open(copyGobFixture(tb))
+	j, err := journal.Open(path)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -369,16 +408,10 @@ func gobFixturePayloads(tb testing.TB) [][]byte {
 	return out
 }
 
-// gobSliceCap is the most gob allocates for one slice before it finds the
-// bytes short (encoding/gob sizes slices through internal/saferio's 10 MB
-// chunk).
-const gobSliceCap = 10 << 20
-
 // FuzzDeviceRecord feeds arbitrary payloads to the record decoder. Nothing
-// panics; a decode allocates in proportion to the payload, plus for version
-// 1 at most one capped gob slice per pass; whatever decodes re-encodes to a
-// version 2 payload that decodes to the same record, and a version 2 payload
-// re-encodes to its own bytes.
+// panics; a decode allocates in proportion to the payload; whatever decodes
+// re-encodes to the same bytes and decodes again to the same record. The
+// retired gob-era payloads stay as seeds, and must be refused.
 func FuzzDeviceRecord(f *testing.F) {
 	var filled deviceRecord
 	next := 0
@@ -388,7 +421,7 @@ func FuzzDeviceRecord(f *testing.F) {
 		encodeRecord(nil, &deviceRecord{}),
 		encodeRecord(nil, &deviceRecord{Quarantined: true, FailCause: CauseDeviceCrash, ModelRep: -1}),
 	}
-	seeds = append(seeds, gobFixturePayloads(f)...)
+	seeds = append(seeds, journalPayloads(f, copyFixture(f, "gob-era-collect4.journal"))...)
 	for _, s := range seeds[:len(seeds):len(seeds)] {
 		seeds = append(seeds, s[:1], s[:len(s)/2], s[:len(s)-1])
 	}
@@ -401,19 +434,17 @@ func FuzzDeviceRecord(f *testing.F) {
 		runtime.ReadMemStats(&before)
 		err := decodeRecord(p, &rec)
 		runtime.ReadMemStats(&after)
-		v2 := len(p) > 0 && p[0] == recordV2
-		limit := 4096 + 64*uint64(len(p))
-		if !v2 {
-			limit += 2 * gobSliceCap
-		}
-		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > limit {
+		if alloc, limit := after.TotalAlloc-before.TotalAlloc, 4096+64*uint64(len(p)); alloc > limit {
 			t.Fatalf("decoding %d bytes allocated %d", len(p), alloc)
 		}
 		if err != nil {
 			return
 		}
+		if p[0] != recordV3 {
+			t.Fatalf("payload with version byte %#x decoded", p[0])
+		}
 		out := encodeRecord(nil, &rec)
-		if v2 && !bytes.Equal(out, p) {
+		if !bytes.Equal(out, p) {
 			t.Fatalf("re-encoding changed the payload:\n in  %x\n out %x", p, out)
 		}
 		var again deviceRecord
@@ -421,7 +452,7 @@ func FuzzDeviceRecord(f *testing.F) {
 			t.Fatalf("re-encoded payload does not decode: %v", err)
 		}
 		if !bytes.Equal(encodeRecord(nil, &again), out) {
-			t.Fatal("version 2 round trip is not stable")
+			t.Fatal("version 3 round trip is not stable")
 		}
 	})
 }

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -274,11 +273,9 @@ func (c *ModelCache) loadDisk(key string) (*attack.Models, bool) {
 	if err == nil {
 		return m, true
 	}
-	// Checksum mismatch, truncation, bad magic — all mean the entry cannot be
-	// trusted. errors.Is(err, attack.ErrModelSetCorrupt) is the designed path;
-	// the others get the same treatment because serving from them would be
-	// worse than re-training.
-	_ = errors.Is(err, attack.ErrModelSetCorrupt)
+	// Checksum mismatch (attack.ErrModelSetCorrupt), truncation, bad magic —
+	// all mean the entry cannot be trusted, and all get the same treatment:
+	// serving from any of them would be worse than re-training.
 	c.corruptRebuilds.Add(1)
 	os.Remove(c.path(key))
 	return nil, false

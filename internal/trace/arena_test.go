@@ -241,10 +241,10 @@ func TestCachedOpsSurviveCollection(t *testing.T) {
 }
 
 // TestDecodeIntoRecycledBuffers decodes trace A, poisons and recycles its
-// buffers, then decodes a different trace B into them, in both wire format
-// versions: B must land in A's sample and event buffers and equal a fresh
-// decode of B field by field, so nothing of A leaks into an upload decoded
-// after it. A decode that fails gives its buffers back too.
+// buffers, then decodes a different trace B into them: B must land in A's
+// sample and event buffers and equal a fresh decode of B field by field, so
+// nothing of A leaks into an upload decoded after it. A decode that fails
+// gives its buffers back too.
 func TestDecodeIntoRecycledBuffers(t *testing.T) {
 	big := freshCollect(t, zoo.TinyVGG(), fastRun(21, 4, true))
 	small := freshCollect(t, zoo.TinyCNN(), fastRun(22, 2, true))
@@ -265,50 +265,42 @@ func TestDecodeIntoRecycledBuffers(t *testing.T) {
 		}
 		return tr
 	}
-	for _, enc := range []struct {
-		name  string
-		bytes func(*Trace) []byte
-	}{
-		{"v1", func(tr *Trace) []byte { return writeV1(t, tr) }},
-		{"v2", func(tr *Trace) []byte { return wireBytes(t, tr) }},
-	} {
-		t.Run(enc.name, func(t *testing.T) {
-			bodyA, bodyB := enc.bytes(big), enc.bytes(small)
-			drain()
-			want := decode(bodyB)
-			a := decode(bodyA)
-			samples := a.Samples[:cap(a.Samples)]
-			for i := range samples {
-				samples[i].Start, samples[i].End = -7, -3
-				for e := range samples[i].Values {
-					samples[i].Values[e] = math.NaN()
-				}
+	t.Run("v2", func(t *testing.T) {
+		bodyA, bodyB := wireBytes(t, big), wireBytes(t, small)
+		drain()
+		want := decode(bodyB)
+		a := decode(bodyA)
+		samples := a.Samples[:cap(a.Samples)]
+		for i := range samples {
+			samples[i].Start, samples[i].End = -7, -3
+			for e := range samples[i].Values {
+				samples[i].Values[e] = math.NaN()
 			}
-			events := a.Timeline.Events()
-			events = events[:cap(events)]
-			bogus := &dnn.Op{Kind: dnn.OpKind(250), Seq: -1}
-			for i := range events {
-				events[i].Op, events[i].Name, events[i].Iteration = bogus, "stale", 99
-			}
-			Recycle(a)
+		}
+		events := a.Timeline.Events()
+		events = events[:cap(events)]
+		bogus := &dnn.Op{Kind: dnn.OpKind(250), Seq: -1}
+		for i := range events {
+			events[i].Op, events[i].Name, events[i].Iteration = bogus, "stale", 99
+		}
+		Recycle(a)
 
-			got := decode(bodyB)
-			if &got.Samples[0] != &samples[0] || &got.Timeline.Events()[0] != &events[0] {
-				t.Fatal("B was not decoded into A's recycled buffers")
-			}
-			if err := tracesEqual(got, want); err != nil {
-				t.Fatalf("a decode into recycled buffers differs from a fresh one: %v", err)
-			}
+		got := decode(bodyB)
+		if &got.Samples[0] != &samples[0] || &got.Timeline.Events()[0] != &events[0] {
+			t.Fatal("B was not decoded into A's recycled buffers")
+		}
+		if err := tracesEqual(got, want); err != nil {
+			t.Fatalf("a decode into recycled buffers differs from a fresh one: %v", err)
+		}
 
-			Recycle(got)
-			drain()
-			if _, err := ReadTrace(bytes.NewReader(bodyA[:len(bodyA)-1])); err == nil {
-				t.Fatal("truncated upload decoded")
-			}
-			if len(arenas.samples) != 1 || len(arenas.events) != 1 {
-				t.Fatalf("a failed decode gave back %d sample and %d event buffers, want 1 and 1",
-					len(arenas.samples), len(arenas.events))
-			}
-		})
-	}
+		Recycle(got)
+		drain()
+		if _, err := ReadTrace(bytes.NewReader(bodyA[:len(bodyA)-1])); err == nil {
+			t.Fatal("truncated upload decoded")
+		}
+		if len(arenas.samples) != 1 || len(arenas.events) != 1 {
+			t.Fatalf("a failed decode gave back %d sample and %d event buffers, want 1 and 1",
+				len(arenas.samples), len(arenas.events))
+		}
+	})
 }

@@ -121,12 +121,6 @@ func (h *Health) Summary() string {
 		fmt.Fprintf(&b, "; sched faults: %d/%d resets survived, %d stalls (%v), %d joins + %d leaves, %d samples lost to recovery",
 			s.ResetsSurvived, s.ResetsInjected, s.StallsInjected, s.StallTime,
 			s.TenantsJoined, s.TenantsLeft, s.SamplesLostToRecovery)
-		if s.OpStallsInjected > 0 {
-			fmt.Fprintf(&b, ", %d op stalls (%v)", s.OpStallsInjected, s.OpStallTime)
-		}
-		if s.VictimResets > 0 {
-			fmt.Fprintf(&b, ", %d victim resets (%d ops replayed)", s.VictimResets, s.VictimOpsReplayed)
-		}
 	}
 	if d := h.Device; d != (chaos.DeviceStats{}) {
 		fmt.Fprintf(&b, "; device faults:")
@@ -135,9 +129,6 @@ func (h *Health) Summary() string {
 		}
 		if d.ArmSessionLostAt > 0 {
 			fmt.Fprintf(&b, " arm session lost at %v (%d windows lost)", d.ArmSessionLostAt, d.SamplesLostToArmLoss)
-		}
-		if d.TenantIterationCap > 0 {
-			fmt.Fprintf(&b, " tenants capped at %d iterations (%d expired)", d.TenantIterationCap, d.TenantsExpired)
 		}
 	}
 	fmt.Fprintf(&b, "; spy channels rejected %d", h.SpyChannelsRejected)

@@ -25,7 +25,7 @@ import (
 // back to back onto one writer form a multi-trace stream, and a reader never
 // holds more than one frame in flight.
 //
-// Version 2, the only version WriteTo emits, frames everything as
+// Version 2, the only version, frames everything as
 // [kind byte][uvarint payload length][payload]:
 //
 //   - header: one gob message of traceHeader;
@@ -37,13 +37,10 @@ import (
 //     pointer-into-Ops identity on read;
 //   - end: an empty payload.
 //
-// Version 1 wrapped every chunk in its own self-contained gob stream behind
-// a bare uvarint length. It stays readable, for saved trace files and for
-// journaled upload hashes, but is never written.
-const (
-	traceMagicV1 = "MOSCONS\x01"
-	traceMagicV2 = "MOSCONS\x02"
-)
+// Version 1 wrapped every chunk in its own gob stream. It is retired: a
+// trace is a pure function of its run configuration, so a version 1 file is
+// migrated by collecting it again, and Read rejects its magic.
+const traceMagicV2 = "MOSCONS\x02"
 
 // samplesPerChunk bounds a sample frame's payload (~200 KB at the current
 // event-set width).
@@ -56,7 +53,7 @@ const eventsPerChunk = 2048
 // counters, 8 bytes each.
 const sampleRecordBytes = 8 * (2 + int(cupti.NumEvents))
 
-// chunkKind tags a version-1 chunk and is a version-2 frame's kind byte.
+// chunkKind is a frame's kind byte.
 type chunkKind int
 
 const (
@@ -82,16 +79,6 @@ type traceHeader struct {
 	EventCount  int
 }
 
-// eventRecord is a TimelineEvent with its Op pointer flattened to an index
-// into the header's op table (-1 for events without one), as version 1
-// carries it.
-type eventRecord struct {
-	Name       string
-	Start, End gpu.Nanos
-	Iteration  int
-	Op         int
-}
-
 // gob numbers types process-wide in the order it first encodes them, and a
 // header frame carries those numbers. Encoding one header before anything
 // else in the process can encode pins them, so WriteTo's bytes depend on
@@ -102,14 +89,6 @@ func init() {
 	}
 }
 
-// chunk is one version-1 chunk.
-type chunk struct {
-	Kind    chunkKind
-	Header  *traceHeader
-	Samples []cupti.Sample
-	Events  []eventRecord
-}
-
 // frameHeadMax is the longest frame head: the kind byte and a uvarint length.
 const frameHeadMax = 1 + binary.MaxVarintLen64
 
@@ -117,8 +96,8 @@ const frameHeadMax = 1 + binary.MaxVarintLen64
 // it to the underlying writer.
 const flushBytes = 64 << 10
 
-// frameWriter assembles version-2 frames in a pooled buffer and passes them
-// to w in large writes.
+// frameWriter assembles frames in a pooled buffer and passes them to w in
+// large writes.
 type frameWriter struct {
 	w    io.Writer
 	n    int64 // bytes w accepted
@@ -179,11 +158,11 @@ func (t *Trace) opIndex(op *dnn.Op) (i int, ok bool) {
 	return 0, false
 }
 
-// WriteTo serializes the trace onto w in wire format version 2 and
-// implements io.WriterTo. Traces written back to back onto the same writer
-// form a valid multi-trace stream for ReadTraces. A trace that cannot be
-// encoded fails before its first byte reaches w, so it never leaves a
-// partial trace in a stream it was being appended to.
+// WriteTo serializes the trace onto w and implements io.WriterTo. Traces
+// written back to back onto the same writer form a valid multi-trace stream
+// for ReadTraces. A trace that cannot be encoded fails before its first byte
+// reaches w, so it never leaves a partial trace in a stream it was being
+// appended to.
 func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 	var events []tfsim.TimelineEvent
 	if t.Timeline != nil {
@@ -260,12 +239,12 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 
 // maxChunkBytes rejects absurd length prefixes before reading: the default
 // guard for trusted files. Servers ingesting traces from the network should
-// tighten it with Reader.SetMaxChunkBytes — the writer never emits chunks
-// beyond a few hundred KB at the current chunk sizes.
+// tighten it with Reader.SetMaxChunkBytes — the writer never emits frames
+// beyond a few hundred KB at the current batch sizes.
 const maxChunkBytes = 64 << 20
 
 // maxPrealloc caps the capacity hint taken from header counts. The counts
-// themselves still have to reconcile at the end chunk, but a hostile header
+// themselves still have to reconcile at the end frame, but a hostile header
 // claiming 10^18 samples must cost an append-doubling schedule, not an
 // up-front allocation.
 const maxPrealloc = 1 << 16
@@ -292,8 +271,8 @@ func NewReader(r io.Reader) *Reader {
 	return &Reader{br: br, maxChunk: maxChunkBytes}
 }
 
-// SetMaxChunkBytes tightens (or loosens) the per-chunk length guard: a chunk
-// or frame whose length prefix exceeds n fails immediately instead of being
+// SetMaxChunkBytes tightens (or loosens) the per-frame length guard: a frame
+// whose length prefix exceeds n fails immediately instead of being
 // buffered. Network-facing ingestion should set this well below the
 // trusting file default. n <= 0 restores the default.
 func (d *Reader) SetMaxChunkBytes(n int64) {
@@ -369,9 +348,8 @@ func (d *Reader) stage(n uint64) ([]byte, error) {
 // allocates a message's claimed length before reading it. gob encodes a
 // length as one byte below 0x80, or as a byte holding the negated width
 // followed by that many big-endian bytes; a length it cannot parse is left
-// for gob to reject. base is the stream offset of payload[0]; what names the
-// enclosing unit ("chunk" or "frame").
-func checkGobLengths(payload []byte, base int64, what string) error {
+// for gob to reject. base is the stream offset of payload[0].
+func checkGobLengths(payload []byte, base int64) error {
 	for pos := 0; pos < len(payload); {
 		width, count := 1, uint64(payload[pos])
 		if count > 0x7f {
@@ -385,8 +363,8 @@ func checkGobLengths(payload []byte, base int64, what string) error {
 			}
 		}
 		if rest := len(payload) - pos - width; count > uint64(rest) {
-			return fmt.Errorf("gob message at byte offset %d claims %d bytes, only %d remain in the %s",
-				base+int64(pos), count, rest, what)
+			return fmt.Errorf("gob message at byte offset %d claims %d bytes, only %d remain in the frame",
+				base+int64(pos), count, rest)
 		}
 		pos += width + int(count)
 	}
@@ -394,12 +372,12 @@ func checkGobLengths(payload []byte, base int64, what string) error {
 }
 
 // readPayload reads a uvarint length and stages that many bytes in d.buf.
-// start is the offset of the enclosing chunk or frame, which what names. It
-// returns a bare io.EOF only when the stream ends before start. The staging
-// buffer grows only as bytes arrive, so a hostile length prefix costs at
+// start is the offset of the enclosing frame. It returns a bare io.EOF only
+// when the stream ends before start. The staging buffer grows only as bytes
+// arrive, so a hostile length prefix costs at
 // most the bytes actually present in the stream, never an up-front
 // allocation of the claimed size.
-func (d *Reader) readPayload(what string, start int64) ([]byte, error) {
+func (d *Reader) readPayload(start int64) ([]byte, error) {
 	n, err := d.readUvarint()
 	if err != nil {
 		if errors.Is(err, io.EOF) && d.off > start {
@@ -408,18 +386,18 @@ func (d *Reader) readPayload(what string, start int64) ([]byte, error) {
 		if errors.Is(err, io.EOF) {
 			return nil, err
 		}
-		return nil, fmt.Errorf("trace: %s length prefix at byte offset %d: %w", what, start, err)
+		return nil, fmt.Errorf("trace: frame length prefix at byte offset %d: %w", start, err)
 	}
 	if n > d.maxChunk {
-		return nil, fmt.Errorf("trace: %s at byte offset %d: length %d exceeds limit %d", what, start, n, d.maxChunk)
+		return nil, fmt.Errorf("trace: frame at byte offset %d: length %d exceeds limit %d", start, n, d.maxChunk)
 	}
 	payload, err := d.stage(n)
 	if err != nil {
 		if errors.Is(err, io.EOF) {
 			err = io.ErrUnexpectedEOF
 		}
-		return nil, fmt.Errorf("trace: %s at byte offset %d truncated: read %d of %d payload bytes: %w",
-			what, start, len(payload), n, err)
+		return nil, fmt.Errorf("trace: frame at byte offset %d truncated: read %d of %d payload bytes: %w",
+			start, len(payload), n, err)
 	}
 	return payload, nil
 }
@@ -427,25 +405,25 @@ func (d *Reader) readPayload(what string, start int64) ([]byte, error) {
 // decodeGob decodes v from a staged payload that must hold exactly one gob
 // value, after checking every gob message length in it against the staged
 // bytes.
-func (d *Reader) decodeGob(payload []byte, what string, start int64, v any) error {
-	if err := checkGobLengths(payload, d.off-int64(len(payload)), what); err != nil {
-		return fmt.Errorf("trace: %s at byte offset %d: %w", what, start, err)
+func (d *Reader) decodeGob(payload []byte, start int64, v any) error {
+	if err := checkGobLengths(payload, d.off-int64(len(payload))); err != nil {
+		return fmt.Errorf("trace: frame at byte offset %d: %w", start, err)
 	}
 	d.rd.Reset(payload)
 	if err := gob.NewDecoder(&d.rd).Decode(v); err != nil {
-		return fmt.Errorf("trace: decode %s at byte offset %d: %w", what, start, err)
+		return fmt.Errorf("trace: decode frame at byte offset %d: %w", start, err)
 	}
 	if d.rd.Len() != 0 {
-		return fmt.Errorf("trace: %s at byte offset %d carries %d bytes past its gob value", what, start, d.rd.Len())
+		return fmt.Errorf("trace: frame at byte offset %d carries %d bytes past its gob value", start, d.rd.Len())
 	}
 	return nil
 }
 
-// Read decodes the next trace from the stream, in whichever format version
-// its magic names. It returns io.EOF exactly when the stream ends cleanly at
-// a trace boundary (including an empty stream); any bytes past a boundary
-// that do not form a complete trace — trailing garbage, a partial final
-// frame — fail loudly with the byte offset.
+// Read decodes the next trace from the stream. It returns io.EOF exactly
+// when the stream ends cleanly at a trace boundary (including an empty
+// stream); any bytes past a boundary that do not form a complete trace —
+// trailing garbage, a partial final frame, a retired version — fail loudly
+// with the byte offset.
 func (d *Reader) Read() (*Trace, error) {
 	start := d.off
 	n, err := io.ReadFull(d.br, d.magic[:])
@@ -457,6 +435,10 @@ func (d *Reader) Read() (*Trace, error) {
 		return nil, fmt.Errorf("trace: truncated magic at byte offset %d (%d of %d bytes): %w",
 			start, n, len(d.magic), err)
 	}
+	if string(d.magic[:]) != traceMagicV2 {
+		return nil, fmt.Errorf("trace: bad magic %q at byte offset %d (not a serialized trace, trailing garbage, "+
+			"or a retired version: re-collect version 1 traces)", d.magic[:], start)
+	}
 	buf := stagePool.Get().(*[]byte)
 	d.buf = buf
 	defer func() {
@@ -465,14 +447,7 @@ func (d *Reader) Read() (*Trace, error) {
 			stagePool.Put(buf)
 		}
 	}()
-	switch string(d.magic[:]) {
-	case traceMagicV2:
-		return d.readV2(start)
-	case traceMagicV1:
-		return d.readV1(start)
-	}
-	return nil, fmt.Errorf("trace: bad magic %q at byte offset %d (not a serialized trace, trailing garbage, or unsupported version)",
-		d.magic[:], start)
+	return d.read(start)
 }
 
 // newTrace validates a decoded header and starts the trace it describes,
@@ -507,16 +482,16 @@ func giveBackOnError(err *error, t *Trace, events *[]tfsim.TimelineEvent) {
 	}
 }
 
-// finish reconciles the header's counts at the end chunk or frame, which
-// sits at byte offset at, and seals the trace.
-func finish(t *Trace, events []tfsim.TimelineEvent, hdr *traceHeader, what string, at int64) (*Trace, error) {
+// finish reconciles the header's counts at the end frame, which sits at
+// byte offset at, and seals the trace.
+func finish(t *Trace, events []tfsim.TimelineEvent, hdr *traceHeader, at int64) (*Trace, error) {
 	if len(t.Samples) != hdr.SampleCount {
-		return nil, fmt.Errorf("trace: stream carried %d samples, header promised %d (end %s at byte offset %d)",
-			len(t.Samples), hdr.SampleCount, what, at)
+		return nil, fmt.Errorf("trace: stream carried %d samples, header promised %d (end frame at byte offset %d)",
+			len(t.Samples), hdr.SampleCount, at)
 	}
 	if len(events) != hdr.EventCount {
-		return nil, fmt.Errorf("trace: stream carried %d timeline events, header promised %d (end %s at byte offset %d)",
-			len(events), hdr.EventCount, what, at)
+		return nil, fmt.Errorf("trace: stream carried %d timeline events, header promised %d (end frame at byte offset %d)",
+			len(events), hdr.EventCount, at)
 	}
 	t.Timeline = tfsim.TimelineFromEvents(events)
 	return t, nil
@@ -532,7 +507,7 @@ func (d *Reader) midTrace(err error, start int64) error {
 	return err
 }
 
-// readFrame reads the next version-2 frame's kind and stages its payload.
+// readFrame reads the next frame's kind and stages its payload.
 func (d *Reader) readFrame() (chunkKind, []byte, error) {
 	start := d.off
 	kind, err := d.br.ReadByte()
@@ -540,12 +515,12 @@ func (d *Reader) readFrame() (chunkKind, []byte, error) {
 		return 0, nil, err
 	}
 	d.off++
-	payload, err := d.readPayload("frame", start)
+	payload, err := d.readPayload(start)
 	return chunkKind(kind), payload, err
 }
 
-// readV2 decodes the frames of a version-2 trace whose magic sits at start.
-func (d *Reader) readV2(start int64) (_ *Trace, err error) {
+// read decodes the frames of a trace whose magic sits at start.
+func (d *Reader) read(start int64) (_ *Trace, err error) {
 	kind, payload, err := d.readFrame()
 	if err != nil {
 		if errors.Is(err, io.EOF) {
@@ -557,7 +532,7 @@ func (d *Reader) readV2(start int64) (_ *Trace, err error) {
 		return nil, fmt.Errorf("trace: stream does not start with a header frame (kind %d) at byte offset %d", kind, start)
 	}
 	hdr := new(traceHeader)
-	if err := d.decodeGob(payload, "frame", start+int64(len(traceMagicV2)), hdr); err != nil {
+	if err := d.decodeGob(payload, start+int64(len(traceMagicV2)), hdr); err != nil {
 		return nil, err
 	}
 	t, events, err := newTrace(hdr, start)
@@ -596,7 +571,7 @@ func (d *Reader) readV2(start int64) (_ *Trace, err error) {
 			if len(payload) != 0 {
 				return nil, fmt.Errorf("trace: end frame at byte offset %d carries %d payload bytes", at, len(payload))
 			}
-			return finish(t, events, hdr, "frame", at)
+			return finish(t, events, hdr, at)
 		default:
 			return nil, fmt.Errorf("trace: unexpected frame kind %d at byte offset %d", kind, at)
 		}
@@ -663,72 +638,6 @@ func decodeEvents(events []tfsim.TimelineEvent, p []byte, base int64, ops []dnn.
 		events = append(events, ev)
 	}
 	return events, nil
-}
-
-// readChunk decodes the next version-1 chunk, one self-contained gob stream
-// behind a uvarint length, into c.
-func (d *Reader) readChunk(c *chunk) error {
-	start := d.off
-	payload, err := d.readPayload("chunk", start)
-	if err != nil {
-		return err
-	}
-	return d.decodeGob(payload, "chunk", start, c)
-}
-
-// readV1 decodes the chunks of a version-1 trace whose magic sits at start.
-func (d *Reader) readV1(start int64) (_ *Trace, err error) {
-	var first chunk
-	if err := d.readChunk(&first); err != nil {
-		if errors.Is(err, io.EOF) {
-			return nil, fmt.Errorf("trace: stream ends after magic at byte offset %d: %w", d.off, io.ErrUnexpectedEOF)
-		}
-		return nil, err
-	}
-	if first.Kind != chunkHeader || first.Header == nil {
-		return nil, fmt.Errorf("trace: stream does not start with a header chunk (kind %d) at byte offset %d", first.Kind, start)
-	}
-	hdr := first.Header
-	t, events, err := newTrace(hdr, start)
-	if err != nil {
-		return nil, err
-	}
-	defer giveBackOnError(&err, t, &events)
-	for {
-		at := d.off
-		var c chunk
-		if err := d.readChunk(&c); err != nil {
-			return nil, d.midTrace(err, start)
-		}
-		switch c.Kind {
-		case chunkSamples:
-			if len(t.Samples)+len(c.Samples) > hdr.SampleCount {
-				return nil, fmt.Errorf("trace: sample chunk at byte offset %d overflows the header's promise of %d samples",
-					at, hdr.SampleCount)
-			}
-			t.Samples = append(t.Samples, c.Samples...)
-		case chunkEvents:
-			if len(events)+len(c.Events) > hdr.EventCount {
-				return nil, fmt.Errorf("trace: event chunk at byte offset %d overflows the header's promise of %d events",
-					at, hdr.EventCount)
-			}
-			for _, rec := range c.Events {
-				ev := tfsim.TimelineEvent{Name: rec.Name, Start: rec.Start, End: rec.End, Iteration: rec.Iteration}
-				if rec.Op >= 0 {
-					if rec.Op >= len(t.Ops) {
-						return nil, fmt.Errorf("trace: event op index %d outside op table of %d (chunk at byte offset %d)",
-							rec.Op, len(t.Ops), at)
-					}
-					ev.Op = &t.Ops[rec.Op]
-				}
-				events = append(events, ev)
-			}
-		case chunkEnd:
-			return finish(t, events, hdr, "chunk", at)
-		default:
-			return nil, fmt.Errorf("trace: unknown chunk kind %d at byte offset %d", c.Kind, at)
-		}
-	}
 }
 
 // ReadTrace decodes one trace from r. Use a Reader directly when reading

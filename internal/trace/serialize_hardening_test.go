@@ -148,75 +148,47 @@ func sampleRecords(samples ...cupti.Sample) []byte {
 	return b
 }
 
-// wireVersion builds hostile input in one format version: lead is
-// everything before the header's length prefix, header a whole trace opening
-// with hdr, and samples a sample chunk or frame.
-type wireVersion struct {
-	name, lead string
-	header     func(testing.TB, *traceHeader) []byte
-	samples    func(testing.TB, ...cupti.Sample) []byte
-}
-
-var wireVersions = []wireVersion{
-	{
-		name: "v1", lead: traceMagicV1,
-		header: func(tb testing.TB, hdr *traceHeader) []byte {
-			return v1Stream(tb, chunk{Kind: chunkHeader, Header: hdr})
-		},
-		samples: func(tb testing.TB, s ...cupti.Sample) []byte {
-			return v1Stream(tb, chunk{Kind: chunkSamples, Samples: s})[len(traceMagicV1):]
-		},
-	},
-	{
-		name: "v2", lead: traceMagicV2 + string(rune(chunkHeader)),
-		header: v2Header,
-		samples: func(_ testing.TB, s ...cupti.Sample) []byte {
-			return frame(chunkSamples, sampleRecords(s...))
-		},
-	},
-}
+// hostileLead is everything before a header frame's length prefix.
+const hostileLead = traceMagicV2 + string(rune(chunkHeader))
 
 // Hostile headers: a length prefix claiming gigabytes backed by no data, and
 // header counts that are negative or overflowed, must fail cheaply instead of
-// allocating or panicking, in every format version.
+// allocating or panicking.
 func TestReadTraceHostileHeader(t *testing.T) {
-	for _, v := range wireVersions {
-		// Huge length prefix, no payload.
-		huge := append([]byte(v.lead), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01)
-		if _, err := ReadTrace(bytes.NewReader(huge)); err == nil {
-			t.Fatalf("%s: overflowing length prefix accepted", v.name)
-		}
-		big := append([]byte(v.lead), 0xff, 0xff, 0xff, 0x7f) // ~256 MB claim
-		if _, err := ReadTrace(bytes.NewReader(big)); err == nil ||
-			!strings.Contains(err.Error(), "exceeds limit") {
-			t.Fatalf("%s: oversized length prefix: err = %v, want exceeds-limit error", v.name, err)
-		}
+	// Huge length prefix, no payload.
+	huge := append([]byte(hostileLead), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01)
+	if _, err := ReadTrace(bytes.NewReader(huge)); err == nil {
+		t.Fatal("overflowing length prefix accepted")
+	}
+	big := append([]byte(hostileLead), 0xff, 0xff, 0xff, 0x7f) // ~256 MB claim
+	if _, err := ReadTrace(bytes.NewReader(big)); err == nil ||
+		!strings.Contains(err.Error(), "exceeds limit") {
+		t.Fatalf("oversized length prefix: err = %v, want exceeds-limit error", err)
+	}
 
-		// Negative header counts.
-		if _, err := ReadTrace(bytes.NewReader(v.header(t, &traceHeader{SampleCount: -1}))); err == nil ||
-			!strings.Contains(err.Error(), "negative counts") {
-			t.Fatalf("%s: negative sample count: err = %v, want negative-counts error", v.name, err)
-		}
+	// Negative header counts.
+	if _, err := ReadTrace(bytes.NewReader(v2Header(t, &traceHeader{SampleCount: -1}))); err == nil ||
+		!strings.Contains(err.Error(), "negative counts") {
+		t.Fatalf("negative sample count: err = %v, want negative-counts error", err)
+	}
 
-		// A header promising more samples than the chunks deliver, with extra
-		// sample chunks beyond the promise, must be caught by the overflow
-		// check rather than ballooning memory.
-		over := append(v.header(t, &traceHeader{SampleCount: 1}), v.samples(t, cupti.Sample{}, cupti.Sample{})...)
-		if _, err := ReadTrace(bytes.NewReader(over)); err == nil ||
-			!strings.Contains(err.Error(), "overflows the header") {
-			t.Fatalf("%s: sample overflow: err = %v, want overflow error", v.name, err)
-		}
+	// A header promising fewer samples than the frames deliver must be
+	// caught by the overflow check rather than ballooning memory.
+	over := append(v2Header(t, &traceHeader{SampleCount: 1}),
+		frame(chunkSamples, sampleRecords(cupti.Sample{}, cupti.Sample{}))...)
+	if _, err := ReadTrace(bytes.NewReader(over)); err == nil ||
+		!strings.Contains(err.Error(), "overflows the header") {
+		t.Fatalf("sample overflow: err = %v, want overflow error", err)
 	}
 }
 
-// hostileInnerLength is an upload of lead (the magic, and in version 2 the
-// header frame's kind) and a header whose length prefix says chunkLen and
-// whose first gob message length claims claim bytes, followed by only
-// present bytes of payload. The 21-byte version-1 case (a 12-byte chunk
-// claiming 9 MiB) passes any chunk guard, and encoding/gob allocates any
-// message claim under 10 MB before reading it.
-func hostileInnerLength(lead string, chunkLen, claim uint64, present int) []byte {
-	b := binary.AppendUvarint([]byte(lead), chunkLen)
+// hostileInnerLength is an upload of lead (the magic and the header frame's
+// kind) and a header whose length prefix says frameLen and whose first gob
+// message length claims claim bytes, followed by only present bytes of
+// payload. encoding/gob allocates any message claim under 10 MB before
+// reading it.
+func hostileInnerLength(lead string, frameLen, claim uint64, present int) []byte {
+	b := binary.AppendUvarint([]byte(lead), frameLen)
 	width := (bits.Len64(claim) + 7) / 8
 	b = append(b, byte(-width)) // gob uint: negated width, then big-endian bytes
 	for i := width - 1; i >= 0; i-- {
@@ -237,48 +209,40 @@ func allocsOf(fn func()) uint64 {
 
 // The gob message length inside a header is as hostile as the header's own
 // prefix: a few bytes of input must never buy megabytes of allocation,
-// whether the claim overruns the chunk or frame or its prefix backs the
-// claim and the stream is simply cut short.
+// whether the claim overruns the frame or its prefix backs the claim and the
+// stream is simply cut short.
 func TestReadTraceHostileInnerLength(t *testing.T) {
-	if n := len(hostileInnerLength(traceMagicV1, 12, 9<<20, 8)); n != 21 {
-		t.Fatalf("hostile body is %d bytes, want 21", n)
-	}
-	for _, v := range wireVersions {
-		unit, gobAt := "chunk", len(v.lead)+1
-		if v.name == "v2" {
-			unit = "frame"
+	gobAt := len(hostileLead) + 1
+	for _, tc := range []struct {
+		name     string
+		body     []byte
+		maxChunk int64
+		want     string
+	}{
+		{"claim overruns frame", hostileInnerLength(hostileLead, 12, 9<<20, 8), 1 << 20,
+			fmt.Sprintf("frame at byte offset 8: gob message at byte offset %d claims 9437184 bytes, only 8 remain in the frame", gobAt)},
+		{"truncated, default guard", hostileInnerLength(hostileLead, 9<<20+4, 9<<20, 8), 0,
+			"frame at byte offset 8 truncated: read 12 of 9437188 payload bytes"},
+		{"truncated, 1 MiB guard", hostileInnerLength(hostileLead, 1<<20, 1<<20-4, 8), 1 << 20,
+			"frame at byte offset 8 truncated: read 12 of 1048576 payload bytes"},
+	} {
+		var err error
+		alloc := allocsOf(func() {
+			d := NewReader(bytes.NewReader(tc.body))
+			d.SetMaxChunkBytes(tc.maxChunk)
+			_, err = d.Read()
+		})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: err = %v, want %q", tc.name, err, tc.want)
 		}
-		for _, tc := range []struct {
-			name     string
-			body     []byte
-			maxChunk int64
-			want     string
-		}{
-			{"claim overruns " + unit, hostileInnerLength(v.lead, 12, 9<<20, 8), 1 << 20,
-				fmt.Sprintf("%s at byte offset 8: gob message at byte offset %d claims 9437184 bytes, only 8 remain in the %s", unit, gobAt, unit)},
-			{"truncated, default guard", hostileInnerLength(v.lead, 9<<20+4, 9<<20, 8), 0,
-				unit + " at byte offset 8 truncated: read 12 of 9437188 payload bytes"},
-			{"truncated, 1 MiB guard", hostileInnerLength(v.lead, 1<<20, 1<<20-4, 8), 1 << 20,
-				unit + " at byte offset 8 truncated: read 12 of 1048576 payload bytes"},
-		} {
-			var err error
-			alloc := allocsOf(func() {
-				d := NewReader(bytes.NewReader(tc.body))
-				d.SetMaxChunkBytes(tc.maxChunk)
-				_, err = d.Read()
-			})
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("%s %s: err = %v, want %q", v.name, tc.name, err, tc.want)
-			}
-			if alloc >= 64<<10 {
-				t.Fatalf("%s %s: rejecting a %d-byte upload allocated %d bytes, want < 64 KiB", v.name, tc.name, len(tc.body), alloc)
-			}
+		if alloc >= 64<<10 {
+			t.Fatalf("%s: rejecting a %d-byte upload allocated %d bytes, want < 64 KiB", tc.name, len(tc.body), alloc)
 		}
 	}
 }
 
-// hostileFrames are version-2 uploads that break one rule of the binary
-// frames each, with the error each must produce.
+// hostileFrames are uploads that break one rule of the binary frames each,
+// with the error each must produce.
 func hostileFrames(tb testing.TB) []struct {
 	name, want string
 	body       []byte
@@ -324,7 +288,7 @@ func hostileFrames(tb testing.TB) []struct {
 	}
 }
 
-// Each rule of the version-2 frames is enforced with an error that names its
+// Each rule of the binary frames is enforced with an error that names its
 // byte offset, and rejecting a hostile upload stays cheap.
 func TestReadTraceHostileFrames(t *testing.T) {
 	for _, tc := range hostileFrames(t) {

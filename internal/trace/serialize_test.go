@@ -3,10 +3,10 @@ package trace
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
-	"encoding/gob"
 	"encoding/hex"
-	"io"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -204,251 +204,82 @@ func wireGoldenTrace() *Trace {
 	return tr
 }
 
-// wireGoldenV2SHA256 pins the bytes WriteTo emits for wireGoldenTrace, and
-// wireGoldenV1SHA256 the bytes the version-1 writer emitted for it, frozen
-// in wireGoldenV1Hex. Trace files written by mosconsim and the serve
-// journal's upload-hash keys both depend on these bytes staying put, so a
-// change here is a wire-format change: bump the version byte and keep old
-// files decodable rather than re-baselining.
+// wireGoldenSHA256 pins the bytes WriteTo emits for wireGoldenTrace. Trace
+// files written by mosconsim and the serve journal's upload-hash keys both
+// depend on these bytes, so a change here is a wire-format change and must
+// not be silent: freeze the bytes it replaces in testdata as a decode
+// golden, so streams written before it are shown to still decode.
+//
+// wireSixCountersSHA256 pins such a golden, wire-golden-v2-six-counters.trace:
+// WriteTo's bytes while the header's gob type descriptor named six more
+// chaos counters (SchedStats.OpStallsInjected, OpStallTime, VictimResets and
+// VictimOpsReplayed, DeviceStats.TenantIterationCap and TenantsExpired). gob
+// skips fields the decoder's types no longer have.
+//
+// wireGoldenV1SHA256 pins wire-golden-v1.trace: wireGoldenTrace as the
+// retired version 1 writer serialized it, kept so the tests reject real
+// version 1 bytes.
 const (
-	wireGoldenV1SHA256 = "c8420d8760c6e741595560c9287c507e6401613bda7e57e24a680494191f9448"
-	wireGoldenV2SHA256 = "30edf4fa06f1563427fd043c73f21d9795a569d39f1eae69f586505e309d6830"
+	wireGoldenSHA256      = "92734780d5ef463d8e7a49cb9f0820fe31849663ee11a322a11e51b7058b7214"
+	wireSixCountersSHA256 = "30edf4fa06f1563427fd043c73f21d9795a569d39f1eae69f586505e309d6830"
+	wireGoldenV1SHA256    = "c8420d8760c6e741595560c9287c507e6401613bda7e57e24a680494191f9448"
 )
 
-// wireGoldenV1Hex is wireGoldenTrace as the version-1 writer serialized it.
-const wireGoldenV1Hex = `
-4d4f53434f4e5301f60f407f030101056368756e6b01ff8000010401044b696e64010400010648656164657201ff8200010753616d706c657301ffa000010645
-76656e747301ffa4000000ffb3ff810301010b747261636548656164657201ff8200010a01054d6f64656c01ff840001034f707301ff8e00010a56696374696d
-57616c6c010400011053707950726f62654c61756e6368657301040001135370794368616e6e656c7352656a6563746564010400010b5363686564536c696365
-7301040001095265616e63686f727301ff900001064865616c746801ff9200010b53616d706c65436f756e74010400010a4576656e74436f756e740104000000
-4bff83030101054d6f64656c01ff8400010501044e616d65010c000105496e70757401ff86000105426174636801040001064c617965727301ff8a0001094f70
-74696d697a6572010400000025ff8503010105536861706501ff8600010301014801040001015701040001014301040000001aff890201010b5b5d646e6e2e4c
-6179657201ff8a0001ff880000ff81ff87030101054c6179657201ff8800010901044b696e64010400010a46696c74657253697a65010400010a4e756d46696c
-74657273010400010653747269646501040001074e6575726f6e730104000108506f6f6c53697a65010400010553746570730104000103416374010400010c53
-686f727463757446726f6d010400000017ff8d020101085b5d646e6e2e4f7001ff8e0001ff8c0000ffceff8b030101024f7001ff8c00011001044b696e640104
-00010353657101040001054c617965720104000102496e01ff860001034f757401ff8600010542617463680104000106506172616d73010400010a46696c7465
-7253697a65010400010a4e756d46696c74657273010400010653747269646501040001074e6575726f6e730104000105464c4f50730108000109526561644279
-746573010800010a5772697465427974657301080001085465784279746573010800010f576f726b696e675365744279746573010800000019ff8f0201010b5b
-5d6770752e4e616e6f7301ff900001040000fe0106ff91030101064865616c746801ff9200010d010e53616d706c6573456d6974746564010400011053616d70
-6c657344656c69766572656401040001064661756c747301ff94000105536368656401ff960001095265616e63686f7273010400010644657669636501ff9800
-01135370794368616e6e656c7352656a6563746564010400010d53707941726d52657472696573010400010e53707941726d4661696c75726573010400010f49
-7465726174696f6e73546f74616c0104000113497465726174696f6e7350726f6365737365640104000115497465726174696f6e7351756172616e74696e6564
-010400011051756172616e74696e6543617573657301ff9a000000ffbaff9303010105537461747301ff9400010b01095472756e6361746564010400010e5072
-65656d7074696f6e47617073010400010e47617053616d706c65734c6f7374010400010744726f70706564010400010a4475706c69636174656401040001084a
-6974746572656401040001095361747572617465640104000109436c6f636b536b6577010800010b41726d417474656d707473010400010a41726d5265747269
-6573010400010b41726d4661696c757265730104000000ffe7ff950301010a5363686564537461747301ff9600010b010e526573657473496e6a656374656401
-0400010e5265736574735375727669766564010400010e5374616c6c73496e6a656374656401040001095374616c6c54696d65010400010d54656e616e74734a
-6f696e6564010400010b54656e616e74734c656674010400011553616d706c65734c6f7374546f5265636f7665727901040001104f705374616c6c73496e6a65
-63746564010400010b4f705374616c6c54696d65010400010c56696374696d526573657473010400011156696374696d4f70735265706c617965640104000000
-ff9aff970301010b446576696365537461747301ff98000106010b5370794b696c6c65644174010400011453616d706c65734c6f7374546f5370794b696c6c01
-0400011041726d53657373696f6e4c6f73744174010400011453616d706c65734c6f7374546f41726d4c6f7373010400011254656e616e74497465726174696f
-6e436170010400010e54656e616e74734578706972656401040000001eff990401010e6d61705b737472696e675d696e7401ff9a00010c010400001dff9f0201
-010e5b5d63757074692e53616d706c6501ffa00001ff9c000032ff9b0301010653616d706c6501ff9c000103010553746172740104000103456e640104000106
-56616c75657301ff9e0000001bff9d0101010b5b31305d666c6f6174363401ff9e0001080114000022ffa3020101135b5d74726163652e6576656e745265636f
-726401ffa40001ffa2000049ffa10301010b6576656e745265636f726401ffa200010501044e616d65010c00010553746172740104000103456e640104000109
-497465726174696f6e01040001024f700104000000ffa9ff8001020101010b776972652d676f6c64656e01011001100102000108010101040420000102000102
-010403010201ff800102000101020120010200010801fe0800042001fec04001feb14001fe70400001220102010101000100010801fe080005fea04001fec040
-01feb0400001fe6072010e010201540101fe2ee001010801060100010001020100010203040102010201010c756e64657273616d706c65640200010601060000
-c50f407f030101056368756e6b01ff8000010401044b696e64010400010648656164657201ff8200010753616d706c657301ffa00001064576656e747301ffa4
-000000ffb3ff810301010b747261636548656164657201ff8200010a01054d6f64656c01ff840001034f707301ff8e00010a56696374696d57616c6c01040001
-1053707950726f62654c61756e6368657301040001135370794368616e6e656c7352656a6563746564010400010b5363686564536c6963657301040001095265
-616e63686f727301ff900001064865616c746801ff9200010b53616d706c65436f756e74010400010a4576656e74436f756e7401040000004bff83030101054d
-6f64656c01ff8400010501044e616d65010c000105496e70757401ff86000105426174636801040001064c617965727301ff8a0001094f7074696d697a657201
-0400000025ff8503010105536861706501ff8600010301014801040001015701040001014301040000001aff890201010b5b5d646e6e2e4c6179657201ff8a00
-01ff880000ff81ff87030101054c6179657201ff8800010901044b696e64010400010a46696c74657253697a65010400010a4e756d46696c7465727301040001
-0653747269646501040001074e6575726f6e730104000108506f6f6c53697a65010400010553746570730104000103416374010400010c53686f727463757446
-726f6d010400000017ff8d020101085b5d646e6e2e4f7001ff8e0001ff8c0000ffceff8b030101024f7001ff8c00011001044b696e6401040001035365710104
-0001054c617965720104000102496e01ff860001034f757401ff8600010542617463680104000106506172616d73010400010a46696c74657253697a65010400
-010a4e756d46696c74657273010400010653747269646501040001074e6575726f6e730104000105464c4f50730108000109526561644279746573010800010a
-5772697465427974657301080001085465784279746573010800010f576f726b696e675365744279746573010800000019ff8f0201010b5b5d6770752e4e616e
-6f7301ff900001040000fe0106ff91030101064865616c746801ff9200010d010e53616d706c6573456d6974746564010400011053616d706c657344656c6976
-6572656401040001064661756c747301ff94000105536368656401ff960001095265616e63686f7273010400010644657669636501ff98000113537079436861
-6e6e656c7352656a6563746564010400010d53707941726d52657472696573010400010e53707941726d4661696c75726573010400010f497465726174696f6e
-73546f74616c0104000113497465726174696f6e7350726f6365737365640104000115497465726174696f6e7351756172616e74696e65640104000110517561
-72616e74696e6543617573657301ff9a000000ffbaff9303010105537461747301ff9400010b01095472756e6361746564010400010e507265656d7074696f6e
-47617073010400010e47617053616d706c65734c6f7374010400010744726f70706564010400010a4475706c69636174656401040001084a6974746572656401
-040001095361747572617465640104000109436c6f636b536b6577010800010b41726d417474656d707473010400010a41726d52657472696573010400010b41
-726d4661696c757265730104000000ffe7ff950301010a5363686564537461747301ff9600010b010e526573657473496e6a6563746564010400010e52657365
-74735375727669766564010400010e5374616c6c73496e6a656374656401040001095374616c6c54696d65010400010d54656e616e74734a6f696e6564010400
-010b54656e616e74734c656674010400011553616d706c65734c6f7374546f5265636f7665727901040001104f705374616c6c73496e6a656374656401040001
-0b4f705374616c6c54696d65010400010c56696374696d526573657473010400011156696374696d4f70735265706c617965640104000000ff9aff970301010b
-446576696365537461747301ff98000106010b5370794b696c6c65644174010400011453616d706c65734c6f7374546f5370794b696c6c010400011041726d53
-657373696f6e4c6f73744174010400011453616d706c65734c6f7374546f41726d4c6f7373010400011254656e616e74497465726174696f6e43617001040001
-0e54656e616e74734578706972656401040000001eff990401010e6d61705b737472696e675d696e7401ff9a00010c010400001dff9f0201010e5b5d63757074
-692e53616d706c6501ffa00001ff9c000032ff9b0301010653616d706c6501ff9c000103010553746172740104000103456e64010400010656616c75657301ff
-9e0000001bff9d0101010b5b31305d666c6f6174363401ff9e0001080114000022ffa3020101135b5d74726163652e6576656e745265636f726401ffa40001ff
-a2000049ffa10301010b6576656e745265636f726401ffa200010501044e616d65010c00010553746172740104000103456e640104000109497465726174696f
-6e01040001024f70010400000079ff800104020302fe0708010a00fef43ffe024000fe1140fe154000fe1d40fd802040000001fe07d001fe0ed8010afd802440
-fd80264000fd802a40fd802c4000fd403040fd40314000fd4033400001fe0fa001fe16a8010afd40344000fd403640fd40374000fd403940fd403a4000fd403c
-40fd403d4000008c0f407f030101056368756e6b01ff8000010401044b696e64010400010648656164657201ff8200010753616d706c657301ffa00001064576
-656e747301ffa4000000ffb3ff810301010b747261636548656164657201ff8200010a01054d6f64656c01ff840001034f707301ff8e00010a56696374696d57
-616c6c010400011053707950726f62654c61756e6368657301040001135370794368616e6e656c7352656a6563746564010400010b5363686564536c69636573
-01040001095265616e63686f727301ff900001064865616c746801ff9200010b53616d706c65436f756e74010400010a4576656e74436f756e7401040000004b
-ff83030101054d6f64656c01ff8400010501044e616d65010c000105496e70757401ff86000105426174636801040001064c617965727301ff8a0001094f7074
-696d697a6572010400000025ff8503010105536861706501ff8600010301014801040001015701040001014301040000001aff890201010b5b5d646e6e2e4c61
-79657201ff8a0001ff880000ff81ff87030101054c6179657201ff8800010901044b696e64010400010a46696c74657253697a65010400010a4e756d46696c74
-657273010400010653747269646501040001074e6575726f6e730104000108506f6f6c53697a65010400010553746570730104000103416374010400010c5368
-6f727463757446726f6d010400000017ff8d020101085b5d646e6e2e4f7001ff8e0001ff8c0000ffceff8b030101024f7001ff8c00011001044b696e64010400
-010353657101040001054c617965720104000102496e01ff860001034f757401ff8600010542617463680104000106506172616d73010400010a46696c746572
-53697a65010400010a4e756d46696c74657273010400010653747269646501040001074e6575726f6e730104000105464c4f5073010800010952656164427974
-6573010800010a5772697465427974657301080001085465784279746573010800010f576f726b696e675365744279746573010800000019ff8f0201010b5b5d
-6770752e4e616e6f7301ff900001040000fe0106ff91030101064865616c746801ff9200010d010e53616d706c6573456d6974746564010400011053616d706c
-657344656c69766572656401040001064661756c747301ff94000105536368656401ff960001095265616e63686f7273010400010644657669636501ff980001
-135370794368616e6e656c7352656a6563746564010400010d53707941726d52657472696573010400010e53707941726d4661696c75726573010400010f4974
-65726174696f6e73546f74616c0104000113497465726174696f6e7350726f6365737365640104000115497465726174696f6e7351756172616e74696e656401
-0400011051756172616e74696e6543617573657301ff9a000000ffbaff9303010105537461747301ff9400010b01095472756e6361746564010400010e507265
-656d7074696f6e47617073010400010e47617053616d706c65734c6f7374010400010744726f70706564010400010a4475706c69636174656401040001084a69
-74746572656401040001095361747572617465640104000109436c6f636b536b6577010800010b41726d417474656d707473010400010a41726d526574726965
-73010400010b41726d4661696c757265730104000000ffe7ff950301010a5363686564537461747301ff9600010b010e526573657473496e6a65637465640104
-00010e5265736574735375727669766564010400010e5374616c6c73496e6a656374656401040001095374616c6c54696d65010400010d54656e616e74734a6f
-696e6564010400010b54656e616e74734c656674010400011553616d706c65734c6f7374546f5265636f7665727901040001104f705374616c6c73496e6a6563
-746564010400010b4f705374616c6c54696d65010400010c56696374696d526573657473010400011156696374696d4f70735265706c617965640104000000ff
-9aff970301010b446576696365537461747301ff98000106010b5370794b696c6c65644174010400011453616d706c65734c6f7374546f5370794b696c6c0104
-00011041726d53657373696f6e4c6f73744174010400011453616d706c65734c6f7374546f41726d4c6f7373010400011254656e616e74497465726174696f6e
-436170010400010e54656e616e74734578706972656401040000001eff990401010e6d61705b737472696e675d696e7401ff9a00010c010400001dff9f020101
-0e5b5d63757074692e53616d706c6501ffa00001ff9c000032ff9b0301010653616d706c6501ff9c000103010553746172740104000103456e64010400010656
-616c75657301ff9e0000001bff9d0101010b5b31305d666c6f6174363401ff9e0001080114000022ffa3020101135b5d74726163652e6576656e745265636f72
-6401ffa40001ffa2000049ffa10301010b6576656e745265636f726401ffa200010501044e616d65010c00010553746172740104000103456e64010400010949
-7465726174696f6e01040001024f70010400000040ff800106030301064d61744d756c01ffc801fe10680001074170706c79474401fe113001fe16a802020001
-066d61726b657201fe2ee001fe2ee0010201010000d10e407f030101056368756e6b01ff8000010401044b696e64010400010648656164657201ff8200010753
-616d706c657301ffa00001064576656e747301ffa4000000ffb3ff810301010b747261636548656164657201ff8200010a01054d6f64656c01ff840001034f70
-7301ff8e00010a56696374696d57616c6c010400011053707950726f62654c61756e6368657301040001135370794368616e6e656c7352656a65637465640104
-00010b5363686564536c6963657301040001095265616e63686f727301ff900001064865616c746801ff9200010b53616d706c65436f756e74010400010a4576
-656e74436f756e7401040000004bff83030101054d6f64656c01ff8400010501044e616d65010c000105496e70757401ff86000105426174636801040001064c
-617965727301ff8a0001094f7074696d697a6572010400000025ff8503010105536861706501ff8600010301014801040001015701040001014301040000001a
-ff890201010b5b5d646e6e2e4c6179657201ff8a0001ff880000ff81ff87030101054c6179657201ff8800010901044b696e64010400010a46696c7465725369
-7a65010400010a4e756d46696c74657273010400010653747269646501040001074e6575726f6e730104000108506f6f6c53697a650104000105537465707301
-04000103416374010400010c53686f727463757446726f6d010400000017ff8d020101085b5d646e6e2e4f7001ff8e0001ff8c0000ffceff8b030101024f7001
-ff8c00011001044b696e64010400010353657101040001054c617965720104000102496e01ff860001034f757401ff8600010542617463680104000106506172
-616d73010400010a46696c74657253697a65010400010a4e756d46696c74657273010400010653747269646501040001074e6575726f6e730104000105464c4f
-50730108000109526561644279746573010800010a5772697465427974657301080001085465784279746573010800010f576f726b696e675365744279746573
-010800000019ff8f0201010b5b5d6770752e4e616e6f7301ff900001040000fe0106ff91030101064865616c746801ff9200010d010e53616d706c6573456d69
-74746564010400011053616d706c657344656c69766572656401040001064661756c747301ff94000105536368656401ff960001095265616e63686f72730104
-00010644657669636501ff980001135370794368616e6e656c7352656a6563746564010400010d53707941726d52657472696573010400010e53707941726d46
-61696c75726573010400010f497465726174696f6e73546f74616c0104000113497465726174696f6e7350726f6365737365640104000115497465726174696f
-6e7351756172616e74696e6564010400011051756172616e74696e6543617573657301ff9a000000ffbaff9303010105537461747301ff9400010b0109547275
-6e6361746564010400010e507265656d7074696f6e47617073010400010e47617053616d706c65734c6f7374010400010744726f70706564010400010a447570
-6c69636174656401040001084a6974746572656401040001095361747572617465640104000109436c6f636b536b6577010800010b41726d417474656d707473
-010400010a41726d52657472696573010400010b41726d4661696c757265730104000000ffe7ff950301010a5363686564537461747301ff9600010b010e5265
-73657473496e6a6563746564010400010e5265736574735375727669766564010400010e5374616c6c73496e6a656374656401040001095374616c6c54696d65
-010400010d54656e616e74734a6f696e6564010400010b54656e616e74734c656674010400011553616d706c65734c6f7374546f5265636f7665727901040001
-104f705374616c6c73496e6a6563746564010400010b4f705374616c6c54696d65010400010c56696374696d526573657473010400011156696374696d4f7073
-5265706c617965640104000000ff9aff970301010b446576696365537461747301ff98000106010b5370794b696c6c65644174010400011453616d706c65734c
-6f7374546f5370794b696c6c010400011041726d53657373696f6e4c6f73744174010400011453616d706c65734c6f7374546f41726d4c6f7373010400011254
-656e616e74497465726174696f6e436170010400010e54656e616e74734578706972656401040000001eff990401010e6d61705b737472696e675d696e7401ff
-9a00010c010400001dff9f0201010e5b5d63757074692e53616d706c6501ffa00001ff9c000032ff9b0301010653616d706c6501ff9c00010301055374617274
-0104000103456e64010400010656616c75657301ff9e0000001bff9d0101010b5b31305d666c6f6174363401ff9e0001080114000022ffa3020101135b5d7472
-6163652e6576656e745265636f726401ffa40001ffa2000049ffa10301010b6576656e745265636f726401ffa200010501044e616d65010c0001055374617274
-0104000103456e640104000109497465726174696f6e01040001024f70010400000005ff80010800
-`
-
-func wireGoldenV1(t *testing.T) []byte {
-	t.Helper()
-	raw, err := hex.DecodeString(strings.Join(strings.Fields(wireGoldenV1Hex), ""))
+// readFixture reads a testdata file and checks it against its SHA-256.
+func readFixture(tb testing.TB, file, sum string) []byte {
+	tb.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", file))
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
+	}
+	if got := sha256.Sum256(raw); hex.EncodeToString(got[:]) != sum {
+		tb.Fatalf("%s changed: sha256 %x, pinned %s", file, got, sum)
 	}
 	return raw
 }
 
+func wireGoldenV1(tb testing.TB) []byte {
+	return readFixture(tb, "wire-golden-v1.trace", wireGoldenV1SHA256)
+}
+
 func TestWireFormatGolden(t *testing.T) {
 	want := wireGoldenTrace()
-	for _, tc := range []struct {
-		name string
-		raw  []byte
-		sum  string
-	}{
-		{"v1 frozen", wireGoldenV1(t), wireGoldenV1SHA256},
-		{"v2 WriteTo", traceBytes(t, want), wireGoldenV2SHA256},
+	raw := traceBytes(t, want)
+	if sum := sha256.Sum256(raw); hex.EncodeToString(sum[:]) != wireGoldenSHA256 {
+		t.Fatalf("WriteTo bytes changed: sha256 %x, golden %s", sum, wireGoldenSHA256)
+	}
+	for name, raw := range map[string][]byte{
+		"WriteTo":      raw,
+		"six counters": readFixture(t, "wire-golden-v2-six-counters.trace", wireSixCountersSHA256),
 	} {
-		sum := sha256.Sum256(tc.raw)
-		if got := hex.EncodeToString(sum[:]); got != tc.sum {
-			t.Fatalf("%s: bytes changed: sha256 %s, golden %s", tc.name, got, tc.sum)
-		}
-		got, err := ReadTrace(bytes.NewReader(tc.raw))
+		got, err := ReadTrace(bytes.NewReader(raw))
 		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		if err := tracesEqual(got, want); err != nil {
-			t.Fatalf("%s: golden bytes decode to a different trace: %v", tc.name, err)
+			t.Fatalf("%s: golden bytes decode to a different trace: %v", name, err)
 		}
 	}
 }
 
-// writeChunk appends one version-1 chunk: a uvarint length, then a
-// self-contained gob stream from a fresh encoder.
-func writeChunk(w io.Writer, c chunk) error {
-	var bb bytes.Buffer
-	if err := gob.NewEncoder(&bb).Encode(c); err != nil {
-		return err
-	}
-	if _, err := w.Write(binary.AppendUvarint(nil, uint64(bb.Len()))); err != nil {
-		return err
-	}
-	_, err := w.Write(bb.Bytes())
-	return err
-}
-
-// v1Stream is the version-1 magic followed by chunks.
-func v1Stream(tb testing.TB, chunks ...chunk) []byte {
-	tb.Helper()
-	buf := bytes.NewBufferString(traceMagicV1)
-	for _, c := range chunks {
-		if err := writeChunk(buf, c); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	return buf.Bytes()
-}
-
-// writeV1 serializes tr the way the version-1 writer did, to build inputs
-// for the read-only version-1 path.
-func writeV1(tb testing.TB, tr *Trace) []byte {
-	tb.Helper()
-	var events []eventRecord
-	if tr.Timeline != nil {
-		for _, e := range tr.Timeline.Events() {
-			op, ok := tr.opIndex(e.Op)
-			if !ok {
-				tb.Fatalf("event %q points outside the op table", e.Name)
-			}
-			events = append(events, eventRecord{Name: e.Name, Start: e.Start, End: e.End, Iteration: e.Iteration, Op: op})
-		}
-	}
-	chunks := []chunk{{Kind: chunkHeader, Header: &traceHeader{
-		Model: tr.Model, Ops: tr.Ops, VictimWall: tr.VictimWall, SpyProbeLaunches: tr.SpyProbeLaunches,
-		SpyChannelsRejected: tr.SpyChannelsRejected, SchedSlices: tr.SchedSlices, Reanchors: tr.Reanchors,
-		Health: tr.Health, SampleCount: len(tr.Samples), EventCount: len(events),
-	}}}
-	for off := 0; off < len(tr.Samples); off += samplesPerChunk {
-		chunks = append(chunks, chunk{Kind: chunkSamples, Samples: tr.Samples[off:min(off+samplesPerChunk, len(tr.Samples))]})
-	}
-	for off := 0; off < len(events); off += eventsPerChunk {
-		chunks = append(chunks, chunk{Kind: chunkEvents, Events: events[off:min(off+eventsPerChunk, len(events))]})
-	}
-	return v1Stream(tb, append(chunks, chunk{Kind: chunkEnd})...)
-}
-
-// A stream may mix format versions trace by trace: old saved traces and
-// fresh ones concatenated into one file read back as one collection.
-func TestReadTracesMixedVersions(t *testing.T) {
-	tr, err := Collect(zoo.TinyTestedModels()[0], fastRun(73, 3, true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden := wireGoldenTrace()
-	stream := bytes.Join([][]byte{writeV1(t, tr), traceBytes(t, golden), wireGoldenV1(t), traceBytes(t, tr)}, nil)
-	got, err := ReadTraces(bytes.NewReader(stream))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []*Trace{tr, golden, golden, tr}
-	if len(got) != len(want) {
-		t.Fatalf("read %d traces, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if err := tracesEqual(got[i], want[i]); err != nil {
-			t.Fatalf("trace %d: %v", i, err)
+// Wire format version 1 is retired: a version 1 trace fails at its own
+// magic, with that offset and a hint to re-collect, whether it opens the
+// stream or follows a good trace.
+func TestReadTracesRejectsRetiredV1(t *testing.T) {
+	v1 := wireGoldenV1(t)
+	good := traceBytes(t, wireGoldenTrace())
+	for _, tc := range []struct {
+		name   string
+		stream []byte
+		at     int
+	}{
+		{"alone", v1, 0},
+		{"after a good trace", append(append([]byte(nil), good...), v1...), len(good)},
+	} {
+		_, err := ReadTraces(bytes.NewReader(tc.stream))
+		want := fmt.Sprintf("bad magic %q at byte offset %d", v1[:len(traceMagicV2)], tc.at)
+		if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "re-collect version 1") {
+			t.Fatalf("%s: err = %v, want %q naming version 1 as retired", tc.name, err, want)
 		}
 	}
 }
@@ -474,10 +305,9 @@ func TestWriteToForeignOpWritesNothing(t *testing.T) {
 }
 
 // The reader decodes sample batches straight into the trace's spare
-// capacity, and version 1's gob leaves the destination of a zero-valued
-// field untouched. A later batch's zeros must therefore still read back as
-// zeros in both versions: after an earlier batch of non-zero samples, and in
-// version 1 after a hostile non-sample chunk that smuggled samples in.
+// capacity, so a later batch's zeros must still read back as zeros after an
+// earlier batch of non-zero samples, whether WriteTo or a hostile stream
+// wrote them.
 func TestReadTraceZeroFieldsAcrossChunks(t *testing.T) {
 	tr := &Trace{Samples: make([]cupti.Sample, samplesPerChunk+3)}
 	for i := 0; i < samplesPerChunk; i++ {
@@ -492,36 +322,25 @@ func TestReadTraceZeroFieldsAcrossChunks(t *testing.T) {
 		events[i] = tfsim.TimelineEvent{Name: "op", Start: gpu.Nanos(i + 1), End: gpu.Nanos(i + 2), Iteration: i + 1}
 	}
 	tr.Timeline = tfsim.TimelineFromEvents(events)
-	for name, raw := range map[string][]byte{"v1": writeV1(t, tr), "v2": traceBytes(t, tr)} {
-		got, err := ReadTrace(bytes.NewReader(raw))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if err := tracesEqual(got, tr); err != nil {
-			t.Fatalf("%s: zeroed second chunks: %v", name, err)
-		}
+	got, err := ReadTrace(bytes.NewReader(traceBytes(t, tr)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tracesEqual(got, tr); err != nil {
+		t.Fatalf("zeroed second frames: %v", err)
 	}
 
 	smuggled := cupti.Sample{Start: 5, End: 6}
 	smuggled.Values[0] = 7
-	for name, raw := range map[string][]byte{
-		"v1": v1Stream(t,
-			chunk{Kind: chunkHeader, Header: &traceHeader{SampleCount: 1, EventCount: 1}},
-			chunk{Kind: chunkEvents, Events: []eventRecord{{Name: "op", Op: -1}}, Samples: []cupti.Sample{smuggled}},
-			chunk{Kind: chunkSamples, Samples: []cupti.Sample{{}}},
-			chunk{Kind: chunkEnd}),
-		"v2": bytes.Join([][]byte{
-			v2Header(t, &traceHeader{SampleCount: 2}),
-			frame(chunkSamples, sampleRecords(smuggled)),
-			frame(chunkSamples, sampleRecords(cupti.Sample{})),
-			frame(chunkEnd, nil)}, nil),
-	} {
-		got, err := ReadTrace(bytes.NewReader(raw))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if last := got.Samples[len(got.Samples)-1]; last != (cupti.Sample{}) {
-			t.Fatalf("%s: an earlier sample leaked into a zero one: %+v", name, last)
-		}
+	got, err = ReadTrace(bytes.NewReader(bytes.Join([][]byte{
+		v2Header(t, &traceHeader{SampleCount: 2}),
+		frame(chunkSamples, sampleRecords(smuggled)),
+		frame(chunkSamples, sampleRecords(cupti.Sample{})),
+		frame(chunkEnd, nil)}, nil)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := got.Samples[len(got.Samples)-1]; last != (cupti.Sample{}) {
+		t.Fatalf("an earlier sample leaked into a zero one: %+v", last)
 	}
 }

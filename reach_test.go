@@ -94,20 +94,9 @@ func TestReachGuardFixture(t *testing.T) {
 // reachAllowlist names the findings reached in ways the types do not show,
 // by the names unreachable reports.
 var reachAllowlist = map[string]string{
-	"internal/trace.chunk.Kind":            "v1 wire format: encoding/gob writes it by reflection",
-	"internal/trace.chunk.Header":          "v1 wire format: encoding/gob writes it by reflection",
-	"internal/trace.chunk.Samples":         "v1 wire format: encoding/gob writes it by reflection",
-	"internal/trace.chunk.Events":          "v1 wire format: encoding/gob writes it by reflection",
-	"internal/trace.eventRecord.Name":      "v1 wire format: encoding/gob writes it by reflection",
-	"internal/trace.eventRecord.Start":     "v1 wire format: encoding/gob writes it by reflection",
-	"internal/trace.eventRecord.End":       "v1 wire format: encoding/gob writes it by reflection",
-	"internal/trace.eventRecord.Iteration": "v1 wire format: encoding/gob writes it by reflection",
-	"internal/trace.eventRecord.Op":        "v1 wire format: encoding/gob writes it by reflection",
-
-	"internal/fleet.decodeGobRecord.Health": "v1 record probe: encoding/gob writes it by reflection",
-	"cmd/loadgen.uploadOnce.Traces":         "response body: encoding/json writes it by reflection",
-	"perfbench.outcome.Error":               "error body: encoding/json writes it by reflection",
-	"perfbench.outcome.Detail":              "error body: encoding/json writes it by reflection",
+	"cmd/loadgen.uploadOnce.Traces": "response body: encoding/json writes it by reflection",
+	"perfbench.outcome.Error":       "error body: encoding/json writes it by reflection",
+	"perfbench.outcome.Detail":      "error body: encoding/json writes it by reflection",
 
 	"internal/gpu.DeviceConfig.ExactResidencyTotal": "the eager residency reference the incremental totals are tested against",
 	"internal/trace.RunConfig.Horizon":              "the only way to reach the horizon-exhaustion error TestCollectHorizonGuard checks",
