@@ -13,6 +13,7 @@ import (
 	"leakydnn/internal/spy"
 	"leakydnn/internal/tfsim"
 	"leakydnn/internal/trace"
+	"leakydnn/internal/wire"
 )
 
 // attackScale is the simulated-time scale shared by every attack test.
@@ -212,11 +213,9 @@ func TestTrainModelsDeterministicAcrossWorkers(t *testing.T) {
 		if net == nil {
 			return nil
 		}
-		var buf bytes.Buffer
-		if err := net.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+		c := wire.NewEncoder(nil)
+		net.Walk(c)
+		return c.Bytes()
 	}
 
 	ref := train(1)

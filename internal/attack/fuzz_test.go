@@ -2,28 +2,49 @@ package attack
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"runtime"
 	"testing"
 
 	"leakydnn/internal/gbdt"
 	"leakydnn/internal/lstm"
+	"leakydnn/internal/wire"
 )
 
 // FuzzLoadModels feeds arbitrary payloads to LoadModels inside a valid
 // MOSMDLS envelope (right length, right SHA-256), so every input gets past
-// the checksum and reaches the decoders behind it: the snapshot's gob, and
-// the LSTM and GBDT blobs nested in it. Any input must come back as a model
-// set or an error, never a panic, and must not allocate more than its own
-// size allows — a hostile length or dimension costs what the bytes carry,
-// not what they claim. A set that loads must save and load again.
+// the checksum and reaches the model-set walk and the LSTM and GBDT walks
+// behind it. Any input must come back as a model set or an error, never a
+// panic, and must not allocate more than its own size allows — a hostile
+// count or dimension costs what the bytes carry, not what they claim. A set
+// that loads must save and load again.
 func FuzzLoadModels(f *testing.F) {
 	payload := func(m *Models) []byte {
 		var buf bytes.Buffer
 		if err := m.Save(&buf); err != nil {
 			f.Fatal(err)
 		}
-		return buf.Bytes()[len(modelsMagic)+8+32:]
+		return buf.Bytes()[envelopeBytes:]
+	}
+	walked := func(walk func(*wire.Codec)) []byte {
+		c := wire.NewEncoder(nil)
+		walk(c)
+		return c.Bytes()
+	}
+	ints := func(vs ...int) []byte {
+		return walked(func(c *wire.Codec) {
+			for _, v := range vs {
+				c.Int(&v)
+			}
+		})
+	}
+	// swap replaces the first old in p, a part's own walk, with hostile.
+	swap := func(p, old, hostile []byte) []byte {
+		i := bytes.Index(p, old)
+		if i < 0 {
+			f.Fatal("part not found in the payload")
+		}
+		return bytes.Join([][]byte{p[:i], hostile, p[i+len(old):]}, nil)
 	}
 	net, err := lstm.New(lstm.Config{InputDim: 2, Hidden: 2, Classes: 2, Seed: 1})
 	if err != nil {
@@ -37,32 +58,21 @@ func FuzzLoadModels(f *testing.F) {
 		Scaler: &gbdt.MinMaxScaler{Min: []float64{0}, Max: []float64{1}},
 		Report: map[string]float64{"Mlong": 0.5, "Mop": 0.25}}
 	full.HP[HPNeurons] = net
-	f.Add(payload(full))
+	full.HPVocab[HPNeurons] = []int{16, 32}
+	good := payload(full)
+	f.Add(good)
 	f.Add(payload(&Models{Cfg: FastConfig()}))
 	f.Add([]byte{})
-	f.Add([]byte{0xfc, 0x3f, 0xff, 0xff, 0xff}) // a gob message claiming ~1 GB
-	{
-		// A snapshot whose LSTM blob claims dims that wrap 4*h*in.
-		var blob bytes.Buffer
-		if err := gob.NewEncoder(&blob).Encode(struct {
-			Cfg lstm.Config
-		}{lstm.Config{InputDim: 1 << 31, Hidden: 1 << 31, Classes: 4}}); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(regob(f, payload(full), func(s *modelsSnapshot) { s.Long = blob.Bytes() }))
-	}
-	{
-		// A snapshot whose Mgap tree is its own left child.
-		type nodeRec struct{ Feature, Left, Right int }
-		var blob bytes.Buffer
-		if err := gob.NewEncoder(&blob).Encode(struct {
-			Dim   int
-			Trees [][]nodeRec
-		}{1, [][]nodeRec{{{Feature: 0, Left: 0, Right: 0}}}}); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(regob(f, payload(full), func(s *modelsSnapshot) { s.Gap = blob.Bytes() }))
-	}
+	netBytes := walked(net.Walk)
+	// An Mlong whose dims wrap 4*h*in.
+	f.Add(swap(good, netBytes, append(ints(1<<31, 1<<31, 4), netBytes[len(ints(2, 2, 2)):]...)))
+	// An Mgap whose tree splits below its MaxDepth.
+	gapBytes := walked(gap.Walk)
+	f.Add(swap(good, gapBytes, append(ints(2, 0), gapBytes[len(ints(2, 2)):]...)))
+	// A scaler whose float run claims more floats than the payload holds.
+	scaler := walked(func(c *wire.Codec) { walkScaler(full.Scaler, c) })
+	f.Add(swap(good, scaler, append(binary.AppendUvarint(nil, 1<<40), scaler...)))
+	f.Add(good[:len(good)/2])
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		raw := envelope(payload)
 		var before, after runtime.MemStats
@@ -85,11 +95,9 @@ func FuzzLoadModels(f *testing.F) {
 	})
 }
 
-// loadAllocLimit bounds what LoadModels may allocate for an n-byte envelope.
-// gob sizes a message from its claimed length, and a slice from its claimed
-// element count, up to 10 MB before it reads them, so one hostile length
-// costs that much once before the decode fails. That, a fixed allowance for
-// gob's per-decoder machinery, and a multiple of the input for what the
-// bytes do carry (a float64 or a zero struct can cost one byte on the wire;
-// weights are also transposed) bound the rest.
-func loadAllocLimit(n int) uint64 { return 10<<20 + 4<<20 + 128*uint64(n) }
+// loadAllocLimit bounds what LoadModels may allocate for an n-byte envelope:
+// a fixed allowance for the nine heads' shuffle RNGs (~5 KB each) and the
+// read buffers, and a multiple of the input for what the bytes carry. A
+// float64 or an int costs its own size and can take one byte on the wire,
+// and a tree node takes 48 bytes of memory for 9 on the wire.
+func loadAllocLimit(n int) uint64 { return 128<<10 + 16*uint64(n) }

@@ -5,16 +5,18 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"leakydnn/internal/cupti"
 	"leakydnn/internal/gbdt"
 	"leakydnn/internal/lstm"
+	"leakydnn/internal/par"
 )
 
 // saveBytes serializes a minimal (untrained) model set: the envelope and
@@ -45,8 +47,8 @@ func TestModelSetRoundTrip(t *testing.T) {
 }
 
 // A bit-flipped cached model set must be detected by the payload checksum and
-// reported as corruption — gob alone happily decodes many single-bit flips of
-// numeric fields into a model set with silently wrong weights.
+// reported as corruption: a flip in a float decodes into a model set with
+// silently wrong weights.
 func TestModelSetBitFlipDetected(t *testing.T) {
 	raw := saveBytes(t)
 	headerLen := len(modelsMagic) + 8 + 32
@@ -80,7 +82,7 @@ func TestModelSetTruncationAndWrongMagic(t *testing.T) {
 	}
 }
 
-// envelope wraps a gob payload in the MOSMDLS envelope Save writes: magic,
+// envelope wraps a payload in the MOSMDLS envelope Save writes: magic,
 // little-endian length, SHA-256 of the payload, payload.
 func envelope(payload []byte) []byte {
 	var raw bytes.Buffer
@@ -112,98 +114,6 @@ func TestModelSetSaveDeterministic(t *testing.T) {
 			t.Fatalf("save %d differs from the first (%d vs %d bytes)", i+1, again.Len(), first.Len())
 		}
 	}
-}
-
-// reportMapEraModelsSnapshot is the model-set snapshot as it stood while
-// Save gob-encoded Report as a map (in map iteration order).
-type reportMapEraModelsSnapshot struct {
-	Cfg                       Config
-	ScalerMin, ScalerMax      []float64
-	Gap, Long, VLong, Op, VOp []byte
-	HP                        [NumHPKinds][]byte
-	HPVocab                   [NumHPKinds][]int
-	MajorityLong, MajorityOp  bool
-	Report                    map[string]float64
-}
-
-// A model set saved with its report as a map, before the sorted form, still
-// loads: every head predicts what the current save of the same set
-// predicts, and the map-form report, which only mosconsim printed, is
-// dropped.
-func TestLoadModelsReportMapEra(t *testing.T) {
-	m, inputs, want := headsModelSet(t)
-	var cur bytes.Buffer
-	if err := m.Save(&cur); err != nil {
-		t.Fatal(err)
-	}
-	old := regob(t, cur.Bytes()[len(modelsMagic)+8+32:], func(s *reportMapEraModelsSnapshot) {
-		s.Report = map[string]float64{"Mlong": 0.5, "Mop": 0.25, "Vlong": 0.75}
-	})
-	got, err := LoadModels(bytes.NewReader(envelope(old)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Report) != 0 {
-		t.Fatalf("map-era report loaded as %v, want none", got.Report)
-	}
-	assertHeadsPredict(t, "map era", got, inputs, want)
-}
-
-// The precisionEra types copy the attack and lstm snapshot types as they
-// stood while attack.Config and lstm.Config carried a Precision field
-// (0 = fp64, 1 = fp32). Model sets in mosconsd's on-disk cache still hold it.
-type precisionEraConfig struct {
-	THGap                                      int
-	RMin, RMax                                 float64
-	VoteIterations                             int
-	LongHidden, OpHidden, VoteHidden, HPHidden int
-	Epochs                                     int
-	LearningRate, MinorClassBoost              float64
-	Gap                                        gbdt.Config
-	Seed                                       int64
-	Batch, Workers                             int
-	Precision                                  int
-}
-
-type precisionEraModelsSnapshot struct {
-	Cfg                       precisionEraConfig
-	ScalerMin, ScalerMax      []float64
-	Gap, Long, VLong, Op, VOp []byte
-	HP                        [NumHPKinds][]byte
-	HPVocab                   [NumHPKinds][]int
-	MajorityLong, MajorityOp  bool
-	Report                    map[string]float64
-}
-
-type precisionEraLSTMConfig struct {
-	InputDim, Hidden, Classes int
-	LearningRate, ClipAbs     float64
-	ClassWeights              []float64
-	Seed                      int64
-	Batch, Workers            int
-	Precision                 int
-}
-
-type precisionEraLSTMSnapshot struct {
-	Cfg               precisionEraLSTMConfig
-	Wx, Wh, Wy, B, By []float64
-	TrainedEpochs     int64
-}
-
-// regob decodes a gob value into dst's type, lets edit change it, and
-// re-encodes it.
-func regob[T any](t testing.TB, blob []byte, edit func(*T)) []byte {
-	t.Helper()
-	var v T
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&v); err != nil {
-		t.Fatal(err)
-	}
-	edit(&v)
-	var out bytes.Buffer
-	if err := gob.NewEncoder(&out).Encode(v); err != nil {
-		t.Fatal(err)
-	}
-	return out.Bytes()
 }
 
 // headsModelSet is a model set whose LSTM heads are trained briefly, with
@@ -267,40 +177,127 @@ func assertHeadsPredict(t *testing.T, label string, m *Models, inputs [][][]floa
 	}
 }
 
-// A model set saved while the configs had a Precision field must load, with
-// every head predicting what the same set saved without the field predicts,
-// and re-save to the current bytes.
-func TestLoadModelsPrecisionEra(t *testing.T) {
+// A loaded model set predicts, bit for bit, what the saved set predicts,
+// and saves again to the same bytes.
+func TestLoadModelsPredictsAsSaved(t *testing.T) {
 	m, inputs, want := headsModelSet(t)
-	var cur bytes.Buffer
-	if err := m.Save(&cur); err != nil {
+	gap, err := gbdt.Train([][]float64{{0, 1}, {1, 0}, {2, 1}, {3, 0}, {4, 1}}, []int{0, 0, 1, 1, 1},
+		gbdt.Config{Rounds: 3, MaxDepth: 2, MinLeaf: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, precision := range []int{0, 1} {
-		toEra := func(blob []byte) []byte {
-			return regob(t, blob, func(s *precisionEraLSTMSnapshot) { s.Cfg.Precision = precision })
+	m.Gap = gap
+	var saved bytes.Buffer
+	if err := m.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadModels(bytes.NewReader(saved.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertHeadsPredict(t, "loaded", got, inputs, want)
+	for _, x := range [][]float64{{0.5, 1}, {2.5, 0}, {3.5, 1}} {
+		p, _ := m.Gap.PredictProb(x)
+		q, _ := got.Gap.PredictProb(x)
+		if math.Float64bits(p) != math.Float64bits(q) {
+			t.Fatalf("Mgap(%v) = %v after loading, %v before", x, q, p)
 		}
-		payload := cur.Bytes()[len(modelsMagic)+8+32:]
-		old := regob(t, payload, func(s *precisionEraModelsSnapshot) {
-			s.Cfg.Precision = precision
-			s.Long, s.VLong, s.Op, s.VOp = toEra(s.Long), toEra(s.VLong), toEra(s.Op), toEra(s.VOp)
-			for k := range s.HP {
-				s.HP[k] = toEra(s.HP[k])
-			}
-		})
+	}
+	var again bytes.Buffer
+	if err := got.Save(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), saved.Bytes()) {
+		t.Fatal("a loaded model set saves to different bytes")
+	}
+}
 
-		got, err := LoadModels(bytes.NewReader(envelope(old)))
-		if err != nil {
-			t.Fatalf("precision %d: %v", precision, err)
+// TestModelSetWalkComplete fills every leaf of a model set with a distinct
+// value, round-trips it and compares it with DeepEqual: a field added to
+// Models, Config, gbdt.Config or gbdt.MinMaxScaler without a line in the walk
+// decodes as zero and fails here. The heads are real networks and a real
+// classifier, whose own walks their packages test; here they must re-encode
+// to the same bytes. Workers and the pool are execution knobs the walk
+// leaves out.
+func TestModelSetWalkComplete(t *testing.T) {
+	heads, _, _ := headsModelSet(t)
+	gap, err := gbdt.Train([][]float64{{0}, {1}, {2}, {3}}, []int{0, 0, 1, 1}, gbdt.Config{Rounds: 2, MaxDepth: 2, MinLeaf: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m Models
+	next := 0
+	var fill func(v reflect.Value)
+	fill = func(v reflect.Value) {
+		if !v.CanSet() {
+			v = reflect.NewAt(v.Type(), unsafe.Pointer(v.UnsafeAddr())).Elem()
 		}
-		assertHeadsPredict(t, fmt.Sprintf("precision %d", precision), got, inputs, want)
-		var again bytes.Buffer
-		if err := got.Save(&again); err != nil {
-			t.Fatal(err)
+		next++
+		switch x := v.Addr().Interface().(type) {
+		case **lstm.Network:
+			*x = heads.Long
+			return
+		case **gbdt.Classifier:
+			*x = gap
+			return
+		case **par.Pool:
+			return
 		}
-		if !bytes.Equal(again.Bytes(), cur.Bytes()) {
-			t.Fatalf("precision %d: loaded model set re-saves to different bytes", precision)
+		switch v.Kind() {
+		case reflect.Int, reflect.Int64:
+			v.SetInt(int64(next) * 1_000_003)
+		case reflect.Float64:
+			v.SetFloat(float64(next) + 0.25)
+		case reflect.Bool:
+			v.SetBool(true)
+		case reflect.Pointer:
+			v.Set(reflect.New(v.Type().Elem()))
+			fill(v.Elem())
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				fill(v.Field(i))
+			}
+		case reflect.Array:
+			for i := 0; i < v.Len(); i++ {
+				fill(v.Index(i))
+			}
+		case reflect.Slice:
+			v.Set(reflect.MakeSlice(v.Type(), 2, 2))
+			fill(v.Index(0))
+			fill(v.Index(1))
+		case reflect.Map:
+			v.Set(reflect.MakeMap(v.Type()))
+			for _, k := range []string{fmt.Sprintf("b-%d", next), fmt.Sprintf("a-%d", next)} {
+				e := reflect.New(v.Type().Elem()).Elem()
+				fill(e)
+				v.SetMapIndex(reflect.ValueOf(k), e)
+			}
+		default:
+			t.Fatalf("no filler for %s (%s)", v.Type(), v.Kind())
 		}
+	}
+	fill(reflect.ValueOf(&m).Elem())
+	m.Cfg.Workers = 0
+	var saved bytes.Buffer
+	if err := m.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadModels(bytes.NewReader(saved.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var again bytes.Buffer
+	if err := got.Save(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), saved.Bytes()) {
+		t.Error("re-encoding a loaded model set changed its bytes")
+	}
+	for _, s := range []*Models{&m, got} {
+		s.Gap, s.Long, s.VLong, s.Op, s.VOp, s.HP = nil, nil, nil, nil, nil, [NumHPKinds]*lstm.Network{}
+	}
+	if !reflect.DeepEqual(got, &m) {
+		t.Errorf("round trip lost a field:\n sent %+v\n got  %+v", m, *got)
 	}
 }
 

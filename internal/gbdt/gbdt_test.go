@@ -2,11 +2,14 @@ package gbdt
 
 import (
 	"bytes"
-	"encoding/gob"
 	"math"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"leakydnn/internal/wire"
 )
 
 func TestTrainValidation(t *testing.T) {
@@ -210,13 +213,16 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf)
+	raw := encode(c)
+	loaded, err := decode(raw)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(loaded, c) {
+		t.Fatal("round trip changed the classifier")
+	}
+	if !bytes.Equal(encode(loaded), raw) {
+		t.Fatal("re-encoding a decoded classifier changed its bytes")
 	}
 	for i := 0; i < 50; i++ {
 		in := []float64{rng.Float64() * 4, rng.Float64() * 4}
@@ -234,36 +240,86 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// encode and decode walk a classifier through the wire codec.
+func encode(c *Classifier) []byte {
+	w := wire.NewEncoder(nil)
+	c.Walk(w)
+	return w.Bytes()
+}
+
+func decode(p []byte) (*Classifier, error) {
+	c := new(Classifier)
+	w := wire.NewDecoder(p, 0)
+	c.Walk(w)
+	return c, w.Finish()
+}
+
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewBufferString("nope")); err == nil {
+	if _, err := decode([]byte("nope")); err == nil {
 		t.Fatal("garbage accepted")
 	}
 }
 
-// A tree Save could not have written is an error on Load: child indices
-// that loop back, share a subtree (a DAG that would rebuild exponentially),
-// skip or trail nodes, or a split on a feature past the dimension. The loop
-// once recursed until the stack overflowed.
+// A tree Walk could not have written is an error on decode: a split on a
+// feature past the dim, a split below MaxDepth, a tree cut short or bytes
+// past the last tree.
 func TestLoadRejectsMalformedTrees(t *testing.T) {
-	leaf := nodeRec{Feature: -1, Left: -1, Right: -1}
-	split := func(l, r int) nodeRec { return nodeRec{Feature: 0, Left: l, Right: r} }
-	cases := map[string][]nodeRec{
-		"self loop":     {split(0, 0)},
-		"back edge":     {split(1, 2), split(0, 0), leaf},
-		"shared child":  {split(1, 1), leaf},
-		"skipped node":  {split(2, 3), leaf, leaf, leaf},
-		"trailing node": {leaf, leaf},
-		"missing child": {split(1, 2), leaf},
-		"bad feature":   {{Feature: 3, Left: 1, Right: 2}, leaf, leaf},
+	leaf := &node{feature: -1, value: 0.5}
+	split := func(l, r *node) *node { return &node{feature: 1, threshold: 2, left: l, right: r} }
+	good := &Classifier{cfg: Config{MaxDepth: 2}, dim: 2, trees: []*node{split(split(leaf, leaf), leaf)}}
+	raw := encode(good)
+	if _, err := decode(raw); err != nil {
+		t.Fatal(err)
 	}
-	for name, tree := range cases {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(snapshot{Dim: 2, Trees: [][]nodeRec{tree}}); err != nil {
-			t.Fatal(err)
+	for name, c := range map[string]struct {
+		p    []byte
+		want string
+	}{
+		"bad feature":   {encode(&Classifier{cfg: good.cfg, dim: 1, trees: good.trees}), "split on a feature past the dim"},
+		"too deep":      {encode(&Classifier{cfg: Config{MaxDepth: 1}, dim: 2, trees: good.trees}), "tree deeper than MaxDepth"},
+		"missing child": {raw[:len(raw)-9], "bad flag byte"},
+		"trailing node": {append(raw[:len(raw):len(raw)], encode(&Classifier{dim: 1})...), "trailing bytes"},
+		"zero dim":      {encode(&Classifier{cfg: good.cfg, trees: good.trees}), "invalid feature dim"},
+	} {
+		if _, err := decode(c.p); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want %q", name, err, c.want)
 		}
-		if _, err := Load(&buf); err == nil {
-			t.Errorf("%s: malformed tree accepted", name)
+	}
+}
+
+// TestClassifierWalkComplete fills every field of a Classifier's config with
+// a distinct value and round-trips it: a field added to Config or Classifier
+// without a line in the walk decodes as zero and fails here.
+func TestClassifierWalkComplete(t *testing.T) {
+	var cfg Config
+	v := reflect.ValueOf(&cfg).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Int:
+			f.SetInt(int64(i + 3))
+		case reflect.Float64:
+			f.SetFloat(float64(i) + 0.25)
+		default:
+			t.Fatalf("no test value for Config.%s", v.Type().Field(i).Name)
 		}
+	}
+	if n := reflect.TypeOf(Classifier{}).NumField(); n != 4 {
+		t.Fatalf("Classifier has %d fields; walk the new one and count it here", n)
+	}
+	c := &Classifier{cfg: cfg, base: -0.75, dim: 3, trees: []*node{
+		{feature: 2, threshold: 1.5, left: &node{feature: -1, value: -1}, right: &node{feature: -1, value: 2}},
+		{feature: -1, value: 0.125},
+	}}
+	raw := encode(c)
+	got, err := decode(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, c) {
+		t.Errorf("round trip lost a field:\n sent %+v\n got  %+v", c, got)
+	}
+	if !bytes.Equal(encode(got), raw) {
+		t.Error("re-encoding a decoded classifier changed its bytes")
 	}
 }
 

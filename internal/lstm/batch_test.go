@@ -266,27 +266,19 @@ func TestLoadResumesDistinctShuffleStream(t *testing.T) {
 	if _, err := n.Train(seqs, 2); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := n.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	snapshotBytes := buf.Bytes()
+	snapshotBytes := save(n)
 
 	// Two loads must train to byte-identical networks: resuming is still
 	// deterministic.
 	finetune := func() []byte {
-		ld, err := Load(bytes.NewReader(snapshotBytes))
+		ld, err := load(snapshotBytes)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := ld.Train(seqs, 2); err != nil {
 			t.Fatal(err)
 		}
-		var out bytes.Buffer
-		if err := ld.Save(&out); err != nil {
-			t.Fatal(err)
-		}
-		return out.Bytes()
+		return save(ld)
 	}
 	if !bytes.Equal(finetune(), finetune()) {
 		t.Fatal("two loads of the same snapshot fine-tuned to different networks")
@@ -295,7 +287,7 @@ func TestLoadResumesDistinctShuffleStream(t *testing.T) {
 	// White box: the loaded RNG must not sit at the start of cfg.Seed's
 	// stream, or fine-tuning would replay the original run's epoch-0
 	// shuffles.
-	ld, err := Load(bytes.NewReader(snapshotBytes))
+	ld, err := load(snapshotBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,11 +312,7 @@ func TestLoadResumesDistinctShuffleStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ubuf bytes.Buffer
-	if err := un.Save(&ubuf); err != nil {
-		t.Fatal(err)
-	}
-	uld, err := Load(&ubuf)
+	uld, err := load(save(un))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,24 +57,13 @@ func (p params) tensors() [5][]float64 {
 // is GemmInto over the transpose, the same per-cell product sequence as a
 // row-by-row dot product, but on the kernel that streams the weight matrix
 // once and vectorizes over output columns. The master layout (params) is
-// derived from the transposes only while something needs it — a Train
-// call, whose backward GEMMs and optimizer read it, and Save — so a trained
-// network does not carry the weight matrices twice. A transpose is a copy:
-// masters derived back are bit-identical to the ones the view came from.
+// derived from the transposes only while a Train call runs, whose backward
+// GEMMs and optimizer read it, so a trained network does not carry the
+// weight matrices twice. A transpose is a copy: masters derived back are
+// bit-identical to the ones the view came from.
 type weights struct {
 	wxT, whT, wyT []float64
 	b, by         []float64 // shared with the masters while they exist
-}
-
-// setWeights builds the network's view from the masters p, sharing p's
-// biases.
-func (n *Network) setWeights(p params) {
-	h, in, c := n.cfg.Hidden, n.cfg.InputDim, n.cfg.Classes
-	n.w = &weights{
-		wxT: make([]float64, in*4*h), whT: make([]float64, h*4*h), wyT: make([]float64, h*c),
-		b: p.b, by: p.by,
-	}
-	n.refresh(p)
 }
 
 // refresh re-derives the transposes from the masters p; training calls it

@@ -53,7 +53,7 @@ func (c *Config) defaults() error {
 		return fmt.Errorf("lstm: invalid dims input=%d hidden=%d classes=%d", c.InputDim, c.Hidden, c.Classes)
 	}
 	// Every parameter tensor is sized by a product of the dims. A product
-	// that wraps int would slip past Load's size check and panic in the
+	// that wraps int would slip past a decode's size check and panic in the
 	// allocator, so such dims are an error, never a crash.
 	if !fitsInt(4, c.Hidden, c.InputDim) || !fitsInt(4, c.Hidden, c.Hidden) || !fitsInt(c.Classes, c.Hidden) {
 		return fmt.Errorf("lstm: dims input=%d hidden=%d classes=%d overflow the parameter count", c.InputDim, c.Hidden, c.Classes)
@@ -140,8 +140,8 @@ type Network struct {
 	rng *rand.Rand
 
 	// w is the network's parameters, in the layout the forward pass reads.
-	// New and Load build it from masters, training refreshes it after every
-	// optimizer step, and Save derives the masters back from it.
+	// New draws it, Walk writes and reads it as it is, and training refreshes
+	// it from the masters after every optimizer step.
 	w *weights
 
 	// trainedEpochs counts completed Train epochs; serialization records it

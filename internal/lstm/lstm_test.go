@@ -2,10 +2,12 @@ package lstm
 
 import (
 	"bytes"
-	"encoding/gob"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
+
+	"leakydnn/internal/wire"
 )
 
 func TestConfigValidation(t *testing.T) {
@@ -216,11 +218,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var buf bytes.Buffer
-	if err := n.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf)
+	loaded, err := load(save(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,120 +236,77 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// precisionEraConfig and precisionEraSnapshot copy the snapshot types as
-// they stood while Config carried a Precision field (0 = fp64, 1 = fp32).
-// Model files on disk, mosconsd's model cache among them, still hold it.
-type precisionEraConfig struct {
-	InputDim, Hidden, Classes int
-	LearningRate, ClipAbs     float64
-	ClassWeights              []float64
-	Seed                      int64
-	Batch, Workers            int
-	Precision                 int
+// save and load walk a network through the wire codec.
+func save(n *Network) []byte {
+	c := wire.NewEncoder(nil)
+	n.Walk(c)
+	return c.Bytes()
 }
 
-type precisionEraSnapshot struct {
-	Cfg               precisionEraConfig
-	Wx, Wh, Wy, B, By []float64
-	TrainedEpochs     int64
+func load(p []byte) (*Network, error) {
+	n := new(Network)
+	c := wire.NewDecoder(p, 0)
+	n.Walk(c)
+	return n, c.Finish()
 }
 
-// A network saved while Config had a Precision field must load, predict
-// bit-identically to the same network saved without it, re-save to the same
-// bytes, and fine-tune on the same shuffle stream. At precision 0 gob sends
-// only the field's type; at 1 it sends a value the decoder must skip.
-func TestLoadPrecisionEraSnapshot(t *testing.T) {
-	cfg := Config{InputDim: 3, Hidden: 5, Classes: 4, Seed: 8, ClassWeights: []float64{1, 2, 1, 1.5}, Batch: 2}
+// TestNetworkWalkComplete fills every config field with a distinct value,
+// trains a network on it and round-trips it: a field added to Config or
+// Network without a line in Walk decodes as zero and fails here. Workers,
+// an execution knob, is the one field Walk leaves out.
+func TestNetworkWalkComplete(t *testing.T) {
+	var cfg Config
+	v := reflect.ValueOf(&cfg).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(int64(i + 2))
+		case reflect.Float64:
+			f.SetFloat(float64(i) + 0.25)
+		case reflect.Slice:
+			f.Set(reflect.ValueOf([]float64{1, 2, 3, 4}))
+		default:
+			t.Fatalf("no test value for Config.%s", v.Type().Field(i).Name)
+		}
+	}
+	cfg.InputDim, cfg.Hidden, cfg.Classes, cfg.Workers = 3, 5, 4, 0
+	if n := reflect.TypeOf(Network{}).NumField(); n != 5 {
+		t.Fatalf("Network has %d fields; walk the new one and count it here", n)
+	}
 	n, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqs := randBatchSeqs(17, 6, 3, 4, false)
-	if _, err := n.Train(seqs, 2); err != nil {
+	if _, err := n.Train(randBatchSeqs(3, 4, 3, 4, false), 2); err != nil {
 		t.Fatal(err)
 	}
-	var cur bytes.Buffer
-	if err := n.Save(&cur); err != nil {
+	raw := save(n)
+	got, err := load(raw)
+	if err != nil {
 		t.Fatal(err)
 	}
-	fineTuned := func(raw []byte) (*Network, string) {
-		t.Helper()
-		m, err := Load(bytes.NewReader(raw))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var again bytes.Buffer
-		if err := m.Save(&again); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(again.Bytes(), cur.Bytes()) {
-			t.Fatal("loaded network re-saves to different bytes")
-		}
-		tuned, err := Load(bytes.NewReader(raw))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := tuned.Train(seqs, 1); err != nil {
-			t.Fatal(err)
-		}
-		return m, hashParams(tuned)
+	if !reflect.DeepEqual(got.cfg, n.cfg) || !reflect.DeepEqual(got.w, n.w) || got.trainedEpochs != n.trainedEpochs {
+		t.Errorf("round trip lost a field:\n sent %+v %d\n got  %+v %d", n.cfg, n.trainedEpochs, got.cfg, got.trainedEpochs)
 	}
-	want, wantTuned := fineTuned(cur.Bytes())
-
-	np := n.masters()
-	for _, precision := range []int{0, 1} {
-		old := precisionEraSnapshot{
-			Cfg: precisionEraConfig{
-				InputDim: cfg.InputDim, Hidden: cfg.Hidden, Classes: cfg.Classes,
-				LearningRate: n.cfg.LearningRate, ClipAbs: n.cfg.ClipAbs,
-				ClassWeights: cfg.ClassWeights, Seed: cfg.Seed, Batch: cfg.Batch,
-				Precision: precision,
-			},
-			Wx: np.wx, Wh: np.wh, Wy: np.wy, B: np.b, By: np.by,
-			TrainedEpochs: 2,
-		}
-		var raw bytes.Buffer
-		if err := gob.NewEncoder(&raw).Encode(old); err != nil {
-			t.Fatal(err)
-		}
-		got, gotTuned := fineTuned(raw.Bytes())
-		for _, seq := range seqs {
-			wp, err := want.PredictProbs(seq.Inputs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gp, err := got.PredictProbs(seq.Inputs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for ts := range wp {
-				for c := range wp[ts] {
-					if math.Float64bits(gp[ts][c]) != math.Float64bits(wp[ts][c]) {
-						t.Fatalf("precision %d: probs[%d][%d] = %v, want %v", precision, ts, c, gp[ts][c], wp[ts][c])
-					}
-				}
-			}
-		}
-		if gotTuned != wantTuned {
-			t.Fatalf("precision %d: fine-tuning the loaded network diverged: %s vs %s", precision, gotTuned, wantTuned)
-		}
+	if !bytes.Equal(save(got), raw) {
+		t.Error("re-encoding a decoded network changed its bytes")
 	}
 }
 
 // Dims whose parameter counts overflow int must be an error from New and
-// from Load, never a panic: a crafted snapshot with Hidden = 1<<62 used to
-// wrap Load's size check (4*h*in = 0) and crash in the allocator.
+// from a decode, never a panic: a crafted snapshot with Hidden = 1<<62 used
+// to wrap the size check (4*h*in = 0) and crash in the allocator.
 func TestOverflowingDimsRejected(t *testing.T) {
 	cfg := Config{InputDim: 1, Hidden: 1 << 62, Classes: 4}
 	if _, err := New(cfg); err == nil {
 		t.Fatal("New accepted dims that overflow int")
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(snapshot{Cfg: cfg, By: make([]float64, 4)}); err != nil {
-		t.Fatal(err)
+	c := wire.NewEncoder(nil)
+	for _, d := range []int{cfg.InputDim, cfg.Hidden, cfg.Classes} {
+		c.Int(&d)
 	}
-	if _, err := Load(&buf); err == nil {
-		t.Fatal("Load accepted dims that overflow int")
+	if _, err := load(c.Bytes()); err == nil {
+		t.Fatal("a decode accepted dims that overflow int")
 	}
 	for _, cfg := range []Config{
 		{InputDim: 1 << 40, Hidden: 1 << 30, Classes: 2},
@@ -364,7 +319,7 @@ func TestOverflowingDimsRejected(t *testing.T) {
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewBufferString("not a gob")); err == nil {
+	if _, err := load([]byte("not a network")); err == nil {
 		t.Fatal("garbage accepted")
 	}
 }

@@ -1,66 +1,47 @@
 package lstm
 
 import (
-	"encoding/gob"
-	"fmt"
-	"io"
 	"math/rand"
+
+	"leakydnn/internal/wire"
 )
 
-// snapshot is the gob-serializable form of a trained network. Optimizer
-// state is intentionally dropped: a loaded model is for inference or fresh
-// fine-tuning.
-type snapshot struct {
-	Cfg Config
-	Wx  []float64
-	Wh  []float64
-	Wy  []float64
-	B   []float64
-	By  []float64
-	// TrainedEpochs records how many Train epochs produced these weights, so
-	// Load can resume shuffling on a stream the original run never consumed.
-	// Old snapshots decode it as zero, which keeps their historical behavior.
-	TrainedEpochs int64
-}
-
-// Save writes the network's parameters to w.
-func (n *Network) Save(w io.Writer) error {
-	p := n.masters()
-	snap := snapshot{
-		Cfg:           n.cfg,
-		Wx:            p.wx,
-		Wh:            p.wh,
-		Wy:            p.wy,
-		B:             p.b,
-		By:            p.by,
-		TrainedEpochs: n.trainedEpochs,
+// Walk walks the network in wire order: its config without Workers, which
+// is an execution knob rather than a model property, the Train epochs it
+// has run, and the view the forward pass reads (the transposed weight
+// matrices, then the biases) as count-prefixed float64 runs. Optimizer state
+// is not kept: a decoded network is for inference or fresh fine-tuning. A
+// decode fills a zero Network; a config New would reject, or a run whose
+// length the config does not give, fails it.
+func (n *Network) Walk(c *wire.Codec) {
+	cfg := &n.cfg
+	c.Int(&cfg.InputDim)
+	c.Int(&cfg.Hidden)
+	c.Int(&cfg.Classes)
+	c.Float(&cfg.LearningRate)
+	c.Float(&cfg.ClipAbs)
+	c.Floats(&cfg.ClassWeights, "class weight")
+	c.Int64(&cfg.Seed)
+	c.Int(&cfg.Batch)
+	c.Int64(&n.trainedEpochs)
+	if c.Decoding() {
+		if err := cfg.defaults(); err != nil {
+			c.Fail(err.Error())
+			return
+		}
+		n.w = new(weights)
 	}
-	// Workers is an execution knob, not a model property: dropping it keeps
-	// the encoding byte-identical across worker-pool settings.
-	snap.Cfg.Workers = 0
-	if err := gob.NewEncoder(w).Encode(snap); err != nil {
-		return fmt.Errorf("lstm: save: %w", err)
+	w := n.w
+	for _, run := range [...]*[]float64{&w.wxT, &w.whT, &w.wyT, &w.b, &w.by} {
+		c.Floats(run, "weight")
 	}
-	return nil
-}
-
-// Load reads a network previously written by Save. The network is built
-// directly from the snapshot — no Xavier initialization is drawn only to be
-// overwritten, so loading burns no RNG state — and keeps only the view
-// prediction reads; the decoded masters are transposed into it and dropped.
-func Load(r io.Reader) (*Network, error) {
-	var snap snapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("lstm: load: %w", err)
+	if !c.Decoding() {
+		return
 	}
-	cfg := snap.Cfg
-	if err := cfg.defaults(); err != nil {
-		return nil, fmt.Errorf("lstm: load: %w", err)
-	}
-	h, in, c := cfg.Hidden, cfg.InputDim, cfg.Classes
-	if len(snap.Wx) != 4*h*in || len(snap.Wh) != 4*h*h || len(snap.Wy) != c*h ||
-		len(snap.B) != 4*h || len(snap.By) != c {
-		return nil, fmt.Errorf("lstm: load: parameter sizes inconsistent with config")
+	h, in, k := cfg.Hidden, cfg.InputDim, cfg.Classes
+	if len(w.wxT) != in*4*h || len(w.whT) != h*4*h || len(w.wyT) != h*k || len(w.b) != 4*h || len(w.by) != k {
+		c.Fail("lstm: parameter sizes inconsistent with config")
+		return
 	}
 	// A freshly-initialized network that never trained resumes on cfg.Seed's
 	// stream, exactly as New would. A trained network must NOT: its original
@@ -69,13 +50,10 @@ func Load(r io.Reader) (*Network, error) {
 	// the resume seed from (seed, epochs trained) gives every save point its
 	// own deterministic, reproducible stream.
 	seed := cfg.Seed
-	if snap.TrainedEpochs > 0 {
-		seed = resumeSeed(cfg.Seed, snap.TrainedEpochs)
+	if n.trainedEpochs > 0 {
+		seed = resumeSeed(cfg.Seed, n.trainedEpochs)
 	}
-	p := params{wx: snap.Wx, wh: snap.Wh, b: snap.B, wy: snap.Wy, by: snap.By}
-	n := &Network{cfg: cfg, rng: rand.New(rand.NewSource(seed)), trainedEpochs: snap.TrainedEpochs}
-	n.setWeights(p)
-	return n, nil
+	n.rng = rand.New(rand.NewSource(seed))
 }
 
 // resumeSeed mixes the config seed with the epoch count through a

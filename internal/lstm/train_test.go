@@ -58,11 +58,7 @@ func TestTrainDeterminismAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := n.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes(), results
+		return save(n), results
 	}
 
 	refBytes, refResults := train(1)
@@ -172,7 +168,7 @@ func TestEpochStatsMatchPreUpdatePredictions(t *testing.T) {
 	}
 
 	// The replay must have been faithful, or the comparison above is vacuous.
-	// Compare raw parameters rather than Save bytes: Train counts its epochs
+	// Compare raw parameters rather than saved bytes: Train counts its epochs
 	// into the snapshot's TrainedEpochs field, which the manual replay
 	// deliberately bypasses.
 	if !paramsEqual(a, b) {

@@ -349,14 +349,10 @@ func TestMalformedUploadQuarantined(t *testing.T) {
 	}
 }
 
-// A trace in the retired wire format version 1 is a malformed upload,
+// A trace in a retired wire format version, 1 or 2, is a malformed upload,
 // refused at its own magic whether it opens the upload or follows a good
 // trace.
 func TestRetiredV1UploadRejected(t *testing.T) {
-	v1, err := os.ReadFile(filepath.Join("..", "trace", "testdata", "wire-golden-v1.trace"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	s := New(Config{Scale: eval.Tiny(), Cache: stubCache()})
 	s.extract = func(ctx context.Context, m *attack.Models, tr *trace.Trace) (*attack.Recovery, error) {
 		return &attack.Recovery{}, nil
@@ -364,25 +360,31 @@ func TestRetiredV1UploadRejected(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	good := stubUpload(t)
-	for _, tc := range []struct {
-		name string
-		body []byte
-		at   int
-	}{
-		{"alone", v1, 0},
-		{"after a good trace", append(append([]byte(nil), good...), v1...), len(good)},
-	} {
-		resp, body := postExtract(t, ts.Client(), ts.URL, tc.body)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s: status %d, want 400 (body %q)", tc.name, resp.StatusCode, body)
+	for _, fixture := range []string{"wire-golden-v1.trace", "wire-golden-v2-six-counters.trace"} {
+		old, err := os.ReadFile(filepath.Join("..", "trace", "testdata", fixture))
+		if err != nil {
+			t.Fatal(err)
 		}
-		e := decodeError(t, body)
-		if e.Error != "malformed_upload" {
-			t.Fatalf("%s: typed error = %q, want malformed_upload", tc.name, e.Error)
-		}
-		if want := fmt.Sprintf("bad magic %q at byte offset %d", v1[:8], tc.at); !strings.Contains(e.Detail, want) ||
-			!strings.Contains(e.Detail, "re-collect version 1") {
-			t.Fatalf("%s: detail %q, want %q naming version 1 as retired", tc.name, e.Detail, want)
+		for _, tc := range []struct {
+			name string
+			body []byte
+			at   int
+		}{
+			{"alone", old, 0},
+			{"after a good trace", append(append([]byte(nil), good...), old...), len(good)},
+		} {
+			resp, body := postExtract(t, ts.Client(), ts.URL, tc.body)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%s %s: status %d, want 400 (body %q)", fixture, tc.name, resp.StatusCode, body)
+			}
+			e := decodeError(t, body)
+			if e.Error != "malformed_upload" {
+				t.Fatalf("%s %s: typed error = %q, want malformed_upload", fixture, tc.name, e.Error)
+			}
+			if want := fmt.Sprintf("bad magic %q at byte offset %d", old[:8], tc.at); !strings.Contains(e.Detail, want) ||
+				!strings.Contains(e.Detail, "re-collect version 1 and 2") {
+				t.Fatalf("%s %s: detail %q, want %q naming the version as retired", fixture, tc.name, e.Detail, want)
+			}
 		}
 	}
 }

@@ -14,14 +14,14 @@ import (
 )
 
 // FuzzReadTrace throws arbitrary bytes at the trace reader: hostile length
-// prefixes, truncated frames, bit-flipped gob payloads, malformed binary
-// frames, retired version 1 streams and trailing garbage must all come back
-// as errors — never a panic, an unbounded allocation, or a silently partial
-// read. Every trace that does decode must equal, value for value, both the
-// trace its own bytes decode to alone and the trace its re-serialization
-// decodes to: a decoder that reused memory without zeroing it would leak an
-// earlier trace's values into a later one, and only a value-level
-// comparison like this one notices.
+// prefixes and counts, truncated frames, bit-flipped headers, malformed
+// binary frames, retired version 1 and 2 streams and trailing garbage must
+// all come back as errors — never a panic, an unbounded allocation, or a
+// silently partial read. Every trace that does decode must equal, value for
+// value, both the trace its own bytes decode to alone and the trace its
+// re-serialization decodes to: a decoder that reused memory without zeroing
+// it would leak an earlier trace's values into a later one, and only a
+// value-level comparison like this one notices.
 func FuzzReadTrace(f *testing.F) {
 	encode := func(traces ...*Trace) []byte {
 		var buf bytes.Buffer
@@ -32,26 +32,26 @@ func FuzzReadTrace(f *testing.F) {
 	}
 	one := encode(smallTrace(3))
 	f.Add(one)
-	f.Add(one[:len(one)/2])                                             // truncated mid-trace
-	f.Add(append(append([]byte{}, one...), 0xde, 0xad))                 // trailing garbage
-	f.Add(append(append([]byte{}, one...), encode(smallTrace(400))...)) // multi-trace
-	// Retired version 1 streams, which must fail at their magic.
-	v1 := wireGoldenV1(f)
-	magicV1 := v1[:len(traceMagicV2):len(traceMagicV2)]
-	f.Add(magicV1)                                                                     // magic only
-	f.Add(append(magicV1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01)) // overflowing length
-	f.Add(append(magicV1, 0xff, 0xff, 0xff, 0x7f))                                     // huge length, no payload
-	f.Add(hostileInnerLength(string(magicV1), 12, 9<<20, 8))                           // gob length beyond the chunk
-	f.Add(encode(wireGoldenTrace(), zeroedLike(wireGoldenTrace())))                    // stale-value bait
+	f.Add(one[:len(one)/2])                                            // truncated mid-trace
+	f.Add(append(append([]byte{}, one...), 0xde, 0xad))                // trailing garbage
+	f.Add(append(append([]byte{}, one...), encode(smallTrace(45))...)) // multi-trace, the second past one staging step
+	f.Add(encode(wireGoldenTrace(), zeroedLike(wireGoldenTrace())))    // stale-value bait
 	{
 		flip := append([]byte{}, one...)
 		flip[len(flip)/2] ^= 0x40
 		f.Add(flip)
 	}
-	f.Add(v1)                                                            // version 1
-	f.Add(append(append([]byte{}, one...), v1...))                       // version 1 after a good trace
-	f.Add(hostileInnerLength(traceMagicV2+"\x01", 12, 9<<20, 8))         // gob length beyond the frame
-	f.Add(append(v2Header(f, &traceHeader{SampleCount: 1}), 0x02, 0xff)) // sample frame cut in its length
+	f.Add(append([]byte(hostileLead), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01)) // overflowing length
+	f.Add(append([]byte(hostileLead), 0xff, 0xff, 0xff, 0x7f))                                     // huge length, no payload
+	f.Add(hostileOpCount(hostileLead, 19, 9<<20, 8))                                               // op count beyond the frame
+	f.Add(hostileOpCount(hostileLead, 9<<20+4, 9<<20, 8))                                          // frame cut short of its length
+	f.Add(append(withHeader(&traceHeader{SampleCount: 1}), 0x02, 0xff))                            // sample frame cut in its length
+	// Retired version 1 and 2 streams, which must fail at their magic.
+	for _, old := range [][]byte{wireGoldenV1(f), wireGoldenV2(f)} {
+		f.Add(old[:len(traceMagicV3)])                  // magic only
+		f.Add(old)                                      // alone
+		f.Add(append(append([]byte{}, one...), old...)) // after a good trace
+	}
 	for _, tc := range hostileFrames(f) {
 		f.Add(tc.body)
 	}

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"leakydnn/internal/chaos"
+	"leakydnn/internal/wire"
 )
 
 // Health is the accounting-first degradation report of one co-run: what the
@@ -58,6 +59,48 @@ type Health struct {
 	// QuarantineCauses breaks the quarantined count down by cause
 	// ("no-samples", "undersampled"); values sum to IterationsQuarantined.
 	QuarantineCauses map[string]int
+}
+
+// Walk walks h in wire order: the fields in declaration order, recursing
+// into Faults, Sched and Device. The trace header and the fleet device record
+// both carry a Health this way.
+func (h *Health) Walk(c *wire.Codec) {
+	c.Int(&h.SamplesEmitted)
+	c.Int(&h.SamplesDelivered)
+	f := &h.Faults
+	c.Int(&f.Truncated)
+	c.Int(&f.PreemptionGaps)
+	c.Int(&f.GapSamplesLost)
+	c.Int(&f.Dropped)
+	c.Int(&f.Duplicated)
+	c.Int(&f.Jittered)
+	c.Int(&f.Saturated)
+	c.Float(&f.ClockSkew)
+	c.Int(&f.ArmAttempts)
+	c.Int(&f.ArmRetries)
+	c.Int(&f.ArmFailures)
+	s := &h.Sched
+	c.Int(&s.ResetsInjected)
+	c.Int(&s.ResetsSurvived)
+	c.Int(&s.StallsInjected)
+	c.Int64((*int64)(&s.StallTime))
+	c.Int(&s.TenantsJoined)
+	c.Int(&s.TenantsLeft)
+	c.Int(&s.SamplesLostToRecovery)
+	c.Int(&h.Reanchors)
+	d := &h.Device
+	c.Int64((*int64)(&d.SpyKilledAt))
+	c.Int(&d.SamplesLostToSpyKill)
+	c.Int64((*int64)(&d.ArmSessionLostAt))
+	c.Int(&d.SamplesLostToArmLoss)
+	c.Int(&h.SpyChannelsRejected)
+	c.Int(&h.SpyArmRetries)
+	c.Int(&h.SpyArmFailures)
+	c.Int(&h.IterationsTotal)
+	c.Int(&h.IterationsProcessed)
+	c.Int(&h.IterationsQuarantined)
+	// Every cause takes at least a length byte and a varint.
+	wire.Map(c, &h.QuarantineCauses, "causes", 2, func(v *int, c *wire.Codec) { c.Int(v) })
 }
 
 // quarantineCoverageFrac is the coverage collapse threshold: an iteration

@@ -2,9 +2,7 @@ package trace
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -16,6 +14,7 @@ import (
 	"leakydnn/internal/dnn"
 	"leakydnn/internal/gpu"
 	"leakydnn/internal/tfsim"
+	"leakydnn/internal/wire"
 )
 
 // Streaming trace serialization. A trace is a magic string whose last byte
@@ -25,10 +24,10 @@ import (
 // back to back onto one writer form a multi-trace stream, and a reader never
 // holds more than one frame in flight.
 //
-// Version 2, the only version, frames everything as
+// Version 3, the only version, frames everything as
 // [kind byte][uvarint payload length][payload]:
 //
-//   - header: one gob message of traceHeader;
+//   - header: traceHeader walked in the internal/wire encoding;
 //   - samples: back-to-back sampleRecordBytes records, Start and End as
 //     int64 and every counter as its float64 bit pattern, all little endian;
 //   - events: per event a uvarint name length, the name, then zig-zag
@@ -37,10 +36,11 @@ import (
 //     pointer-into-Ops identity on read;
 //   - end: an empty payload.
 //
-// Version 1 wrapped every chunk in its own gob stream. It is retired: a
-// trace is a pure function of its run configuration, so a version 1 file is
-// migrated by collecting it again, and Read rejects its magic.
-const traceMagicV2 = "MOSCONS\x02"
+// Version 1 wrapped every chunk in its own gob stream, and version 2 was
+// version 3 with a gob header. Both are retired: a trace is a pure function
+// of its run configuration, so an old file is migrated by collecting it
+// again, and Read rejects its magic.
+const traceMagicV3 = "MOSCONS\x03"
 
 // samplesPerChunk bounds a sample frame's payload (~200 KB at the current
 // event-set width).
@@ -79,14 +79,68 @@ type traceHeader struct {
 	EventCount  int
 }
 
-// gob numbers types process-wide in the order it first encodes them, and a
-// header frame carries those numbers. Encoding one header before anything
-// else in the process can encode pins them, so WriteTo's bytes depend on
-// the trace alone and not on what else the process has encoded.
-func init() {
-	if err := gob.NewEncoder(io.Discard).Encode(traceHeader{}); err != nil {
-		panic(err)
-	}
+// The least wire bytes of an op (15 varints and 5 floats) and of a layer
+// (9 varints), against which the header's counts are checked.
+const (
+	opMinBytes    = 15 + 5*8
+	layerMinBytes = 9
+)
+
+// walk walks the header in wire order: the fields in declaration order,
+// recursing into the model, its layers and the ops.
+func (h *traceHeader) walk(c *wire.Codec) {
+	m := &h.Model
+	c.String(&m.Name)
+	walkShape(&m.Input, c)
+	c.Int(&m.Batch)
+	wire.Slice(c, &m.Layers, "layer", layerMinBytes, walkLayer)
+	c.Int((*int)(&m.Optimizer))
+	wire.Slice(c, &h.Ops, "op", opMinBytes, walkOp)
+	c.Int64((*int64)(&h.VictimWall))
+	c.Int(&h.SpyProbeLaunches)
+	c.Int(&h.SpyChannelsRejected)
+	c.Int(&h.SchedSlices)
+	wire.Slice(c, &h.Reanchors, "re-anchor", 1, func(v *gpu.Nanos, c *wire.Codec) { c.Int64((*int64)(v)) })
+	wire.Ptr(c, &h.Health, (*Health).Walk)
+	c.Int(&h.SampleCount)
+	c.Int(&h.EventCount)
+}
+
+func walkShape(s *dnn.Shape, c *wire.Codec) {
+	c.Int(&s.H)
+	c.Int(&s.W)
+	c.Int(&s.C)
+}
+
+func walkLayer(l *dnn.Layer, c *wire.Codec) {
+	c.Int((*int)(&l.Kind))
+	c.Int(&l.FilterSize)
+	c.Int(&l.NumFilters)
+	c.Int(&l.Stride)
+	c.Int(&l.Neurons)
+	c.Int(&l.PoolSize)
+	c.Int(&l.Steps)
+	c.Int((*int)(&l.Act))
+	c.Int(&l.ShortcutFrom)
+}
+
+func walkOp(o *dnn.Op, c *wire.Codec) {
+	c.Int((*int)(&o.Kind))
+	c.Int(&o.Seq)
+	c.Int(&o.Layer)
+	walkShape(&o.In, c)
+	walkShape(&o.Out, c)
+	c.Int(&o.Batch)
+	c.Int(&o.Params)
+	c.Int(&o.FilterSize)
+	c.Int(&o.NumFilters)
+	c.Int(&o.Stride)
+	c.Int(&o.Neurons)
+	c.Float(&o.FLOPs)
+	c.Float(&o.ReadBytes)
+	c.Float(&o.WriteBytes)
+	c.Float(&o.TexBytes)
+	c.Float(&o.WorkingSetBytes)
 }
 
 // frameHeadMax is the longest frame head: the kind byte and a uvarint length.
@@ -103,12 +157,6 @@ type frameWriter struct {
 	n    int64 // bytes w accepted
 	b    []byte
 	head int // start of the open frame
-}
-
-// Write appends p to the open frame; it is gob's sink for the header.
-func (f *frameWriter) Write(p []byte) (int, error) {
-	f.b = append(f.b, p...)
-	return len(p), nil
 }
 
 // open starts a frame, reserving room for the longest head; the payload is
@@ -175,7 +223,7 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 	}
 
 	buf := stagePool.Get().(*[]byte)
-	f := &frameWriter{w: w, b: append((*buf)[:0], traceMagicV2...)}
+	f := &frameWriter{w: w, b: append((*buf)[:0], traceMagicV3...)}
 	defer func() {
 		if *buf = f.b[:0]; cap(*buf) <= maxPooledStage {
 			stagePool.Put(buf)
@@ -183,7 +231,7 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 	}()
 
 	f.open()
-	hdr := &traceHeader{
+	hdr := traceHeader{
 		Model:               t.Model,
 		Ops:                 t.Ops,
 		VictimWall:          t.VictimWall,
@@ -195,9 +243,9 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 		SampleCount:         len(t.Samples),
 		EventCount:          len(events),
 	}
-	if err := gob.NewEncoder(f).Encode(hdr); err != nil {
-		return 0, fmt.Errorf("trace: encode header: %w", err)
-	}
+	c := wire.NewEncoder(f.b)
+	hdr.walk(c)
+	f.b = c.Bytes()
 	if err := f.close(chunkHeader); err != nil {
 		return f.n, err
 	}
@@ -256,9 +304,8 @@ type Reader struct {
 	br       *bufio.Reader
 	off      int64
 	maxChunk uint64
-	magic    [len(traceMagicV2)]byte
-	buf      *[]byte      // staging buffer, held from stagePool during Read
-	rd       bytes.Reader // gob's source for each staged payload
+	magic    [len(traceMagicV3)]byte
+	buf      *[]byte // staging buffer, held from stagePool during Read
 }
 
 // NewReader wraps r for incremental trace decoding with the default chunk
@@ -343,34 +390,6 @@ func (d *Reader) stage(n uint64) ([]byte, error) {
 	return b, nil
 }
 
-// checkGobLengths walks the gob messages in a staged payload and refuses any
-// whose length claims more bytes than the payload has left: encoding/gob
-// allocates a message's claimed length before reading it. gob encodes a
-// length as one byte below 0x80, or as a byte holding the negated width
-// followed by that many big-endian bytes; a length it cannot parse is left
-// for gob to reject. base is the stream offset of payload[0].
-func checkGobLengths(payload []byte, base int64) error {
-	for pos := 0; pos < len(payload); {
-		width, count := 1, uint64(payload[pos])
-		if count > 0x7f {
-			width = 1 - int(int8(payload[pos]))
-			if width > 1+8 || width > len(payload)-pos {
-				return nil
-			}
-			count = 0
-			for _, c := range payload[pos+1 : pos+width] {
-				count = count<<8 | uint64(c)
-			}
-		}
-		if rest := len(payload) - pos - width; count > uint64(rest) {
-			return fmt.Errorf("gob message at byte offset %d claims %d bytes, only %d remain in the frame",
-				base+int64(pos), count, rest)
-		}
-		pos += width + int(count)
-	}
-	return nil
-}
-
 // readPayload reads a uvarint length and stages that many bytes in d.buf.
 // start is the offset of the enclosing frame. It returns a bare io.EOF only
 // when the stream ends before start. The staging buffer grows only as bytes
@@ -402,23 +421,6 @@ func (d *Reader) readPayload(start int64) ([]byte, error) {
 	return payload, nil
 }
 
-// decodeGob decodes v from a staged payload that must hold exactly one gob
-// value, after checking every gob message length in it against the staged
-// bytes.
-func (d *Reader) decodeGob(payload []byte, start int64, v any) error {
-	if err := checkGobLengths(payload, d.off-int64(len(payload))); err != nil {
-		return fmt.Errorf("trace: frame at byte offset %d: %w", start, err)
-	}
-	d.rd.Reset(payload)
-	if err := gob.NewDecoder(&d.rd).Decode(v); err != nil {
-		return fmt.Errorf("trace: decode frame at byte offset %d: %w", start, err)
-	}
-	if d.rd.Len() != 0 {
-		return fmt.Errorf("trace: frame at byte offset %d carries %d bytes past its gob value", start, d.rd.Len())
-	}
-	return nil
-}
-
 // Read decodes the next trace from the stream. It returns io.EOF exactly
 // when the stream ends cleanly at a trace boundary (including an empty
 // stream); any bytes past a boundary that do not form a complete trace —
@@ -435,9 +437,9 @@ func (d *Reader) Read() (*Trace, error) {
 		return nil, fmt.Errorf("trace: truncated magic at byte offset %d (%d of %d bytes): %w",
 			start, n, len(d.magic), err)
 	}
-	if string(d.magic[:]) != traceMagicV2 {
+	if string(d.magic[:]) != traceMagicV3 {
 		return nil, fmt.Errorf("trace: bad magic %q at byte offset %d (not a serialized trace, trailing garbage, "+
-			"or a retired version: re-collect version 1 traces)", d.magic[:], start)
+			"or a retired version: re-collect version 1 and 2 traces)", d.magic[:], start)
 	}
 	buf := stagePool.Get().(*[]byte)
 	d.buf = buf
@@ -532,8 +534,10 @@ func (d *Reader) read(start int64) (_ *Trace, err error) {
 		return nil, fmt.Errorf("trace: stream does not start with a header frame (kind %d) at byte offset %d", kind, start)
 	}
 	hdr := new(traceHeader)
-	if err := d.decodeGob(payload, start+int64(len(traceMagicV2)), hdr); err != nil {
-		return nil, err
+	c := wire.NewDecoder(payload, int(d.off)-len(payload))
+	hdr.walk(c)
+	if err := c.Finish(); err != nil {
+		return nil, fmt.Errorf("trace: header frame at byte offset %d: %w", start+int64(len(traceMagicV3)), err)
 	}
 	t, events, err := newTrace(hdr, start)
 	if err != nil {

@@ -3,12 +3,10 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 	"math"
-	"math/bits"
 	"runtime"
 	"strings"
 	"testing"
@@ -16,6 +14,7 @@ import (
 
 	"leakydnn/internal/cupti"
 	"leakydnn/internal/dnn"
+	"leakydnn/internal/wire"
 	"leakydnn/internal/zoo"
 )
 
@@ -115,27 +114,24 @@ func TestReaderChunkGuardAndOffset(t *testing.T) {
 	}
 }
 
-// frame is one version-2 frame of kind around payload.
+// frame is one frame of kind around payload.
 func frame(kind chunkKind, payload []byte) []byte {
 	return append(binary.AppendUvarint([]byte{byte(kind)}, uint64(len(payload))), payload...)
 }
 
-// headerGob is the payload of a version-2 header frame carrying hdr.
-func headerGob(tb testing.TB, hdr *traceHeader) []byte {
-	tb.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(hdr); err != nil {
-		tb.Fatal(err)
-	}
-	return buf.Bytes()
+// headerPayload is the payload of a header frame carrying hdr.
+func headerPayload(hdr *traceHeader) []byte {
+	c := wire.NewEncoder(nil)
+	hdr.walk(c)
+	return c.Bytes()
 }
 
-// v2Header is the version-2 magic and a header frame carrying hdr.
-func v2Header(tb testing.TB, hdr *traceHeader) []byte {
-	return append([]byte(traceMagicV2), frame(chunkHeader, headerGob(tb, hdr))...)
+// withHeader is the magic and a header frame carrying hdr.
+func withHeader(hdr *traceHeader) []byte {
+	return append([]byte(traceMagicV3), frame(chunkHeader, headerPayload(hdr))...)
 }
 
-// sampleRecords is the payload of a version-2 sample frame.
+// sampleRecords is the payload of a sample frame.
 func sampleRecords(samples ...cupti.Sample) []byte {
 	var b []byte
 	for _, s := range samples {
@@ -149,7 +145,7 @@ func sampleRecords(samples ...cupti.Sample) []byte {
 }
 
 // hostileLead is everything before a header frame's length prefix.
-const hostileLead = traceMagicV2 + string(rune(chunkHeader))
+const hostileLead = traceMagicV3 + string(rune(chunkHeader))
 
 // Hostile headers: a length prefix claiming gigabytes backed by no data, and
 // header counts that are negative or overflowed, must fail cheaply instead of
@@ -167,14 +163,14 @@ func TestReadTraceHostileHeader(t *testing.T) {
 	}
 
 	// Negative header counts.
-	if _, err := ReadTrace(bytes.NewReader(v2Header(t, &traceHeader{SampleCount: -1}))); err == nil ||
+	if _, err := ReadTrace(bytes.NewReader(withHeader(&traceHeader{SampleCount: -1}))); err == nil ||
 		!strings.Contains(err.Error(), "negative counts") {
 		t.Fatalf("negative sample count: err = %v, want negative-counts error", err)
 	}
 
 	// A header promising fewer samples than the frames deliver must be
 	// caught by the overflow check rather than ballooning memory.
-	over := append(v2Header(t, &traceHeader{SampleCount: 1}),
+	over := append(withHeader(&traceHeader{SampleCount: 1}),
 		frame(chunkSamples, sampleRecords(cupti.Sample{}, cupti.Sample{}))...)
 	if _, err := ReadTrace(bytes.NewReader(over)); err == nil ||
 		!strings.Contains(err.Error(), "overflows the header") {
@@ -182,18 +178,13 @@ func TestReadTraceHostileHeader(t *testing.T) {
 	}
 }
 
-// hostileInnerLength is an upload of lead (the magic and the header frame's
-// kind) and a header whose length prefix says frameLen and whose first gob
-// message length claims claim bytes, followed by only present bytes of
-// payload. encoding/gob allocates any message claim under 10 MB before
-// reading it.
-func hostileInnerLength(lead string, frameLen, claim uint64, present int) []byte {
+// hostileOpCount is an upload of lead (the magic and the header frame's
+// kind) and a header whose length prefix says frameLen and whose op count
+// claims claim ops, followed by only present bytes of payload.
+func hostileOpCount(lead string, frameLen, claim uint64, present int) []byte {
 	b := binary.AppendUvarint([]byte(lead), frameLen)
-	width := (bits.Len64(claim) + 7) / 8
-	b = append(b, byte(-width)) // gob uint: negated width, then big-endian bytes
-	for i := width - 1; i >= 0; i-- {
-		b = append(b, byte(claim>>(8*i)))
-	}
+	b = append(b, make([]byte, 7)...) // empty name, input shape, batch, layers and optimizer
+	b = binary.AppendUvarint(b, claim)
 	return append(b, make([]byte, present)...)
 }
 
@@ -207,24 +198,24 @@ func allocsOf(fn func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// The gob message length inside a header is as hostile as the header's own
-// prefix: a few bytes of input must never buy megabytes of allocation,
-// whether the claim overruns the frame or its prefix backs the claim and the
-// stream is simply cut short.
+// A count inside a header is as hostile as the header's own prefix: a few
+// bytes of input must never buy megabytes of allocation, whether the claim
+// overruns the frame or its prefix backs the claim and the stream is simply
+// cut short.
 func TestReadTraceHostileInnerLength(t *testing.T) {
-	gobAt := len(hostileLead) + 1
+	countEnd := len(hostileLead) + 1 + 7 + 4 // the claim is a 4-byte uvarint
 	for _, tc := range []struct {
 		name     string
 		body     []byte
 		maxChunk int64
 		want     string
 	}{
-		{"claim overruns frame", hostileInnerLength(hostileLead, 12, 9<<20, 8), 1 << 20,
-			fmt.Sprintf("frame at byte offset 8: gob message at byte offset %d claims 9437184 bytes, only 8 remain in the frame", gobAt)},
-		{"truncated, default guard", hostileInnerLength(hostileLead, 9<<20+4, 9<<20, 8), 0,
-			"frame at byte offset 8 truncated: read 12 of 9437188 payload bytes"},
-		{"truncated, 1 MiB guard", hostileInnerLength(hostileLead, 1<<20, 1<<20-4, 8), 1 << 20,
-			"frame at byte offset 8 truncated: read 12 of 1048576 payload bytes"},
+		{"claim overruns frame", hostileOpCount(hostileLead, 19, 9<<20, 8), 1 << 20,
+			fmt.Sprintf("header frame at byte offset 8: op count exceeds payload at byte offset %d", countEnd)},
+		{"truncated, default guard", hostileOpCount(hostileLead, 9<<20+4, 9<<20, 8), 0,
+			"frame at byte offset 8 truncated: read 19 of 9437188 payload bytes"},
+		{"truncated, 1 MiB guard", hostileOpCount(hostileLead, 1<<20, 1<<20-4, 8), 1 << 20,
+			"frame at byte offset 8 truncated: read 18 of 1048576 payload bytes"},
 	} {
 		var err error
 		alloc := allocsOf(func() {
@@ -248,7 +239,7 @@ func hostileFrames(tb testing.TB) []struct {
 	body       []byte
 } {
 	promise := &traceHeader{Ops: []dnn.Op{{Kind: dnn.OpMatMul}}, SampleCount: 1, EventCount: 1}
-	hdr := v2Header(tb, promise)
+	hdr := withHeader(promise)
 	event := func(nameLen uint64, name string, vals ...int64) []byte {
 		b := append(binary.AppendUvarint(nil, nameLen), name...)
 		for _, x := range vals {
@@ -278,13 +269,16 @@ func hostileFrames(tb testing.TB) []struct {
 		{"events past the promise", "overflows the header's promise of 1 events",
 			cat(hdr, frame(chunkEvents, cat(event(2, "op", 0, 0, 0, -1), event(2, "op", 0, 0, 0, -1))))},
 		{"unknown kind", "unexpected frame kind 9", cat(hdr, frame(9, nil))},
-		{"second header", "unexpected frame kind 1", cat(hdr, hdr[len(traceMagicV2):])},
-		{"no header", "does not start with a header frame", cat([]byte(traceMagicV2), sample)},
+		{"second header", "unexpected frame kind 1", cat(hdr, hdr[len(traceMagicV3):])},
+		{"no header", "does not start with a header frame", cat([]byte(traceMagicV3), sample)},
 		{"end frame with payload", "end frame at byte offset", cat(hdr, sample, frame(chunkEnd, []byte{0}))},
 		{"counts short at the end", "stream carried 0 samples, header promised 1", cat(hdr, frame(chunkEnd, nil))},
 		{"frame after the end frame", "bad magic", cat(good, sample)},
-		{"header bytes past its gob value", "bytes past its gob value",
-			cat([]byte(traceMagicV2), frame(chunkHeader, append(headerGob(tb, promise), 0)))},
+		{"header bytes past its walk", "trailing bytes",
+			cat([]byte(traceMagicV3), frame(chunkHeader, append(headerPayload(promise), 0)))},
+		{"op count past the frame", "op count exceeds payload", hostileOpCount(hostileLead, 12, 2, 4)},
+		{"overflowing layer count", "bad varint", cat([]byte(traceMagicV3), frame(chunkHeader,
+			[]byte{0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}))},
 	}
 }
 

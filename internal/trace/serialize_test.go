@@ -16,6 +16,7 @@ import (
 	"leakydnn/internal/dnn"
 	"leakydnn/internal/gpu"
 	"leakydnn/internal/tfsim"
+	"leakydnn/internal/wire"
 	"leakydnn/internal/zoo"
 )
 
@@ -155,8 +156,7 @@ func TestSerializationRejectsDamage(t *testing.T) {
 // wireGoldenTrace is a fixed small trace touching every part of the wire
 // format: model and op table, samples with zero and non-zero counters, a
 // timeline whose events do and do not point into the op table, re-anchor
-// markers and a Health report. Its map holds one entry so gob's map order
-// cannot vary the bytes.
+// markers and a Health report.
 func wireGoldenTrace() *Trace {
 	tr := &Trace{
 		Model: dnn.Model{
@@ -207,20 +207,17 @@ func wireGoldenTrace() *Trace {
 // wireGoldenSHA256 pins the bytes WriteTo emits for wireGoldenTrace. Trace
 // files written by mosconsim and the serve journal's upload-hash keys both
 // depend on these bytes, so a change here is a wire-format change and must
-// not be silent: freeze the bytes it replaces in testdata as a decode
-// golden, so streams written before it are shown to still decode.
+// not be silent: it takes a new version byte, and the bytes it replaces are
+// frozen in testdata as a rejected input.
 //
-// wireSixCountersSHA256 pins such a golden, wire-golden-v2-six-counters.trace:
-// WriteTo's bytes while the header's gob type descriptor named six more
-// chaos counters (SchedStats.OpStallsInjected, OpStallTime, VictimResets and
-// VictimOpsReplayed, DeviceStats.TenantIterationCap and TenantsExpired). gob
-// skips fields the decoder's types no longer have.
+// wireSixCountersSHA256 pins wire-golden-v2-six-counters.trace: WriteTo's
+// bytes at the retired version 2, whose header was a gob message, while it
+// still named six chaos counters since deleted.
 //
 // wireGoldenV1SHA256 pins wire-golden-v1.trace: wireGoldenTrace as the
-// retired version 1 writer serialized it, kept so the tests reject real
-// version 1 bytes.
+// retired version 1 writer serialized it.
 const (
-	wireGoldenSHA256      = "92734780d5ef463d8e7a49cb9f0820fe31849663ee11a322a11e51b7058b7214"
+	wireGoldenSHA256      = "e6e9065dd44d24d3f474e1a55a37d52604ea4458d1bb1571cc6669e8c3fdad22"
 	wireSixCountersSHA256 = "30edf4fa06f1563427fd043c73f21d9795a569d39f1eae69f586505e309d6830"
 	wireGoldenV1SHA256    = "c8420d8760c6e741595560c9287c507e6401613bda7e57e24a680494191f9448"
 )
@@ -242,45 +239,103 @@ func wireGoldenV1(tb testing.TB) []byte {
 	return readFixture(tb, "wire-golden-v1.trace", wireGoldenV1SHA256)
 }
 
+func wireGoldenV2(tb testing.TB) []byte {
+	return readFixture(tb, "wire-golden-v2-six-counters.trace", wireSixCountersSHA256)
+}
+
 func TestWireFormatGolden(t *testing.T) {
 	want := wireGoldenTrace()
 	raw := traceBytes(t, want)
 	if sum := sha256.Sum256(raw); hex.EncodeToString(sum[:]) != wireGoldenSHA256 {
 		t.Fatalf("WriteTo bytes changed: sha256 %x, golden %s", sum, wireGoldenSHA256)
 	}
-	for name, raw := range map[string][]byte{
-		"WriteTo":      raw,
-		"six counters": readFixture(t, "wire-golden-v2-six-counters.trace", wireSixCountersSHA256),
-	} {
-		got, err := ReadTrace(bytes.NewReader(raw))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if err := tracesEqual(got, want); err != nil {
-			t.Fatalf("%s: golden bytes decode to a different trace: %v", name, err)
+	got, err := ReadTrace(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tracesEqual(got, want); err != nil {
+		t.Fatalf("golden bytes decode to a different trace: %v", err)
+	}
+}
+
+// Wire format versions 1 and 2 are retired: such a trace fails at its own
+// magic, with that offset and a hint to re-collect, whether it opens the
+// stream or follows a good trace.
+func TestReadTracesRejectsRetiredV1(t *testing.T) {
+	good := traceBytes(t, wireGoldenTrace())
+	for _, old := range [][]byte{wireGoldenV1(t), wireGoldenV2(t)} {
+		for _, tc := range []struct {
+			name   string
+			stream []byte
+			at     int
+		}{
+			{"alone", old, 0},
+			{"after a good trace", append(append([]byte(nil), good...), old...), len(good)},
+		} {
+			_, err := ReadTraces(bytes.NewReader(tc.stream))
+			want := fmt.Sprintf("bad magic %q at byte offset %d", old[:len(traceMagicV3)], tc.at)
+			if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "re-collect version 1 and 2") {
+				t.Fatalf("%q %s: err = %v, want %q naming the version as retired", old[:len(traceMagicV3)], tc.name, err, want)
+			}
 		}
 	}
 }
 
-// Wire format version 1 is retired: a version 1 trace fails at its own
-// magic, with that offset and a hint to re-collect, whether it opens the
-// stream or follows a good trace.
-func TestReadTracesRejectsRetiredV1(t *testing.T) {
-	v1 := wireGoldenV1(t)
-	good := traceBytes(t, wireGoldenTrace())
-	for _, tc := range []struct {
-		name   string
-		stream []byte
-		at     int
-	}{
-		{"alone", v1, 0},
-		{"after a good trace", append(append([]byte(nil), good...), v1...), len(good)},
-	} {
-		_, err := ReadTraces(bytes.NewReader(tc.stream))
-		want := fmt.Sprintf("bad magic %q at byte offset %d", v1[:len(traceMagicV2)], tc.at)
-		if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "re-collect version 1") {
-			t.Fatalf("%s: err = %v, want %q naming version 1 as retired", tc.name, err, want)
+// fillLeaves sets every leaf under v to a distinct non-zero value, drawing
+// from *next: a slice gets two elements and a pointer a fresh value. A kind
+// it does not know fails the test: a new kind of field needs a look at the
+// walk.
+func fillLeaves(t *testing.T, v reflect.Value, next *int) {
+	*next++
+	n := *next
+	switch v.Kind() {
+	case reflect.Int, reflect.Int64:
+		v.SetInt(int64(n) * 1_000_003)
+	case reflect.Float64:
+		v.SetFloat(float64(n) + 0.25)
+	case reflect.String:
+		v.SetString(fmt.Sprintf("leaf-%d", n))
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+		fillLeaves(t, v.Elem(), next)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			fillLeaves(t, v.Field(i), next)
 		}
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 2, 2))
+		fillLeaves(t, v.Index(0), next)
+		fillLeaves(t, v.Index(1), next)
+	case reflect.Map:
+		if v.Type() != reflect.TypeOf(map[string]int(nil)) {
+			t.Fatalf("no filler for map type %s", v.Type())
+		}
+		v.Set(reflect.ValueOf(map[string]int{fmt.Sprintf("b-%d", n): n, fmt.Sprintf("a-%d", n): -n}))
+	default:
+		t.Fatalf("no filler for %s (%s)", v.Type(), v.Kind())
+	}
+}
+
+// TestTraceHeaderWalkComplete fills every leaf of a header with a distinct
+// value and round-trips it: a field added to the header, the model, a layer,
+// an op, a shape, Health or a chaos stats struct without a line in the walk
+// decodes as zero and fails here.
+func TestTraceHeaderWalkComplete(t *testing.T) {
+	var hdr traceHeader
+	next := 0
+	fillLeaves(t, reflect.ValueOf(&hdr).Elem(), &next)
+	raw := headerPayload(&hdr)
+	var got traceHeader
+	c := wire.NewDecoder(raw, 0)
+	got.walk(c)
+	if err := c.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, hdr) {
+		t.Errorf("round trip lost a field:\n sent %+v\n got  %+v", hdr, got)
+	}
+	if !bytes.Equal(headerPayload(&got), raw) {
+		t.Error("re-encoding a decoded header changed its bytes")
 	}
 }
 
@@ -333,7 +388,7 @@ func TestReadTraceZeroFieldsAcrossChunks(t *testing.T) {
 	smuggled := cupti.Sample{Start: 5, End: 6}
 	smuggled.Values[0] = 7
 	got, err = ReadTrace(bytes.NewReader(bytes.Join([][]byte{
-		v2Header(t, &traceHeader{SampleCount: 2}),
+		withHeader(&traceHeader{SampleCount: 2}),
 		frame(chunkSamples, sampleRecords(smuggled)),
 		frame(chunkSamples, sampleRecords(cupti.Sample{})),
 		frame(chunkEnd, nil)}, nil)))

@@ -66,26 +66,26 @@ const (
 
 // maxReadTraceAllocs and maxReadTraceBytes bound decoding one tiny tested
 // trace from its wire bytes, the first thing mosconsd does with an upload.
-// Measured ~660 objects and ~123 KB per trace with wire format version 2,
-// whose samples and events are binary frames and whose header is one gob
-// message (version 1, a self-contained gob stream per chunk, cost ~3,900
-// objects and ~333 KB). Nearly every object is gob compiling the header's
-// decoder, so the count sits close to the floor: the slack (~15%, as before)
-// covers toolchain drift but not one extra object per sample (~685 per
-// trace). The byte ceiling (~35% over) is what catches an unpooled staging
-// buffer or a second copy of the samples coming back.
+// Measured 34 objects and ~93 KB per trace with wire format version 3,
+// whose header is one wire walk (version 2's gob header cost ~640 objects
+// and ~122 KB, and version 1's self-contained gob stream per chunk ~3,900
+// objects and ~333 KB). The count ceiling covers toolchain drift but not
+// one extra object per sample (~685 per trace) or a header decoded by
+// reflection again. The byte ceiling (~35% over) is what catches an
+// unpooled staging buffer or a second copy of the samples coming back.
 const (
-	maxReadTraceAllocs = 760
-	maxReadTraceBytes  = 168 << 10
+	maxReadTraceAllocs = 48
+	maxReadTraceBytes  = 126 << 10
 )
 
 // maxWriteTraceAllocs and maxWriteTraceBytes bound encoding one tiny tested
-// trace. Measured ~38 objects and ~7 KB per trace once frames are assembled
-// in a pooled buffer (version 1's per-chunk gob encoders and bufio.Writer
-// cost ~917 objects and ~572 KB); the byte ceiling leaves less room than one
-// fresh write buffer.
+// trace. Measured 1 object and ~0.1 KB per trace once frames are assembled
+// in a pooled buffer and the header is walked into it (a gob header encoder
+// cost ~38 objects and ~7 KB, and version 1's per-chunk gob encoders and
+// bufio.Writer ~917 objects and ~572 KB); the byte ceiling leaves less room
+// than one fresh write buffer.
 const (
-	maxWriteTraceAllocs = 48
+	maxWriteTraceAllocs = 4
 	maxWriteTraceBytes  = 10 << 10
 )
 

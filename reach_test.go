@@ -91,6 +91,27 @@ func TestReachGuardFixture(t *testing.T) {
 	}
 }
 
+// TestNoGobImports: no non-test package of either module imports
+// encoding/gob. Every persisted format is walked by internal/wire, whose
+// decoders check each count against the bytes left, where gob sizes a
+// message or a slice from its claim before reading it.
+func TestNoGobImports(t *testing.T) {
+	p, err := loadProgram(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for path, pkg := range p.pkgs {
+		for _, imp := range pkg.Imports() {
+			if imp.Path() == "encoding/gob" {
+				t.Errorf("%s imports encoding/gob", path)
+			}
+		}
+	}
+	if p.pkgs["leakydnn/perfbench"] == nil || p.pkgs["leakydnn/internal/wire"] == nil {
+		t.Fatal("the loader missed a module")
+	}
+}
+
 // reachAllowlist names the findings reached in ways the types do not show,
 // by the names unreachable reports.
 var reachAllowlist = map[string]string{
@@ -150,10 +171,20 @@ type reachProgram struct {
 }
 
 // unreachable runs the guard on the module rooted at root and returns its
-// findings, sorted by name. Nested modules whose path extends root's (such
-// as perfbench) are part of the program; testdata and dot directories are
-// not.
+// findings, sorted by name.
 func unreachable(root string) ([]reachFinding, error) {
+	p, err := loadProgram(root)
+	if err != nil {
+		return nil, err
+	}
+	p.exemptInterfaceMethods()
+	return p.judge(), nil
+}
+
+// loadProgram type-checks the non-test packages of the module rooted at
+// root. Nested modules whose path extends root's (such as perfbench) are
+// part of the program; testdata and dot directories are not.
+func loadProgram(root string) (*reachProgram, error) {
 	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
 	if err != nil {
 		return nil, err
@@ -196,11 +227,7 @@ func unreachable(root string) ([]reachFinding, error) {
 		}
 		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	p.exemptInterfaceMethods()
-	return p.judge(), nil
+	return p, err
 }
 
 // Import implements types.Importer.
