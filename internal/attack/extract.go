@@ -125,8 +125,8 @@ func (m *Models) extractSegmented(ctx context.Context, samples []cupti.Sample, r
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	sc := scratch.get()
-	defer scratch.put(sc)
+	sc := scratch.Get()
+	defer scratch.Put(sc)
 	features := fillFeatures(&sc.features, m.Scaler, samples)
 
 	split, err := m.splitSegmentedCtx(ctx, features, trace.SegmentBounds(samples, reanchors))

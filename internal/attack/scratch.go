@@ -1,9 +1,6 @@
 package attack
 
-import (
-	"runtime"
-	"sync"
-)
+import "leakydnn/internal/par"
 
 // matrix is reusable memory for a row-major [][]float64 whose rows are
 // slices of one backing array. The zero value holds nothing, so filling it
@@ -43,40 +40,7 @@ type extractScratch struct {
 	features, longVotes, opVotes matrix
 }
 
-// scratchSet is a bounded free list of idle extraction scratch. Unlike a
-// sync.Pool it is never emptied by the garbage collector, so the allocation
-// of a warm extraction does not depend on GC timing. It keeps at most
-// GOMAXPROCS idle entries — one per extraction that can run at once — so
-// what it retains is bounded by that many of the largest extractions the
-// process has run. The zero value is ready to use.
-type scratchSet struct {
-	mu   sync.Mutex
-	idle []*extractScratch
-}
-
-// scratch is the process-wide set every extraction borrows from.
-var scratch scratchSet
-
-// get borrows an idle scratch, or a new empty one.
-func (s *scratchSet) get() *extractScratch {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := len(s.idle)
-	if n == 0 {
-		return new(extractScratch)
-	}
-	sc := s.idle[n-1]
-	s.idle[n-1] = nil
-	s.idle = s.idle[:n-1]
-	return sc
-}
-
-// put returns a borrowed scratch whose extraction has finished; past the
-// idle limit it is left to the garbage collector.
-func (s *scratchSet) put(sc *extractScratch) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.idle) < runtime.GOMAXPROCS(0) {
-		s.idle = append(s.idle, sc)
-	}
-}
+// scratch is the process-wide free list every extraction borrows from: the
+// GC never empties it, and it keeps at most GOMAXPROCS idle scratches, each
+// the size of the largest extraction the process has run.
+var scratch par.FreeList[extractScratch]

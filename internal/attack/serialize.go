@@ -57,19 +57,26 @@ func (cfg *Config) walk(c *wire.Codec) {
 // choices and the report. Every model is optional.
 func (m *Models) walk(c *wire.Codec) {
 	m.Cfg.walk(c)
-	wire.Ptr(c, &m.Scaler, walkScaler)
-	wire.Ptr(c, &m.Gap, (*gbdt.Classifier).Walk)
+	if wire.Ptr(c, &m.Scaler) {
+		walkScaler(m.Scaler, c)
+	}
+	if wire.Ptr(c, &m.Gap) {
+		m.Gap.Walk(c)
+	}
 	for _, head := range [...]**lstm.Network{&m.Long, &m.VLong, &m.Op, &m.VOp} {
-		wire.Ptr(c, head, (*lstm.Network).Walk)
+		if wire.Ptr(c, head) {
+			(*head).Walk(c)
+		}
 	}
 	for k := range m.HP {
-		wire.Ptr(c, &m.HP[k], (*lstm.Network).Walk)
+		if wire.Ptr(c, &m.HP[k]) {
+			m.HP[k].Walk(c)
+		}
 		c.Ints(&m.HPVocab[k], "vocabulary")
 	}
 	c.Bool(&m.majorityLong)
 	c.Bool(&m.majorityOp)
-	// Every entry takes at least a length byte and a float.
-	wire.Map(c, &m.Report, "report", 1+8, func(v *float64, c *wire.Codec) { c.Float(v) })
+	wire.Map(c, &m.Report, "report")
 }
 
 func walkScaler(s *gbdt.MinMaxScaler, c *wire.Codec) {

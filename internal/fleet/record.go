@@ -140,7 +140,9 @@ func (r *deviceRecord) walk(c *wire.Codec) {
 	c.Int(&cv.QuarantinedShort)
 	c.Int(&cv.QuarantinedLong)
 	c.Bool(&cv.UsedFallback)
-	wire.Ptr(c, &r.Health, (*trace.Health).Walk)
+	if wire.Ptr(c, &r.Health) {
+		r.Health.Walk(c)
+	}
 	c.Int(&r.SchedSlices)
 	c.String(&r.TraceHash)
 	c.String(&r.ExtractHash)

@@ -114,12 +114,17 @@ func Train(x [][]float64, y []int, cfg Config) (*Classifier, error) {
 	grad := make([]float64, len(x))
 	hess := make([]float64, len(x))
 	idx := make([]int, len(x))
-	for i := range idx {
-		idx[i] = i
+	s := grower{
+		order: make([]sortPair, len(x)), // per-node sort scratch, shared by all trees
+		right: make([]int, len(x)),      // per-node partition scratch, likewise
 	}
-	order := make([]sortPair, len(x)) // per-node sort scratch, shared by all trees
 
 	for round := 0; round < cfg.Rounds; round++ {
+		// Growing a tree permutes idx in place, so each round starts over
+		// from ascending row order.
+		for i := range idx {
+			idx[i] = i
+		}
 		for i := range x {
 			pi := mat.Sigmoid(scores[i])
 			grad[i] = pi - float64(y[i])
@@ -128,7 +133,7 @@ func Train(x [][]float64, y []int, cfg Config) (*Classifier, error) {
 				hess[i] = 1e-9
 			}
 		}
-		tree := c.buildNode(x, grad, hess, idx, order, cfg.MaxDepth)
+		tree := c.buildNode(x, grad, hess, idx, &s, cfg.MaxDepth)
 		c.trees = append(c.trees, tree)
 		for i := range x {
 			scores[i] += cfg.LearningRate * tree.predict(x[i])
@@ -145,19 +150,28 @@ type sortPair struct {
 	i int
 }
 
-// buildNode recursively grows one regression tree over the sample indices.
-// scratch is a caller-owned buffer with cap >= len(idx), reused for the
-// per-feature sort: it is dead by the time the children recurse, so one
-// buffer per tree serves every node.
-func (c *Classifier) buildNode(x [][]float64, grad, hess []float64, idx []int, scratch []sortPair, depth int) *node {
+// grower is one Train call's tree-growing scratch, sized to the training
+// set. Both buffers are dead by the time a node's children recurse, so one
+// of each serves every node of every tree.
+type grower struct {
+	order []sortPair // the per-feature sort
+	right []int      // the right child's rows while idx is partitioned
+}
+
+// buildNode recursively grows one regression tree over the sample indices
+// idx, which it partitions in place: each child grows over its own
+// subrange. The partition is stable, so every node sees its rows in the
+// same ascending order, and sums them in the same order, as if each child
+// had been handed a fresh filtered copy.
+func (c *Classifier) buildNode(x [][]float64, grad, hess []float64, idx []int, s *grower, depth int) *node {
 	var gSum, hSum float64
 	for _, i := range idx {
 		gSum += grad[i]
 		hSum += hess[i]
 	}
-	leaf := &node{feature: -1, value: -gSum / (hSum + c.cfg.Lambda)}
+	value := -gSum / (hSum + c.cfg.Lambda)
 	if depth == 0 || len(idx) < 2*c.cfg.MinLeaf {
-		return leaf
+		return &node{feature: -1, value: value}
 	}
 
 	bestGain := 0.0
@@ -165,7 +179,7 @@ func (c *Classifier) buildNode(x [][]float64, grad, hess []float64, idx []int, s
 	var bestThresh float64
 	parentScore := gSum * gSum / (hSum + c.cfg.Lambda)
 
-	order := scratch[:len(idx)]
+	order := s.order[:len(idx)]
 	for f := 0; f < c.dim; f++ {
 		for j, i := range idx {
 			order[j] = sortPair{v: x[i][f], i: i}
@@ -207,22 +221,26 @@ func (c *Classifier) buildNode(x [][]float64, grad, hess []float64, idx []int, s
 		}
 	}
 	if bestFeat < 0 {
-		return leaf
+		return &node{feature: -1, value: value}
 	}
 
-	var left, right []int
+	// Left rows compact forward in place; right rows wait in s.right and
+	// follow them.
+	nl, right := 0, s.right[:0]
 	for _, i := range idx {
 		if x[i][bestFeat] <= bestThresh {
-			left = append(left, i)
+			idx[nl] = i
+			nl++
 		} else {
 			right = append(right, i)
 		}
 	}
+	copy(idx[nl:], right)
 	return &node{
 		feature:   bestFeat,
 		threshold: bestThresh,
-		left:      c.buildNode(x, grad, hess, left, scratch, depth-1),
-		right:     c.buildNode(x, grad, hess, right, scratch, depth-1),
+		left:      c.buildNode(x, grad, hess, idx[:nl], s, depth-1),
+		right:     c.buildNode(x, grad, hess, idx[nl:], s, depth-1),
 	}
 }
 

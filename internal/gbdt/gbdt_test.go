@@ -338,3 +338,52 @@ func (s *MinMaxScaler) TransformAll(x [][]float64) [][]float64 {
 	}
 	return out
 }
+
+// Growing a tree allocates its nodes and nothing else per node: rows are
+// partitioned in place, and a leaf's node is built only once it is known to
+// be a leaf. A Train call therefore allocates its nodes plus a fixed set of
+// buffers, where appending fresh child index slices cost every split at
+// least two more objects.
+func TestTrainAllocsPerNode(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation can change allocation counts")
+	}
+	rng := rand.New(rand.NewSource(9))
+	x := make([][]float64, 400)
+	y := make([]int, len(x))
+	for i := range x {
+		x[i] = []float64{rng.Float64(), rng.NormFloat64(), float64(rng.Intn(5))}
+		if x[i][0]+0.3*x[i][1] > 0.5 {
+			y[i] = 1
+		}
+	}
+	cfg := Config{Rounds: 12, MaxDepth: 4}
+	c, err := Train(x, y, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var count func(n *node) int
+	count = func(n *node) int {
+		if n.feature < 0 {
+			return 1
+		}
+		return 1 + count(n.left) + count(n.right)
+	}
+	nodes := 0
+	for _, tree := range c.trees {
+		nodes += count(tree)
+	}
+	// The classifier, its tree list's growth, and the score, gradient,
+	// Hessian, index, sort and partition buffers.
+	const fixed = 16
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := Train(x, y, cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("Train: %.0f objects for %d nodes", allocs, nodes)
+	if allocs > float64(nodes+fixed) {
+		t.Errorf("Train allocates %.0f objects for %d nodes, ceiling %d: something allocates per node",
+			allocs, nodes, nodes+fixed)
+	}
+}

@@ -28,7 +28,10 @@ func (cl *Classifier) Walk(c *wire.Codec) {
 		c.Fail("gbdt: invalid feature dim")
 		return
 	}
-	wire.Slice(c, &cl.trees, "tree", nodeMinBytes, func(n **node, c *wire.Codec) { cl.walkNode(n, c, 0) })
+	wire.Slice(c, &cl.trees, "tree", nodeMinBytes)
+	for i := range cl.trees {
+		cl.walkNode(&cl.trees[i], c, 0)
+	}
 }
 
 // walkNode walks the subtree *p whose root sits depth splits below its

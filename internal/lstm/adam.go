@@ -19,10 +19,6 @@ type adamState struct {
 	t    int
 }
 
-func newAdamState(cfg Config) *adamState {
-	return &adamState{m: newParams(cfg), v: newParams(cfg)}
-}
-
 // step applies one Adam update of the parameters p from the gradient g.
 // 1-adamBeta1 and 1-adamBeta2 are constant expressions, folded exactly
 // before they are rounded to float64.

@@ -55,9 +55,10 @@ func TestPredictBatchAllocsRegression(t *testing.T) {
 	}
 }
 
-// Train allocates per call, never per epoch or minibatch: the trainer, its
-// gradient stages and its step buffers are built once and reused, so two
-// and four epochs allocate the same number of objects.
+// Train allocates per call, never per epoch or minibatch, and a warm call
+// allocates only its result: the step buffers, masters, gradient, Adam
+// moments and gradient stages come from the scratch list, so two and four
+// epochs allocate the same single object.
 func TestTrainAllocsSteadyState(t *testing.T) {
 	n, _ := allocNet(t)
 	seqs := randBatchSeqs(84, 12, 4, 3, true)
@@ -71,7 +72,11 @@ func TestTrainAllocsSteadyState(t *testing.T) {
 			}
 		})
 	}
-	if a2, a4 := allocs(2), allocs(4); a2 != a4 {
+	a2, a4 := allocs(2), allocs(4)
+	if a2 != a4 {
 		t.Errorf("Train allocates %.0f objects at 2 epochs and %.0f at 4: something allocates per epoch", a2, a4)
+	}
+	if a2 > 1 {
+		t.Errorf("a warm Train allocates %.0f objects, ceiling 1 (its results): the working set is no longer borrowed", a2)
 	}
 }

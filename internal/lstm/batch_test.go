@@ -54,7 +54,7 @@ func TestBatchedRunMatchesBackwardAtBatch1(t *testing.T) {
 	}
 	seqs := randBatchSeqs(31, 8, 3, 4, true)
 
-	tr := newTrainer(n, 1)
+	tr := newTrainer(n, 1, seqs)
 	for i := range seqs {
 		loss, counted, correct := tr.run(seqs, []int{i})
 		g := newParams(n.cfg)
@@ -80,7 +80,7 @@ var tensorNames = [5]string{"wx", "wh", "wy", "b", "by"}
 // trainerGrad runs the production trainer over the minibatch seqs[idx] and
 // returns the batch loss and the summed gradient.
 func trainerGrad(n *Network, seqs []Sequence, idx []int) (float64, params) {
-	tr := newTrainer(n, len(idx))
+	tr := newTrainer(n, len(idx), seqs)
 	loss, _, _ := tr.run(seqs, idx)
 	return loss, tr.g
 }
@@ -415,7 +415,7 @@ func TestStagedGradientsMatchOracle(t *testing.T) {
 			}
 			want := newParams(n.cfg)
 			wantLoss, wantCounted, wantCorrect := oracleBatchBackward(n, c.seqs, idx, want)
-			tr := newTrainer(n, len(idx))
+			tr := newTrainer(n, len(idx), c.seqs)
 			for run := 0; run < 2; run++ {
 				loss, counted, correct := tr.run(c.seqs, idx)
 				if math.Float64bits(loss) != math.Float64bits(wantLoss) || counted != wantCounted || correct != wantCorrect {

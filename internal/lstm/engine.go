@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"leakydnn/internal/mat"
-	"leakydnn/internal/par"
 )
 
 // This file is the network's only LSTM arithmetic: one batch-major forward
@@ -38,14 +37,6 @@ type params struct {
 	wx, wh, b, wy, by []float64
 }
 
-func newParams(cfg Config) params {
-	h, in, c := cfg.Hidden, cfg.InputDim, cfg.Classes
-	return params{
-		wx: make([]float64, 4*h*in), wh: make([]float64, 4*h*h), b: make([]float64, 4*h),
-		wy: make([]float64, c*h), by: make([]float64, c),
-	}
-}
-
 // tensors lists the buffers in their fixed serialization order.
 func (p params) tensors() [5][]float64 {
 	return [5][]float64{p.wx, p.wh, p.wy, p.b, p.by}
@@ -75,19 +66,14 @@ func (n *Network) refresh(p params) {
 	transpose(n.w.wyT, p.wy, c, h)
 }
 
-// masters returns the network's parameters in the master layout: weight
-// matrices transposed back from the view into fresh buffers, and the view's
-// own biases. It only reads the network, so it is safe alongside prediction.
-func (n *Network) masters() params {
+// mastersInto writes the network's weight matrices into p in the master
+// layout, transposed back from the view. It only reads the network, so it is
+// safe alongside prediction.
+func (n *Network) mastersInto(p params) {
 	h, in, c := n.cfg.Hidden, n.cfg.InputDim, n.cfg.Classes
-	p := params{
-		wx: make([]float64, 4*h*in), wh: make([]float64, 4*h*h), wy: make([]float64, c*h),
-		b: n.w.b, by: n.w.by,
-	}
 	transpose(p.wx, n.w.wxT, in, 4*h)
 	transpose(p.wh, n.w.whT, h, 4*h)
 	transpose(p.wy, n.w.wyT, h, c)
-	return p
 }
 
 // transpose writes dst[c*rows+r] = src[r*cols+c].
@@ -110,67 +96,29 @@ type step struct {
 // state is a timestep's inputs and LSTM intermediates.
 type state struct {
 	x                       []float64 // B×In inputs
-	i, f, g, o, c, h, tanhC []float64 // B×H each, views into one buffer
+	i, f, g, o, c, h, tanhC []float64 // B×H each
 }
 
-// engine owns the forward buffers for up to bcap sequences at a time. Not
-// safe for concurrent use: inference draws engines from Network.pool, and
-// training owns one per Train call.
+// engine is the forward half of a scratch: buffers for up to bcap sequences
+// of up to len(steps) timesteps, bound to one network's weights. Not safe
+// for concurrent use; every pass borrows its own scratch.
 type engine struct {
 	w                      *weights
 	hidden, in, classes    int
 	bcap, workers          int
-	keep                   bool // every step keeps its own state, for BPTT
-	steps                  []*step
+	steps                  []step
+	states                 []state
 	hzero, z, ztmp, logits []float64 // B×H zero state, B×4H gate sums, B×C readout
 	lens                   []int
 	batch                  [][][]float64 // the current pass's inputs, slot order
-	order                  []int         // input order scratch for batched inference
-}
-
-func newEngine(n *Network, bcap int) *engine {
-	h, c := n.cfg.Hidden, n.cfg.Classes
-	return &engine{
-		w:      n.w,
-		hidden: h, in: n.cfg.InputDim, classes: c,
-		bcap: bcap, workers: par.Workers(n.cfg.Workers),
-		hzero:  make([]float64, bcap*h),
-		z:      make([]float64, bcap*4*h),
-		ztmp:   make([]float64, bcap*4*h),
-		logits: make([]float64, bcap*c),
-		lens:   make([]int, bcap),
-		batch:  make([][][]float64, bcap),
-	}
-}
-
-// step returns the t-th reusable step buffer, growing the list on demand.
-// Without keep, a step shares its state with the step two back: the
-// recurrence only reads the previous step, and inference only reads probs
-// back, so a prediction's memory grows by B×C floats per timestep.
-func (e *engine) step(t int) *step {
-	for len(e.steps) <= t {
-		b, h := e.bcap, e.hidden
-		st := &step{probs: make([]float64, b*e.classes)}
-		if k := len(e.steps); !e.keep && k >= 2 {
-			st.state = e.steps[k-2].state
-		} else {
-			buf := make([]float64, 7*b*h)
-			st.state = &state{
-				x: make([]float64, b*e.in),
-				i: buf[0 : b*h], f: buf[b*h : 2*b*h], g: buf[2*b*h : 3*b*h], o: buf[3*b*h : 4*b*h],
-				c: buf[4*b*h : 5*b*h], h: buf[5*b*h : 6*b*h], tanhC: buf[6*b*h : 7*b*h],
-			}
-		}
-		e.steps = append(e.steps, st)
-	}
-	return e.steps[t]
+	order                  []int         // input order scratch: batched inference, Train's shuffle
 }
 
 // forward runs the network over inputs (one sequence per slot, at most bcap
-// of them, sorted by non-increasing length) and returns the longest length
-// T. Step buffers 0..T-1 are valid until the engine's next use; for each
-// timestep only the rows of the then-live slot prefix are written, rows
-// beyond it hold stale garbage nothing may read.
+// of them, none longer than len(steps), sorted by non-increasing length) and
+// returns the longest length T. Step buffers 0..T-1 are valid until the
+// engine's next use; for each timestep only the rows of the then-live slot
+// prefix are written, rows beyond it hold stale garbage nothing may read.
 func (e *engine) forward(inputs [][][]float64) int {
 	h, in, cls, w := e.hidden, e.in, e.classes, e.workers
 	T := 0
@@ -185,7 +133,7 @@ func (e *engine) forward(inputs [][][]float64) int {
 		for live > 0 && e.lens[live-1] <= t {
 			live--
 		}
-		st := e.step(t)
+		st := &e.steps[t]
 		for s := 0; s < live; s++ {
 			copy(st.x[s*in:s*in+in], inputs[s][t])
 		}
@@ -235,12 +183,12 @@ func (e *engine) labels(out []int, s int) {
 	}
 }
 
-// trainer adds the backward pass to an engine for one Train call.
+// trainer is the backward half of a scratch, bound for one Train call.
 type trainer struct {
-	*engine
-	p  params    // the masters: the backward GEMMs read them, Adam updates them
-	g  params    // the summed minibatch gradient
-	cw []float64 // Config.ClassWeights
+	p    params    // the masters: the backward GEMMs read them, Adam updates them
+	g    params    // the summed minibatch gradient
+	adam adamState // the optimizer's moments
+	cw   []float64 // Config.ClassWeights
 
 	dz                           []float64 // B×4H
 	dh, dc, dcNext, dhNext, htmp []float64 // B×H
@@ -249,30 +197,7 @@ type trainer struct {
 
 	// The weight-gradient products, staged: dz rows with their x and hPrev
 	// rows for g.wx and g.wh, dL rows with their h rows for g.wy.
-	stageZ, stageY *gradStage
-}
-
-func newTrainer(n *Network, bcap int) *trainer {
-	h, c := n.cfg.Hidden, n.cfg.Classes
-	e := newEngine(n, bcap)
-	e.keep = true
-	g := newParams(n.cfg)
-	return &trainer{
-		engine:  e,
-		p:       n.masters(),
-		g:       g,
-		cw:      n.cfg.ClassWeights,
-		dz:      make([]float64, bcap*4*h),
-		dh:      make([]float64, bcap*h),
-		dc:      make([]float64, bcap*h),
-		dcNext:  make([]float64, bcap*h),
-		dhNext:  make([]float64, bcap*h),
-		htmp:    make([]float64, bcap*h),
-		dLogits: make([]float64, bcap*c),
-		idx:     make([]int, bcap),
-		stageZ:  newGradStage(4*h, e.workers, g.wx, g.wh),
-		stageY:  newGradStage(c, e.workers, g.wy),
-	}
+	stageZ, stageY gradStage
 }
 
 // stageRows is how many rows a gradStage holds before it flushes. Eight is
@@ -290,19 +215,23 @@ const stageRows = 8
 // reads the gradients before the trainer's final flush.
 //
 // Row r of coef (width m) pairs with row r of each operand, and a flush
-// adds coefᵀ·ops[i] into dst[i].
+// adds coefᵀ·ops[i] into dst[i]. A stage has one or two destinations; an
+// unused one is nil.
 type gradStage struct {
 	rows, m, workers int
 	coef             []float64
-	ops, dst         [][]float64
+	ops, dst         [2][]float64
 }
 
-func newGradStage(m, workers int, dst ...[]float64) *gradStage {
-	s := &gradStage{m: m, workers: workers, coef: make([]float64, stageRows*m), dst: dst}
-	for _, d := range dst {
-		s.ops = append(s.ops, make([]float64, stageRows*len(d)/m))
+// lay carves from c a stage of width m whose destination dst[i] is m×k[i];
+// a stage with one destination leaves the second nil with k 0.
+func (s *gradStage) lay(c *carver, m, workers int, dst [2][]float64, k [2]int) {
+	*s = gradStage{m: m, workers: workers, coef: c.take(stageRows * m), dst: dst}
+	for i, ki := range k {
+		if ki > 0 {
+			s.ops[i] = c.take(stageRows * ki)
+		}
 	}
-	return s
 }
 
 // push stages one row: the coefficients c and one operand row per
@@ -325,6 +254,9 @@ func (s *gradStage) flush() {
 		return
 	}
 	for i, d := range s.dst {
+		if d == nil {
+			continue
+		}
 		k := len(d) / s.m
 		mat.GemmTAAccum(d, s.coef[:p*s.m], s.ops[i][:p*k], p, s.m, k, s.workers)
 	}
@@ -355,7 +287,7 @@ func sortByLenDesc(idx []int, seqs []Sequence) {
 // not mutated; the trainer works on a length-sorted copy, so the
 // cross-sequence accumulation order depends only on the minibatch's
 // membership and lengths, never on Workers.
-func (t *trainer) run(seqs []Sequence, idx []int) (loss float64, counted, correct int) {
+func (t *scratch) run(seqs []Sequence, idx []int) (loss float64, counted, correct int) {
 	h, in, cls, w := t.hidden, t.in, t.classes, t.workers
 	bs := len(idx)
 	sorted := t.idx[:bs]

@@ -13,7 +13,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sync"
 
 	"leakydnn/internal/mat"
 )
@@ -148,11 +147,6 @@ type Network struct {
 	// so a loaded network resumes on a shuffle stream distinct from the one
 	// already consumed instead of replaying epoch 0's permutations.
 	trainedEpochs int64
-
-	// pool recycles inference engines across prediction calls. Each
-	// Get hands out a distinct engine, so concurrent prediction on a
-	// trained network stays safe while steady-state calls stop allocating.
-	pool sync.Pool
 }
 
 // New builds a network with Xavier-style initialization.
@@ -180,22 +174,12 @@ func New(cfg Config) (*Network, error) {
 }
 
 // predictBatchWidth bounds how many sequences one batched forward pass
-// carries; it caps an inference engine's memory at roughly 32 × (maxLen × C
-// + 14H) floats while keeping the GEMMs wide.
+// carries; it caps a prediction's scratch at roughly 32 × (maxLen × C + 14H)
+// floats while keeping the GEMMs wide.
 const predictBatchWidth = 32
 
-// engine draws a pooled engine at least width slots wide. A pooled
-// engine that is too narrow is dropped for a wider one; step buffers grow
-// with the longest sequence an engine has seen.
-func (n *Network) engine(width int) *engine {
-	if e, ok := n.pool.Get().(*engine); ok && e.bcap >= width {
-		return e
-	}
-	return newEngine(n, width)
-}
-
 // Predict returns per-timestep argmax class predictions, taken straight
-// from the pooled engine: the result is the only allocation of a
+// from the pass's engine: the result is the only allocation of a
 // steady-state call, and each label is the argmax of that timestep's class
 // probabilities.
 func (n *Network) Predict(inputs [][]float64) ([]int, error) {
@@ -209,24 +193,28 @@ func (n *Network) Predict(inputs [][]float64) ([]int, error) {
 	return out, nil
 }
 
-// forwardBatch runs every input sequence through pooled engines, longest
-// first and up to predictBatchWidth at a time, and calls emit(i, e, s) once
-// slot s of e holds input i's outputs.
+// forwardBatch runs every input sequence through one borrowed engine,
+// longest first and up to predictBatchWidth at a time, and calls emit(i, e,
+// s) once slot s of e holds input i's outputs. Each call borrows its own
+// scratch, so concurrent prediction on a trained network is safe.
 func (n *Network) forwardBatch(inputs [][][]float64, emit func(i int, e *engine, s int)) error {
+	longest := 0
 	for _, seq := range inputs {
 		if err := n.checkInputs(seq); err != nil {
 			return err
 		}
+		longest = max(longest, len(seq))
 	}
 	if len(inputs) == 0 {
 		return nil
 	}
 	width := min(predictBatchWidth, len(inputs))
-	e := n.engine(width)
-	if cap(e.order) < len(inputs) {
-		e.order = make([]int, len(inputs))
-	}
-	order := e.order[:len(inputs)]
+	sc := scratchList.Get()
+	defer sc.release()
+	sc.bind(n, width, longest, false)
+	e := &sc.engine
+	e.order = fit(e.order, len(inputs))
+	order := e.order
 	for i := range order {
 		order[i] = i
 	}
@@ -241,8 +229,6 @@ func (n *Network) forwardBatch(inputs [][][]float64, emit func(i int, e *engine,
 			emit(i, e, s)
 		}
 	}
-	clear(e.batch)
-	n.pool.Put(e)
 	return nil
 }
 
@@ -283,9 +269,10 @@ type TrainResult struct {
 
 // Train runs the given number of epochs of minibatch Adam updates over the
 // training set (shuffled each epoch) and returns per-epoch stats. The
-// master parameters and the Adam moments live for one call: a trained
-// network holds only what prediction reads, and a later Train starts from
-// fresh moments, as one on a loaded network does. Every
+// master parameters, the Adam moments and every training buffer live in
+// scratch borrowed for one call (scratch.go): a trained network holds only
+// what prediction reads, and a later Train starts from fresh moments, as
+// one on a loaded network does. Every
 // minibatch runs through the batch-major engine (engine.go). Larger batches
 // accumulate the members' gradients in one rank-B GEMM update before a
 // shared Adam step, a cross-sequence reduction order that Batch=1 never
@@ -304,15 +291,19 @@ func (n *Network) Train(seqs []Sequence, epochs int) ([]TrainResult, error) {
 	if epochs <= 0 {
 		return nil, fmt.Errorf("lstm: epochs must be positive, got %d", epochs)
 	}
+	longest := 0
 	for i, s := range seqs {
 		if err := s.validate(n.cfg.InputDim, n.cfg.Classes); err != nil {
 			return nil, fmt.Errorf("sequence %d: %w", i, err)
 		}
+		longest = max(longest, len(s.Inputs))
 	}
-	adam := newAdamState(n.cfg)
 	batch := min(n.cfg.Batch, len(seqs))
-	t := newTrainer(n, batch)
-	order := make([]int, len(seqs))
+	t := scratchList.Get()
+	defer t.release()
+	t.bind(n, batch, longest, true)
+	t.order = fit(t.order, len(seqs))
+	order := t.order
 	for i := range order {
 		order[i] = i
 	}
@@ -330,7 +321,7 @@ func (n *Network) Train(seqs []Sequence, epochs int) ([]TrainResult, error) {
 			if counted == 0 {
 				continue
 			}
-			n.applyGrads(adam, t.p, t.g, counted)
+			n.applyGrads(&t.adam, t.p, t.g, counted)
 			n.refresh(t.p)
 		}
 

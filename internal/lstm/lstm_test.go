@@ -270,7 +270,7 @@ func TestNetworkWalkComplete(t *testing.T) {
 		}
 	}
 	cfg.InputDim, cfg.Hidden, cfg.Classes, cfg.Workers = 3, 5, 4, 0
-	if n := reflect.TypeOf(Network{}).NumField(); n != 5 {
+	if n := reflect.TypeOf(Network{}).NumField(); n != 4 {
 		t.Fatalf("Network has %d fields; walk the new one and count it here", n)
 	}
 	n, err := New(cfg)
@@ -438,7 +438,7 @@ func TestTrainingStableOnOutliers(t *testing.T) {
 }
 
 // PredictProbs returns per-timestep class probabilities for the sequence,
-// copied out of the pooled engine; Predict skips that copy.
+// copied out of the pass's engine; Predict skips that copy.
 func (n *Network) PredictProbs(inputs [][]float64) ([][]float64, error) {
 	var out [][]float64
 	if err := n.forwardBatch([][][]float64{inputs}, func(_ int, e *engine, s int) {

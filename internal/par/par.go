@@ -6,6 +6,10 @@
 // wins), and no new work starts after a failure (fail-fast). MapCtx and
 // MapOnCtx guarantee all three through one worker loop, which is what makes
 // parallel table generation byte-identical to the workers=1 serial run.
+//
+// FreeList is the bounded free list that hands working memory from one
+// operation to the next: extraction matrices in attack, and every LSTM
+// pass's forward and training buffers in lstm.
 package par
 
 import (

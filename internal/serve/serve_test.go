@@ -36,7 +36,7 @@ func stubCache() *ModelCache {
 	return c
 }
 
-func stubUpload(t *testing.T) []byte {
+func stubUpload(t testing.TB) []byte {
 	t.Helper()
 	tr := &trace.Trace{
 		Model:   dnn.Model{Name: "stub"},

@@ -99,8 +99,7 @@ func (h *Health) Walk(c *wire.Codec) {
 	c.Int(&h.IterationsTotal)
 	c.Int(&h.IterationsProcessed)
 	c.Int(&h.IterationsQuarantined)
-	// Every cause takes at least a length byte and a varint.
-	wire.Map(c, &h.QuarantineCauses, "causes", 2, func(v *int, c *wire.Codec) { c.Int(v) })
+	wire.Map(c, &h.QuarantineCauses, "causes")
 }
 
 // quarantineCoverageFrac is the coverage collapse threshold: an iteration

@@ -93,15 +93,26 @@ func (h *traceHeader) walk(c *wire.Codec) {
 	c.String(&m.Name)
 	walkShape(&m.Input, c)
 	c.Int(&m.Batch)
-	wire.Slice(c, &m.Layers, "layer", layerMinBytes, walkLayer)
+	wire.Slice(c, &m.Layers, "layer", layerMinBytes)
+	for i := range m.Layers {
+		walkLayer(&m.Layers[i], c)
+	}
 	c.Int((*int)(&m.Optimizer))
-	wire.Slice(c, &h.Ops, "op", opMinBytes, walkOp)
+	wire.Slice(c, &h.Ops, "op", opMinBytes)
+	for i := range h.Ops {
+		walkOp(&h.Ops[i], c)
+	}
 	c.Int64((*int64)(&h.VictimWall))
 	c.Int(&h.SpyProbeLaunches)
 	c.Int(&h.SpyChannelsRejected)
 	c.Int(&h.SchedSlices)
-	wire.Slice(c, &h.Reanchors, "re-anchor", 1, func(v *gpu.Nanos, c *wire.Codec) { c.Int64((*int64)(v)) })
-	wire.Ptr(c, &h.Health, (*Health).Walk)
+	wire.Slice(c, &h.Reanchors, "re-anchor", 1)
+	for i := range h.Reanchors {
+		c.Int64((*int64)(&h.Reanchors[i]))
+	}
+	if wire.Ptr(c, &h.Health) {
+		h.Health.Walk(c)
+	}
 	c.Int(&h.SampleCount)
 	c.Int(&h.EventCount)
 }

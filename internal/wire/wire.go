@@ -159,17 +159,28 @@ func (c *Codec) Len(n, min int, what string) int {
 
 // Floats walks a count-prefixed run of float64s; an empty run decodes as nil.
 func (c *Codec) Floats(p *[]float64, what string) {
-	Slice(c, p, what, 8, func(v *float64, c *Codec) { c.Float(v) })
+	Slice(c, p, what, 8)
+	for i := range *p {
+		c.Float(&(*p)[i])
+	}
 }
 
 // Ints walks a count-prefixed run of ints; an empty run decodes as nil.
 func (c *Codec) Ints(p *[]int, what string) {
-	Slice(c, p, what, 1, func(v *int, c *Codec) { c.Int(v) })
+	Slice(c, p, what, 1)
+	for i := range *p {
+		c.Int(&(*p)[i])
+	}
 }
 
-// Slice walks a count-prefixed run of elements, each walked by walk and
-// taking at least min bytes; an empty run decodes as nil.
-func Slice[T any](c *Codec, p *[]T, what string, min int, walk func(*T, *Codec)) {
+// Slice walks the count of a run of elements that take at least min bytes
+// each; a decode allocates the run, and an empty one decodes as nil. The
+// caller then walks each element of *p.
+//
+// Neither Slice nor Ptr takes the element walk as a function value: a
+// Codec handed to an unknown function escapes to the heap, and with it
+// every Codec a walk starts.
+func Slice[T any](c *Codec, p *[]T, what string, min int) {
 	n := c.Len(len(*p), min, what)
 	if c.decode {
 		*p = nil
@@ -177,31 +188,35 @@ func Slice[T any](c *Codec, p *[]T, what string, min int, walk func(*T, *Codec))
 			*p = make([]T, n)
 		}
 	}
-	for i := range *p {
-		walk(&(*p)[i], c)
-	}
 }
 
-// Ptr walks an optional value: a presence flag, so nil stays nil, then the
-// value, which a decode allocates before walking.
-func Ptr[T any](c *Codec, p **T, walk func(*T, *Codec)) {
+// Ptr walks an optional value's presence flag, so nil stays nil, and
+// reports whether the value follows, for the caller to walk; a decode
+// allocates it first.
+func Ptr[T any](c *Codec, p **T) bool {
 	if !c.Present(*p != nil) {
 		*p = nil
-		return
+		return false
 	}
 	if c.decode {
 		*p = new(T)
 	}
-	walk(*p, c)
+	return true
 }
 
-// Map walks an optional string-keyed map: a presence flag, so nil stays nil,
-// then a count and the entries in strictly ascending key order, each the key
-// and its value walked by walk. An entry takes at least min bytes.
-func Map[V any](c *Codec, p *map[string]V, what string, min int, walk func(*V, *Codec)) {
+// Map walks an optional string-keyed map of ints or floats: a presence
+// flag, so nil stays nil, then a count and the entries in strictly
+// ascending key order, each the key and its value.
+func Map[V int | float64](c *Codec, p *map[string]V, what string) {
 	if !c.Present(*p != nil) {
 		*p = nil
 		return
+	}
+	// An entry takes at least a length byte and its value.
+	var zero V
+	min := 1 + 1
+	if _, isFloat := any(zero).(float64); isFloat {
+		min = 1 + 8
 	}
 	if !c.decode {
 		var stack [4]string
@@ -214,7 +229,7 @@ func Map[V any](c *Codec, p *map[string]V, what string, min int, walk func(*V, *
 		for _, k := range keys {
 			v := (*p)[k]
 			c.String(&k)
-			walk(&v, c)
+			c.number(&v)
 		}
 		return
 	}
@@ -225,7 +240,7 @@ func Map[V any](c *Codec, p *map[string]V, what string, min int, walk func(*V, *
 		var k string
 		var v V
 		c.String(&k)
-		walk(&v, c)
+		c.number(&v)
 		if c.err != nil {
 			return
 		}
@@ -236,6 +251,16 @@ func Map[V any](c *Codec, p *map[string]V, what string, min int, walk func(*V, *
 		m[k], prev = v, k
 	}
 	*p = m
+}
+
+// number walks a map value as Int or Float walks it.
+func (c *Codec) number(p any) {
+	switch v := p.(type) {
+	case *int:
+		c.Int(v)
+	case *float64:
+		c.Float(v)
+	}
 }
 
 // varint and uvarint accept only minimal encodings: a multi-byte varint

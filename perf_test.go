@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"leakydnn/internal/attack"
 	"leakydnn/internal/eval"
 	"leakydnn/internal/fleet"
 	"leakydnn/internal/journal"
@@ -98,19 +99,28 @@ const maxExtractAllocs = 600
 
 // maxDecodeRecycledBytes bounds decoding one tiny tested upload whose
 // sample and event buffers come back through trace.Recycle, as mosconsd
-// hands them back after each response. It measured ~42 KB per trace once
-// decodes drew on the recycled buffers (~123 KB while every decode
-// allocated its own); the ceiling sits about 25% over, well under one
-// trace's sample buffer.
+// hands them back after each response. It measured ~12.6 KB per trace with
+// the header one wire walk (~42 KB with a gob header, ~123 KB while every
+// decode allocated its own buffers); the ceiling sits about 25% over, so a
+// decode that stopped drawing on the recycled sample buffers fails it.
 //
 // maxExtractBytes bounds one warm ExtractTrace over a tiny tested trace,
 // the feature and vote matrices reused from the extraction scratch. It
 // measured ~25 KB per trace (~158 KB while each extraction built its own
 // matrices); the ceiling sits about 25% over.
 const (
-	maxDecodeRecycledBytes = 53 << 10
+	maxDecodeRecycledBytes = 16 << 10
 	maxExtractBytes        = 32 << 10
 )
+
+// maxTrainModelsBytes bounds one warm attack.TrainModels over the tiny
+// profiled traces: Mgap's trees grow by partitioning their row indices in
+// place, and every LSTM head borrows its training working set — step
+// buffers, masters, gradients, Adam moments — from the process-wide
+// scratch list. It measured ~2,865 KB (~7,640 KB while each tree node
+// appended fresh child index slices and each Train call built its own
+// working set); the ceiling sits about 25% over.
+const maxTrainModelsBytes = 3584 << 10
 
 var (
 	tinyBenchOnce sync.Once
@@ -287,6 +297,34 @@ func TestExtractBytesSteadyState(t *testing.T) {
 	if b > maxExtractBytes {
 		t.Errorf("a warm ExtractTrace allocates %.0f bytes/trace, ceiling %d — the extraction scratch is no longer reused",
 			b, maxExtractBytes)
+	}
+}
+
+// TestTrainModelsSteadyStateBytes pins what a warm model-set training
+// allocates: the models it returns, the feature and vote matrices it trains
+// on, and little else. Per-node index slices in Mgap's tree growth, or an
+// LSTM working set built per Train call again, blow the ceiling.
+func TestTrainModelsSteadyStateBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector inflates allocation counts")
+	}
+	wb := tinyWorkbench(t)
+	cfg := wb.Scale.AttackConfig()
+	train := func() {
+		m, err := attack.TrainModels(wb.Profiled, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Gap == nil || m.Long == nil || m.VOp == nil {
+			t.Fatal("model set trained without every head")
+		}
+	}
+	bytesPerRun(1, train) // warm the scratch list at the measured GOMAXPROCS
+	b := bytesPerRun(2, train)
+	t.Logf("warm TrainModels: %.1f KB", b/1024)
+	if b > maxTrainModelsBytes {
+		t.Errorf("a warm TrainModels allocates %.0f bytes, ceiling %d — training working memory is no longer reused",
+			b, maxTrainModelsBytes)
 	}
 }
 
