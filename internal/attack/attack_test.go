@@ -2,6 +2,7 @@ package attack
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"reflect"
 	"testing"
@@ -384,4 +385,36 @@ func TruthLongClasses(labels []trace.Label, r Range) []int {
 		out = append(out, int(labels[i].Long))
 	}
 	return out
+}
+
+// TestGoldenModelSet pins a whole trained model set as a constant: the
+// SHA-256 of Models.Save after training on a fixed profiling collection,
+// with per-sequence (Batch 0) and minibatch (Batch 2) updates. Any change
+// to labelling, head geometry, seeds, the voting datasets or their noise
+// shows here as a different hash.
+func TestGoldenModelSet(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full training run is expensive")
+	}
+	profiled := collectAll(t, profiledModels(), 4, 300)
+	golden := map[int]string{
+		0: "06f78f39cee99f1c870c44c3ba4852bd77c833ec0fe47ab2c4299fb1d7c55532",
+		2: "08f48ad7aecaf92f70b23260c1266ac01a519ef3fb1777e3687597a8fb4e5cf8",
+	}
+	for _, batch := range []int{0, 2} {
+		cfg := FastConfig()
+		cfg.Epochs = 6
+		cfg.Batch = batch
+		m, err := TrainModels(profiled, cfg)
+		if err != nil {
+			t.Fatalf("Batch=%d: %v", batch, err)
+		}
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != golden[batch] {
+			t.Errorf("Batch=%d: model set SHA-256 = %s, want %s", batch, got, golden[batch])
+		}
+	}
 }
