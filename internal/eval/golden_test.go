@@ -98,3 +98,64 @@ func TestSchedChaoticCollectionDiffersFromGolden(t *testing.T) {
 		t.Fatal("scheduler-fault plan at intensity 0.5 left the traces byte-identical to clean runs")
 	}
 }
+
+// goldenSlowdownRender pins the rendered §V-F impact and §IV sweep tables
+// at tiny scale, for the default seed and for seed 7, on paperbench's sweep
+// grid. Every probe, slow-down and sweep run times the victim, so this keeps
+// the victim-timing loop's engine wiring fixed.
+var goldenSlowdownRender = map[int64]string{
+	0: `§V-F performance impact of the attack
+  victim iteration alone:        5821
+  with 1 spy kernel:             23819 (4.09x)
+  with 8-kernel slow-down:       253914 (43.62x)
+  spy self slow-down:            1.05x
+§IV slow-down parameter sweep (victim slow-down ratio)
+  kernels=1   blocks=8   threads=256   -> 5.70x
+  kernels=1   blocks=32  threads=256   -> 11.34x
+  kernels=2   blocks=8   threads=256   -> 8.21x
+  kernels=2   blocks=32  threads=256   -> 19.64x
+  kernels=4   blocks=8   threads=256   -> 13.25x
+  kernels=4   blocks=32  threads=256   -> 35.93x
+  kernels=8   blocks=8   threads=256   -> 23.38x
+  kernels=8   blocks=32  threads=256   -> 70.23x
+  kernels=16  blocks=8   threads=256   -> 4.80x
+  kernels=16  blocks=32  threads=256   -> 12.94x
+`,
+	7: `§V-F performance impact of the attack
+  victim iteration alone:        5821
+  with 1 spy kernel:             23900 (4.11x)
+  with 8-kernel slow-down:       256803 (44.12x)
+  spy self slow-down:            1.05x
+§IV slow-down parameter sweep (victim slow-down ratio)
+  kernels=1   blocks=8   threads=256   -> 5.72x
+  kernels=1   blocks=32  threads=256   -> 11.48x
+  kernels=2   blocks=8   threads=256   -> 8.23x
+  kernels=2   blocks=32  threads=256   -> 19.54x
+  kernels=4   blocks=8   threads=256   -> 13.25x
+  kernels=4   blocks=32  threads=256   -> 35.61x
+  kernels=8   blocks=8   threads=256   -> 23.38x
+  kernels=8   blocks=32  threads=256   -> 69.55x
+  kernels=16  blocks=8   threads=256   -> 4.81x
+  kernels=16  blocks=32  threads=256   -> 12.57x
+`,
+}
+
+func TestSlowdownRenderGolden(t *testing.T) {
+	for seed, want := range goldenSlowdownRender {
+		sc := Tiny()
+		if seed != 0 {
+			sc.Seed = seed
+		}
+		impact, err := SlowdownImpact(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		points, err := SlowdownSweep(sc, []int{1, 2, 4, 8, 16}, []int{8, 32}, []int{256})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := impact.Render() + RenderSweep(points); got != want {
+			t.Errorf("seed %d: rendered slow-down tables drifted:\ngot:\n%swant:\n%s", seed, got, want)
+		}
+	}
+}
