@@ -29,9 +29,10 @@ type SlowdownResult struct {
 	SpySlowdown float64
 }
 
-// victimIterTime runs the first tested model with the given spy deployment
-// and returns the mean per-iteration wall time.
-func (sc Scale) victimIterTime(slowdown bool, withSpy bool, seed int64) (gpu.Nanos, error) {
+// victimIterTime runs the first tested model on a fresh engine, lets attach
+// (when non-nil) deploy a spy beside it, and returns the mean per-iteration
+// wall time.
+func (sc Scale) victimIterTime(seed int64, attach func(*gpu.Engine) error) (gpu.Nanos, error) {
 	sess, err := tfsim.NewSession(sc.Tested[0], tfsim.Config{
 		Iterations: sc.Iterations,
 		IterGap:    sc.IterGap,
@@ -44,35 +45,25 @@ func (sc Scale) victimIterTime(slowdown bool, withSpy bool, seed int64) (gpu.Nan
 		return 0, err
 	}
 	tl := &tfsim.Timeline{}
-	eng.OnKernelEnd = tl.Observe
-	if !eng.AddChannel(trace2VictimCtx, sess.Source()) {
-		return 0, fmt.Errorf("eval: scheduler rejected victim channel (ctx %d)", trace2VictimCtx)
-	}
-	if withSpy {
-		prog, err := spy.NewProgram(spy.Config{
-			Ctx:          trace2SpyCtx,
-			Probe:        spy.Conv200,
-			Slowdown:     slowdown,
-			TimeScale:    sc.TimeScale,
-			SamplePeriod: sc.SamplePeriod,
-		})
-		if err != nil {
-			return 0, err
-		}
-		if err := prog.AttachTimeSliced(eng); err != nil {
-			return 0, err
-		}
-	}
-	horizon := (sess.IterationDuration() + sc.IterGap) * gpu.Nanos(sc.Iterations) * 200
-	target := sess.OpsPerIteration() * sc.Iterations
 	done := 0
-	inner := eng.OnKernelEnd
 	eng.OnKernelEnd = func(s gpu.KernelSpan) {
-		inner(s)
+		tl.Observe(s)
 		if s.Ctx == trace2VictimCtx {
 			done++
 		}
 	}
+	if !eng.AddChannel(trace2VictimCtx, sess.Source()) {
+		return 0, fmt.Errorf("eval: scheduler rejected victim channel (ctx %d)", trace2VictimCtx)
+	}
+	if attach != nil {
+		if err := attach(eng); err != nil {
+			return 0, err
+		}
+	}
+	// The horizon only bounds a run that fails: a victim starved this long
+	// is reported rather than waited for.
+	horizon := (sess.IterationDuration() + sc.IterGap) * gpu.Nanos(sc.Iterations) * 400
+	target := sess.OpsPerIteration() * sc.Iterations
 	step := sess.IterationDuration() + gpu.Millisecond
 	for done < target && eng.Now() < horizon {
 		eng.Run(eng.Now() + step)
@@ -95,6 +86,45 @@ func (sc Scale) victimIterTime(slowdown bool, withSpy bool, seed int64) (gpu.Nan
 		return 0, fmt.Errorf("eval: no iterations observed")
 	}
 	return total / gpu.Nanos(n), nil
+}
+
+// probeSpy attaches the time-sliced probe spy, with or without its
+// eight-kernel slow-down set.
+func (sc Scale) probeSpy(slowdown bool) func(*gpu.Engine) error {
+	return func(eng *gpu.Engine) error {
+		prog, err := spy.NewProgram(spy.Config{
+			Ctx:          trace2SpyCtx,
+			Probe:        spy.Conv200,
+			Slowdown:     slowdown,
+			TimeScale:    sc.TimeScale,
+			SamplePeriod: sc.SamplePeriod,
+		})
+		if err != nil {
+			return err
+		}
+		return prog.AttachTimeSliced(eng)
+	}
+}
+
+// sweepSpy attaches nk copies of a slow-down kernel with the given geometry.
+func (sc Scale) sweepSpy(nk, blocks, threads int) func(*gpu.Engine) error {
+	return func(eng *gpu.Engine) error {
+		for i := 0; i < nk; i++ {
+			k := gpu.KernelProfile{
+				Name:            fmt.Sprintf("spy.sweep.%d", i),
+				FixedDuration:   gpu.Nanos(float64(5*gpu.Millisecond) * sc.TimeScale),
+				ReadBytes:       float64(4<<20) * sc.TimeScale,
+				WriteBytes:      float64(1<<20) * sc.TimeScale,
+				WorkingSetBytes: float64(2<<20) * sc.TimeScale,
+				Blocks:          blocks,
+				ThreadsPerBlock: threads,
+			}
+			if !eng.AddChannel(trace2SpyCtx, &gpu.RepeatSource{Kernel: k}) {
+				return fmt.Errorf("eval: scheduler rejected sweep spy channel %d (ctx %d)", i, trace2SpyCtx)
+			}
+		}
+		return nil
+	}
 }
 
 // spyThroughput measures the spy's probe-completion rate with and without
@@ -150,8 +180,11 @@ func SlowdownImpact(sc Scale) (*SlowdownResult, error) {
 	}
 	got, err := par.MapCtx(context.Background(), sc.Workers, 5, func(i int) (measurement, error) {
 		switch i {
-		case 0, 1, 2:
-			t, err := sc.victimIterTime(i == 2, i != 0, sc.StreamSeed(StreamSlowdownImpact, i))
+		case 0:
+			t, err := sc.victimIterTime(sc.StreamSeed(StreamSlowdownImpact, i), nil)
+			return measurement{iter: t}, err
+		case 1, 2:
+			t, err := sc.victimIterTime(sc.StreamSeed(StreamSlowdownImpact, i), sc.probeSpy(i == 2))
 			return measurement{iter: t}, err
 		default:
 			thr, err := sc.spyThroughput(i == 4, sc.StreamSeed(StreamSlowdownImpact, i))
@@ -196,7 +229,7 @@ type SweepPoint struct {
 // SlowdownSweep explores <#kernels, #blocks, #threads> like the paper's
 // hundreds-of-combinations search, demonstrating the slow-down upper bound.
 func SlowdownSweep(sc Scale, kernels, blocks, threads []int) ([]SweepPoint, error) {
-	baseline, err := sc.victimIterTime(false, false, sc.StreamSeed(StreamSlowdownSweepBaseline, 0))
+	baseline, err := sc.victimIterTime(sc.StreamSeed(StreamSlowdownSweepBaseline, 0), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -217,7 +250,7 @@ func SlowdownSweep(sc Scale, kernels, blocks, threads []int) ([]SweepPoint, erro
 	}
 	return par.MapCtx(context.Background(), sc.Workers, len(tasks), func(i int) (SweepPoint, error) {
 		t := tasks[i]
-		iter, err := sc.victimIterTimeCustomSpy(t.nk, t.nb, t.nt, t.seed)
+		iter, err := sc.victimIterTime(t.seed, sc.sweepSpy(t.nk, t.nb, t.nt))
 		if err != nil {
 			return SweepPoint{}, err
 		}
@@ -226,71 +259,6 @@ func SlowdownSweep(sc Scale, kernels, blocks, threads []int) ([]SweepPoint, erro
 			VictimSlowdown: float64(iter) / float64(baseline),
 		}, nil
 	})
-}
-
-// victimIterTimeCustomSpy runs the victim against nk copies of a slow-down
-// kernel with the given geometry.
-func (sc Scale) victimIterTimeCustomSpy(nk, blocks, threads int, seed int64) (gpu.Nanos, error) {
-	sess, err := tfsim.NewSession(sc.Tested[0], tfsim.Config{
-		Iterations: sc.Iterations,
-		IterGap:    sc.IterGap,
-	}, sc.Device)
-	if err != nil {
-		return 0, err
-	}
-	eng, err := gpu.NewEngine(sc.Device, rand.New(rand.NewSource(seed)))
-	if err != nil {
-		return 0, err
-	}
-	tl := &tfsim.Timeline{}
-	done := 0
-	eng.OnKernelEnd = func(s gpu.KernelSpan) {
-		tl.Observe(s)
-		if s.Ctx == trace2VictimCtx {
-			done++
-		}
-	}
-	if !eng.AddChannel(trace2VictimCtx, sess.Source()) {
-		return 0, fmt.Errorf("eval: scheduler rejected victim channel (ctx %d)", trace2VictimCtx)
-	}
-	for i := 0; i < nk; i++ {
-		k := gpu.KernelProfile{
-			Name:            fmt.Sprintf("spy.sweep.%d", i),
-			FixedDuration:   gpu.Nanos(float64(5*gpu.Millisecond) * sc.TimeScale),
-			ReadBytes:       float64(4<<20) * sc.TimeScale,
-			WriteBytes:      float64(1<<20) * sc.TimeScale,
-			WorkingSetBytes: float64(2<<20) * sc.TimeScale,
-			Blocks:          blocks,
-			ThreadsPerBlock: threads,
-		}
-		if !eng.AddChannel(trace2SpyCtx, &gpu.RepeatSource{Kernel: k}) {
-			return 0, fmt.Errorf("eval: scheduler rejected sweep spy channel %d (ctx %d)", i, trace2SpyCtx)
-		}
-	}
-
-	target := sess.OpsPerIteration() * sc.Iterations
-	horizon := (sess.IterationDuration() + sc.IterGap) * gpu.Nanos(sc.Iterations) * 400
-	step := sess.IterationDuration() + gpu.Millisecond
-	for done < target && eng.Now() < horizon {
-		eng.Run(eng.Now() + step)
-	}
-	if done < target {
-		return 0, fmt.Errorf("eval: victim did not finish sweep run")
-	}
-	var total gpu.Nanos
-	var n int
-	for iter := 0; iter < sc.Iterations; iter++ {
-		start, end, ok := tl.IterationSpan(iter)
-		if !ok {
-			continue
-		}
-		total += end - start
-		n++
-	}
-	if n == 0 {
-		return 0, fmt.Errorf("eval: no iterations observed in sweep run")
-	}
-	return total / gpu.Nanos(n), nil
 }
 
 // RenderSweep prints the sweep points.
