@@ -80,7 +80,7 @@ func run() error {
 		return fmt.Errorf("upload mix sums to %v, want > 0", total)
 	}
 
-	sc, err := scaleByName(*scaleName)
+	sc, err := eval.ScaleByName(*scaleName)
 	if err != nil {
 		return err
 	}
@@ -281,16 +281,4 @@ func percentile(sorted []time.Duration, p float64) time.Duration {
 	}
 	i := int(p * float64(len(sorted)-1))
 	return sorted[i].Round(time.Millisecond)
-}
-
-func scaleByName(name string) (eval.Scale, error) {
-	switch name {
-	case "tiny":
-		return eval.Tiny(), nil
-	case "mid":
-		return eval.Mid(), nil
-	case "paper":
-		return eval.Paper(), nil
-	}
-	return eval.Scale{}, fmt.Errorf("unknown scale %q (tiny, mid, paper)", name)
 }

@@ -68,7 +68,7 @@ func run() error {
 	if *httpAddr == "" && *unixPath == "" {
 		return fmt.Errorf("no listener: set -http and/or -unix")
 	}
-	sc, err := scaleByName(*scaleName)
+	sc, err := eval.ScaleByName(*scaleName)
 	if err != nil {
 		return err
 	}
@@ -168,16 +168,4 @@ func run() error {
 	case err := <-serveErr:
 		return fmt.Errorf("listener failed: %w", err)
 	}
-}
-
-func scaleByName(name string) (eval.Scale, error) {
-	switch name {
-	case "tiny":
-		return eval.Tiny(), nil
-	case "mid":
-		return eval.Mid(), nil
-	case "paper":
-		return eval.Paper(), nil
-	}
-	return eval.Scale{}, fmt.Errorf("unknown scale %q (tiny, mid, paper)", name)
 }

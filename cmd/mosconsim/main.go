@@ -90,7 +90,7 @@ func run() error {
 		}
 	}()
 
-	sc, err := scaleByName(*scaleName)
+	sc, err := eval.ScaleByName(*scaleName)
 	if err != nil {
 		return err
 	}
@@ -332,16 +332,4 @@ func attackOne(models *attack.Models, tr *trace.Trace, verbose bool) error {
 	fmt.Printf("accuracy: ops %.1f%%, layers %.1f%%, hyper-parameters %.1f%%\n\n",
 		letterAcc*100, layerAcc*100, hpAcc*100)
 	return nil
-}
-
-func scaleByName(name string) (eval.Scale, error) {
-	switch name {
-	case "tiny":
-		return eval.Tiny(), nil
-	case "mid":
-		return eval.Mid(), nil
-	case "paper":
-		return eval.Paper(), nil
-	}
-	return eval.Scale{}, fmt.Errorf("unknown scale %q (tiny, mid, paper)", name)
 }

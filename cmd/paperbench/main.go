@@ -62,7 +62,7 @@ func run() error {
 		}
 	}()
 
-	sc, err := scaleByName(*scaleName)
+	sc, err := eval.ScaleByName(*scaleName)
 	if err != nil {
 		return err
 	}
@@ -301,16 +301,4 @@ func run() error {
 		fmt.Fprintf(os.Stderr, "[%s: evaluate %.2fs]\n", strings.TrimSpace(name), time.Since(expStart).Seconds())
 	}
 	return nil
-}
-
-func scaleByName(name string) (eval.Scale, error) {
-	switch name {
-	case "tiny":
-		return eval.Tiny(), nil
-	case "mid":
-		return eval.Mid(), nil
-	case "paper":
-		return eval.Paper(), nil
-	}
-	return eval.Scale{}, fmt.Errorf("unknown scale %q (tiny, mid, paper)", name)
 }

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -463,4 +464,22 @@ func (r *Table2Result) Row(name string) (Table2Row, bool) {
 		}
 	}
 	return Table2Row{}, false
+}
+
+// Every command resolves its -scale flag through ScaleByName: the three
+// named scales come back whole, and an unknown name lists the valid ones.
+func TestScaleByName(t *testing.T) {
+	for name, want := range map[string]Scale{"tiny": Tiny(), "mid": Mid(), "paper": Paper()} {
+		got, err := ScaleByName(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: ScaleByName returned a different scale", name)
+		}
+	}
+	_, err := ScaleByName("huge")
+	if err == nil || err.Error() != `unknown scale "huge" (tiny, mid, paper)` {
+		t.Errorf("unknown scale: err = %v", err)
+	}
 }

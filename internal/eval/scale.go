@@ -131,6 +131,19 @@ func Paper() Scale {
 	}
 }
 
+// ScaleByName returns the scale a command-line -scale flag names.
+func ScaleByName(name string) (Scale, error) {
+	switch name {
+	case "tiny":
+		return Tiny(), nil
+	case "mid":
+		return Mid(), nil
+	case "paper":
+		return Paper(), nil
+	}
+	return Scale{}, fmt.Errorf("unknown scale %q (tiny, mid, paper)", name)
+}
+
 // RunConfig builds the trace collection configuration for one victim model.
 func (sc Scale) RunConfig(seed int64, slowdown bool) trace.RunConfig {
 	return trace.RunConfig{
