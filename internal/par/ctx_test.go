@@ -144,6 +144,30 @@ func TestMapCtxSerialPathHonoursCancel(t *testing.T) {
 	}
 }
 
+// TestMapOnCtxOneSlotHonoursCancel is the serial-path guarantee on a
+// one-slot pool: a free slot must not race a done context, so no index is
+// dispatched after the cancellation lands. Repeated because a select between
+// the two would pick the slot about half the time.
+func TestMapOnCtxOneSlotHonoursCancel(t *testing.T) {
+	for range 32 {
+		ctx, cancel := context.WithCancel(context.Background())
+		var ran int
+		_, err := MapOnCtx(ctx, NewPool(1), 10, func(i int) (int, error) {
+			ran++
+			if i == 2 {
+				cancel()
+			}
+			return i, nil
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		if ran != 3 {
+			t.Fatalf("ran %d tasks, want 3 (cancel lands before index 3)", ran)
+		}
+	}
+}
+
 // TestMapCtxTaskErrorBeatsCancel: when a task fails and the context is then
 // cancelled, the task error keeps its lowest-index precedence.
 func TestMapCtxTaskErrorBeatsCancel(t *testing.T) {

@@ -130,15 +130,16 @@ func fanOut[T any](ctx context.Context, sem chan struct{}, workers, n int, fn fu
 				}
 				// The claim-then-check order makes the cancelled flag precise:
 				// it is set iff a claimed index was abandoned, i.e. iff the
-				// result set is actually incomplete. On a pool the same select
-				// bounds the slot wait, so a cancelled fan-out drains out of
-				// the pool's queue instead of holding a position in it.
-				if sem == nil {
-					if ctx.Err() != nil {
-						cancelled.Store(true)
-						return
-					}
-				} else {
+				// result set is actually incomplete. The check comes before
+				// the slot wait because a select between a free slot and a
+				// done ctx picks either; on a pool the select then bounds the
+				// wait, so a cancelled fan-out drains out of the pool's queue
+				// instead of holding a position in it.
+				if ctx.Err() != nil {
+					cancelled.Store(true)
+					return
+				}
+				if sem != nil {
 					select {
 					case sem <- struct{}{}:
 					case <-ctx.Done():
