@@ -78,43 +78,48 @@ func TrainModelsCtx(ctx context.Context, traces []*trace.Trace, cfg Config) (*Mo
 		return nil, err
 	}
 	// Mlong, Mop and the five Mhp heads have disjoint seeds and disjoint
-	// label sets, so they train concurrently on the worker pool. Each trainer
-	// writes only its own Models field and returns its Report entries, which
-	// are merged on the calling goroutine in fixed task order — the Report
-	// map itself is never touched from a worker.
-	heads := []func() (map[string]float64, error){
-		func() (map[string]float64, error) { return m.trainLong(lts) },
-		func() (map[string]float64, error) { return m.trainOp(lts) },
-	}
-	for kind := HPKind(0); kind < NumHPKinds; kind++ {
-		kind := kind
-		heads = append(heads, func() (map[string]float64, error) {
-			return m.trainHPHead(lts, kind)
-		})
-	}
-	if err := m.runTrainers(ctx, heads); err != nil {
+	// label sets, so they train concurrently; the voting heads then train on
+	// Mlong's and Mop's predictions.
+	if err := m.runHeads(ctx, m.featureHeads(lts)); err != nil {
 		return nil, err
 	}
-	if err := m.trainVoting(ctx, lts); err != nil {
+	voting, err := m.votingHeads(lts)
+	if err != nil {
+		return nil, err
+	}
+	if err := m.runHeads(ctx, voting); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
-// runTrainers executes the independent trainers on the worker pool — the
-// shared pipeline pool when the configuration carries one, a private Workers
-// pool otherwise — and merges their report entries in fixed task order.
-func (m *Models) runTrainers(ctx context.Context, trainers []func() (map[string]float64, error)) error {
-	run := func(i int) (map[string]float64, error) {
-		return trainers[i]()
+// head is one LSTM of the model set with everything that sets it apart from
+// the others: its name (the Report key and error prefix), the Models field
+// it fills, its geometry and seed, and its training sequences. A voting head
+// also carries the held-out validation groups and the flag that records
+// whether plain majority voting beat it on them.
+type head struct {
+	name     string
+	net      **lstm.Network
+	cfg      lstm.Config
+	seqs     []lstm.Sequence
+	val      []lstm.Sequence
+	majority *bool
+}
+
+// runHeads trains the heads on the worker pool — the shared pipeline pool
+// when the configuration carries one, a private Workers pool otherwise. Each
+// head writes only its own Models fields and returns its Report entries,
+// which are merged on the calling goroutine in fixed head order; the Report
+// map itself is never touched from a worker.
+func (m *Models) runHeads(ctx context.Context, heads []head) error {
+	pool := m.Cfg.pool
+	if pool == nil {
+		pool = par.NewPool(m.Cfg.Workers)
 	}
-	var reports []map[string]float64
-	var err error
-	if m.Cfg.pool != nil {
-		reports, err = par.MapOnCtx(ctx, m.Cfg.pool, len(trainers), run)
-	} else {
-		reports, err = par.MapCtx(ctx, m.Cfg.Workers, len(trainers), run)
-	}
+	reports, err := par.MapOnCtx(ctx, pool, len(heads), func(i int) (map[string]float64, error) {
+		return m.trainHead(heads[i])
+	})
 	if err != nil {
 		return err
 	}
@@ -126,13 +131,31 @@ func (m *Models) runTrainers(ctx context.Context, trainers []func() (map[string]
 	return nil
 }
 
-// lstmConfig fills the fields every inference LSTM shares from the attack
-// configuration; the per-head geometry and seed come from the caller.
-func (m *Models) lstmConfig(cfg lstm.Config) lstm.Config {
+// trainHead builds and trains one head, fills its Models field and returns
+// its final training accuracy; a voting head then chooses between itself
+// and plain majority voting.
+func (m *Models) trainHead(h head) (map[string]float64, error) {
+	cfg := h.cfg
 	cfg.LearningRate = m.Cfg.LearningRate
 	cfg.Batch = m.Cfg.Batch
 	cfg.Workers = m.Cfg.Workers
-	return cfg
+	net, err := lstm.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	res, err := net.Train(h.seqs, m.Cfg.Epochs)
+	if err != nil {
+		return nil, fmt.Errorf("train %s: %w", h.name, err)
+	}
+	*h.net = net
+	rep := map[string]float64{h.name: res[len(res)-1].Accuracy}
+	if h.majority != nil {
+		if *h.majority, err = selectMajority(net, h.val, cfg.Classes, m.Cfg.VoteIterations); err != nil {
+			return nil, err
+		}
+		rep[h.name+".majority"] = boolToFloat(*h.majority)
+	}
+	return rep, nil
 }
 
 func (m *Models) trainGap(lts []*labelledTrace) error {
@@ -156,169 +179,144 @@ func (m *Models) trainGap(lts []*labelledTrace) error {
 	return nil
 }
 
-func (m *Models) trainLong(lts []*labelledTrace) (map[string]float64, error) {
-	// Weighted softmax (§IV-B): the paper amplifies the loss of the minor
-	// classes because long conv ops produce far more samples than anything
-	// else. We compute the amplification from the actual class frequencies —
-	// weight ∝ inverse frequency, capped at MinorClassBoost — which reduces
-	// to the paper's fixed boost on conv-dominated traces and stays correct
-	// on differently balanced workloads.
-	counts := make([]float64, dnn.NumLongClasses)
-	var total float64
-	for _, lt := range lts {
-		for _, it := range lt.iters {
-			for i := it.Start; i < it.End; i++ {
-				counts[lt.labels[i].Long]++
-				total++
-			}
-		}
+// featureHeads lists Mlong, Mop and each Mhp head that has something to
+// learn, and records every Mhp vocabulary. An Mhp head's label sits on the
+// last sample of the owning layer's op run (§IV-C) and its vocabulary is the
+// set of values present in the profiled models.
+func (m *Models) featureHeads(lts []*labelledTrace) []head {
+	dim := featureDim(lts)
+	long := sequences(lts, longLabel, false)
+	heads := []head{
+		{name: "Mlong", net: &m.Long, seqs: long, cfg: lstm.Config{
+			InputDim:     dim,
+			Hidden:       m.Cfg.LongHidden,
+			Classes:      int(dnn.NumLongClasses),
+			ClassWeights: classWeights(long, int(dnn.NumLongClasses), m.Cfg.MinorClassBoost),
+			Seed:         m.Cfg.Seed + 1,
+		}},
+		{name: "Mop", net: &m.Op, seqs: sequences(lts, opLabel, false), cfg: lstm.Config{
+			InputDim: dim,
+			Hidden:   m.Cfg.OpHidden,
+			Classes:  NumOtherOps,
+			Seed:     m.Cfg.Seed + 2,
+		}},
 	}
-	weights := make([]float64, dnn.NumLongClasses)
-	for i := range weights {
-		w := 1.0
-		if counts[i] > 0 {
-			w = total / (float64(len(weights)) * counts[i])
+	for kind := HPKind(0); kind < NumHPKinds; kind++ {
+		vocab := hpVocabulary(lts, kind)
+		m.HPVocab[kind] = vocab
+		if len(vocab) < 2 {
+			// Nothing to learn (e.g. single optimizer profiled); the head
+			// stays nil and extraction falls back to the only value.
+			continue
 		}
-		if w < 1 {
-			w = 1
+		seqs := sequences(lts, hpLabel(kind, vocab), true)
+		if len(seqs) == 0 {
+			continue
 		}
-		if w > m.Cfg.MinorClassBoost {
-			w = m.Cfg.MinorClassBoost
-		}
-		weights[i] = w
+		heads = append(heads, head{name: fmt.Sprintf("Mhp[%s]", kind), net: &m.HP[kind], seqs: seqs, cfg: lstm.Config{
+			InputDim: dim,
+			Hidden:   m.Cfg.HPHidden,
+			Classes:  len(vocab),
+			Seed:     m.Cfg.Seed + 10 + int64(kind),
+		}})
 	}
-
-	net, err := lstm.New(m.lstmConfig(lstm.Config{
-		InputDim:     featureDim(lts),
-		Hidden:       m.Cfg.LongHidden,
-		Classes:      int(dnn.NumLongClasses),
-		ClassWeights: weights,
-		Seed:         m.Cfg.Seed + 1,
-	}))
-	if err != nil {
-		return nil, err
-	}
-	var seqs []lstm.Sequence
-	for _, lt := range lts {
-		for _, it := range lt.iters {
-			seq := lstm.Sequence{
-				Inputs: lt.features[it.Start:it.End],
-				Labels: make([]int, it.End-it.Start),
-			}
-			for i := it.Start; i < it.End; i++ {
-				seq.Labels[i-it.Start] = int(lt.labels[i].Long)
-			}
-			seqs = append(seqs, seq)
-		}
-	}
-	results, err := net.Train(seqs, m.Cfg.Epochs)
-	if err != nil {
-		return nil, fmt.Errorf("train Mlong: %w", err)
-	}
-	m.Long = net
-	return map[string]float64{"Mlong": results[len(results)-1].Accuracy}, nil
+	return heads
 }
 
-func (m *Models) trainOp(lts []*labelledTrace) (map[string]float64, error) {
-	net, err := lstm.New(m.lstmConfig(lstm.Config{
-		InputDim: featureDim(lts),
-		Hidden:   m.Cfg.OpHidden,
-		Classes:  NumOtherOps,
-		Seed:     m.Cfg.Seed + 2,
-	}))
-	if err != nil {
-		return nil, err
+// labelFunc gives the class of sample i of a trace, or -1 to leave the
+// sample out of the loss.
+type labelFunc func(labels []trace.Label, i int) int
+
+func longLabel(labels []trace.Label, i int) int { return int(labels[i].Long) }
+
+func opLabel(labels []trace.Label, i int) int {
+	if labels[i].IsNOP {
+		return -1
 	}
-	var seqs []lstm.Sequence
-	for _, lt := range lts {
-		for _, it := range lt.iters {
-			n := it.End - it.Start
-			seq := lstm.Sequence{
-				Inputs: lt.features[it.Start:it.End],
-				Labels: make([]int, n),
-				Mask:   make([]bool, n),
-			}
-			for i := it.Start; i < it.End; i++ {
-				cls := -1
-				if !lt.labels[i].IsNOP {
-					cls = otherOpClass(lt.labels[i].Letter)
-				}
-				seq.Labels[i-it.Start] = cls
-				seq.Mask[i-it.Start] = cls >= 0
-			}
-			seqs = append(seqs, seq)
-		}
-	}
-	results, err := net.Train(seqs, m.Cfg.Epochs)
-	if err != nil {
-		return nil, fmt.Errorf("train Mop: %w", err)
-	}
-	m.Op = net
-	return map[string]float64{"Mop": results[len(results)-1].Accuracy}, nil
+	return otherOpClass(labels[i].Letter)
 }
 
-// trainHPHead builds one Mhp head. The head's label sits on the last sample
-// of the owning layer's op run (§IV-C) and the vocabulary is the set of
-// values present in the profiled models. The head writes only its own slots
-// of HP and HPVocab, so the five heads can train concurrently.
-func (m *Models) trainHPHead(lts []*labelledTrace, kind HPKind) (map[string]float64, error) {
-	vocab := hpVocabulary(lts, kind)
-	m.HPVocab[kind] = vocab
-	if len(vocab) < 2 {
-		// Nothing to learn (e.g. single optimizer profiled); the head
-		// stays nil and extraction falls back to the only value.
-		return nil, nil
-	}
+// hpLabel labels the last sample of each op run that carries kind with the
+// value's index in vocab.
+func hpLabel(kind HPKind, vocab []int) labelFunc {
 	index := make(map[int]int, len(vocab))
 	for i, v := range vocab {
 		index[v] = i
 	}
-
-	net, err := lstm.New(m.lstmConfig(lstm.Config{
-		InputDim: featureDim(lts),
-		Hidden:   m.Cfg.HPHidden,
-		Classes:  len(vocab),
-		Seed:     m.Cfg.Seed + 10 + int64(kind),
-	}))
-	if err != nil {
-		return nil, err
+	return func(labels []trace.Label, i int) int {
+		if !hpLabelPosition(labels, i, kind) {
+			return -1
+		}
+		v, _ := hpValueOf(kind, labels[i])
+		if cls, ok := index[v]; ok {
+			return cls
+		}
+		return -1
 	}
+}
+
+// sequences builds one sequence per ground-truth iteration. A sparse head
+// keeps only the iterations with at least one labelled sample.
+func sequences(lts []*labelledTrace, label labelFunc, sparse bool) []lstm.Sequence {
 	var seqs []lstm.Sequence
 	for _, lt := range lts {
 		for _, it := range lt.iters {
-			n := it.End - it.Start
-			seq := lstm.Sequence{
-				Inputs: lt.features[it.Start:it.End],
-				Labels: make([]int, n),
-				Mask:   make([]bool, n),
-			}
-			any := false
-			for i := it.Start; i < it.End; i++ {
-				seq.Labels[i-it.Start] = -1
-				if !hpLabelPosition(lt.labels, i, kind) {
-					continue
-				}
-				v, _ := hpValueOf(kind, lt.labels[i])
-				if cls, ok := index[v]; ok {
-					seq.Labels[i-it.Start] = cls
-					seq.Mask[i-it.Start] = true
-					any = true
-				}
-			}
-			if any {
+			if seq, counted := iterSequence(lt, it, label); counted > 0 || !sparse {
 				seqs = append(seqs, seq)
 			}
 		}
 	}
-	if len(seqs) == 0 {
-		return nil, nil
+	return seqs
+}
+
+// iterSequence labels the samples of one iteration and reports how many
+// count. The sequence gets a Mask only when label leaves some sample out:
+// a nil mask already counts every one.
+func iterSequence(lt *labelledTrace, it Range, label labelFunc) (lstm.Sequence, int) {
+	seq := lstm.Sequence{
+		Inputs: lt.features[it.Start:it.End],
+		Labels: make([]int, it.End-it.Start),
 	}
-	results, err := net.Train(seqs, m.Cfg.Epochs)
-	if err != nil {
-		return nil, fmt.Errorf("train Mhp[%s]: %w", kind, err)
+	counted := 0
+	for t := range seq.Labels {
+		seq.Labels[t] = label(lt.labels, it.Start+t)
+		if seq.Labels[t] >= 0 {
+			counted++
+		}
 	}
-	m.HP[kind] = net
-	return map[string]float64{fmt.Sprintf("Mhp[%s]", kind): results[len(results)-1].Accuracy}, nil
+	if counted < len(seq.Labels) {
+		seq.Mask = make([]bool, len(seq.Labels))
+		for t, cls := range seq.Labels {
+			seq.Mask[t] = cls >= 0
+		}
+	}
+	return seq, counted
+}
+
+// classWeights is Mlong's weighted softmax (§IV-B): the paper amplifies the
+// loss of the minor classes because long conv ops produce far more samples
+// than anything else. We compute the amplification from the actual class
+// frequencies — weight ∝ inverse frequency, capped at boost — which reduces
+// to the paper's fixed boost on conv-dominated traces and stays correct on
+// differently balanced workloads.
+func classWeights(seqs []lstm.Sequence, classes int, boost float64) []float64 {
+	counts := make([]float64, classes)
+	var total float64
+	for _, seq := range seqs {
+		for _, cls := range seq.Labels {
+			counts[cls]++
+			total++
+		}
+	}
+	weights := make([]float64, classes)
+	for i := range weights {
+		w := 1.0
+		if counts[i] > 0 {
+			w = total / (float64(classes) * counts[i])
+		}
+		weights[i] = min(max(w, 1), boost)
+	}
+	return weights
 }
 
 // hpLabelPosition reports whether sample i is the last sample of an op run
@@ -360,21 +358,40 @@ func hpVocabulary(lts []*labelledTrace, kind HPKind) []int {
 	return out
 }
 
-// trainVoting trains Vlong and Vop on Mlong/Mop's own predictions across
-// bundles of consecutive profiled iterations, then validates each voting
-// model against a plain per-position majority vote on held-out groups. A
-// voting LSTM that cannot beat the majority baseline on the adversary's own
-// data is replaced by it at extraction time — the same model-selection step
-// a real attacker performs before deploying.
-func (m *Models) trainVoting(ctx context.Context, lts []*labelledTrace) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
+// votingHeads builds the Vlong and Vop datasets from Mlong's and Mop's own
+// predictions across bundles of consecutive profiled iterations. Every
+// fourth bundle is held out: after training, each voting model is validated
+// against a plain per-position majority vote on those groups, and a voting
+// LSTM that cannot beat the majority baseline on the adversary's own data is
+// replaced by it at extraction time — the same model-selection step a real
+// attacker performs before deploying.
+func (m *Models) votingHeads(lts []*labelledTrace) ([]head, error) {
 	n := m.Cfg.VoteIterations
+	heads := []head{
+		{name: "Vlong", net: &m.VLong, majority: &m.majorityLong, cfg: lstm.Config{
+			InputDim: int(dnn.NumLongClasses) * n,
+			Hidden:   m.Cfg.VoteHidden,
+			Classes:  int(dnn.NumLongClasses),
+			Seed:     m.Cfg.Seed + 3,
+		}},
+		{name: "Vop", net: &m.VOp, majority: &m.majorityOp, cfg: lstm.Config{
+			InputDim: NumOtherOps * n,
+			Hidden:   m.Cfg.VoteHidden,
+			Classes:  NumOtherOps,
+			Seed:     m.Cfg.Seed + 4,
+		}},
+	}
+	// sources[i] is the inference head whose votes heads[i] learns from.
+	sources := []struct {
+		net   *lstm.Network
+		label labelFunc
+		pad   int
+	}{{m.Long, longLabel, int(dnn.LongNOP)}, {m.Op, opLabel, 0}}
+	// One RNG corrupts both datasets, so its draws interleave Vlong's and
+	// Vop's sequences in the order they are built.
 	noise := rand.New(rand.NewSource(m.Cfg.Seed + 77))
-
-	var longSeqs, opSeqs []lstm.Sequence
-	var valLong, valOp []lstm.Sequence
+	preds := make([][][]int, len(sources))
+	base := make([]lstm.Sequence, len(sources))
 	for _, lt := range lts {
 		// One batched forward per head over all iterations of the trace:
 		// bit-identical to per-iteration Predict calls, on wider GEMMs.
@@ -382,136 +399,57 @@ func (m *Models) trainVoting(ctx context.Context, lts []*labelledTrace) error {
 		for i, it := range lt.iters {
 			iterInputs[i] = lt.features[it.Start:it.End]
 		}
-		preds, err := m.Long.PredictBatch(iterInputs)
-		if err != nil {
-			return err
-		}
-		opPreds, err := m.Op.PredictBatch(iterInputs)
-		if err != nil {
-			return err
+		for i, src := range sources {
+			var err error
+			if preds[i], err = src.net.PredictBatch(iterInputs); err != nil {
+				return nil, err
+			}
 		}
 		// Sliding-window groups (stride 1) so the voting models see enough
 		// distinct bundles even from short profiling runs. Each group is
 		// also emitted with the non-base iterations shifted by ±1 sample —
 		// scheduler jitter misaligns real iterations by about that much, and
 		// the voting LSTM must learn to be robust to it.
-		for start := 0; start+1 <= len(lt.iters); start++ {
+		for start := range lt.iters {
 			group := make([]int, 0, n)
 			for j := 0; j < n; j++ {
-				idx := start + j
-				if idx >= len(lt.iters) {
-					idx = len(lt.iters) - 1
-				}
-				group = append(group, idx)
+				group = append(group, min(start+j, len(lt.iters)-1))
 			}
-			base := lt.iters[group[0]]
-			baseLen := base.End - base.Start
-
+			// The shifts of a group share its base iteration's labels.
+			for i, src := range sources {
+				base[i], _ = iterSequence(lt, lt.iters[group[0]], src.label)
+			}
 			validation := start%4 == 3
 			for _, shift := range []int{0, -1, 1} {
-				longSeq := lstm.Sequence{
-					Inputs: voteInputsShifted(preds, group, baseLen, int(dnn.NumLongClasses), int(dnn.LongNOP), shift),
-					Labels: make([]int, baseLen),
-				}
-				opSeq := lstm.Sequence{
-					Inputs: voteInputsShifted(opPreds, group, baseLen, NumOtherOps, 0, shift),
-					Labels: make([]int, baseLen),
-					Mask:   make([]bool, baseLen),
-				}
-				for t := 0; t < baseLen; t++ {
-					l := lt.labels[base.Start+t]
-					longSeq.Labels[t] = int(l.Long)
-					cls := -1
-					if !l.IsNOP {
-						cls = otherOpClass(l.Letter)
-					}
-					opSeq.Labels[t] = cls
-					opSeq.Mask[t] = cls >= 0
-				}
-				if validation {
-					if shift == 0 {
-						// Validate on crops as well as whole sequences:
-						// a voting model that memorized absolute positions
-						// fails on crops, and the majority baseline wins.
-						valLong = append(valLong, longSeq, cropSeq(longSeq, baseLen/3))
-						valOp = append(valOp, opSeq, cropSeq(opSeq, baseLen/3))
-					}
+				if validation && shift != 0 {
 					continue
 				}
-				// Corrupt a fraction of the input votes: the voting model
-				// must be robust to the inference models' mistakes on unseen
-				// victims, not memorize the profiled patterns.
-				corruptVotes(longSeq.Inputs, int(dnn.NumLongClasses), len(group), 0.12, noise)
-				corruptVotes(opSeq.Inputs, NumOtherOps, len(group), 0.12, noise)
-				longSeqs = append(longSeqs, longSeq)
-				opSeqs = append(opSeqs, opSeq)
+				for i, src := range sources {
+					h, seq := &heads[i], base[i]
+					seq.Inputs = voteInputsShifted(preds[i], group, len(seq.Labels), h.cfg.Classes, src.pad, shift)
+					if validation {
+						// Validate on crops as well as whole sequences: a
+						// voting model that memorized absolute positions
+						// fails on crops, and the majority baseline wins.
+						h.val = append(h.val, seq, cropSeq(seq, len(seq.Labels)/3))
+						continue
+					}
+					// Corrupt a fraction of the input votes: the voting
+					// model must be robust to the inference models' mistakes
+					// on unseen victims, not memorize the profiled patterns.
+					corruptVotes(seq.Inputs, h.cfg.Classes, len(group), 0.12, noise)
+					h.seqs = append(h.seqs, seq)
+				}
 			}
 		}
 	}
-
-	// The two voting models are independent once the datasets exist (the
-	// shared noise RNG is fully consumed above), so they train concurrently
-	// like the inference heads.
-	return m.runTrainers(ctx, []func() (map[string]float64, error){
-		func() (map[string]float64, error) { return m.trainVlong(longSeqs, valLong, n) },
-		func() (map[string]float64, error) { return m.trainVop(opSeqs, valOp, n) },
-	})
-}
-
-func (m *Models) trainVlong(seqs, val []lstm.Sequence, n int) (map[string]float64, error) {
-	vlong, err := lstm.New(m.lstmConfig(lstm.Config{
-		InputDim: int(dnn.NumLongClasses) * n,
-		Hidden:   m.Cfg.VoteHidden,
-		Classes:  int(dnn.NumLongClasses),
-		Seed:     m.Cfg.Seed + 3,
-	}))
-	if err != nil {
-		return nil, err
-	}
-	res, err := vlong.Train(seqs, m.Cfg.Epochs)
-	if err != nil {
-		return nil, fmt.Errorf("train Vlong: %w", err)
-	}
-	m.VLong = vlong
-	m.majorityLong, err = m.selectMajority(vlong, val, int(dnn.NumLongClasses), n)
-	if err != nil {
-		return nil, err
-	}
-	return map[string]float64{
-		"Vlong":          res[len(res)-1].Accuracy,
-		"Vlong.majority": boolToFloat(m.majorityLong),
-	}, nil
-}
-
-func (m *Models) trainVop(seqs, val []lstm.Sequence, n int) (map[string]float64, error) {
-	vop, err := lstm.New(m.lstmConfig(lstm.Config{
-		InputDim: NumOtherOps * n,
-		Hidden:   m.Cfg.VoteHidden,
-		Classes:  NumOtherOps,
-		Seed:     m.Cfg.Seed + 4,
-	}))
-	if err != nil {
-		return nil, err
-	}
-	res, err := vop.Train(seqs, m.Cfg.Epochs)
-	if err != nil {
-		return nil, fmt.Errorf("train Vop: %w", err)
-	}
-	m.VOp = vop
-	m.majorityOp, err = m.selectMajority(vop, val, NumOtherOps, n)
-	if err != nil {
-		return nil, err
-	}
-	return map[string]float64{
-		"Vop":          res[len(res)-1].Accuracy,
-		"Vop.majority": boolToFloat(m.majorityOp),
-	}, nil
+	return heads, nil
 }
 
 // selectMajority compares the trained voting LSTM against the per-position
 // majority baseline on the held-out validation groups and reports whether
 // the majority should be preferred at extraction time.
-func (m *Models) selectMajority(net *lstm.Network, val []lstm.Sequence, classes, groupSize int) (bool, error) {
+func selectMajority(net *lstm.Network, val []lstm.Sequence, classes, groupSize int) (bool, error) {
 	if len(val) == 0 {
 		return false, nil
 	}
@@ -547,7 +485,7 @@ func (m *Models) selectMajority(net *lstm.Network, val []lstm.Sequence, classes,
 }
 
 // majorityOfVotes decodes a concatenated one-hot vote vector and returns the
-// most frequent class (earliest iteration breaks ties).
+// most frequent class (the lowest class index breaks ties).
 func majorityOfVotes(vec []float64, classes, groupSize int) int {
 	counts := make([]int, classes)
 	for j := 0; j < groupSize; j++ {
