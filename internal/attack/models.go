@@ -141,7 +141,7 @@ func (m *Models) trainHead(h head) (map[string]float64, error) {
 	cfg.Workers = m.Cfg.Workers
 	net, err := lstm.New(cfg)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("build %s: %w", h.name, err)
 	}
 	res, err := net.Train(h.seqs, m.Cfg.Epochs)
 	if err != nil {
