@@ -21,6 +21,16 @@ const (
 	goldenPlainBatchSHA256 = "ea1fc9f1beefe470221bfbdb35027fe13610064461e55e6bc0e0bb9741485aa0"
 )
 
+// goldenWideSHA256 pins a Hidden=96 network, wide enough that every
+// training GEMM is larger than 2^16 multiply-adds. The hashes were recorded
+// while kernels of that size still split their output rows across
+// goroutines, and were the same for every split; the serial kernels must
+// reproduce them.
+var goldenWideSHA256 = map[int]string{
+	1: "6f6771831e7909cabd0f124878f49795e374d5793b2397b7fe6ca93ab7e7a776",
+	8: "7f928442d76438bf1f89f70bffd63b5c7e7bc69d5db36a86b8899d4abdcdfe4a",
+}
+
 // goldenPredictionsSHA256 pins the inference output of the four golden
 // networks: per-timestep PredictProbs bits and PredictBatch labels over the
 // golden sequences plus a ragged batch. It was recorded on the per-sequence
@@ -116,6 +126,16 @@ func TestGoldenTrainedWeightsPlainBatch4(t *testing.T) {
 	if got != goldenPlainBatchSHA256 {
 		t.Fatalf("FP64 Batch=4 training drifted from its golden hash:\n got %s\nwant %s",
 			got, goldenPlainBatchSHA256)
+	}
+}
+
+func TestGoldenTrainedWeightsWide(t *testing.T) {
+	for batch, want := range goldenWideSHA256 {
+		cfg := Config{InputDim: 5, Hidden: 96, Classes: 4, Seed: 42, Batch: batch}
+		if got := trainGolden(t, cfg, false, 2); got != want {
+			t.Errorf("Hidden=96 Batch=%d training drifted from its golden hash:\n got %s\nwant %s",
+				batch, got, want)
+		}
 	}
 }
 
