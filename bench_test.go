@@ -479,11 +479,9 @@ func BenchmarkTrainModelsBatch1(b *testing.B) { benchTrainModels(b, benchScale()
 
 // The Workers1/Workers4 variants train at Batch=8, a golden-pinned
 // deterministic path (internal/lstm/golden_test.go) that no production
-// caller selects: the rank-B gradient updates are wide enough for the
-// minibatch worker pool to split, so comparing the two measures the
-// deterministic training fan-out's speedup (head-level concurrency plus
-// minibatch worker pools; expect gains on a multi-core runner, and
-// byte-identical models at any setting).
+// caller selects. Comparing the two measures the head fan-out's speedup
+// (expect gains on a multi-core runner, and byte-identical models at any
+// setting).
 func benchTrainModelsBatch8(b *testing.B, workers int) {
 	sc := benchScale()
 	sc.Workers = workers
@@ -522,7 +520,7 @@ func BenchmarkBPTTSingleThread(b *testing.B) {
 	}
 	n, err := lstm.New(lstm.Config{
 		InputDim: inputDim, Hidden: 40, Classes: classes, Seed: 7,
-		Batch: 8, Workers: 1,
+		Batch: 8,
 	})
 	if err != nil {
 		b.Fatal(err)

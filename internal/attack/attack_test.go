@@ -190,9 +190,9 @@ func TestEndToEndExtraction(t *testing.T) {
 }
 
 // TestTrainModelsDeterministicAcrossWorkers pins the PR's load-bearing
-// guarantee at the pipeline level: the full MoSConS training run — head
-// fan-out plus minibatch worker pools — produces byte-identical models and
-// identical reports for every worker count.
+// guarantee at the pipeline level: the full MoSConS training run — the head
+// fan-out — produces byte-identical models and identical reports for every
+// worker count.
 func TestTrainModelsDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full training run is expensive")

@@ -52,10 +52,10 @@ type Config struct {
 	// gradients of this many sequences. 0 defaults to 1, which reproduces the
 	// historical per-sequence update schedule bit for bit.
 	Batch int
-	// Workers bounds the concurrency of training: independent model heads
-	// train in parallel and each LSTM partitions its GEMM kernels across the
-	// same number of workers. Any value produces byte-identical models; 1
-	// trains serially, <= 0 selects runtime.GOMAXPROCS.
+	// Workers bounds the concurrency of training: how many independent
+	// model heads train at once, each on one goroutine. Any value produces
+	// byte-identical models; 1 trains serially, <= 0 selects
+	// runtime.GOMAXPROCS.
 	Workers int
 
 	// pool, when set via WithPool, makes the head-level training fan-out draw

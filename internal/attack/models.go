@@ -138,7 +138,6 @@ func (m *Models) trainHead(h head) (map[string]float64, error) {
 	cfg := h.cfg
 	cfg.LearningRate = m.Cfg.LearningRate
 	cfg.Batch = m.Cfg.Batch
-	cfg.Workers = m.Cfg.Workers
 	net, err := lstm.New(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("build %s: %w", h.name, err)

@@ -2,14 +2,14 @@ package lstm
 
 import "testing"
 
-// allocNet returns a small serial network and ragged inputs for the
-// allocation ceilings; Workers=1 keeps every GEMM on the calling goroutine.
+// allocNet returns a small network and ragged inputs for the allocation
+// ceilings.
 func allocNet(t *testing.T) (*Network, [][][]float64) {
 	t.Helper()
 	if raceEnabled {
 		t.Skip("race detector inflates allocation counts")
 	}
-	n, err := New(Config{InputDim: 4, Hidden: 8, Classes: 3, Seed: 5, Workers: 1})
+	n, err := New(Config{InputDim: 4, Hidden: 8, Classes: 3, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -365,9 +365,8 @@ func stagingSeq(rng *rand.Rand, length, inputDim, classes int, counts func(t int
 // summed in the engine's cross-sequence order, wherever the flushes fall:
 // a ragged batch whose live prefix shrinks across flush boundaries, steps
 // where only some slots count (wy then takes zero dL rows), class weights,
-// a sequence shorter than one flush, and shapes wide enough that a flush
-// fans out at Workers=2. A second run on the same trainer must repeat the
-// first, so no row outlives its run.
+// a sequence shorter than one flush, and a wide shape. A second run on the
+// same trainer must repeat the first, so no row outlives its run.
 func TestStagedGradientsMatchOracle(t *testing.T) {
 	ragged := func(cfg Config, lens []int, counts func(s, t int) bool) []Sequence {
 		rng := rand.New(rand.NewSource(int64(len(lens)*100 + cfg.Hidden)))
@@ -402,33 +401,29 @@ func TestStagedGradientsMatchOracle(t *testing.T) {
 		{"wide", wide, ragged(wide, []int{11, 6, 13}, someCount)},
 	}
 	for _, c := range cases {
-		for _, workers := range []int{1, 2} {
-			cfg := c.cfg
-			cfg.Workers = workers
-			n, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
+		n, err := New(c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx := make([]int, len(c.seqs))
+		for i := range idx {
+			idx[i] = i
+		}
+		want := newParams(n.cfg)
+		wantLoss, wantCounted, wantCorrect := oracleBatchBackward(n, c.seqs, idx, want)
+		tr := newTrainer(n, len(idx), c.seqs)
+		for run := 0; run < 2; run++ {
+			loss, counted, correct := tr.run(c.seqs, idx)
+			if math.Float64bits(loss) != math.Float64bits(wantLoss) || counted != wantCounted || correct != wantCorrect {
+				t.Fatalf("%s run %d: stats (%v,%d,%d), oracle (%v,%d,%d)",
+					c.name, run, loss, counted, correct, wantLoss, wantCounted, wantCorrect)
 			}
-			idx := make([]int, len(c.seqs))
-			for i := range idx {
-				idx[i] = i
-			}
-			want := newParams(n.cfg)
-			wantLoss, wantCounted, wantCorrect := oracleBatchBackward(n, c.seqs, idx, want)
-			tr := newTrainer(n, len(idx), c.seqs)
-			for run := 0; run < 2; run++ {
-				loss, counted, correct := tr.run(c.seqs, idx)
-				if math.Float64bits(loss) != math.Float64bits(wantLoss) || counted != wantCounted || correct != wantCorrect {
-					t.Fatalf("%s workers=%d run %d: stats (%v,%d,%d), oracle (%v,%d,%d)",
-						c.name, workers, run, loss, counted, correct, wantLoss, wantCounted, wantCorrect)
-				}
-				for k, got := range tr.g.tensors() {
-					w := want.tensors()[k]
-					for j := range got {
-						if math.Float64bits(got[j]) != math.Float64bits(w[j]) {
-							t.Fatalf("%s workers=%d run %d: %s[%d] = %v, oracle %v",
-								c.name, workers, run, tensorNames[k], j, got[j], w[j])
-						}
+			for k, got := range tr.g.tensors() {
+				w := want.tensors()[k]
+				for j := range got {
+					if math.Float64bits(got[j]) != math.Float64bits(w[j]) {
+						t.Fatalf("%s run %d: %s[%d] = %v, oracle %v",
+							c.name, run, tensorNames[k], j, got[j], w[j])
 					}
 				}
 			}

@@ -105,7 +105,7 @@ type state struct {
 type engine struct {
 	w                      *weights
 	hidden, in, classes    int
-	bcap, workers          int
+	bcap                   int
 	steps                  []step
 	states                 []state
 	hzero, z, ztmp, logits []float64 // B×H zero state, B×4H gate sums, B×C readout
@@ -120,7 +120,7 @@ type engine struct {
 // engine's next use; for each timestep only the rows of the then-live slot
 // prefix are written, rows beyond it hold stale garbage nothing may read.
 func (e *engine) forward(inputs [][][]float64) int {
-	h, in, cls, w := e.hidden, e.in, e.classes, e.workers
+	h, in, cls := e.hidden, e.in, e.classes
 	T := 0
 	for s, seq := range inputs {
 		e.lens[s] = len(seq)
@@ -137,8 +137,8 @@ func (e *engine) forward(inputs [][][]float64) int {
 		for s := 0; s < live; s++ {
 			copy(st.x[s*in:s*in+in], inputs[s][t])
 		}
-		mat.GemmInto(e.z[:live*4*h], st.x[:live*in], e.w.wxT, live, in, 4*h, w)
-		mat.GemmInto(e.ztmp[:live*4*h], hPrev[:live*h], e.w.whT, live, h, 4*h, w)
+		mat.GemmInto(e.z[:live*4*h], st.x[:live*in], e.w.wxT, live, in, 4*h)
+		mat.GemmInto(e.ztmp[:live*4*h], hPrev[:live*h], e.w.whT, live, h, 4*h)
 		for s := 0; s < live; s++ {
 			zs := e.z[s*4*h : (s+1)*4*h]
 			zt := e.ztmp[s*4*h : (s+1)*4*h]
@@ -162,7 +162,7 @@ func (e *engine) forward(inputs [][][]float64) int {
 				sh[j] = so[j] * stc[j]
 			}
 		}
-		mat.GemmInto(e.logits[:live*cls], st.h[:live*h], e.w.wyT, live, h, cls, w)
+		mat.GemmInto(e.logits[:live*cls], st.h[:live*h], e.w.wyT, live, h, cls)
 		for s := 0; s < live; s++ {
 			lrow := e.logits[s*cls : (s+1)*cls]
 			for j, v := range e.w.by {
@@ -218,15 +218,15 @@ const stageRows = 8
 // adds coefᵀ·ops[i] into dst[i]. A stage has one or two destinations; an
 // unused one is nil.
 type gradStage struct {
-	rows, m, workers int
-	coef             []float64
-	ops, dst         [2][]float64
+	rows, m  int
+	coef     []float64
+	ops, dst [2][]float64
 }
 
 // lay carves from c a stage of width m whose destination dst[i] is m×k[i];
 // a stage with one destination leaves the second nil with k 0.
-func (s *gradStage) lay(c *carver, m, workers int, dst [2][]float64, k [2]int) {
-	*s = gradStage{m: m, workers: workers, coef: c.take(stageRows * m), dst: dst}
+func (s *gradStage) lay(c *carver, m int, dst [2][]float64, k [2]int) {
+	*s = gradStage{m: m, coef: c.take(stageRows * m), dst: dst}
 	for i, ki := range k {
 		if ki > 0 {
 			s.ops[i] = c.take(stageRows * ki)
@@ -258,7 +258,7 @@ func (s *gradStage) flush() {
 			continue
 		}
 		k := len(d) / s.m
-		mat.GemmTAAccum(d, s.coef[:p*s.m], s.ops[i][:p*k], p, s.m, k, s.workers)
+		mat.GemmTAAccum(d, s.coef[:p*s.m], s.ops[i][:p*k], p, s.m, k)
 	}
 	s.rows = 0
 }
@@ -286,9 +286,9 @@ func sortByLenDesc(idx []int, seqs []Sequence) {
 // correctly: the epoch's monitoring stats, at no extra forward cost. idx is
 // not mutated; the trainer works on a length-sorted copy, so the
 // cross-sequence accumulation order depends only on the minibatch's
-// membership and lengths, never on Workers.
+// membership and lengths.
 func (t *scratch) run(seqs []Sequence, idx []int) (loss float64, counted, correct int) {
-	h, in, cls, w := t.hidden, t.in, t.classes, t.workers
+	h, in, cls := t.hidden, t.in, t.classes
 	bs := len(idx)
 	sorted := t.idx[:bs]
 	copy(sorted, idx)
@@ -358,7 +358,7 @@ func (t *scratch) run(seqs []Sequence, idx []int) (loss float64, counted, correc
 					g.by[j] += v
 				}
 			}
-			mat.GemmInto(t.htmp[:live*h], dL[:live*cls], t.p.wy, live, cls, h, w)
+			mat.GemmInto(t.htmp[:live*h], dL[:live*cls], t.p.wy, live, cls, h)
 			for j, v := range t.htmp[:live*h] {
 				dh[j] += v
 			}
@@ -396,7 +396,7 @@ func (t *scratch) run(seqs []Sequence, idx []int) (loss float64, counted, correc
 				g.b[j] += v
 			}
 		}
-		mat.GemmInto(dhNext[:live*h], t.dz[:live*4*h], t.p.wh, live, 4*h, h, w)
+		mat.GemmInto(dhNext[:live*h], t.dz[:live*4*h], t.p.wh, live, 4*h, h)
 	}
 	t.stageY.flush()
 	t.stageZ.flush()

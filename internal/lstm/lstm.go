@@ -37,14 +37,10 @@ type Config struct {
 	Seed int64
 
 	// Batch is the minibatch size: the gradients of up to Batch sequences
-	// are accumulated into a single Adam step by rank-B GEMM updates whose
-	// per-cell order never depends on Workers. 0 defaults to 1, the
-	// per-sequence update schedule every FP64 Batch=1 golden hash pins.
+	// are accumulated into a single Adam step by rank-B GEMM updates. 0
+	// defaults to 1, the per-sequence update schedule every FP64 Batch=1
+	// golden hash pins.
 	Batch int
-	// Workers bounds the worker pool the batched GEMM kernels partition
-	// their output cells across. Any value trains a byte-identical network;
-	// 1 runs serially, <= 0 selects runtime.GOMAXPROCS(0).
-	Workers int
 }
 
 func (c *Config) defaults() error {
@@ -132,8 +128,9 @@ func (s Sequence) validate(inputDim, classes int) error {
 }
 
 // Network is a trained (or trainable) LSTM classifier. Predict and its
-// variants are safe for concurrent use on a trained network; Train is not
-// (it parallelizes internally instead, see Config.Workers).
+// variants are safe for concurrent use on a trained network; Train is not.
+// Train runs on the calling goroutine: callers that train several networks
+// parallelize across them.
 type Network struct {
 	cfg Config
 	rng *rand.Rand
@@ -276,9 +273,7 @@ type TrainResult struct {
 // minibatch runs through the batch-major engine (engine.go). Larger batches
 // accumulate the members' gradients in one rank-B GEMM update before a
 // shared Adam step, a cross-sequence reduction order that Batch=1 never
-// has, so Batch>1 runs are deterministic and worker-independent but follow
-// their own trajectory. Config.Workers only partitions GEMM output cells,
-// never a reduction, so any worker count trains a byte-identical network.
+// has, so Batch>1 runs are deterministic but follow their own trajectory.
 //
 // The reported stats are the masked accuracy and loss of the forward passes
 // the backward pass performs anyway — predictions under the weights in

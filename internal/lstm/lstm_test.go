@@ -252,8 +252,7 @@ func load(p []byte) (*Network, error) {
 
 // TestNetworkWalkComplete fills every config field with a distinct value,
 // trains a network on it and round-trips it: a field added to Config or
-// Network without a line in Walk decodes as zero and fails here. Workers,
-// an execution knob, is the one field Walk leaves out.
+// Network without a line in Walk decodes as zero and fails here.
 func TestNetworkWalkComplete(t *testing.T) {
 	var cfg Config
 	v := reflect.ValueOf(&cfg).Elem()
@@ -269,7 +268,7 @@ func TestNetworkWalkComplete(t *testing.T) {
 			t.Fatalf("no test value for Config.%s", v.Type().Field(i).Name)
 		}
 	}
-	cfg.InputDim, cfg.Hidden, cfg.Classes, cfg.Workers = 3, 5, 4, 0
+	cfg.InputDim, cfg.Hidden, cfg.Classes = 3, 5, 4
 	if n := reflect.TypeOf(Network{}).NumField(); n != 4 {
 		t.Fatalf("Network has %d fields; walk the new one and count it here", n)
 	}

@@ -75,7 +75,7 @@ func (s *scratch) bind(n *Network, bcap, T int, train bool) {
 	e := &s.engine
 	e.w = n.w
 	e.hidden, e.in, e.classes = n.cfg.Hidden, n.cfg.InputDim, n.cfg.Classes
-	e.bcap, e.workers = bcap, par.Workers(n.cfg.Workers)
+	e.bcap = bcap
 	nstates := min(T, 2)
 	if train {
 		nstates = T
@@ -138,8 +138,8 @@ func (s *scratch) layout(c *carver, train bool) {
 	t.dz = c.take(b * 4 * h)
 	t.dh, t.dc, t.dcNext, t.dhNext, t.htmp = c.take(b*h), c.take(b*h), c.take(b*h), c.take(b*h), c.take(b*h)
 	t.dLogits = c.take(b * cls)
-	t.stageZ.lay(c, 4*h, e.workers, [2][]float64{t.g.wx, t.g.wh}, [2]int{in, h})
-	t.stageY.lay(c, cls, e.workers, [2][]float64{t.g.wy}, [2]int{h})
+	t.stageZ.lay(c, 4*h, [2][]float64{t.g.wx, t.g.wh}, [2]int{in, h})
+	t.stageY.lay(c, cls, [2][]float64{t.g.wy}, [2]int{h})
 }
 
 // release drops the scratch's references to the network and the inputs it

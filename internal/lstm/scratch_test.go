@@ -68,9 +68,9 @@ var scratchShapes = []struct {
 	seqs  []Sequence
 	epoch int
 }{
-	{Config{InputDim: 3, Hidden: 5, Classes: 4, Seed: 11, Workers: 1}, randBatchSeqs(201, 9, 3, 4, true), 2},
-	{Config{InputDim: 7, Hidden: 12, Classes: 3, Seed: 12, Batch: 4, Workers: 1, ClassWeights: []float64{1, 2, 0.5}}, randBatchSeqs(202, 14, 7, 3, false), 2},
-	{Config{InputDim: 2, Hidden: 9, Classes: 6, Seed: 13, Batch: 3, Workers: 2}, randBatchSeqs(203, 11, 2, 6, true), 3},
+	{Config{InputDim: 3, Hidden: 5, Classes: 4, Seed: 11}, randBatchSeqs(201, 9, 3, 4, true), 2},
+	{Config{InputDim: 7, Hidden: 12, Classes: 3, Seed: 12, Batch: 4, ClassWeights: []float64{1, 2, 0.5}}, randBatchSeqs(202, 14, 7, 3, false), 2},
+	{Config{InputDim: 2, Hidden: 9, Classes: 6, Seed: 13, Batch: 3}, randBatchSeqs(203, 11, 2, 6, true), 3},
 }
 
 // trainShape trains scratchShapes[k] and returns the network, its weight

@@ -6,8 +6,7 @@ import (
 	"leakydnn/internal/wire"
 )
 
-// Walk walks the network in wire order: its config without Workers, which
-// is an execution knob rather than a model property, the Train epochs it
+// Walk walks the network in wire order: its config, the Train epochs it
 // has run, and the view the forward pass reads (the transposed weight
 // matrices, then the biases) as count-prefixed float64 runs. Optimizer state
 // is not kept: a decoded network is for inference or fresh fine-tuning. A

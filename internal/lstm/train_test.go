@@ -1,10 +1,8 @@
 package lstm
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"leakydnn/internal/mat"
@@ -29,48 +27,6 @@ func TestMinibatchGradientMatchesNumeric(t *testing.T) {
 		return Sequence{Inputs: in, Labels: labels}
 	}
 	checkNumericGrad(t, n, []Sequence{mkSeq(3), mkSeq(5), mkSeq(4)}, []int{0, 1, 2})
-}
-
-// The load-bearing guarantee of the worker pool: any Workers value trains a
-// byte-identical network and reports identical epoch stats.
-func TestTrainDeterminismAcrossWorkers(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	var seqs []Sequence
-	for i := 0; i < 10; i++ {
-		length := 4 + rng.Intn(5)
-		in := make([][]float64, length)
-		labels := make([]int, length)
-		mask := make([]bool, length)
-		for t2 := range in {
-			in[t2] = []float64{rng.NormFloat64(), rng.NormFloat64()}
-			labels[t2] = rng.Intn(3)
-			mask[t2] = rng.Float64() < 0.8
-		}
-		seqs = append(seqs, Sequence{Inputs: in, Labels: labels, Mask: mask})
-	}
-
-	train := func(workers int) ([]byte, []TrainResult) {
-		n, err := New(Config{InputDim: 2, Hidden: 6, Classes: 3, Seed: 29, Batch: 3, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		results, err := n.Train(seqs, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return save(n), results
-	}
-
-	refBytes, refResults := train(1)
-	for _, workers := range []int{2, 4, 0} {
-		gotBytes, gotResults := train(workers)
-		if !bytes.Equal(refBytes, gotBytes) {
-			t.Errorf("Workers=%d trained a different network than Workers=1", workers)
-		}
-		if !reflect.DeepEqual(refResults, gotResults) {
-			t.Errorf("Workers=%d epoch stats differ: %+v vs %+v", workers, gotResults, refResults)
-		}
-	}
 }
 
 // The epoch stats Train reports must be the masked accuracy and loss of the
@@ -202,7 +158,7 @@ func paramsEqual(a, b *Network) bool {
 // solve the temporal task — batching may change the trajectory but not the
 // ability to learn.
 func TestMinibatchLearnsTemporalDependency(t *testing.T) {
-	n, err := New(Config{InputDim: 1, Hidden: 12, Classes: 2, Seed: 5, LearningRate: 3e-2, Batch: 4, Workers: 2})
+	n, err := New(Config{InputDim: 1, Hidden: 12, Classes: 2, Seed: 5, LearningRate: 3e-2, Batch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +192,7 @@ func TestMinibatchLearnsTemporalDependency(t *testing.T) {
 
 // A batch larger than the training set must clamp, not crash or stall.
 func TestBatchLargerThanDataset(t *testing.T) {
-	n, err := New(Config{InputDim: 1, Hidden: 4, Classes: 2, Seed: 3, Batch: 64, Workers: 4})
+	n, err := New(Config{InputDim: 1, Hidden: 4, Classes: 2, Seed: 3, Batch: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 package mat
 
-// AVX row kernels behind gemmIntoRows and gemmTAAccumRows, taken when the
+// AVX row kernels behind GemmInto and GemmTAAccum, taken when the
 // CPU has AVX. Structure and accumulation order are exactly those of the
 // pure-Go loops — the axpy calls vectorize over output columns only, so
 // every cell still receives its products one at a time in ascending
@@ -8,21 +8,16 @@ package mat
 // (TestGemmRowsGoMatchesAVX and the FP64 golden hashes in internal/lstm
 // both pin this).
 
-func gemmIntoRowsAVX(dst, a, b []float64, k, n, i0, i1 int) {
-	for i := i0; i < i1; i++ {
-		drow := dst[i*n : i*n+n]
-		for j := range drow {
-			drow[j] = 0
-		}
-	}
-	if n == 0 || i0 >= i1 {
+func gemmIntoRowsAVX(dst, a, b []float64, m, k, n int) {
+	clear(dst)
+	if n == 0 || m == 0 {
 		return
 	}
 	p := 0
 	for ; p+8 <= k; p += 8 {
 		b0, b1, b2, b3 := &b[(p+0)*n], &b[(p+1)*n], &b[(p+2)*n], &b[(p+3)*n]
 		b4, b5, b6, b7 := &b[(p+4)*n], &b[(p+5)*n], &b[(p+6)*n], &b[(p+7)*n]
-		for i := i0; i < i1; i++ {
+		for i := range m {
 			ar := a[i*k+p:]
 			axpyOctAVX64(&dst[i*n], b0, b1, b2, b3, b4, b5, b6, b7, n, &ar[0])
 		}
@@ -32,7 +27,7 @@ func gemmIntoRowsAVX(dst, a, b []float64, k, n, i0, i1 int) {
 		b1 := b[(p+1)*n : (p+1)*n+n]
 		b2 := b[(p+2)*n : (p+2)*n+n]
 		b3 := b[(p+3)*n : (p+3)*n+n]
-		for i := i0; i < i1; i++ {
+		for i := range m {
 			ar := a[i*k+p:]
 			axpyQuadAVX64(&dst[i*n], &b0[0], &b1[0], &b2[0], &b3[0], n,
 				ar[0], ar[1], ar[2], ar[3])
@@ -40,18 +35,18 @@ func gemmIntoRowsAVX(dst, a, b []float64, k, n, i0, i1 int) {
 	}
 	for ; p < k; p++ {
 		brow := b[p*n : p*n+n]
-		for i := i0; i < i1; i++ {
+		for i := range m {
 			axpyAVX64(&dst[i*n], &brow[0], n, a[i*k+p])
 		}
 	}
 }
 
-func gemmTAAccumRowsAVX(dst, a, b []float64, p, m, n, i0, i1 int) {
-	if n == 0 || i0 >= i1 {
+func gemmTAAccumRowsAVX(dst, a, b []float64, p, m, n int) {
+	if n == 0 || m == 0 {
 		return
 	}
 	// The reduction dimension p is the (often tiny, shrinking) active batch,
-	// while the row range m is the wide weight dimension — so loop s on the
+	// while the row count m is the wide weight dimension — so loop s on the
 	// outside and let the row-looping kernels sweep all dst rows per call.
 	// Per cell the s order and mul/add chain are unchanged, so results stay
 	// byte-identical to the pure-Go path. A's column strides by m, so for the
@@ -59,13 +54,12 @@ func gemmTAAccumRowsAVX(dst, a, b []float64, p, m, n, i0, i1 int) {
 	// so the scratch stays a small stack array.
 	const chunk = 128
 	var coefT [8 * chunk]float64
-	rows := i1 - i0
 	s := 0
 	for ; s+8 <= p; s += 8 {
-		for c0 := 0; c0 < rows; c0 += chunk {
-			cr := min(chunk, rows-c0)
+		for c0 := 0; c0 < m; c0 += chunk {
+			cr := min(chunk, m-c0)
 			for r := 0; r < cr; r++ {
-				i := i0 + c0 + r
+				i := c0 + r
 				coefT[r*8+0] = a[(s+0)*m+i]
 				coefT[r*8+1] = a[(s+1)*m+i]
 				coefT[r*8+2] = a[(s+2)*m+i]
@@ -75,27 +69,27 @@ func gemmTAAccumRowsAVX(dst, a, b []float64, p, m, n, i0, i1 int) {
 				coefT[r*8+6] = a[(s+6)*m+i]
 				coefT[r*8+7] = a[(s+7)*m+i]
 			}
-			taccumOctAVX64(&dst[(i0+c0)*n], &coefT[0],
+			taccumOctAVX64(&dst[c0*n], &coefT[0],
 				&b[(s+0)*n], &b[(s+1)*n], &b[(s+2)*n], &b[(s+3)*n],
 				&b[(s+4)*n], &b[(s+5)*n], &b[(s+6)*n], &b[(s+7)*n], cr, n)
 		}
 	}
 	if s+4 <= p {
-		for c0 := 0; c0 < rows; c0 += chunk {
-			cr := min(chunk, rows-c0)
+		for c0 := 0; c0 < m; c0 += chunk {
+			cr := min(chunk, m-c0)
 			for r := 0; r < cr; r++ {
-				i := i0 + c0 + r
+				i := c0 + r
 				coefT[r*4+0] = a[(s+0)*m+i]
 				coefT[r*4+1] = a[(s+1)*m+i]
 				coefT[r*4+2] = a[(s+2)*m+i]
 				coefT[r*4+3] = a[(s+3)*m+i]
 			}
-			taccumQuadAVX64(&dst[(i0+c0)*n], &coefT[0],
+			taccumQuadAVX64(&dst[c0*n], &coefT[0],
 				&b[(s+0)*n], &b[(s+1)*n], &b[(s+2)*n], &b[(s+3)*n], cr, n)
 		}
 		s += 4
 	}
 	for ; s < p; s++ {
-		taccumRank1AVX64(&dst[i0*n], &a[s*m+i0], &b[s*n], rows, n)
+		taccumRank1AVX64(&dst[0], &a[s*m], &b[s*n], m, n)
 	}
 }

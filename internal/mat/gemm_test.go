@@ -55,7 +55,7 @@ func TestGemmMatchesNaive(t *testing.T) {
 		want := naiveGemm(a, b, sh.m, sh.k, sh.n)
 
 		dst := randSlice(sh.m*sh.n, rng) // stale content must be overwritten
-		GemmInto(dst, a, b, sh.m, sh.k, sh.n, 1)
+		GemmInto(dst, a, b, sh.m, sh.k, sh.n)
 		for i := range want {
 			if dst[i] != want[i] {
 				t.Fatalf("GemmInto %dx%dx%d: cell %d = %v, want %v", sh.m, sh.k, sh.n, i, dst[i], want[i])
@@ -66,7 +66,7 @@ func TestGemmMatchesNaive(t *testing.T) {
 		dst3 := make([]float64, sh.m*sh.n)
 		base := randSlice(sh.m*sh.n, rng)
 		copy(dst3, base)
-		GemmTAAccum(dst3, at, b, sh.k, sh.m, sh.n, 1)
+		GemmTAAccum(dst3, at, b, sh.k, sh.m, sh.n)
 		// GemmTAAccum adds products one at a time in ascending p order;
 		// replicate that exactly.
 		ref := make([]float64, sh.m*sh.n)
@@ -104,7 +104,7 @@ func TestGemmBitIdenticalToGemvKernels(t *testing.T) {
 		}
 	}
 	got := randSlice(n, rng) // stale content must be overwritten
-	GemmInto(got, x, w, 1, k, n, 1)
+	GemmInto(got, x, w, 1, k, n)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("GemmInto m=1 cell %d = %b, row-order gemv gives %b", i, got[i], want[i])
@@ -120,43 +120,10 @@ func TestGemmBitIdenticalToGemvKernels(t *testing.T) {
 			ref[i*k+j] += uv * vv
 		}
 	}
-	GemmTAAccum(acc, u, v, 1, n, k, 1)
+	GemmTAAccum(acc, u, v, 1, n, k)
 	for i := range ref {
 		if acc[i] != ref[i] {
 			t.Fatalf("GemmTAAccum p=1 cell %d = %b, outer product gives %b", i, acc[i], ref[i])
-		}
-	}
-}
-
-// Worker-count determinism: partitioning only assigns cells to workers, so
-// any worker count must produce byte-identical output. Shapes are sized
-// above gemmParallelMin so the parallel path actually engages.
-func TestGemmWorkerDeterminism(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	const m, k, n = 64, 48, 64 // 196k mul-adds > gemmParallelMin
-	a := randSlice(m*k, rng)
-	b := randSlice(k*n, rng)
-	c := randSlice(m*n, rng) // m rows, for the aᵀ·c rank-m update
-
-	refInto := make([]float64, m*n)
-	GemmInto(refInto, a, b, m, k, n, 1)
-	refTA := make([]float64, k*n)
-	GemmTAAccum(refTA, a, c, m, k, n, 1)
-
-	for _, workers := range []int{2, 3, 4, 7} {
-		got := make([]float64, m*n)
-		GemmInto(got, a, b, m, k, n, workers)
-		for i := range refInto {
-			if got[i] != refInto[i] {
-				t.Fatalf("GemmInto workers=%d cell %d differs", workers, i)
-			}
-		}
-		got3 := make([]float64, k*n)
-		GemmTAAccum(got3, a, c, m, k, n, workers)
-		for i := range refTA {
-			if got3[i] != refTA[i] {
-				t.Fatalf("GemmTAAccum workers=%d cell %d differs", workers, i)
-			}
 		}
 	}
 }
@@ -169,18 +136,18 @@ func TestNonFinitePropagation(t *testing.T) {
 
 	// a has a zero exactly where b carries Inf.
 	dg := make([]float64, 2)
-	GemmInto(dg, []float64{0, 1}, []float64{inf, 2, 3, 4}, 1, 2, 2, 1)
+	GemmInto(dg, []float64{0, 1}, []float64{inf, 2, 3, 4}, 1, 2, 2)
 	if !math.IsNaN(dg[0]) {
 		t.Errorf("GemmInto swallowed 0*Inf: got %v, want NaN", dg[0])
 	}
 	dta := make([]float64, 4)
-	GemmTAAccum(dta, []float64{0, 1}, []float64{inf, 2}, 1, 2, 2, 1)
+	GemmTAAccum(dta, []float64{0, 1}, []float64{inf, 2}, 1, 2, 2)
 	if !math.IsNaN(dta[0]) {
 		t.Errorf("GemmTAAccum swallowed 0*Inf: got %v, want NaN", dta[0])
 	}
 	nan := math.NaN()
 	dn := make([]float64, 2)
-	GemmInto(dn, []float64{nan, 0}, []float64{0, 0, 1, 1}, 1, 2, 2, 1)
+	GemmInto(dn, []float64{nan, 0}, []float64{0, 0, 1, 1}, 1, 2, 2)
 	if !math.IsNaN(dn[0]) || !math.IsNaN(dn[1]) {
 		t.Errorf("GemmInto swallowed NaN*0: got %v, want NaN", dn)
 	}
@@ -189,7 +156,7 @@ func TestNonFinitePropagation(t *testing.T) {
 // Known answers: a 2×3 by 3×2 product by hand.
 func TestMul(t *testing.T) {
 	dst := make([]float64, 4)
-	GemmInto(dst, []float64{1, 2, 3, 4, 5, 6}, []float64{7, 8, 9, 10, 11, 12}, 2, 3, 2, 1)
+	GemmInto(dst, []float64{1, 2, 3, 4, 5, 6}, []float64{7, 8, 9, 10, 11, 12}, 2, 3, 2)
 	for i, v := range []float64{58, 64, 139, 154} {
 		if dst[i] != v {
 			t.Fatalf("GemmInto cell %d = %v, want %v", i, dst[i], v)
@@ -201,10 +168,10 @@ func TestMul(t *testing.T) {
 // panic rather than read past a row.
 func TestMulShapeMismatchPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"GemmInto a":    func() { GemmInto(make([]float64, 4), make([]float64, 5), make([]float64, 6), 2, 3, 2, 1) },
-		"GemmInto b":    func() { GemmInto(make([]float64, 4), make([]float64, 6), make([]float64, 4), 2, 3, 2, 1) },
-		"GemmTAAccum a": func() { GemmTAAccum(make([]float64, 4), make([]float64, 4), make([]float64, 6), 3, 2, 2, 1) },
-		"GemmTAAccum b": func() { GemmTAAccum(make([]float64, 4), make([]float64, 6), make([]float64, 4), 3, 2, 2, 1) },
+		"GemmInto a":    func() { GemmInto(make([]float64, 4), make([]float64, 5), make([]float64, 6), 2, 3, 2) },
+		"GemmInto b":    func() { GemmInto(make([]float64, 4), make([]float64, 6), make([]float64, 4), 2, 3, 2) },
+		"GemmTAAccum a": func() { GemmTAAccum(make([]float64, 4), make([]float64, 4), make([]float64, 6), 3, 2, 2) },
+		"GemmTAAccum b": func() { GemmTAAccum(make([]float64, 4), make([]float64, 6), make([]float64, 4), 3, 2, 2) },
 	} {
 		func() {
 			defer func() {
@@ -221,7 +188,7 @@ func TestMulShapeMismatchPanics(t *testing.T) {
 func TestMulVec(t *testing.T) {
 	at := []float64{1, 2, 0, 2, -1, 2} // Aᵀ of A = [[1 0 -1] [2 2 2]]
 	got := make([]float64, 2)
-	GemmInto(got, []float64{3, 4, 5}, at, 1, 3, 2, 1)
+	GemmInto(got, []float64{3, 4, 5}, at, 1, 3, 2)
 	for i, v := range []float64{-2, 24} {
 		if got[i] != v {
 			t.Fatalf("cell %d = %v, want %v", i, got[i], v)
@@ -233,7 +200,7 @@ func TestMulVec(t *testing.T) {
 // GemmTAAccum at n=1.
 func TestMulVecT(t *testing.T) {
 	got := make([]float64, 3)
-	GemmTAAccum(got, []float64{1, 2, 3, 4, 5, 6}, []float64{1, 1}, 2, 3, 1, 1)
+	GemmTAAccum(got, []float64{1, 2, 3, 4, 5, 6}, []float64{1, 1}, 2, 3, 1)
 	for i, v := range []float64{5, 7, 9} {
 		if got[i] != v {
 			t.Fatalf("cell %d = %v, want %v", i, got[i], v)
@@ -249,9 +216,9 @@ func TestMulVecTMatchesExplicitTranspose(t *testing.T) {
 	a := randSlice(p*m, rng)
 	b := randSlice(p*n, rng)
 	got := make([]float64, m*n)
-	GemmTAAccum(got, a, b, p, m, n, 1)
+	GemmTAAccum(got, a, b, p, m, n)
 	want := make([]float64, m*n)
-	GemmInto(want, transpose(a, p, m), b, m, p, n, 1)
+	GemmInto(want, transpose(a, p, m), b, m, p, n)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("cell %d = %v, want %v", i, got[i], want[i])
@@ -262,7 +229,7 @@ func TestMulVecTMatchesExplicitTranspose(t *testing.T) {
 // Known answers for an outer product: GemmTAAccum at p=1.
 func TestAddOuter(t *testing.T) {
 	m := make([]float64, 4)
-	GemmTAAccum(m, []float64{1, 2}, []float64{3, 4}, 1, 2, 2, 1)
+	GemmTAAccum(m, []float64{1, 2}, []float64{3, 4}, 1, 2, 2)
 	for i, v := range []float64{3, 4, 6, 8} {
 		if m[i] != v {
 			t.Fatalf("cell %d = %v, want %v", i, m[i], v)
@@ -278,13 +245,13 @@ func TestMulAssociativityWithVector(t *testing.T) {
 		b := randSlice(4*5, rng)
 		x := randSlice(5, rng)
 		ab := make([]float64, 3*5)
-		GemmInto(ab, a, b, 3, 4, 5, 1)
+		GemmInto(ab, a, b, 3, 4, 5)
 		left := make([]float64, 3)
-		GemmInto(left, ab, x, 3, 5, 1, 1)
+		GemmInto(left, ab, x, 3, 5, 1)
 		bx := make([]float64, 4)
-		GemmInto(bx, b, x, 4, 5, 1, 1)
+		GemmInto(bx, b, x, 4, 5, 1)
 		right := make([]float64, 3)
-		GemmInto(right, a, bx, 3, 4, 1, 1)
+		GemmInto(right, a, bx, 3, 4, 1)
 		for i := range left {
 			if math.Abs(left[i]-right[i]) > 1e-9 {
 				t.Fatalf("trial %d: (AB)x[%d]=%v != A(Bx)[%d]=%v", trial, i, left[i], i, right[i])
@@ -300,7 +267,7 @@ func BenchmarkMul64(b *testing.B) {
 	dst := make([]float64, 64*64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		GemmInto(dst, x, y, 64, 64, 64, 1)
+		GemmInto(dst, x, y, 64, 64, 64)
 	}
 }
 
@@ -308,9 +275,8 @@ func BenchmarkMul64(b *testing.B) {
 // AVX, and no other test reaches them on an AVX host. Each must match its
 // AVX row kernel bit for bit on every tail: n mod 4 and n mod 8 remainders
 // (the vector lanes), reduction lengths that are not multiples of 4 or 8
-// (the quad/oct unrolls), m = 1, row ranges that start mid-matrix (a
-// worker's partition) and exceed the 128-row staging chunk, and NaN/Inf
-// operands.
+// (the quad/oct unrolls), m = 1, row counts that exceed the 128-row
+// staging chunk, and NaN/Inf operands.
 func TestGemmRowsGoMatchesAVX(t *testing.T) {
 	if !hasAVX {
 		t.Skip("no AVX on this CPU: the pure-Go loops are the only path")
@@ -338,12 +304,12 @@ func TestGemmRowsGoMatchesAVX(t *testing.T) {
 	same := func(x, y float64) bool {
 		return math.Float64bits(x) == math.Float64bits(y) || (math.IsNaN(x) && math.IsNaN(y))
 	}
-	check := func(op string, m, k, n, i0, i1 int, got, want []float64) {
+	check := func(op string, m, k, n int, got, want []float64) {
 		t.Helper()
 		for c := range want {
 			if !same(got[c], want[c]) {
-				t.Fatalf("%s m=%d k=%d n=%d rows [%d,%d): cell %d Go %v (%#x) != AVX %v (%#x)",
-					op, m, k, n, i0, i1, c, got[c], math.Float64bits(got[c]), want[c], math.Float64bits(want[c]))
+				t.Fatalf("%s m=%d k=%d n=%d: cell %d Go %v (%#x) != AVX %v (%#x)",
+					op, m, k, n, c, got[c], math.Float64bits(got[c]), want[c], math.Float64bits(want[c]))
 			}
 		}
 	}
@@ -355,25 +321,21 @@ func TestGemmRowsGoMatchesAVX(t *testing.T) {
 				if m == 130 && n > 5 {
 					continue // the staging chunk needs many rows, not wide ones
 				}
-				i0, i1 := 0, m
-				if m > 2 {
-					i0, i1 = 1, m-1
-				}
 				a := operand(m * k)
 				b := operand(k * n)
 				stale := operand(m * n)
 				goDst := append([]float64(nil), stale...)
 				avxDst := append([]float64(nil), stale...)
-				gemmIntoRowsGo(goDst, a, b, k, n, i0, i1)
-				gemmIntoRowsAVX(avxDst, a, b, k, n, i0, i1)
-				check("gemmIntoRows", m, k, n, i0, i1, goDst, avxDst)
+				gemmIntoRowsGo(goDst, a, b, m, k, n)
+				gemmIntoRowsAVX(avxDst, a, b, m, k, n)
+				check("gemmIntoRows", m, k, n, goDst, avxDst)
 
 				// Aᵀ·B accumulate: a is k×m, b is k×n, reduction over k.
 				copy(goDst, stale)
 				copy(avxDst, stale)
-				gemmTAAccumRowsGo(goDst, a, b, k, m, n, i0, i1)
-				gemmTAAccumRowsAVX(avxDst, a, b, k, m, n, i0, i1)
-				check("gemmTAAccumRows", m, k, n, i0, i1, goDst, avxDst)
+				gemmTAAccumRowsGo(goDst, a, b, k, m, n)
+				gemmTAAccumRowsAVX(avxDst, a, b, k, m, n)
+				check("gemmTAAccumRows", m, k, n, goDst, avxDst)
 			}
 		}
 	}

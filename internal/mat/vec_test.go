@@ -128,8 +128,8 @@ func TestSoftmaxIntoMatchesSoftmaxAndAliases(t *testing.T) {
 func TestIntoKernelsPanicOnShapeMismatch(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"SoftmaxInto dims": func() { SoftmaxInto(make([]float64, 2), make([]float64, 3)) },
-		"GemmInto dst":     func() { GemmInto(make([]float64, 3), make([]float64, 6), make([]float64, 3), 2, 3, 1, 1) },
-		"GemmTAAccum dst":  func() { GemmTAAccum(make([]float64, 2), make([]float64, 6), make([]float64, 2), 2, 3, 1, 1) },
+		"GemmInto dst":     func() { GemmInto(make([]float64, 3), make([]float64, 6), make([]float64, 3), 2, 3, 1) },
+		"GemmTAAccum dst":  func() { GemmTAAccum(make([]float64, 2), make([]float64, 6), make([]float64, 2), 2, 3, 1) },
 	} {
 		func() {
 			defer func() {
