@@ -38,6 +38,26 @@ func OtherOpLetter(class int) byte {
 	return otherOpLetters[class]
 }
 
+// MergeLetters merges per-sample Mlong and Mop classes into op letters:
+// NOP, Conv and MatMul come from Mlong, and any other long class takes its
+// letter from Mop.
+func MergeLetters(long, op []int) []byte {
+	out := make([]byte, len(long))
+	for t := range long {
+		switch dnn.LongClass(long[t]) {
+		case dnn.LongNOP:
+			out[t] = 'N'
+		case dnn.LongConv:
+			out[t] = 'C'
+		case dnn.LongMatMul:
+			out[t] = 'M'
+		default:
+			out[t] = OtherOpLetter(op[t])
+		}
+	}
+	return out
+}
+
 // HPKind selects one of the five hyper-parameter targets of Table VIII.
 type HPKind int
 

@@ -202,20 +202,7 @@ func (m *Models) extractSegmented(ctx context.Context, samples []cupti.Sample, r
 		return nil, fmt.Errorf("Vop: %w", err)
 	}
 
-	// Merge into per-sample letters.
-	rec.Letters = make([]byte, baseLen)
-	for t := 0; t < baseLen; t++ {
-		switch dnn.LongClass(rec.VotedLong[t]) {
-		case dnn.LongNOP:
-			rec.Letters[t] = 'N'
-		case dnn.LongConv:
-			rec.Letters[t] = 'C'
-		case dnn.LongMatMul:
-			rec.Letters[t] = 'M'
-		default:
-			rec.Letters[t] = OtherOpLetter(rec.VotedOp[t])
-		}
-	}
+	rec.Letters = MergeLetters(rec.VotedLong, rec.VotedOp)
 
 	// Hyper-parameter heads over the base iteration.
 	baseFeatures := features[rec.Base.Start:rec.Base.End]

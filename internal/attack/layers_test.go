@@ -248,6 +248,16 @@ func TestOtherOpLetterRoundTrip(t *testing.T) {
 	}
 }
 
+// Mlong decides NOP, Conv and MatMul; Mop names every other op, even where
+// it predicted a class of its own at a Mlong-decided sample.
+func TestMergeLetters(t *testing.T) {
+	long := []int{int(dnn.LongNOP), int(dnn.LongConv), int(dnn.LongMatMul), int(dnn.LongOther), int(dnn.LongOther), int(dnn.LongOther)}
+	op := []int{0, 1, 2, 0, 3, 99}
+	if got := string(MergeLetters(long, op)); got != "NCMBS?" {
+		t.Fatalf("MergeLetters = %q, want %q", got, "NCMBS?")
+	}
+}
+
 func TestApplyResNetHeuristic(t *testing.T) {
 	layers := []RecoveredLayer{
 		{Kind: dnn.LayerConv, NumFilters: 16},

@@ -38,7 +38,7 @@ type Table6Row struct {
 func (w *Workbench) Table6() (*Table6Result, error) {
 	rows, err := par.MapCtx(context.Background(), w.Scale.Workers, len(w.Tested), func(i int) (Table6Row, error) {
 		tr := w.Tested[i]
-		feats := attackFeatures(w.Models, tr)
+		feats := attack.FeatureMatrix(w.Models.Scaler, tr.Samples)
 		split, err := w.Models.SplitIterations(feats)
 		if err != nil {
 			return Table6Row{}, err
@@ -131,7 +131,7 @@ func (w *Workbench) GapSweep(batches, sides []int) (*GapSweepResult, error) {
 		if err != nil {
 			return GapSweepRow{}, err
 		}
-		split, err := w.Models.SplitIterations(attackFeatures(w.Models, tr))
+		split, err := w.Models.SplitIterations(attack.FeatureMatrix(w.Models.Scaler, tr.Samples))
 		if err != nil {
 			return GapSweepRow{}, err
 		}
@@ -180,7 +180,8 @@ func (w *Workbench) Table7() (*Table7Result, error) {
 		labels := tr.Labels()
 		truth := attack.LetterTruth(labels, rec.Base)
 
-		preLetters := mergeLetters(rec.PreVoteLong[0], rec.PreVoteOp[0])
+		// The pre-voting arm merges the first used iteration's predictions.
+		preLetters := attack.MergeLetters(rec.PreVoteLong[0], rec.PreVoteOp[0])
 		perPre, overallPre := attack.LetterAccuracy(preLetters, truth)
 		perVote, overallVote := attack.LetterAccuracy(rec.Letters, truth)
 		return Table7Row{
@@ -195,25 +196,6 @@ func (w *Workbench) Table7() (*Table7Result, error) {
 		return nil, err
 	}
 	return &Table7Result{Rows: rows}, nil
-}
-
-// mergeLetters merges one iteration's Mlong and Mop predictions into letters
-// without voting (the Table VII "pre-voting" arm).
-func mergeLetters(long []int, op []int) []byte {
-	out := make([]byte, len(long))
-	for t := range long {
-		switch dnn.LongClass(long[t]) {
-		case dnn.LongNOP:
-			out[t] = 'N'
-		case dnn.LongConv:
-			out[t] = 'C'
-		case dnn.LongMatMul:
-			out[t] = 'M'
-		default:
-			out[t] = attack.OtherOpLetter(op[t])
-		}
-	}
-	return out
 }
 
 // Render prints the table in the paper's layout.
@@ -310,9 +292,4 @@ func (r *Table9Result) Render() string {
 		fmt.Fprintf(&b, "\n")
 	}
 	return b.String()
-}
-
-// attackFeatures converts a trace's samples into the scaled feature stream.
-func attackFeatures(m *attack.Models, tr *trace.Trace) [][]float64 {
-	return attack.FeatureMatrix(m.Scaler, tr.Samples)
 }
