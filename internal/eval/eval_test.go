@@ -1,6 +1,8 @@
 package eval
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"reflect"
 	"strings"
 	"testing"
@@ -191,6 +193,29 @@ func TestWorkbenchTables(t *testing.T) {
 	if voting.MeanVote <= 0 {
 		t.Error("voting ablation produced zero accuracy")
 	}
+
+	// The rendered tables are pinned byte for byte: a change to how traces
+	// are collected, recycled, decoded or trained on that moves any number
+	// in them fails here.
+	for name, s := range map[string]string{
+		"table6": t6.Render(), "table7": t7.Render(), "table9": t9.Render(),
+		"syntax": abl.Render(), "voting": voting.Render(),
+	} {
+		sum := sha256.Sum256([]byte(s))
+		if got := hex.EncodeToString(sum[:]); got != goldenWorkbenchRenders[name] {
+			t.Errorf("%s render SHA-256 %s, pinned %s:\n%s", name, got, goldenWorkbenchRenders[name], s)
+		}
+	}
+}
+
+// goldenWorkbenchRenders pins the SHA-256 of each table TestWorkbenchTables
+// renders from the tiny-scale Workbench.
+var goldenWorkbenchRenders = map[string]string{
+	"table6": "a4c4085bdcbfb64bcbcf1bc687e78c9579131f3072ff35d6e1ddac315d461c51",
+	"table7": "78e233fb5cce2db5024180aa468a7fe56aa85248f1f0b44d0caed9263463f3f0",
+	"table9": "3d7a7bc77427359d06eccef38ca3eb19a88b1feba17f692cd2a2fa0d4d27f42c",
+	"syntax": "d338bbffda1fe84a72ba5a6adac2821593ef444aa833ce786219d04e4e00eb59",
+	"voting": "3f442b177d0df9f700fa59989ac2309e76e74a493b4566fac5ecb958b2a1731b",
 }
 
 func TestTable8MiniSweep(t *testing.T) {
