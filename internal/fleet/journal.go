@@ -125,7 +125,7 @@ func keyFloat(b []byte, prefix string, v float64) []byte {
 // appendDeviceRecord durably journals one completed (or quarantined) device.
 func appendDeviceRecord(j *journal.Journal, key string, r *DeviceResult) error {
 	rec := recordOf(r)
-	buf := recordBufs.Get().(*[]byte)
+	buf := recordBufs.Get()
 	*buf = encodeRecord((*buf)[:0], &rec)
 	err := j.Append(journal.Record{Kind: recordKind, Key: key, Payload: *buf})
 	recordBufs.Put(buf)

@@ -3,9 +3,9 @@ package fleet
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"leakydnn/internal/attack"
+	"leakydnn/internal/par"
 	"leakydnn/internal/trace"
 	"leakydnn/internal/wire"
 )
@@ -97,7 +97,7 @@ func (rec *deviceRecord) result(spec DeviceSpec) DeviceResult {
 
 // recordBufs holds payload buffers between appends: the journal copies a
 // payload into its frame, so the buffer is free once Append returns.
-var recordBufs = sync.Pool{New: func() any { return new([]byte) }}
+var recordBufs par.FreeList[[]byte]
 
 // encodeRecord appends rec's version 3 payload to b.
 func encodeRecord(b []byte, rec *deviceRecord) []byte {

@@ -5,10 +5,10 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
-	"leakydnn/internal/cupti"
 	"leakydnn/internal/dnn"
 	"leakydnn/internal/tfsim"
 	"leakydnn/internal/zoo"
@@ -35,14 +35,23 @@ func freshCollect(t *testing.T, m dnn.Model, cfg RunConfig) *Trace {
 	return tr
 }
 
+// resetLists empties the spare list and zeroes the sample high-water mark,
+// as in a process that has collected and recycled nothing yet.
+func resetLists() {
+	for range runtime.GOMAXPROCS(0) {
+		spares.Get()
+	}
+	sampleHigh.Store(0)
+}
+
 // TestRecycledCollectIsByteIdentical poisons a trace's buffers, recycles
 // them, and collects a different model into them: the result must equal a
 // fresh-arena collection of that model byte for byte, so nothing of the dead
 // run — counters, or timeline events past the new length — leaks through.
 func TestRecycledCollectIsByteIdentical(t *testing.T) {
-	var set arenaSet
+	resetLists()
 	cfg := fastRun(5, 3, true)
-	dead, err := set.collect(zoo.TinyVGG(), cfg)
+	dead, err := Collect(zoo.TinyVGG(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,23 +69,24 @@ func TestRecycledCollectIsByteIdentical(t *testing.T) {
 		events[i].Op, events[i].Iteration, events[i].Start, events[i].End = bogus, 99, 1, 1<<40
 	}
 
-	set.recycle(dead)
+	Recycle(dead)
 	if dead.Samples != nil || dead.Timeline != nil {
 		t.Fatal("Recycle left the trace holding its buffers")
 	}
-	if len(set.samples) != 1 || len(set.events) != 1 ||
-		cap(set.samples[0]) != len(samples) || cap(set.events[0]) != len(events) {
-		t.Fatalf("set holds %d sample and %d event spares, want the recycled pair of capacity %d/%d",
-			len(set.samples), len(set.events), len(samples), len(events))
+	spare := spares.Get()
+	if cap(spare.samples) != len(samples) || cap(spare.events) != len(events) {
+		t.Fatalf("top spare pair has capacity %d/%d, want the recycled pair's %d/%d",
+			cap(spare.samples), cap(spare.events), len(samples), len(events))
 	}
-	for _, e := range set.events[0][:cap(set.events[0])] {
+	for _, e := range spare.events[:cap(spare.events)] {
 		if e.Op != nil {
 			t.Fatal("recycled timeline buffer still points at a dead op")
 		}
 	}
+	spares.Put(spare)
 
 	cfg.Seed = 6
-	got, err := set.collect(zoo.TinyCNN(), cfg)
+	got, err := Collect(zoo.TinyCNN(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,16 +100,15 @@ func TestRecycledCollectIsByteIdentical(t *testing.T) {
 }
 
 // TestRecycledCollectConcurrent runs Collect and Recycle from several
-// goroutines on one set; every trace must still match its fresh-arena
-// reference. Under -race this also checks that a recycled buffer or an idle
-// arena is never shared by two live collections.
+// goroutines; every trace must still match its fresh-arena reference. Under
+// -race this also checks that a spare pair or an idle arena is never shared
+// by two live collections.
 func TestRecycledCollectConcurrent(t *testing.T) {
 	models := []dnn.Model{zoo.TinyCNN(), zoo.TinyMLP()}
 	want := make([][]byte, len(models))
 	for i, m := range models {
 		want[i] = wireBytes(t, freshCollect(t, m, fastRun(int64(10+i), 2, true)))
 	}
-	var set arenaSet
 	const workers, rounds = 4, 3
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -108,7 +117,7 @@ func TestRecycledCollectConcurrent(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				i := (w + r) % len(models)
-				tr, err := set.collect(models[i], fastRun(int64(10+i), 2, true))
+				tr, err := Collect(models[i], fastRun(int64(10+i), 2, true))
 				if err != nil {
 					t.Error(err)
 					return
@@ -121,17 +130,18 @@ func TestRecycledCollectConcurrent(t *testing.T) {
 				if !bytes.Equal(buf.Bytes(), want[i]) {
 					t.Errorf("pooled %s trace differs from its fresh-arena reference", models[i].Name)
 				}
-				set.recycle(tr)
+				Recycle(tr)
 			}
 		}(w)
 	}
 	wg.Wait()
 }
 
-// TestArenaSampleBufferTracksHighWater collects large, small, large on one
-// arena without recycling: the third collection's fresh sampler buffer must
-// be sized to the first's count, not the second's, so it never regrows.
+// TestArenaSampleBufferTracksHighWater collects large, small, large without
+// recycling: the third collection's fresh sampler buffer must be sized to
+// the first's count, not the second's, so it never regrows.
 func TestArenaSampleBufferTracksHighWater(t *testing.T) {
+	resetLists()
 	a := new(Arena)
 	run := func(m dnn.Model, iterations int) *Trace {
 		t.Helper()
@@ -148,55 +158,12 @@ func TestArenaSampleBufferTracksHighWater(t *testing.T) {
 			len(small.Samples), len(large.Samples))
 	}
 	again := run(zoo.TinyVGG(), 4)
-	if a.sampleHigh != len(large.Samples) {
-		t.Errorf("high-water mark %d, want the largest count %d", a.sampleHigh, len(large.Samples))
+	if h := sampleHigh.Load(); h != int64(len(large.Samples)) {
+		t.Errorf("high-water mark %d, want the largest count %d", h, len(large.Samples))
 	}
 	if cap(again.Samples) != len(again.Samples) {
 		t.Errorf("third collection's buffer grew to capacity %d for %d samples: it was not sized to the high-water mark",
 			cap(again.Samples), len(again.Samples))
-	}
-}
-
-// TestArenaSetBounds checks the set's two bounds and its retention rule: at
-// most idleLimit idle arenas, at most idleLimit spare buffers, a full spare
-// list trading its smallest buffer for a bigger one (never dropping the
-// bigger one), and acquire handing out the largest spare with the set's
-// high-water mark.
-func TestArenaSetBounds(t *testing.T) {
-	limit := idleLimit()
-	var set arenaSet
-	borrowed := make([]*Arena, limit+2)
-	for i := range borrowed {
-		borrowed[i] = set.acquire()
-	}
-	borrowed[0].sampleHigh = 77
-	for _, a := range borrowed {
-		set.release(a)
-	}
-	if len(set.idle) != limit {
-		t.Fatalf("set keeps %d idle arenas, want GOMAXPROCS = %d", len(set.idle), limit)
-	}
-	if set.sampleHigh != 77 {
-		t.Fatalf("set high-water mark %d, want the released arena's 77", set.sampleHigh)
-	}
-
-	// Offer limit small buffers, then one bigger than all of them.
-	for i := 0; i < limit; i++ {
-		set.recycle(&Trace{Samples: make([]cupti.Sample, 1, 10+i)})
-	}
-	set.recycle(&Trace{Samples: make([]cupti.Sample, 0, 500)})
-	set.recycle(&Trace{Samples: make([]cupti.Sample, 0, 1)})
-	if len(set.samples) != limit {
-		t.Fatalf("set keeps %d spare sample buffers, want %d", len(set.samples), limit)
-	}
-	a := set.acquire()
-	defer set.release(a)
-	if cap(a.samples) != 500 || len(a.samples) != 0 {
-		t.Fatalf("acquire handed out a len %d cap %d spare, want the recycled empty cap-500 one",
-			len(a.samples), cap(a.samples))
-	}
-	if a.sampleHigh != 77 {
-		t.Fatalf("acquired arena high-water mark %d, want the set's 77", a.sampleHigh)
 	}
 }
 
@@ -252,11 +219,6 @@ func TestDecodeIntoRecycledBuffers(t *testing.T) {
 		t.Fatalf("A (%d samples, %d events) must be at least B's size (%d, %d)", len(big.Samples),
 			len(big.Timeline.Events()), len(small.Samples), len(small.Timeline.Events()))
 	}
-	drain := func() {
-		arenas.mu.Lock()
-		defer arenas.mu.Unlock()
-		arenas.samples, arenas.events = nil, nil
-	}
 	decode := func(body []byte) *Trace {
 		t.Helper()
 		tr, err := ReadTrace(bytes.NewReader(body))
@@ -267,7 +229,7 @@ func TestDecodeIntoRecycledBuffers(t *testing.T) {
 	}
 	t.Run("v2", func(t *testing.T) {
 		bodyA, bodyB := wireBytes(t, big), wireBytes(t, small)
-		drain()
+		resetLists()
 		want := decode(bodyB)
 		a := decode(bodyA)
 		samples := a.Samples[:cap(a.Samples)]
@@ -294,13 +256,16 @@ func TestDecodeIntoRecycledBuffers(t *testing.T) {
 		}
 
 		Recycle(got)
-		drain()
+		resetLists()
 		if _, err := ReadTrace(bytes.NewReader(bodyA[:len(bodyA)-1])); err == nil {
 			t.Fatal("truncated upload decoded")
 		}
-		if len(arenas.samples) != 1 || len(arenas.events) != 1 {
-			t.Fatalf("a failed decode gave back %d sample and %d event buffers, want 1 and 1",
-				len(arenas.samples), len(arenas.events))
+		if back := spares.Get(); cap(back.samples) == 0 || cap(back.events) == 0 {
+			t.Fatalf("a failed decode gave back buffers of capacity %d/%d, want its presized pair",
+				cap(back.samples), cap(back.events))
+		}
+		if extra := spares.Get(); extra.samples != nil || extra.events != nil {
+			t.Fatal("a failed decode gave back more than one spare pair")
 		}
 	})
 }

@@ -8,11 +8,11 @@ import (
 	"io"
 	"math"
 	"slices"
-	"sync"
 
 	"leakydnn/internal/cupti"
 	"leakydnn/internal/dnn"
 	"leakydnn/internal/gpu"
+	"leakydnn/internal/par"
 	"leakydnn/internal/tfsim"
 	"leakydnn/internal/wire"
 )
@@ -233,7 +233,7 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 		}
 	}
 
-	buf := stagePool.Get().(*[]byte)
+	buf := stagePool.Get()
 	f := &frameWriter{w: w, b: append((*buf)[:0], traceMagicV3...)}
 	defer func() {
 		if *buf = f.b[:0]; cap(*buf) <= maxPooledStage {
@@ -379,7 +379,7 @@ const (
 // stagePool recycles the byte buffers Readers stage payloads in and WriteTo
 // assembles frames in: mosconsd decodes every upload with a fresh Reader, so
 // a buffer one Reader owned would be regrown from nothing for every trace.
-var stagePool = sync.Pool{New: func() any { return new([]byte) }}
+var stagePool par.FreeList[[]byte]
 
 // stage reads the next n payload bytes into d.buf, growing it in doubling
 // steps only as bytes actually arrive, so its size tracks the bytes present
@@ -452,7 +452,7 @@ func (d *Reader) Read() (*Trace, error) {
 		return nil, fmt.Errorf("trace: bad magic %q at byte offset %d (not a serialized trace, trailing garbage, "+
 			"or a retired version: re-collect version 1 and 2 traces)", d.magic[:], start)
 	}
-	buf := stagePool.Get().(*[]byte)
+	buf := stagePool.Get()
 	d.buf = buf
 	defer func() {
 		d.buf = nil
@@ -464,14 +464,14 @@ func (d *Reader) Read() (*Trace, error) {
 }
 
 // newTrace validates a decoded header and starts the trace it describes,
-// with sample and event capacity presized from its counts: a recycled buffer
-// from the collection arenas when one fits, else a fresh one.
+// with sample and event capacity presized from its counts: the top spare
+// pair's buffers where they fit, else fresh ones.
 func newTrace(hdr *traceHeader, start int64) (*Trace, []tfsim.TimelineEvent, error) {
 	if hdr.SampleCount < 0 || hdr.EventCount < 0 {
 		return nil, nil, fmt.Errorf("trace: header at byte offset %d carries negative counts (%d samples, %d events)",
 			start, hdr.SampleCount, hdr.EventCount)
 	}
-	samples, events := arenas.decodeBuffers(min(hdr.SampleCount, maxPrealloc), min(hdr.EventCount, maxPrealloc))
+	samples, events := takeSpare(min(hdr.SampleCount, maxPrealloc), min(hdr.EventCount, maxPrealloc))
 	t := &Trace{
 		Model:               hdr.Model,
 		Ops:                 hdr.Ops,
@@ -487,11 +487,11 @@ func newTrace(hdr *traceHeader, start int64) (*Trace, []tfsim.TimelineEvent, err
 }
 
 // giveBackOnError returns a failed decode's sample and event buffers to the
-// collection arenas: no trace escapes a decode that fails, so nothing else
-// can reach them.
+// spares: no trace escapes a decode that fails, so nothing else can reach
+// them.
 func giveBackOnError(err *error, t *Trace, events *[]tfsim.TimelineEvent) {
 	if *err != nil {
-		arenas.reclaim(t.Samples, *events)
+		putSpare(t.Samples, *events)
 	}
 }
 

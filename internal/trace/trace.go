@@ -92,7 +92,9 @@ type Trace struct {
 // memory from the process-wide arenas (see Recycle); the trace is
 // byte-identical to one collected on fresh memory.
 func Collect(m dnn.Model, cfg RunConfig) (*Trace, error) {
-	return arenas.collect(m, cfg)
+	a := arenas.Get()
+	defer arenas.Put(a)
+	return collectOn(m, cfg, a)
 }
 
 // collectOn is Collect on the given arena.
@@ -133,10 +135,10 @@ func collectOn(m dnn.Model, cfg RunConfig, arena *Arena) (*Trace, error) {
 	// internals are reclaimed into it on the way out (nothing in the
 	// returned Trace aliases them), and the tag slab is recycled eagerly (its
 	// previous owner's engine is gone by definition). The sampler and the
-	// timeline append into the arena's buffers, which leave it with the
-	// returned Trace.
+	// timeline append into a spare pair, which the returned Trace owns.
 	arena.tags.Reset()
-	cfg.Spy.SampleBuf = arena.sampleBuffer()
+	sampleBuf, eventBuf := takeSpare(int(sampleHigh.Load()), 0)
+	cfg.Spy.SampleBuf = sampleBuf
 	prog, err := spy.NewProgram(cfg.Spy)
 	if err != nil {
 		return nil, err
@@ -154,7 +156,7 @@ func collectOn(m dnn.Model, cfg RunConfig, arena *Arena) (*Trace, error) {
 		eng.IsolateContextStreams(cfg.Seed)
 	}
 
-	tl := tfsim.TimelineFromEvents(arena.eventBuffer())
+	tl := tfsim.TimelineFromEvents(eventBuf)
 	totalOps := sess.OpsPerIteration() * cfg.Session.Iterations
 	victimDone := 0
 	schedSlices := 0
@@ -376,7 +378,7 @@ func collectOn(m dnn.Model, cfg RunConfig, arena *Arena) (*Trace, error) {
 	}
 
 	samples := prog.Samples(eng.Now())
-	arena.noteSamples(len(samples))
+	noteSamples(len(samples))
 	health := &Health{
 		SamplesEmitted:      len(samples),
 		SpyChannelsRejected: prog.RejectedChannels(),

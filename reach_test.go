@@ -112,6 +112,28 @@ func TestNoGobImports(t *testing.T) {
 	}
 }
 
+// TestNoSyncPool: no non-test code of either module uses sync.Pool. Memory
+// that outlives an operation goes through par.FreeList, which keeps at most
+// GOMAXPROCS idle entries and which the garbage collector never empties, so
+// each list's retained memory has a stated bound and whether a warm
+// operation allocates does not depend on GC timing.
+func TestNoSyncPool(t *testing.T) {
+	p, err := loadProgram(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, info := range p.infos {
+		for id, obj := range info.Uses {
+			if obj.Pkg() != nil && obj.Pkg().Path() == "sync" && obj.Name() == "Pool" {
+				t.Errorf("%s: uses sync.Pool; borrow through par.FreeList", p.fset.Position(id.Pos()))
+			}
+		}
+	}
+	if p.pkgs["leakydnn/perfbench"] == nil || p.pkgs["leakydnn/internal/par"] == nil {
+		t.Fatal("the loader missed a module")
+	}
+}
+
 // reachAllowlist names the findings reached in ways the types do not show,
 // by the names unreachable reports.
 var reachAllowlist = map[string]string{
