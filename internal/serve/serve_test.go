@@ -641,6 +641,102 @@ func TestServiceMatchesOfflineGolden(t *testing.T) {
 	}
 }
 
+// TestConcurrentUploadsRecycle posts the tested traces from several
+// goroutines at once, each upload holding them in its own order, mixed with
+// uploads truncated inside their second trace. Every served trace's buffers
+// go back to the trace spares once its response is written, and a failed
+// decode gives its buffers back too, so later uploads decode into memory
+// earlier ones held. Every 200 must still carry, trace for trace, the
+// fingerprint of an extraction from a fresh decode; under -race this also
+// checks that no spare is recycled twice or while an upload still uses it.
+func TestConcurrentUploadsRecycle(t *testing.T) {
+	wb := tinyBench(t)
+	s := New(Config{Scale: eval.Tiny(), Cache: trainedCache(t), MaxInFlight: 2, QueueDepth: 8})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	n := len(wb.Tested)
+	bodies := make([][]byte, n)
+	want := make([]string, n)
+	for i, tr := range wb.Tested {
+		var buf bytes.Buffer
+		if _, err := tr.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		bodies[i] = buf.Bytes()
+		fresh, err := trace.ReadTrace(bytes.NewReader(bodies[i]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := wb.Models.ExtractTrace(fresh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = rec.Fingerprint()
+	}
+
+	const posters, rounds = 4, 6
+	var wg sync.WaitGroup
+	for g := 0; g < posters; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				// Upload g+r rotates the traces, so each poster sends them
+				// in a different order each round.
+				order := make([]int, n)
+				var upload []byte
+				for k := range order {
+					order[k] = (g + r + k) % n
+					upload = append(upload, bodies[order[k]]...)
+				}
+				truncated := (g+r)%3 == 2
+				if truncated {
+					upload = upload[:len(bodies[order[0]])+len(bodies[order[1]])/2]
+				}
+				resp, err := ts.Client().Post(ts.URL+"/extract", "application/octet-stream", bytes.NewReader(upload))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var body bytes.Buffer
+				_, err = body.ReadFrom(resp.Body)
+				resp.Body.Close()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if truncated {
+					if resp.StatusCode != http.StatusBadRequest {
+						t.Errorf("poster %d round %d: truncated upload got status %d, want 400", g, r, resp.StatusCode)
+					}
+					continue
+				}
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("poster %d round %d: status %d (body %q)", g, r, resp.StatusCode, body.Bytes())
+					continue
+				}
+				var out ExtractResponse
+				if err := json.Unmarshal(body.Bytes(), &out); err != nil {
+					t.Error(err)
+					continue
+				}
+				if len(out.Traces) != n {
+					t.Errorf("poster %d round %d: %d traces extracted, want %d", g, r, len(out.Traces), n)
+					continue
+				}
+				for k, i := range order {
+					if got := out.Traces[k].Fingerprint; got != want[i] {
+						t.Errorf("poster %d round %d: trace %d (%s) fingerprint %s, want the fresh decode's %s",
+							g, r, k, wb.Tested[i].Model.Name, got, want[i])
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
 // TestDaemonSmoke is the CI smoke: a real daemon on a unix socket, one good
 // and one truncated upload, health assertions, then a clean drain.
 func TestDaemonSmoke(t *testing.T) {
