@@ -462,7 +462,7 @@ func runDevice(spec DeviceSpec, pool *par.Pool, collectOnly bool, share *modelSh
 	tr := victims[0]
 	// The trace dies with this call: nothing in the DeviceResult points into
 	// it (the recovery below is built from copies of its samples), so its
-	// buffers go back to the arenas for the next device's collection.
+	// buffers go back to the trace spares for the next device's collection.
 	defer trace.Recycle(tr)
 	res := DeviceResult{
 		Spec:        spec,

@@ -7,9 +7,11 @@
 // MapOnCtx guarantee all three through one worker loop, which is what makes
 // parallel table generation byte-identical to the workers=1 serial run.
 //
-// FreeList is the bounded free list that hands working memory from one
-// operation to the next: extraction matrices in attack, and every LSTM
-// pass's forward and training buffers in lstm.
+// FreeList is the one way working memory outlives an operation, a bounded
+// free list the next operation borrows from: extraction matrices in attack,
+// every LSTM pass's forward and training buffers in lstm, collection arenas,
+// dead traces' sample and event buffers and wire-format staging buffers in
+// trace, and journal record buffers in fleet.
 package par
 
 import (

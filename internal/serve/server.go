@@ -377,7 +377,7 @@ func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
 	}
 	// The decoded traces are request scratch: once the response is written
 	// (every return below), their sample and event buffers go back to the
-	// trace arenas for the next upload's decode. Extraction has finished by
+	// trace spares for the next upload's decode. Extraction has finished by
 	// then — MapOnCtx waits for every task it started — and no response,
 	// journal record or Recovery keeps a slice of them.
 	defer recycleAll(traces)
@@ -524,8 +524,8 @@ func (s *Server) readUpload(body io.Reader) (traces []*trace.Trace, bodyHash, qu
 	return traces, hex.EncodeToString(hasher.Sum(nil)), "", nil
 }
 
-// recycleAll hands a finished request's decoded traces back to the trace
-// arenas.
+// recycleAll hands a finished request's decoded traces' buffers back to
+// the trace spares.
 func recycleAll(traces []*trace.Trace) {
 	for _, t := range traces {
 		trace.Recycle(t)

@@ -170,7 +170,7 @@ type Config struct {
 	// trouble is visible in the data as missing early windows.
 	Faults *chaos.Injector
 	// SampleBuf is the sampler's output buffer: samples are appended from
-	// its start and its length is ignored. The trace arena passes a recycled
+	// its start and its length is ignored. trace.Collect passes a recycled
 	// or high-water-sized buffer here, so a long run's append-doubling
 	// growth does not recur every collection. Nil allocates as the run
 	// grows; either way the samples produced are the same.
