@@ -122,7 +122,11 @@ func takeSpare(nSamples, nEvents int) ([]cupti.Sample, []tfsim.TimelineEvent) {
 
 // noteSamples raises the sample high-water mark to a collection's count.
 func noteSamples(n int) {
-	for h := sampleHigh.Load(); int64(n) > h && !sampleHigh.CompareAndSwap(h, int64(n)); h = sampleHigh.Load() {
+	for {
+		h := sampleHigh.Load()
+		if int64(n) <= h || sampleHigh.CompareAndSwap(h, int64(n)) {
+			return
+		}
 	}
 }
 
